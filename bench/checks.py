@@ -143,6 +143,26 @@ def tv_tolerance(a: int, n: int, h: int, trials: int) -> float:
     return acc / 2.0 + 4.0 / sqrt(trials)
 
 
+def walk_bound(states):
+    """A gsr walk from the identity has des(state_h^-1) <= 2^h - 1 for h <= 5."""
+    for h in range(1, 6):
+        d = sum(R.descents(R.inverse(states[h])))
+        if d > 2**h - 1:
+            return f"des(state_{h}^-1) = {d} > {2**h - 1} after {h} riffles"
+    return None
+
+
+def curve_within_tolerance(curve, a: int, n: int, trials: int):
+    """An empirical mixing curve of an a-shuffle stays within tv_tolerance of
+    the Bayer-Diaconis curve at every step."""
+    for h, v in enumerate(curve):
+        want = float(R.bayer_diaconis_tv(a, n, h))
+        tol = tv_tolerance(a, n, h, trials)
+        if not abs(v - want) <= tol:
+            return f"h={h}: empirical TV {v:.6f} vs exact {want:.6f} beyond {tol:.6f}"
+    return None
+
+
 def same_law(got: dict, want: dict):
     if got == want:
         return None

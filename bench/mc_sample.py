@@ -127,21 +127,12 @@ def build(q) -> list[Op]:
             return bad
         if len(states) != WALK_STEPS + 1 or states[0] != labels52:
             return "walk does not start at the identity or has the wrong length"
-        for h in range(1, 6):
-            d = sum(R.descents(R.inverse(states[h])))
-            if d > 2**h - 1:
-                return f"des(state_{h}^-1) = {d} > {2**h - 1} after {h} riffles"
-        return None
+        return C.walk_bound(states)
 
     def curve_checked(curve):
         if len(curve) != CURVE_STEPS + 1:
             return f"curve has {len(curve)} values, want {CURVE_STEPS + 1}"
-        for h, v in enumerate(curve):
-            want = float(R.bayer_diaconis_tv(2, 8, h))
-            tol = C.tv_tolerance(2, 8, h, CURVE_TRIALS)
-            if not abs(v - want) <= tol:
-                return f"h={h}: empirical TV {v:.5f} vs exact {want:.5f} beyond {tol:.5f}"
-        return None
+        return C.curve_within_tolerance(curve, 2, 8, CURVE_TRIALS)
 
     mix = source_of(q, R.MIXTURE)
 

@@ -25,7 +25,15 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORK = os.path.join(ROOT, ".bench_work")
 WORKLOADS = ("mc-sample", "exact", "cli")
-SETUP_SAMPLES = 3
+# Set-up is sampled this many times per run, spread over the run, and
+# reported by its fastest sample, as the operations are: other tenants of
+# a shared host only ever add time.
+SETUP_SAMPLES = 5
+# Length of one round, checks included, on the 2-core host of the figures
+# in README.md.  A run takes round(--seconds / ROUND_S) rounds, so that the
+# number of repetitions an operation's best time is taken over is the same
+# for fast and slow code.
+ROUND_S = {"mc-sample": 5.0, "exact": 5.5, "cli": 21.0}
 
 END_TO_END = (
     ("setup_s", "s"),
@@ -72,6 +80,12 @@ def forward_stderr(path) -> None:
             print(line, file=sys.stderr)
 
 
+def rounds_for(workload, seconds, trace) -> int:
+    """Rounds of a run: at least one, and two when untraced and traced
+    rounds must alternate."""
+    return max(1 + trace, round(seconds / ROUND_S[workload]))
+
+
 def layer_metrics(self_rounds, count_rounds, cache, imports, overhead, cli=None) -> dict:
     """Per-layer metrics: medians over traced rounds; zero where unused."""
     from tracing import COUNTS, SELF_LAYERS
@@ -103,9 +117,11 @@ def run_in_process(workload, seed, seconds, trace) -> dict:
         os.path.join(HERE, "worker.py"), "--workload", workload, "--seed", str(seed)]
     setups, imports = [], []
     result = None
+    before = SETUP_SAMPLES // 2
     for i in range(SETUP_SAMPLES):
-        last = i == SETUP_SAMPLES - 1
-        argv = worker + (["--seconds", str(seconds), "--trace", str(trace)] if last else ["--setup-only"])
+        measured = i == before
+        argv = worker + (["--rounds", str(rounds_for(workload, seconds, trace)),
+                          "--trace", str(trace)] if measured else ["--setup-only"])
         err_path = os.path.join(WORK, f"{workload}-{i}.err")
         with open(err_path, "wb") as err:
             t0 = time.perf_counter()
@@ -120,7 +136,7 @@ def run_in_process(workload, seed, seconds, trace) -> dict:
             raise SystemExit(f"{workload} worker failed (exit {code})")
         if trace:
             imports.append(import_times(read(err_path)))
-        if last:
+        if measured:
             result = json.loads(lines[-1])
     wall = result["wall_s"]
     out = {
@@ -130,7 +146,7 @@ def run_in_process(workload, seed, seconds, trace) -> dict:
     }
     if not trace:
         metrics = {
-            "setup_s": statistics.median(setups),
+            "setup_s": min(setups),
             "wall_s": wall,
             "peak_rss_mb": result["peak_rss_mb"],
             "cards_per_s": result["cards"] / wall,
@@ -160,21 +176,22 @@ def run_cli(seed, seconds, trace) -> dict:
     out_path, err_path = os.path.join(WORK, "cli.out"), os.path.join(WORK, "cli.err")
     trace_path = env["BENCH_TRACE_OUT"] = os.path.join(WORK, "cli-trace.json")
     setups = []
-    for _ in range(SETUP_SAMPLES):
-        elapsed, code, _ = spawn(module + ["--version"], out_path, err_path, env)
-        if code != 0:
-            forward_stderr(err_path)
-            raise SystemExit(f"quasishuffle.cli --version failed (exit {code})")
-        setups.append(elapsed)
 
+    def sample_setup(count):
+        for _ in range(count):
+            elapsed, code, _ = spawn(module + ["--version"], out_path, err_path, env)
+            if code != 0:
+                forward_stderr(err_path)
+                raise SystemExit(f"quasishuffle.cli --version failed (exit {code})")
+            setups.append(elapsed)
+
+    sample_setup(SETUP_SAMPLES // 2)
     cmds = cli_load.commands(seed)
     untraced, traced, proc_times, sub_rounds, rss = [], [], [], [], []
     self_rounds, count_rounds, imports, caches, stdout_bytes = [], [], [], [], []
     attempted = failed = 0
     unexpected = {}
-    start = time.perf_counter()
-    index = 0
-    while index == 0 or time.perf_counter() - start < seconds or (trace and not traced):
+    for index in range(rounds_for("cli", seconds, trace)):
         tracing = trace and index % 2 == 1
         total, times, subs, selfs, counts, nbytes = 0.0, [], {}, {}, {}, 0
         for cmd in cmds:
@@ -210,7 +227,7 @@ def run_cli(seed, seconds, trace) -> dict:
             proc_times.append(times)
             sub_rounds.append(subs)
             stdout_bytes.append(nbytes)
-        index += 1
+    sample_setup(SETUP_SAMPLES - SETUP_SAMPLES // 2)
 
     for line in self_check():
         unexpected["reference self-check"] = line
@@ -222,7 +239,7 @@ def run_cli(seed, seconds, trace) -> dict:
     out = {"correct": not unexpected, "attempted": attempted, "failed": failed}
     if not trace:
         metrics = {
-            "setup_s": statistics.median(setups),
+            "setup_s": min(setups),
             "wall_s": wall,
             "peak_rss_mb": max(rss),
             "cards_per_s": sum(c.cards for c in cmds) / wall,

@@ -1,17 +1,17 @@
 """Steadiness check: two sets of runs of the same code must agree.
 
-    python3 bench/steady.py [--runs 5] [--sets 2] [--workloads mc-sample,exact,cli]
+    python3 bench/steady.py [--workloads mc-sample,exact,cli]
 
-Runs ``bench/run.py`` with tracing off for ``run_seconds`` of
-BENCHMARK.json, each run on its own seed (101, 102, ...), the
-workloads interleaved so that a slow spell of the machine touches all of
-them.  For each workload and end-to-end metric it prints the median of each
-set, the spread of all runs (interquartile range over median, from
+Runs two sets of five runs of ``bench/run.py`` with tracing off for
+``run_seconds`` of BENCHMARK.json, each run on its own seed (101 to 110),
+the workloads interleaved so that a slow spell of the machine touches all
+of them.  For each workload and end-to-end metric it prints the median of
+each set, the spread of all ten runs (interquartile range over median, from
 ``statistics.quantiles(values, n=4)``) and how far the second set's median
 moved in the worse direction, and checks them against the bounds in
-BENCHMARK.json: every spread but setup_s's within its bound, every median
-shift within its bound, and the same share of failed operations in every
-run.  Exits 1 when a check fails.  Raw results go to .bench_work/steady.json.
+BENCHMARK.json: every spread and every median shift within its bound, and
+the same share of failed operations in every run.  Exits 1 when a check
+fails.  Raw results go to .bench_work/steady.json.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import statistics
 import subprocess
 import sys
 from fractions import Fraction
+
+SETS, RUNS = 2, 5
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -43,17 +45,15 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--runs", type=int, default=5, help="runs per set and workload")
-    p.add_argument("--sets", type=int, default=2)
     p.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
     args = p.parse_args(argv)
     workloads = args.workloads.split(",")
     metrics = bench["end_to_end"]
 
-    runs = {w: [[] for _ in range(args.sets)] for w in workloads}
-    for k in range(args.sets):
-        for i in range(args.runs):
-            seed = 101 + k * args.runs + i
+    runs = {w: [[] for _ in range(SETS)] for w in workloads}
+    for k in range(SETS):
+        for i in range(RUNS):
+            seed = 101 + k * RUNS + i
             for w in workloads:
                 proc = subprocess.run(
                     [sys.executable, os.path.join(HERE, "run.py"), "--workload", w,
@@ -73,8 +73,8 @@ def main(argv=None) -> int:
         json.dump(runs, fh, indent=1)
 
     ok = True
-    print(f"\n{'workload':<10} {'metric':<12} " + " ".join(f"{'median' + str(k + 1):>11}" for k in range(args.sets))
-          + f" {'spread':>7} {'shift':>7} {'bound':>6}  verdict")
+    print(f"\n{'workload':<10} {'metric':<12} {'median1':>11} {'median2':>11}"
+          f" {'spread':>7} {'shift':>7} {'bound':>6}  verdict")
     for w in workloads:
         sets = runs[w]
         everyone = [r for s in sets for r in s]
@@ -82,15 +82,14 @@ def main(argv=None) -> int:
         correct = all(r["correct"] for r in everyone)
         for m in metrics:
             name, bound = m["name"], m["bound"]
-            vals = [[r["metrics"][name]["value"] for r in s] for s in sets]
-            sp = spread([v for s in vals for v in s])
-            shift = max(worse_shift(vals[0], s, m["better"]) for s in vals[1:]) if len(vals) > 1 else 0.0
-            good = shift <= bound and (name == "setup_s" or sp <= bound)
-            tight = name == "setup_s" or sp <= bound / 3
+            first, second = ([r["metrics"][name]["value"] for r in s] for s in sets)
+            sp = spread(first + second)
+            shift = worse_shift(first, second, m["better"])
+            good = shift <= bound and sp <= bound
             ok &= good
-            verdict = "ok" if good and tight else ("ok, spread above bound/3" if good else "FAIL")
-            print(f"{w:<10} {name:<12} " + " ".join(f"{statistics.median(v):>11.5g}" for v in vals)
-                  + f" {sp:>7.3f} {shift:>+7.3f} {bound:>6.2f}  {verdict}")
+            verdict = "ok" if sp <= bound / 3 and good else ("ok, spread above bound/3" if good else "FAIL")
+            print(f"{w:<10} {name:<12} {statistics.median(first):>11.5g} {statistics.median(second):>11.5g}"
+                  f" {sp:>7.3f} {shift:>+7.3f} {bound:>6.2f}  {verdict}")
         share_text = ", ".join(str(s) for s in sorted(shares))
         print(f"{w:<10} failed share {share_text}; correct in every run: {correct}")
         ok &= len(shares) == 1 and correct

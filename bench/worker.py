@@ -2,13 +2,12 @@
 
 ``run.py`` starts it; it is not meant to be run by hand.  It imports the
 library from ``src``, builds the workload's inputs and prints ``READY`` (the
-end of set-up), then runs whole rounds of the workload's fixed operation
-list until ``--seconds`` have passed.  Only the library calls are timed;
-each output is checked right after its call.  A round's time is the sum,
-over its operations, of each operation's fastest time in the run: other
-tenants of a shared host only ever add time, and can slow a CPU by tens of
-percent for seconds at a time.  The last stdout line is a
-JSON summary for ``run.py``.
+end of set-up), then runs ``--rounds`` whole rounds of the workload's fixed
+operation list.  Only the library calls are timed; each output is checked
+right after its call.  A round's time is the sum, over its operations, of
+each operation's fastest time in the run: other tenants of a shared host
+only ever add time, and can slow a CPU by tens of percent for seconds at a
+time.  The last stdout line is a JSON summary for ``run.py``.
 
 With ``--trace 1`` untraced and traced rounds alternate, so the tracing
 overhead is measured in the same process.
@@ -21,7 +20,6 @@ import json
 import os
 import resource
 import sys
-import time
 
 from ops import run_round
 
@@ -38,7 +36,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser()
     p.add_argument("--workload", required=True, choices=("mc-sample", "exact"))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=10.0)
+    p.add_argument("--rounds", type=int, default=1)
     p.add_argument("--trace", type=int, default=0)
     p.add_argument("--setup-only", action="store_true")
     args = p.parse_args(argv)
@@ -61,11 +59,7 @@ def main(argv=None) -> int:
     failed = attempted = 0
     unexpected: dict[str, str] = {}
     known: dict[str, str] = {}
-    start = time.perf_counter()
-    index = 0
-    while index == 0 or time.perf_counter() - start < args.seconds or (
-        recorder is not None and not traced
-    ):
+    for index in range(args.rounds):
         tracing = recorder is not None and index % 2 == 1
         if tracing:
             recorder.reset()
@@ -86,7 +80,6 @@ def main(argv=None) -> int:
         for op in ops:
             if op.name in failures:
                 (known if op.known_fault else unexpected)[op.name] = failures[op.name]
-        index += 1
 
     from reference import self_check
 
