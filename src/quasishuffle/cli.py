@@ -38,7 +38,7 @@ from .oracle import (
     mixing_curve,
 )
 from .ordering import check_labels, sample_ordering_batch
-from .permutations import perm_from_str, perm_to_str
+from .permutations import count_rows, perm_from_str, perm_to_str
 from .verify import run_property_suite
 
 
@@ -74,18 +74,33 @@ def _sampler_from_args(args) -> object:
     raise ValueError("need --sampler or --measure")
 
 
-def _histogram_lines(counts: dict) -> list[str]:
-    return [f"# {perm_to_str(p)},{c}" for p, c in sorted(counts.items())]
+def _histogram_lines(hist: dict[str, int]) -> list[str]:
+    return [f"# {key},{count}" for key, count in hist.items()]
 
 
-def _rows_and_histogram(rows: np.ndarray) -> tuple[list[str], dict]:
-    counts: dict = {}
-    lines = []
-    for row in rows:
-        p = tuple(int(v) for v in row)
-        counts[p] = counts.get(p, 0) + 1
-        lines.append(perm_to_str(p))
-    return lines, counts
+def _rows_and_histogram(rows: np.ndarray) -> tuple[list[str], dict[str, int]]:
+    """`perm_to_str` of each row, and the histogram in lexicographic order.
+
+    Every row of a permutation of 1..n takes the same `perm_to_str` form,
+    digits for n <= 9 and comma-separated otherwise, so the whole batch is
+    formatted at once.
+    """
+    size, n = rows.shape
+    keys, counts = count_rows(rows)
+    if n <= 9:
+        text = np.full((size + len(keys), n + 1), ord("\n"), dtype=np.uint8)
+        text[:size, :n] = rows
+        text[size:, :n] = keys
+        text[:, :n] += ord("0")
+        strings = text.tobytes().decode("ascii").split("\n")
+    else:
+        tokens = np.array([f"{v}," for v in range(n + 1)], dtype=object)
+        ends = np.array([f"{v}\n" for v in range(n + 1)], dtype=object)
+        both = np.concatenate([rows, keys])
+        cells = tokens[both]
+        cells[:, -1] = ends[both[:, -1]]
+        strings = "".join(cells.ravel().tolist()).split("\n")
+    return strings[:size], dict(zip(strings[size:-1], counts.tolist()))
 
 
 def cmd_sample_order(args) -> int:
@@ -97,7 +112,7 @@ def cmd_sample_order(args) -> int:
     )
     rng = np.random.default_rng(args.seed)
     rows = sample_ordering_batch(source, labels, args.samples, rng)
-    lines, counts = _rows_and_histogram(rows)
+    lines, hist = _rows_and_histogram(rows)
     if args.format == "json":
         _write(
             args.out,
@@ -106,12 +121,12 @@ def cmd_sample_order(args) -> int:
                     "labels": list(labels),
                     "seed": args.seed,
                     "rankings": lines,
-                    "histogram": {perm_to_str(p): c for p, c in sorted(counts.items())},
+                    "histogram": hist,
                 }
             ),
         )
     else:
-        body = ["permutation"] + lines + ["# histogram"] + _histogram_lines(counts)
+        body = ["permutation"] + lines + ["# histogram"] + _histogram_lines(hist)
         _write(args.out, "\n".join(body) + "\n")
     return 0
 
@@ -120,7 +135,7 @@ def cmd_step(args) -> int:
     sampler = _sampler_from_args(args)
     rng = np.random.default_rng(args.seed)
     rows = step_batch(args.n, sampler, args.samples, rng)
-    lines, counts = _rows_and_histogram(rows)
+    lines, hist = _rows_and_histogram(rows)
     if args.format == "json":
         _write(
             args.out,
@@ -129,12 +144,12 @@ def cmd_step(args) -> int:
                     "n": args.n,
                     "seed": args.seed,
                     "steps": lines,
-                    "histogram": {perm_to_str(p): c for p, c in sorted(counts.items())},
+                    "histogram": hist,
                 }
             ),
         )
     else:
-        body = ["permutation"] + lines + ["# histogram"] + _histogram_lines(counts)
+        body = ["permutation"] + lines + ["# histogram"] + _histogram_lines(hist)
         _write(args.out, "\n".join(body) + "\n")
     return 0
 

@@ -39,7 +39,7 @@ from .measure import (
     source_from_json,
 )
 from . import oracle as _oracle
-from .permutations import Perm, compose, identity, is_permutation
+from .permutations import Perm, compose, count_rows, identity, is_permutation, row_histogram
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -461,25 +461,10 @@ def empirical_step_counts(
     rng: np.random.Generator,
     chunk: int = 1_000_000,
 ) -> dict[Perm, int]:
-    mult = (n + 1) ** np.arange(n, dtype=np.int64)
-    totals: dict[int, int] = {}
-    remaining = size
-    while remaining > 0:
-        take = min(chunk, remaining)
-        codes = step_batch(n, sampler, take, rng) @ mult
-        vals, counts = np.unique(codes, return_counts=True)
-        for val, c in zip(vals.tolist(), counts.tolist()):
-            totals[val] = totals.get(val, 0) + c
-        remaining -= take
-    out: dict[Perm, int] = {}
-    for code, count in totals.items():
-        digits = []
-        val = code
-        for _ in range(n):
-            digits.append(val % (n + 1))
-            val //= n + 1
-        out[tuple(digits)] = count
-    return out
+    return row_histogram(
+        step_batch(n, sampler, min(chunk, size - start), rng)
+        for start in range(0, size, chunk)
+    )
 
 
 def walk(
@@ -510,12 +495,10 @@ def empirical_mixing_curve(
 ) -> list[float]:
     """Empirical TV to uniform along `trials` parallel walks."""
     uniform_mass = 1.0 / factorial(n)
-    mult = (n + 1) ** np.arange(n, dtype=np.int64)
     state = np.tile(np.arange(1, n + 1, dtype=np.int64), (trials, 1))
 
     def tv_now() -> float:
-        codes = state @ mult
-        _, counts = np.unique(codes, return_counts=True)
+        _, counts = count_rows(state)
         emp = counts / trials
         # permutations never seen each contribute uniform_mass to the L1 sum
         l1 = float(np.abs(emp - uniform_mass).sum()) + (factorial(n) - len(counts)) * uniform_mass
@@ -607,18 +590,26 @@ def sampler_from_json(obj: dict) -> CouplingSampler:
     raise ValueError(f"unknown sampler type {kind!r}")
 
 
+_MEASURE_SAMPLER_TYPES = ("nu_mu", "nu_mu_star", "deterministic")
+
+
 def resolve_sampler(text: str) -> CouplingSampler:
-    """Resolve CLI-style sampler input: inline JSON, file, or "type:measure"."""
+    """Resolve CLI-style sampler input: inline JSON, "type:measure", or file.
+
+    The "type:measure" shorthand of a sampler type that takes a measure wins
+    over a file of the same name.
+    """
     import json
     import os
 
     stripped = text.strip()
     if stripped.startswith("{"):
         return sampler_from_json(json.loads(stripped))
-    if os.path.exists(stripped):
+    kind, colon, rest = stripped.partition(":")
+    shorthand = bool(colon) and kind.strip() in _MEASURE_SAMPLER_TYPES
+    if not shorthand and os.path.exists(stripped):
         with open(stripped) as fh:
             return sampler_from_json(json.load(fh))
-    if ":" in stripped:
-        kind, rest = stripped.split(":", 1)
+    if colon:
         return sampler_from_json({"type": kind.strip(), "measure": rest.strip()})
     raise ValueError(f"cannot resolve sampler {text!r}")

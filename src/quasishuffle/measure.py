@@ -754,14 +754,27 @@ def source_from_json(obj: dict) -> MeasureSource:
     return validate(MeasureSpec.from_json(obj))
 
 
+def _is_builtin_form(key: str) -> bool:
+    """Whether lower-cased text has the syntax `parse_measure` accepts."""
+    return (
+        key in _BUILTINS
+        or key.startswith("a-shuffle:")
+        or (key.startswith("gap(") and key.endswith(")"))
+    )
+
+
 def resolve_source(text: str) -> MeasureSource:
-    """Resolve CLI-style measure input: name, gap(...), inline JSON, or file."""
+    """Resolve CLI-style measure input: inline JSON, name, gap(...), or file.
+
+    Built-in names and forms win over a file of the same name.
+    """
     stripped = text.strip()
     if stripped.startswith("{"):
         return source_from_json(json.loads(stripped))
-    if os.path.exists(stripped) and not stripped.lower().endswith(")"):
+    key = stripped.lower()
+    if key == "interior-atom":
+        return interior_atom_fixture()
+    if not _is_builtin_form(key) and os.path.exists(stripped):
         with open(stripped) as fh:
             return source_from_json(json.load(fh))
-    if stripped.lower() == "interior-atom":
-        return interior_atom_fixture()
     return parse_measure(stripped)

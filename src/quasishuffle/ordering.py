@@ -27,7 +27,7 @@ from .measure import (
     sample_conjugate_batch,
     sample_conjugate_pair,
 )
-from .permutations import Perm
+from .permutations import Perm, row_histogram
 from . import stats as _stats
 
 OrderingSource = Union[QuasiUniformMeasure, MeasureMixture]
@@ -184,27 +184,10 @@ def ordering_counts(
 ) -> dict[Perm, int]:
     """Histogram of sampled rankings over `size` draws, in chunks."""
     labels = check_labels(labels)
-    n = len(labels)
-    mult = (n + 1) ** np.arange(n, dtype=np.int64)
-    totals: dict[int, int] = {}
-    remaining = size
-    while remaining > 0:
-        take = min(chunk, remaining)
-        ranks = sample_ordering_batch(source, labels, take, rng)
-        codes = ranks @ mult
-        vals, counts = np.unique(codes, return_counts=True)
-        for v, c in zip(vals.tolist(), counts.tolist()):
-            totals[v] = totals.get(v, 0) + c
-        remaining -= take
-    out: dict[Perm, int] = {}
-    for code, count in totals.items():
-        digits = []
-        v = code
-        for _ in range(n):
-            digits.append(v % (n + 1))
-            v //= n + 1
-        out[tuple(digits)] = count
-    return out
+    return row_histogram(
+        sample_ordering_batch(source, labels, min(chunk, size - start), rng)
+        for start in range(0, size, chunk)
+    )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence, Tuple
 
+import numpy as np
+
 Perm = Tuple[int, ...]
 
 
@@ -57,10 +59,30 @@ def perm_from_str(text: str) -> Perm:
     return p
 
 
-def ranks_from_keys(keys: Sequence) -> Perm:
-    """Rank positions 1..n of each key under a stable ascending sort."""
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
-    out = [0] * len(keys)
-    for pos, idx in enumerate(order):
-        out[idx] = pos + 1
-    return tuple(out)
+def count_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D integer array in lexicographic order, with counts.
+
+    When the entries are non-negative and every row fits one int64 code
+    (the entries as digits in base max + 1, most significant first, so code
+    order is row order), the codes are counted with a flat `np.unique`,
+    much faster than a row-wise one.  Wider rows, such as permutations of
+    more than 15 cards, fall back to `np.unique(axis=0)`.
+    """
+    rows = np.asarray(rows)
+    n = rows.shape[1]
+    base = int(rows.max(initial=0)) + 1
+    if rows.min(initial=0) < 0 or base**n > np.iinfo(np.int64).max:
+        return np.unique(rows, axis=0, return_counts=True)
+    weights = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes, counts = np.unique(rows @ weights, return_counts=True)
+    return codes[:, None] // weights % base, counts
+
+
+def row_histogram(batches: Iterable[np.ndarray]) -> dict[Perm, int]:
+    """Merged `count_rows` of row batches, keyed by row tuples."""
+    totals: dict[Perm, int] = {}
+    for rows in batches:
+        keys, counts = count_rows(rows)
+        for key, count in zip(map(tuple, keys.tolist()), counts.tolist()):
+            totals[key] = totals.get(key, 0) + count
+    return totals

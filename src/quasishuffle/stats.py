@@ -3,6 +3,10 @@
 Counts stay exact (integers / Fractions); only tail probabilities go
 through floating point.  Chi-square tests pool cells until every expected
 count reaches 5, the usual validity rule.
+
+scipy is imported inside the two tail functions, so only the callers of a
+test pay its import; `chdtrc(df, x)` is what `scipy.stats.chi2.sf(x, df)`
+evaluates, bit for bit.
 """
 
 from __future__ import annotations
@@ -12,12 +16,22 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import kolmogorov
-from scipy.stats import chi2
 
 from .errors import DimensionMismatch, EmptyCounts, OutOfRange
 
 MIN_EXPECTED = 5.0
+
+
+def _chi2_sf(stat: float, df: int) -> float:
+    from scipy.special import chdtrc
+
+    return float(chdtrc(df, stat))
+
+
+def _kolmogorov_sf(x: float) -> float:
+    from scipy.special import kolmogorov
+
+    return float(kolmogorov(x))
 
 
 @dataclass(frozen=True)
@@ -74,7 +88,7 @@ def chi_square_goodness(
                           {"df": 0, "note": "support too small after pooling"})
     stat = sum((o - e) ** 2 / e for e, o in cells)
     df = len(cells) - 1
-    p = float(chi2.sf(stat, df))
+    p = _chi2_sf(stat, df)
     return TestReport(
         "chi_square_goodness", float(stat), p, total, alpha, p >= alpha, {"df": df}
     )
@@ -110,7 +124,7 @@ def chi_square_two_sample(
             exp = row_total * col / grand
             stat += (obs - exp) ** 2 / exp
     df = len(merged) - 1
-    p = float(chi2.sf(stat, df))
+    p = _chi2_sf(stat, df)
     return TestReport(
         "chi_square_two_sample", float(stat), p, grand, alpha, p >= alpha, {"df": df}
     )
@@ -134,7 +148,7 @@ def ks_uniform(samples: Sequence[float], alpha: float = 0.01) -> TestReport:
     if x[0] < 0.0 or x[-1] > 1.0:
         raise OutOfRange("samples must lie in [0,1]")
     stat = _ks_statistic(x, x, x)
-    p = float(kolmogorov(stat * np.sqrt(n)))
+    p = _kolmogorov_sf(stat * np.sqrt(n))
     return TestReport("ks_uniform", stat, p, n, alpha, p >= alpha, {})
 
 
@@ -167,7 +181,7 @@ def ks_measure_marginal(samples: Sequence[float], measure, alpha: float = 0.01) 
     cdf_vals = np.where(at_bp, cdf_at_bp[idx], interp)
     left_vals = np.where(at_bp, left_at_bp[idx], interp)
     stat = _ks_statistic(x, cdf_vals, left_vals)
-    p = float(kolmogorov(stat * np.sqrt(n)))
+    p = _kolmogorov_sf(stat * np.sqrt(n))
     return TestReport("ks_measure_marginal", stat, p, n, alpha, p >= alpha, {})
 
 

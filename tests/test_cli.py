@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from quasishuffle.cli import main
+from quasishuffle.cli import _rows_and_histogram, main
+from quasishuffle.permutations import perm_to_str
+
+from conftest import make_rng
 
 
 def run(capsys, *argv):
@@ -377,3 +381,30 @@ def test_mixture_json_measure(capsys):
         if not l.startswith("#")
     ]
     assert set(body) <= {"123", "321"}
+
+
+def _rows_and_histogram_per_row(rows):
+    """The per-row formatter the vectorised one replaces, as the reference."""
+    counts = {}
+    lines = []
+    for row in rows:
+        p = tuple(int(v) for v in row)
+        counts[p] = counts.get(p, 0) + 1
+        lines.append(perm_to_str(p))
+    return lines, [(perm_to_str(p), c) for p, c in sorted(counts.items())]
+
+
+@pytest.mark.parametrize("n, size", [(4, 3000), (9, 3000), (10, 3000), (12, 500), (4, 0), (10, 0)])
+def test_rows_and_histogram_matches_per_row_formatting(n, size):
+    rng = make_rng(n)
+    pool = np.argsort(rng.random((40, n)), axis=1) + 1
+    rows = pool[rng.integers(0, 40, size)]
+    lines, hist = _rows_and_histogram(rows)
+    want_lines, want_hist = _rows_and_histogram_per_row(rows)
+    assert lines == want_lines
+    assert list(hist.items()) == want_hist
+
+
+def test_zero_samples(capsys):
+    code, out, _ = run(capsys, "step", "--measure", "gsr", "--n", "4", "--samples", "0", "--seed", "1")
+    assert code == 0 and out == "permutation\n# histogram\n"

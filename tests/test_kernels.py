@@ -476,6 +476,17 @@ def test_resolve_sampler_shorthand():
         resolve_sampler("warp:gsr")
 
 
+def test_resolve_sampler_shorthand_wins_over_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    grid_json = '{"type": "grid", "grid": [["1/4", "1/4"], ["1/4", "1/4"]]}'
+    for name in ("nu_mu:gsr", "deterministic:gsr", "grid.json"):
+        (tmp_path / name).write_text(grid_json)
+    forward = resolve_sampler("nu_mu:gsr")
+    assert isinstance(forward, ConjugateCoupling) and forward.measure == gsr()
+    assert isinstance(resolve_sampler("deterministic:gsr"), DeterministicCoupling)
+    assert isinstance(resolve_sampler("grid.json"), GridCopulaCoupling)
+
+
 def test_sampler_from_json_schemas():
     mix = sampler_from_json(
         {

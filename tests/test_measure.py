@@ -357,6 +357,19 @@ def test_resolve_source_inline_json():
     assert resolve_source("interior-atom").atoms == ((F(5, 8), F(1, 4)),)
 
 
+def test_resolve_source_builtins_win_over_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lebesgue_json = '{"gaps": []}'
+    for name in ("gsr", "a-shuffle:3", "interior-atom", "gap(0,1,left)"):
+        (tmp_path / name).write_text(lebesgue_json)
+    assert resolve_source("gsr") == gsr()
+    assert resolve_source("a-shuffle:3") == a_shuffle(3)
+    assert resolve_source("interior-atom").atoms == ((F(5, 8), F(1, 4)),)
+    assert resolve_source("gap(0,1,left)").gaps[0].atom_side == LEFT
+    (tmp_path / "custom.json").write_text(lebesgue_json)
+    assert resolve_source("custom.json") == lebesgue()
+
+
 def test_a_shuffle_structure():
     m = a_shuffle(4)
     assert len(m.gaps) == 4

@@ -216,3 +216,51 @@ def test_report_json_serializable():
     parsed = json.loads(text)
     assert parsed["name"] == "chi_square_goodness"
     assert parsed["passed"] is True
+
+
+# -- scipy stays out of the import; p-values stay scipy.stats' ------------
+
+
+def test_import_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+
+    import quasishuffle
+
+    src = os.path.dirname(os.path.dirname(quasishuffle.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, quasishuffle, quasishuffle.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_chi_square_pvalues_equal_scipy_stats():
+    from scipy.stats import chi2
+
+    rng = make_rng(8)
+    support = {k: F(1, 24) for k in range(24)}
+    for draws in (50, 300, 5000):
+        counts = dict(zip(*np.unique(rng.integers(0, 24, draws), return_counts=True)))
+        rep = chi_square_goodness(counts, support)
+        assert rep.p_value == float(chi2.sf(rep.statistic, rep.detail["df"]))
+        other = dict(zip(*np.unique(rng.integers(0, 20, draws), return_counts=True)))
+        rep = chi_square_two_sample(counts, other)
+        assert rep.p_value == float(chi2.sf(rep.statistic, rep.detail["df"]))
+    rep = chi_square_goodness({"h": 2520, "t": 2480}, FAIR)
+    assert rep.p_value == float(chi2.sf(rep.statistic, 1))
+
+
+def test_ks_pvalues_equal_scipy_kolmogorov():
+    from scipy.special import kolmogorov
+
+    rng = make_rng(9)
+    for size in (20, 400, 5000):
+        u = rng.random(size) ** 1.1
+        for rep in (ks_uniform(u), ks_measure_marginal(u, mixed_fixture())):
+            assert rep.p_value == float(kolmogorov(rep.statistic * np.sqrt(rep.samples)))
