@@ -93,6 +93,7 @@ from .oracle import (
     exact_step_distribution,
     invert_distribution,
     mixing_curve,
+    ranking_probability,
     restrict_distribution,
     transition_matrix,
     tv_distance,

@@ -444,6 +444,8 @@ def step_batch(
 
     Floating-point ties (probability ~2^-52 each) resolve by card order.
     """
+    if n < 1:
+        raise ValueError("need at least one card")
     u, v = sampler.draw_batch((size, n), rng)
     order_u = np.argsort(u, axis=1, kind="stable")
     ranks_u = np.argsort(order_u, axis=1, kind="stable")

@@ -40,6 +40,11 @@ RationalLike = Union[Fraction, int, str, float]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Entries kept by each per-measure cache (gap endpoints, cells, sampling
+# tables): enough for every measure a run names, bounded for a long-lived
+# process fed many user measures.
+_CACHE_SIZE = 256
+
 
 def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
     """Coerce to an exact Fraction.  Floats convert by their exact binary value."""
@@ -272,7 +277,7 @@ def sample_conjugate_pair(measure: QuasiUniformMeasure, rng: np.random.Generator
     return ConjugateSample(u, u, None)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _gap_los(measure: QuasiUniformMeasure) -> list:
     return [g.lo for g in measure.gaps]
 
@@ -319,7 +324,7 @@ class CellDecomposition:
         return {c.gap_index: i for i, c in enumerate(self.cells) if c.kind == "atom"}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def cell_decomposition(measure: QuasiUniformMeasure) -> CellDecomposition:
     cells = []
     for a, b in measure.diffuse_segments():
@@ -376,7 +381,7 @@ class _BatchTables:
         return id(self)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _batch_tables(measure: QuasiUniformMeasure) -> _BatchTables:
     cells = cell_decomposition(measure).cells
     points = {_ZERO, _ONE}

@@ -1,10 +1,14 @@
-"""Exact brute-force references on small symmetric groups.
+"""Exact laws on small symmetric groups.
 
-Everything here is computed in exact rational arithmetic.  Three
-independent routes exist so they can check each other:
+Everything here is computed in exact rational arithmetic.  The ordering law
+has one engine and three independent references that check it:
 
-* the cell route: enumerate assignments of labels to cells of the measure's
-  decomposition, then arrangements within diffuse cells;
+* the likelihood route: walk the measure's cells in order and cut the
+  labels, listed in rank order, into one block per cell; the probability of
+  a ranking is a sum over such cuts and depends only on where that list
+  descends (``ranking_probability``);
+* the cell route (private reference): enumerate assignments of labels to
+  cells, then arrangements within diffuse cells;
 * the coupling route (purely atomic measures): enumerate gap assignments
   and the uniform rank vector of the initial coordinates;
 * the map route (piecewise-affine maps whose pieces each cover the whole
@@ -16,8 +20,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Mapping, Union
+from math import factorial, lcm
+from operator import itemgetter
+from typing import Mapping, Sequence, Union
 
 from .errors import CapExceeded, DimensionMismatch, ExactUnavailable, NotPurelyAtomic
 from .measure import (
@@ -48,6 +53,7 @@ __all__ = [
     "CellDecomposition",
     "cell_decomposition",
     "PermutationDistribution",
+    "ranking_probability",
     "exact_ordering_distribution",
     "exact_step_distribution",
     "exact_coupling_step_distribution",
@@ -162,10 +168,75 @@ def combine_distributions(parts) -> PermutationDistribution:
 
 
 def _check_caps(n: int, cells: int, max_n: int, max_cells: int):
+    if n < 0:
+        raise ValueError(f"n = {n} is negative")
     if n > max_n:
         raise CapExceeded(f"n = {n} above exact cap {max_n}")
     if cells > max_cells:
         raise CapExceeded(f"{cells} cells above exact cap {max_cells}")
+
+
+def _descents(ranking: Perm) -> tuple[bool, ...]:
+    """Descent set of the labels listed in rank order (the inverse of ranking)."""
+    order = invert(ranking)
+    return tuple(a > b for a, b in zip(order, order[1:]))
+
+
+def _over_common_denominator(masses) -> tuple[list[int], int]:
+    """Integer numerators of the masses over their least common denominator."""
+    masses = list(masses)
+    den = lcm(*(m.denominator for m in masses))
+    return [m.numerator * (den // m.denominator) for m in masses], den
+
+
+def _block_weights(cells: Sequence[Cell], n: int) -> list[list[Fraction]]:
+    """weights[c][k]: probability that a given block of k labels lands in cell c
+    in one admissible internal order (mass^k, over k! in a diffuse cell)."""
+    weights = []
+    for cell in cells:
+        row = [Fraction(1)]
+        for k in range(1, n + 1):
+            row.append(row[-1] * cell.mass / (k if cell.kind == "diffuse" else 1))
+        weights.append(row)
+    return weights
+
+
+def _block_cut_probability(
+    cells: Sequence[Cell], weights: list[list[Fraction]], descents: tuple[bool, ...]
+) -> Fraction:
+    """Sum over cuts of the rank-order label list into one block per cell.
+
+    A right-atom block must increase and a left-atom block must decrease;
+    a diffuse block may be in any order.  Only the descent set is read, so
+    every ranking in one descent class gets the same value.
+    """
+    n = len(weights[0]) - 1
+    # first[b]: smallest a such that the block order[a:b] may fill the cell
+    any_order = [0] * (n + 1)
+    rise = [0] * (n + 1)
+    fall = [0] * (n + 1)
+    for b in range(2, n + 1):
+        rise[b] = b - 1 if descents[b - 2] else rise[b - 1]
+        fall[b] = fall[b - 1] if descents[b - 2] else b - 1
+    # f[b]: probability that the first b labels in rank order fill the cells so far
+    f = [Fraction(1)] + [Fraction(0)] * n
+    for cell, w in zip(cells, weights):
+        if cell.kind == "diffuse":
+            first = any_order
+        else:
+            first = rise if cell.atom_side == "right" else fall
+        f = [sum(f[a] * w[b - a] for a in range(first[b], b + 1)) for b in range(n + 1)]
+    return f[n]
+
+
+def ranking_probability(measure: QuasiUniformMeasure, ranking: Perm) -> Fraction:
+    """Exact probability that labels 1..n rank as `ranking` (ranking[i] = rank
+    of label i + 1), for any n.  Costs O(cells * n^2) exact operations."""
+    ranking = tuple(int(v) for v in ranking)
+    if not is_permutation(ranking):
+        raise DimensionMismatch(f"{ranking} is not a permutation of 1..{len(ranking)}")
+    cells = cell_decomposition(measure).cells
+    return _block_cut_probability(cells, _block_weights(cells, len(ranking)), _descents(ranking))
 
 
 def exact_ordering_distribution(
@@ -174,11 +245,10 @@ def exact_ordering_distribution(
     max_n: int = DEFAULT_MAX_N,
     max_cells: int = DEFAULT_MAX_CELLS,
 ) -> PermutationDistribution:
-    """Exact law of the ranking of n labels (the cell route).
+    """Exact law of the ranking of n labels (the likelihood route).
 
-    Enumerates label-to-cell assignments; within a diffuse cell every
-    arrangement is equally likely, within an atom cell the order is forced
-    by the atom's side.
+    Evaluates the block-cut likelihood once per descent class (at most
+    2^(n-1) of them) and assigns it to every ranking in the class.
     """
     if isinstance(source, MeasureMixture):
         return combine_distributions(
@@ -186,6 +256,33 @@ def exact_ordering_distribution(
             for w, m in source.components
         )
     cells = cell_decomposition(source).cells
+    _check_caps(n, len(cells), max_n, max_cells)
+    weights = _block_weights(cells, n)
+    by_class: dict[tuple[bool, ...], Fraction] = {}
+    probs: dict[Perm, Fraction] = {}
+    for ranking in all_permutations(n):
+        descents = _descents(ranking)
+        mass = by_class.get(descents)
+        if mass is None:
+            mass = by_class[descents] = _block_cut_probability(cells, weights, descents)
+        if mass:
+            probs[ranking] = mass
+    return PermutationDistribution(n, probs)
+
+
+def _cell_enumeration(
+    measure: QuasiUniformMeasure,
+    n: int,
+    max_n: int = DEFAULT_MAX_N,
+    max_cells: int = DEFAULT_MAX_CELLS,
+) -> PermutationDistribution:
+    """Brute-force reference for the ordering law (the cell route).
+
+    Enumerates label-to-cell assignments; within a diffuse cell every
+    arrangement is equally likely, within an atom cell the order is forced
+    by the atom's side.
+    """
+    cells = cell_decomposition(measure).cells
     _check_caps(n, len(cells), max_n, max_cells)
     probs: dict[Perm, Fraction] = {}
     for assign in itertools.product(range(len(cells)), repeat=n):
@@ -259,20 +356,23 @@ def exact_coupling_step_distribution(
     work = len(gaps) ** n * factorial(n) * n
     if work > _COUPLING_WORK_CAP:
         raise CapExceeded(f"coupling route work {work} above cap {_COUPLING_WORK_CAP}")
-    fact = Fraction(1, factorial(n))
-    probs: dict[Perm, Fraction] = {}
+    mass_num, den = _over_common_denominator(g.mass for g in gaps)
+    counts: dict[Perm, int] = {}
     ranks = all_permutations(n)
+    # Gaps are sorted with disjoint interiors, so the gap index orders them as
+    # (lo, hi) does.  Final order: by gap, then by u-rank up at a right atom and
+    # down at a left atom, packed into one integer g * (2n + 1) +- u_rank.
+    span = 2 * n + 1
+    sign = [1 if g.atom_side == "right" else -1 for g in gaps]
     for assign in itertools.product(range(len(gaps)), repeat=n):
-        base = Fraction(1)
+        weight = 1
         for g in assign:
-            base *= gaps[g].mass
-        weight = base * fact
+            weight *= mass_num[g]
+        offsets = [g * span for g in assign]
+        signs = [sign[g] for g in assign]
         for u_ranks in ranks:
-            def v_key(i):
-                g = gaps[assign[i]]
-                direction = u_ranks[i] if g.atom_side == "right" else -u_ranks[i]
-                return (g.lo, g.hi, direction)
-            order = sorted(range(n), key=v_key)
+            v_key = [offsets[i] + signs[i] * u_ranks[i] for i in range(n)]
+            order = sorted(range(n), key=v_key.__getitem__)
             v_ranks = [0] * n
             for pos, i in enumerate(order):
                 v_ranks[i] = pos + 1
@@ -283,8 +383,9 @@ def exact_coupling_step_distribution(
                 else:
                     sigma[v_ranks[i] - 1] = u_ranks[i]
             key = tuple(sigma)
-            probs[key] = probs.get(key, Fraction(0)) + weight
-    return PermutationDistribution(n, probs)
+            counts[key] = counts.get(key, 0) + weight
+    total = den**n * factorial(n)
+    return PermutationDistribution(n, {p: Fraction(c, total) for p, c in counts.items()})
 
 
 def exact_map_step_distribution(
@@ -350,12 +451,17 @@ def convolve(step: PermutationDistribution, state: PermutationDistribution) -> P
     """One walk step: push state through the kernel (new = step . state)."""
     if step.n != state.n:
         raise DimensionMismatch("step and state on different S_n")
-    out: dict[Perm, Fraction] = {}
-    for s, ps in step.probs.items():
-        for q, pq in state.probs.items():
-            key = compose(s, q)
-            out[key] = out.get(key, Fraction(0)) + ps * pq
-    return PermutationDistribution(step.n, out)
+    step_num, step_den = _over_common_denominator(step.probs.values())
+    state_num, state_den = _over_common_denominator(state.probs.values())
+    out: dict[Perm, int] = {}
+    for q, b in zip(state.probs, state_num):
+        # s -> compose(s, q); with fewer than two cards q is the identity
+        after_q = itemgetter(*(v - 1 for v in q)) if step.n > 1 else tuple
+        for s, a in zip(step.probs, step_num):
+            key = after_q(s)
+            out[key] = out.get(key, 0) + a * b
+    den = step_den * state_den
+    return PermutationDistribution(step.n, {p: Fraction(c, den) for p, c in out.items()})
 
 
 def mixing_curve(

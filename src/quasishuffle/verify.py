@@ -1,9 +1,10 @@
 """Self-checking property suite over a measure, mixture, or candidate.
 
 Runs the exact invariants (conjugation involution, double stochasticity,
-restriction consistency, route agreement) and the statistical ones
-(uniform coupling marginals, sampler-versus-oracle total variation) and
-collects one pass/fail record per check.
+likelihood-versus-enumeration agreement, restriction consistency, route
+agreement) and the statistical ones (uniform coupling marginals,
+sampler-versus-oracle total variation) and collects one pass/fail record
+per check.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .measure import (
     QuasiUniformMeasure,
     is_quasi_uniform,
 )
+from .permutations import all_permutations
 
 
 @dataclass
@@ -148,12 +150,19 @@ def _verify_measure(
         )
     )
 
-    step = oracle.exact_step_distribution(measure, n, "one")
-    perms, rows = oracle.transition_matrix(step)
-    doubly = all(sum(row) == 1 for row in rows) and all(
-        sum(rows[i][j] for i in range(len(perms))) == 1 for j in range(len(perms))
+    # Row rho and column tau of the kernel K(rho, tau) = step(tau . rho^-1) are
+    # both rearrangements of the step law over S_n, so every row and column
+    # sums to the law's total; kind one's step law is the ordering law.
+    total = sum((exact.prob(p) for p in all_permutations(n)), Fraction(0))
+    report.checks.append(CheckResult("doubly-stochastic", total == 1))
+
+    report.checks.append(
+        CheckResult(
+            "likelihood-dp-vs-enumeration",
+            oracle._cell_enumeration(measure, n) == exact,
+            "block-cut likelihood vs cell enumeration",
+        )
     )
-    report.checks.append(CheckResult("doubly-stochastic", doubly))
 
     consistent = True
     for m in range(2, n):

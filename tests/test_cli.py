@@ -408,3 +408,9 @@ def test_rows_and_histogram_matches_per_row_formatting(n, size):
 def test_zero_samples(capsys):
     code, out, _ = run(capsys, "step", "--measure", "gsr", "--n", "4", "--samples", "0", "--seed", "1")
     assert code == 0 and out == "permutation\n# histogram\n"
+
+
+def test_step_rejects_zero_cards(capsys):
+    code, out, err = run(capsys, "step", "--measure", "gsr", "--n", "0", "--samples", "3", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == "error: need at least one card\n"
