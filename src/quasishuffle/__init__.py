@@ -32,7 +32,6 @@ from .measure import (
     ConjugateSample,
     GapInterval,
     MeasureMixture,
-    MeasureSpec,
     QuasiUniformMeasure,
     a_shuffle,
     as_fraction,
@@ -72,7 +71,6 @@ from .kernels import (
     MixtureCoupling,
     ShuffleMap,
     StepOutcome,
-    draw_coupling,
     empirical_mixing_curve,
     empirical_step_counts,
     kernel_matrix,

@@ -476,13 +476,15 @@ def walk(
     rng: np.random.Generator,
     start: Optional[Perm] = None,
 ) -> list[Perm]:
-    """States rho_0..rho_steps with rho_{h+1} = sigma_h . rho_h."""
+    """States rho_0..rho_steps with rho_{h+1} = sigma_h . rho_h.
+
+    The steps sigma_h are the rows of one `step_batch` call.
+    """
     state = tuple(start) if start is not None else identity(n)
     if not is_permutation(state) or len(state) != n:
         raise ValueError(f"start {start} is not a permutation of 1..{n}")
     out = [state]
-    for _ in range(steps):
-        sigma = step_permutation(n, sampler, rng).permutation
+    for sigma in step_batch(n, sampler, steps, rng).tolist():
         state = compose(sigma, state)
         out.append(state)
     return out
@@ -517,11 +519,6 @@ def empirical_mixing_curve(
 # -- coupling construction and the kernel ---------------------------------
 
 
-def draw_coupling(sampler: CouplingSampler, rng: np.random.Generator) -> CouplingDraw:
-    """Draw one coupled pair (thin wrapper giving the op a flat name)."""
-    return sampler.draw(rng)
-
-
 def kernel_matrix(
     n: int,
     sampler: CouplingSampler,
@@ -532,10 +529,10 @@ def kernel_matrix(
     """Step law of the sampler's kernel as a distribution over S_n.
 
     mode "exact" dispatches to the matching exact route (conjugate
-    couplings through the cell oracle, deterministic maps through the map
-    route, mixtures by weighted combination); grid copulas have no exact
-    route and raise ExactUnavailable.  mode "mc" estimates from `samples`
-    dealt steps.
+    couplings through the likelihood engine, deterministic maps through the
+    map route); grid copulas and mixtures, whose component is drawn per
+    card, have no exact route and raise ExactUnavailable.  mode "mc"
+    estimates from `samples` dealt steps.
     """
     if mode == "mc":
         if samples is None or rng is None:
@@ -550,10 +547,6 @@ def kernel_matrix(
         return _oracle.exact_step_distribution(sampler.measure, n, "two")
     if isinstance(sampler, DeterministicCoupling):
         return _oracle.exact_map_step_distribution(sampler.map, n)
-    if isinstance(sampler, MixtureCoupling):
-        return _oracle.combine_distributions(
-            (w, kernel_matrix(n, s, "exact")) for w, s in sampler.components
-        )
     raise ExactUnavailable(f"no exact route for {type(sampler).__name__}")
 
 

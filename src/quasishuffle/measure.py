@@ -114,18 +114,18 @@ def _checked_gaps(gaps: Sequence[GapInterval]) -> tuple[GapInterval, ...]:
     return ordered
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
-    """Raw gap list as supplied by a user, before validation."""
-
-    gaps: tuple[tuple[RationalLike, RationalLike, str], ...]
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MeasureSpec":
-        entries = []
-        for item in obj.get("gaps", []):
-            entries.append((item["lo"], item["hi"], item["atom_side"]))
-        return cls(tuple(entries))
+def _mass_up_to(x: RationalLike, gaps, atoms, strict: bool) -> Fraction:
+    """mu[0, x) when strict, else mu[0, x]: density one off the gaps (lo, hi)
+    plus the atoms (position, mass)."""
+    x = _check_unit(as_fraction(x, "x"), "x")
+    out = x
+    for lo, hi in gaps:
+        if x > lo:
+            out -= min(x, hi) - lo
+    for pos, mass in atoms:
+        if pos < x or (pos == x and not strict):
+            out += mass
+    return out
 
 
 @dataclass(frozen=True)
@@ -166,25 +166,15 @@ class QuasiUniformMeasure:
 
     def cdf(self, x: RationalLike) -> Fraction:
         """mu[0, x], exact."""
-        x = _check_unit(as_fraction(x, "x"), "x")
-        out = x
-        for g in self.gaps:
-            if x > g.lo:
-                out -= min(x, g.hi) - g.lo
-            if g.atom_position <= x:
-                out += g.mass
-        return out
+        return _mass_up_to(x, *self._tables(), strict=False)
 
     def cdf_left(self, x: RationalLike) -> Fraction:
         """mu[0, x), exact."""
-        x = _check_unit(as_fraction(x, "x"), "x")
-        out = x
-        for g in self.gaps:
-            if x > g.lo:
-                out -= min(x, g.hi) - g.lo
-            if g.atom_position < x:
-                out += g.mass
-        return out
+        return _mass_up_to(x, *self._tables(), strict=True)
+
+    def _tables(self):
+        """(gaps as (lo, hi), atoms as (position, mass)), one atom per gap."""
+        return [(g.lo, g.hi) for g in self.gaps], [(g.atom_position, g.mass) for g in self.gaps]
 
     def atom_mass(self, x: RationalLike) -> Fraction:
         return self.cdf(x) - self.cdf_left(x)
@@ -216,16 +206,15 @@ class QuasiUniformMeasure:
         }
 
 
-def validate(spec: Union[MeasureSpec, Sequence, QuasiUniformMeasure]) -> QuasiUniformMeasure:
+def validate(spec: Union[Sequence, QuasiUniformMeasure]) -> QuasiUniformMeasure:
     """Build a validated measure from a raw gap list.
 
     Raises DegenerateGap, OutOfRange, or OverlappingGaps on bad input.
     """
     if isinstance(spec, QuasiUniformMeasure):
         return spec
-    raw = spec.gaps if isinstance(spec, MeasureSpec) else spec
     gaps = []
-    for entry in raw:
+    for entry in spec:
         if isinstance(entry, GapInterval):
             gaps.append(entry)
         else:
@@ -363,7 +352,7 @@ def locate_sample(measure: QuasiUniformMeasure, sample: ConjugateSample) -> tupl
 # -- vectorized sampling tables -------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _BatchTables:
     edges: np.ndarray  # region boundaries, float64, first 0.0 and last 1.0
     region_cell: np.ndarray  # region index -> cell rank
@@ -373,12 +362,6 @@ class _BatchTables:
     cell_lo: np.ndarray  # cell interval, float64
     cell_inv_len: np.ndarray  # 1 / (hi - lo)
     cell_sign: np.ndarray  # +1 right atom, -1 left atom, 0 diffuse
-
-    def __eq__(self, other):  # arrays are not comparable by value here
-        return self is other
-
-    def __hash__(self):
-        return id(self)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -492,26 +475,10 @@ class CandidateMeasure:
         object.__setattr__(self, "atoms", tuple(atoms))
 
     def cdf(self, x: RationalLike) -> Fraction:
-        x = _check_unit(as_fraction(x, "x"), "x")
-        out = x
-        for lo, hi in self.gaps:
-            if x > lo:
-                out -= min(x, hi) - lo
-        for pos, mass in self.atoms:
-            if pos <= x:
-                out += mass
-        return out
+        return _mass_up_to(x, self.gaps, self.atoms, strict=False)
 
     def cdf_left(self, x: RationalLike) -> Fraction:
-        x = _check_unit(as_fraction(x, "x"), "x")
-        out = x
-        for lo, hi in self.gaps:
-            if x > lo:
-                out -= min(x, hi) - lo
-        for pos, mass in self.atoms:
-            if pos < x:
-                out += mass
-        return out
+        return _mass_up_to(x, self.gaps, self.atoms, strict=True)
 
     def to_json(self) -> dict:
         return {
@@ -540,89 +507,34 @@ class CandidateMeasure:
 def _endpoint_assignment(cand: CandidateMeasure):
     """Split each gap's length across atoms at its endpoints, if possible.
 
-    Max-flow with exact rational capacities: source -> gap (length),
-    gap -> endpoint atom, atom -> sink (mass).  Returns per-gap
-    (mass at lo, mass at hi), or None when infeasible.
+    Gaps are sorted with disjoint interiors, so an atom touches at most the
+    gap that ends at it and the gap that starts at it: the transport is a
+    chain and has exactly one solution.  Walking the gaps left to right,
+    each gap first fills what its left-endpoint atom still lacks and sends
+    the rest to its right-endpoint atom.  Returns per-gap (mass at lo, mass
+    at hi), or None when a flow would go negative or an atom keeps mass
+    left over (as an atom on no gap endpoint does).
     """
-    n_gaps = len(cand.gaps)
-    pos_index = {p: i for i, (p, _) in enumerate(cand.atoms)}
-    source = 0
-    sink = 1 + n_gaps + len(cand.atoms)
-    cap: dict[tuple[int, int], Fraction] = {}
-    adj: dict[int, set[int]] = {i: set() for i in range(sink + 1)}
-
-    def add_edge(a, b, c):
-        cap[(a, b)] = cap.get((a, b), _ZERO) + c
-        adj[a].add(b)
-        adj[b].add(a)
-
-    big = sum((m for _, m in cand.atoms), _ZERO) + 1
-    for gi, (lo, hi) in enumerate(cand.gaps):
-        add_edge(source, 1 + gi, hi - lo)
-        for endpoint in (lo, hi):
-            ai = pos_index.get(endpoint)
-            if ai is not None:
-                add_edge(1 + gi, 1 + n_gaps + ai, big)
-    for ai, (_, mass) in enumerate(cand.atoms):
-        add_edge(1 + n_gaps + ai, sink, mass)
-
-    flow: dict[tuple[int, int], Fraction] = {}
-
-    def residual(a, b):
-        return cap.get((a, b), _ZERO) - flow.get((a, b), _ZERO) + flow.get((b, a), _ZERO)
-
-    total = _ZERO
-    while True:
-        parent = {source: None}
-        queue = [source]
-        while queue and sink not in parent:
-            node = queue.pop(0)
-            for nxt in adj[node]:
-                if nxt not in parent and residual(node, nxt) > 0:
-                    parent[nxt] = node
-                    queue.append(nxt)
-        if sink not in parent:
-            break
-        path = []
-        node = sink
-        while parent[node] is not None:
-            path.append((parent[node], node))
-            node = parent[node]
-        bottleneck = min(residual(a, b) for a, b in path)
-        for a, b in path:
-            back = min(flow.get((b, a), _ZERO), bottleneck)
-            if back > 0:
-                flow[(b, a)] -= back
-            if bottleneck - back > 0:
-                flow[(a, b)] = flow.get((a, b), _ZERO) + bottleneck - back
-        total += bottleneck
-
-    supply = sum((hi - lo for lo, hi in cand.gaps), _ZERO)
-    if total != supply:
-        return None
+    lacking = dict(cand.atoms)
     out = []
-    for gi, (lo, hi) in enumerate(cand.gaps):
-        m_lo = _ZERO
-        m_hi = _ZERO
-        for endpoint in (lo, hi):
-            ai = pos_index.get(endpoint)
-            if ai is None:
-                continue
-            f = flow.get((1 + gi, 1 + n_gaps + ai), _ZERO)
-            if endpoint == lo:
-                m_lo += f
-            else:
-                m_hi += f
+    for lo, hi in cand.gaps:
+        m_lo = lacking.pop(lo, _ZERO)
+        m_hi = hi - lo - m_lo
+        if m_hi < 0 or lacking.get(hi, _ZERO) < m_hi:
+            return None
+        if m_hi:
+            lacking[hi] -= m_hi
         out.append((m_lo, m_hi))
-    return out
+    return None if any(lacking.values()) else out
 
 
 def is_quasi_uniform(cand: Union[CandidateMeasure, QuasiUniformMeasure]) -> bool:
     """Decide quasi-uniformity relative to the presented gap decomposition.
 
     True when every presented gap's length can be carried by atoms sitting
-    at that gap's own endpoints (exact transport feasibility).  An atom in
-    a gap's interior therefore fails, and validated measures always pass.
+    at that gap's own endpoints (an exact chain walk over the gaps).  An
+    atom in a gap's interior therefore fails, and validated measures always
+    pass.
     """
     if isinstance(cand, QuasiUniformMeasure):
         cand = cand.to_candidate()
@@ -756,7 +668,7 @@ def source_from_json(obj: dict) -> MeasureSource:
             tuple((g["lo"], g["hi"]) for g in gaps),
             tuple((a["pos"], a["mass"]) for a in obj.get("atoms", [])),
         )
-    return validate(MeasureSpec.from_json(obj))
+    return validate([(g["lo"], g["hi"], g["atom_side"]) for g in gaps])
 
 
 def _is_builtin_form(key: str) -> bool:

@@ -1,18 +1,17 @@
 """Exact laws on small symmetric groups.
 
 Everything here is computed in exact rational arithmetic.  The ordering law
-has one engine and three independent references that check it:
+has one engine, the likelihood route: walk the measure's cells in order and
+cut the labels, listed in rank order, into one block per cell; the
+probability of a ranking is a sum over such cuts and depends only on where
+that list descends (``ranking_probability``).  The map route reads a
+piecewise-affine map back as a purely atomic measure and runs on the same
+engine.  Two brute-force references check the engine:
 
-* the likelihood route: walk the measure's cells in order and cut the
-  labels, listed in rank order, into one block per cell; the probability of
-  a ranking is a sum over such cuts and depends only on where that list
-  descends (``ranking_probability``);
-* the cell route (private reference): enumerate assignments of labels to
-  cells, then arrangements within diffuse cells;
+* the cell route (private, ``_cell_enumeration``): enumerate assignments of
+  labels to cells, then arrangements within diffuse cells;
 * the coupling route (purely atomic measures): enumerate gap assignments
-  and the uniform rank vector of the initial coordinates;
-* the map route (piecewise-affine maps whose pieces each cover the whole
-  interval): enumerate piece assignments and final-coordinate ranks.
+  and the uniform rank vector of the initial coordinates.
 """
 
 from __future__ import annotations
@@ -26,6 +25,9 @@ from typing import Mapping, Sequence, Union
 
 from .errors import CapExceeded, DimensionMismatch, ExactUnavailable, NotPurelyAtomic
 from .measure import (
+    LEFT,
+    RIGHT,
+    GapInterval,
     MeasureMixture,
     QuasiUniformMeasure,
     Cell,
@@ -391,50 +393,23 @@ def exact_coupling_step_distribution(
 def exact_map_step_distribution(
     shuffle_map, n: int, max_n: int = DEFAULT_MAX_N
 ) -> PermutationDistribution:
-    """Independent exact step law of a deterministic coupling (the map route).
+    """Exact step law of a deterministic coupling given by a ShuffleMap.
 
-    Works when every affine piece maps onto the whole interval (true for
-    every map derived from a purely atomic measure); otherwise the final
-    ranks are not independent of the piece assignment and no exact route
-    is implemented, so ExactUnavailable is raised.
+    A piece that maps onto the whole interval is fixed by its ends and the
+    sign of its slope, so the map is `shuffle_map_from_measure` of the
+    purely atomic measure with one gap per piece (atom at hi for a rising
+    piece, at lo for a falling one), and its step is that measure's type-two
+    step.  Any other piece leaves the final ranks dependent on the piece
+    assignment; no exact route is implemented and ExactUnavailable is raised.
     """
-    if n > max_n:
-        raise CapExceeded(f"n = {n} above exact cap {max_n}")
-    pieces = list(getattr(shuffle_map, "pieces", shuffle_map))
-    for p in pieces:
-        lo_val = p.slope * p.lo + p.intercept
-        hi_val = p.slope * p.hi + p.intercept
-        image = (min(lo_val, hi_val), max(lo_val, hi_val))
-        if image != (Fraction(0), Fraction(1)):
+    gaps = []
+    for p in shuffle_map.pieces:
+        if p.image() != (0, 1):
             raise ExactUnavailable(
-                f"piece ({p.lo},{p.hi}) maps onto {image}, not the whole interval"
+                f"piece ({p.lo},{p.hi}) maps onto {p.image()}, not the whole interval"
             )
-    work = len(pieces) ** n * factorial(n) * n
-    if work > _COUPLING_WORK_CAP:
-        raise CapExceeded(f"map route work {work} above cap {_COUPLING_WORK_CAP}")
-    fact = Fraction(1, factorial(n))
-    probs: dict[Perm, Fraction] = {}
-    ranks = all_permutations(n)
-    for assign in itertools.product(range(len(pieces)), repeat=n):
-        base = Fraction(1)
-        for pi in assign:
-            base *= pieces[pi].hi - pieces[pi].lo
-        weight = base * fact
-        for v_ranks in ranks:
-            def u_key(i):
-                p = pieces[assign[i]]
-                direction = v_ranks[i] if p.slope > 0 else -v_ranks[i]
-                return (p.lo, p.hi, direction)
-            order = sorted(range(n), key=u_key)
-            u_ranks = [0] * n
-            for pos, i in enumerate(order):
-                u_ranks[i] = pos + 1
-            sigma = [0] * n
-            for i in range(n):
-                sigma[u_ranks[i] - 1] = v_ranks[i]
-            key = tuple(sigma)
-            probs[key] = probs.get(key, Fraction(0)) + weight
-    return PermutationDistribution(n, probs)
+        gaps.append(GapInterval(p.lo, p.hi, RIGHT if p.slope > 0 else LEFT))
+    return exact_step_distribution(QuasiUniformMeasure(tuple(gaps)), n, "two", max_n)
 
 
 def transition_matrix(step: PermutationDistribution):

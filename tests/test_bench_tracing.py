@@ -1,0 +1,25 @@
+"""The traced benchmark run rebinds library functions by name; they must exist."""
+
+import importlib.util
+from pathlib import Path
+
+import quasishuffle
+import quasishuffle.cli
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_exist():
+    tracing = load_tracing()
+    for module, function, _ in tracing.TRACED:
+        # Recorder.install reads getattr(package, module).__dict__[function]
+        assert function in getattr(quasishuffle, module).__dict__, f"{module}.{function}"
+    for function in tracing.CLI_COMMANDS:
+        assert function in quasishuffle.cli.__dict__, f"cli.{function}"

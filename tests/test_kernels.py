@@ -21,7 +21,6 @@ from quasishuffle.kernels import (
     InverseConjugateCoupling,
     MixtureCoupling,
     ShuffleMap,
-    draw_coupling,
     empirical_mixing_curve,
     empirical_step_counts,
     kernel_matrix,
@@ -399,6 +398,25 @@ def test_walk_composition(rng):
         walk(3, ConjugateCoupling(IDENTITY), 2, rng, start=(1, 1, 2))
 
 
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        ConjugateCoupling(mixed_fixture()),
+        InverseConjugateCoupling(a_shuffle(3)),
+        DeterministicCoupling(shuffle_map_from_measure(gsr())),
+    ],
+    ids=["forward", "inverse", "deterministic"],
+)
+def test_walk_runs_on_step_batch(sampler):
+    n, steps = 7, 12
+    states = walk(n, sampler, steps, make_rng(61))
+    rows = step_batch(n, sampler, steps, make_rng(61))
+    want = [tuple(range(1, n + 1))]
+    for sigma in rows:
+        want.append(tuple(int(sigma[v - 1]) for v in want[-1]))
+    assert states == want
+
+
 def test_empirical_mixing_tracks_exact(rng):
     exact = mixing_curve(gsr(), 3, "two", steps=4)
     emp = empirical_mixing_curve(3, InverseConjugateCoupling(gsr()), 4, 4000, rng)
@@ -429,17 +447,18 @@ def test_kernel_matrix_exact_deterministic():
 
 
 def test_kernel_matrix_exact_mixture():
+    # the component is drawn per card, so the step law is not the mixture of
+    # the components' laws and no exact route exists
     mix = MixtureCoupling(
         (
             (F(1, 2), ConjugateCoupling(gsr())),
             (F(1, 2), InverseConjugateCoupling(gsr())),
         )
     )
-    d = kernel_matrix(3, mix)
-    fwd = exact_step_distribution(gsr(), 3, "one")
-    bwd = exact_step_distribution(gsr(), 3, "two")
-    for p in d.support():
-        assert d.prob(p) == (fwd.prob(p) + bwd.prob(p)) / 2
+    with pytest.raises(ExactUnavailable):
+        kernel_matrix(3, mix)
+    d = kernel_matrix(3, mix, mode="mc", samples=1000, rng=make_rng(5))
+    assert sum(d.probs.values()) == 1
 
 
 def test_kernel_matrix_grid_has_no_exact_route():
@@ -515,8 +534,3 @@ def test_sampler_from_json_schemas():
     assert det.map(F(1, 4)) == F(3, 4)
     with pytest.raises(ValueError):
         sampler_from_json({"type": "warp"})
-
-
-def test_draw_coupling_helper(rng):
-    d = draw_coupling(ConjugateCoupling(gsr()), rng)
-    assert 0.0 <= d.u < 1.0

@@ -1,10 +1,12 @@
 """Measures, conjugation, the candidate predicate, and pair sampling."""
 
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from quasishuffle.errors import (
     DegenerateGap,
@@ -290,6 +292,100 @@ def test_is_quasi_uniform_needs_balanced_transport():
         atoms=((F(0), F(1, 4)), (F(1, 2), F(1, 2)), (F(1), F(1, 4))),
     )
     assert is_quasi_uniform(cand2)
+
+
+@st.composite
+def candidate_strategy(draw, max_gaps: int = 5, denominator: int = 12):
+    """Candidates with up to five gaps on a 1/12 grid, touching or apart.
+
+    Half of them split each gap between its two endpoint atoms (feasible)
+    and may then move part of one atom's mass elsewhere, off the endpoints
+    included; the other half spread the gap length over random endpoint
+    atoms, perhaps with one more atom anywhere on a 1/24 grid.
+    """
+    k = draw(st.integers(min_value=1, max_value=max_gaps))
+    cuts = sorted(
+        draw(st.lists(st.integers(0, denominator), min_size=2 * k, max_size=2 * k))
+    )
+    gaps = [
+        (F(a, denominator), F(b, denominator)) for a, b in zip(cuts[::2], cuts[1::2]) if a < b
+    ]
+    assume(gaps)
+    ends = sorted({p for g in gaps for p in g})
+    anywhere = st.integers(0, 2 * denominator).map(lambda i: F(i, 2 * denominator))
+    atoms: dict = {}
+    if draw(st.booleans()):
+        for lo, hi in gaps:
+            cut = lo + (hi - lo) * F(draw(st.integers(0, 4)), 4)
+            for pos, mass in ((lo, cut - lo), (hi, hi - cut)):
+                atoms[pos] = atoms.get(pos, 0) + mass
+        atoms = {p: m for p, m in atoms.items() if m}
+        if draw(st.booleans()):
+            src = draw(st.sampled_from(sorted(atoms)))
+            moved = atoms[src] * F(draw(st.integers(1, 4)), 4)
+            dst = draw(st.one_of(st.sampled_from(ends), anywhere))
+            atoms[src] -= moved
+            atoms[dst] = atoms.get(dst, 0) + moved
+    else:
+        positions = set(draw(st.lists(st.sampled_from(ends), min_size=1, unique=True)))
+        if draw(st.booleans()):
+            positions.add(draw(anywhere))
+        unit = F(1, 4 * denominator)
+        units = sum((hi - lo for lo, hi in gaps), F(0)) / unit
+        positions = sorted(positions)[: int(units)]
+        inner = sorted(
+            draw(
+                st.lists(
+                    st.integers(1, int(units) - 1),
+                    min_size=len(positions) - 1,
+                    max_size=len(positions) - 1,
+                    unique=True,
+                )
+            )
+        )
+        bounds = [0] + inner + [int(units)]
+        atoms = {p: (b - a) * unit for p, a, b in zip(positions, bounds, bounds[1:])}
+    return CandidateMeasure(tuple(gaps), tuple((p, m) for p, m in atoms.items() if m))
+
+
+def hall_condition(cand: CandidateMeasure) -> bool:
+    """Every set of gaps is no longer than the atoms on its endpoints weigh."""
+    atoms = dict(cand.atoms)
+    for size in range(1, len(cand.gaps) + 1):
+        for subset in itertools.combinations(cand.gaps, size):
+            length = sum((hi - lo for lo, hi in subset), F(0))
+            reach = {p for gap in subset for p in gap}
+            if length > sum((atoms.get(p, 0) for p in reach), F(0)):
+                return False
+    return True
+
+
+# an atom off every gap endpoint, inside and outside the gap
+@example(CandidateMeasure(((F(1, 4), F(1, 2)),), ((F(3, 8), F(1, 4)),)))
+@example(CandidateMeasure(((F(1, 4), F(1, 2)),), ((F(3, 4), F(1, 4)),)))
+# touching gaps sharing one atom, fed from both sides
+@example(CandidateMeasure(((F(0), F(1, 3)), (F(1, 3), F(1, 2))), ((F(1, 3), F(1, 2)),)))
+# an end atom asking more than its one gap can send
+@example(
+    CandidateMeasure(
+        ((F(0), F(1, 4)), (F(1, 4), F(1, 2))),
+        ((F(0), F(3, 8)), (F(1, 4), F(1, 8))),
+    )
+)
+# one gap split across both its endpoints
+@example(CandidateMeasure(((F(1, 4), F(3, 4)),), ((F(1, 4), F(1, 8)), (F(3, 4), F(3, 8)))))
+@given(candidate_strategy())
+@settings(max_examples=200, deadline=None)
+def test_is_quasi_uniform_is_hall_condition(cand):
+    assert is_quasi_uniform(cand) == hall_condition(cand)
+    if is_quasi_uniform(cand):
+        back = cand.to_measure()
+        assert back.to_candidate().atoms == cand.atoms
+        for k in range(25):
+            assert back.cdf(F(k, 24)) == cand.cdf(F(k, 24))
+    else:
+        with pytest.raises(ValueError):
+            cand.to_measure()
 
 
 def test_candidate_must_be_probability_measure():
