@@ -51,26 +51,21 @@ from .measure import (
 )
 from .ordering import (
     EmpiricalPosition,
-    OrderingSample,
     compare,
     empirical_positions,
     exchangeability_test,
     ordering_counts,
-    sample_ordering,
     sample_ordering_batch,
 )
 from .kernels import (
     AffinePiece,
-    CardRecord,
     ConjugateCoupling,
-    CouplingDraw,
     CouplingSampler,
     DeterministicCoupling,
     GridCopulaCoupling,
     InverseConjugateCoupling,
     MixtureCoupling,
     ShuffleMap,
-    StepOutcome,
     empirical_mixing_curve,
     empirical_step_counts,
     kernel_matrix,
@@ -78,7 +73,6 @@ from .kernels import (
     sampler_from_json,
     shuffle_map_from_measure,
     step_batch,
-    step_permutation,
     walk,
 )
 from .oracle import (

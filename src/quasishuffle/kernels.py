@@ -5,10 +5,7 @@ step deals n cards, one coupled pair each: initial positions are the ranks
 of the u's, final positions the ranks of the v's, and the step permutation
 maps initial to final positions (left composition onto the walk state).
 
-Ties carry exact semantics on the scalar path: a tie between cards from
-gaps sharing an endpoint puts the card from the rightmost gap above; a tie
-inside one gap keeps the initial order at a right atom and reverses it at
-a left atom; any other exact tie is a probability-zero event and asserts.
+Exact ties have probability zero and resolve by card order.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,13 +26,11 @@ from .errors import (
     NotPurelyAtomic,
 )
 from .measure import (
-    ConjugateSample,
     QuasiUniformMeasure,
     RationalLike,
     as_fraction,
     parse_measure,
     sample_conjugate_batch,
-    sample_conjugate_pair,
     source_from_json,
 )
 from . import oracle as _oracle
@@ -181,22 +176,8 @@ def shuffle_map_from_measure(measure: QuasiUniformMeasure) -> ShuffleMap:
 # -- coupling samplers -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CouplingDraw:
-    """One coupled pair; `pair` carries the conjugate pair that resolves
-    exact ties on the coordinate named by tie_coord ("u" or "v")."""
-
-    u: Union[float, Fraction]
-    v: Union[float, Fraction]
-    pair: Optional[ConjugateSample] = None
-    tie_coord: Optional[str] = None
-
-
 class CouplingSampler:
     """Draws pairs of uniforms; subclasses fix the joint law."""
-
-    def draw(self, rng: np.random.Generator) -> CouplingDraw:
-        raise NotImplementedError
 
     def draw_batch(self, shape, rng: np.random.Generator):
         """Vectorized float draws (u, v); measure-zero ties unresolved."""
@@ -213,16 +194,6 @@ class ConjugateCoupling(CouplingSampler):
     def __init__(self, measure: QuasiUniformMeasure):
         self.measure = measure
 
-    def draw(self, rng: np.random.Generator) -> CouplingDraw:
-        u = float(rng.random())
-        pair = sample_conjugate_pair(self.measure, rng)
-        if pair.is_diffuse:
-            v: Union[float, Fraction] = pair.x
-        else:
-            uf = Fraction(u)
-            v = uf * pair.x + (1 - uf) * pair.y
-        return CouplingDraw(u, v, pair, "v")
-
     def draw_batch(self, shape, rng: np.random.Generator):
         u = rng.random(shape)
         batch = sample_conjugate_batch(self.measure, shape, rng)
@@ -237,10 +208,6 @@ class InverseConjugateCoupling(CouplingSampler):
         self.measure = measure
         self._inner = ConjugateCoupling(measure)
 
-    def draw(self, rng: np.random.Generator) -> CouplingDraw:
-        d = self._inner.draw(rng)
-        return CouplingDraw(d.v, d.u, d.pair, "u")
-
     def draw_batch(self, shape, rng: np.random.Generator):
         u, v = self._inner.draw_batch(shape, rng)
         return v, u
@@ -252,10 +219,6 @@ class DeterministicCoupling(CouplingSampler):
     def __init__(self, shuffle_map: ShuffleMap):
         self.map = shuffle_map
 
-    def draw(self, rng: np.random.Generator) -> CouplingDraw:
-        u = float(rng.random())
-        return CouplingDraw(u, self.map(Fraction(u)), None, None)
-
     def draw_batch(self, shape, rng: np.random.Generator):
         u = rng.random(shape)
         return u, self.map.eval_batch(u)
@@ -265,8 +228,10 @@ class GridCopulaCoupling(CouplingSampler):
     """Piecewise-constant copula density on an m x m grid.
 
     matrix[i][j] is the mass of the square [i/m,(i+1)/m) x [j/m,(j+1)/m);
-    uniform marginals need every row and column to sum to 1/m, checked to
-    within 1e-12 (exact rational input checks exactly).
+    uniform marginals need every row and column to sum to 1/m.  Entries
+    are read as exact Fractions (floats by their binary value), and every
+    row and column sum, rational input included, need only lie within
+    1e-12 of 1/m.
     """
 
     def __init__(self, matrix: Sequence[Sequence[RationalLike]]):
@@ -289,14 +254,6 @@ class GridCopulaCoupling(CouplingSampler):
         self.m = m
         flat = np.array([float(v) for r in rows for v in r])
         self._cum = np.cumsum(flat / flat.sum())
-
-    def draw(self, rng: np.random.Generator) -> CouplingDraw:
-        idx = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        idx = min(idx, self.m * self.m - 1)
-        i, j = divmod(idx, self.m)
-        u = (i + float(rng.random())) / self.m
-        v = (j + float(rng.random())) / self.m
-        return CouplingDraw(u, v, None, None)
 
     def draw_batch(self, shape, rng: np.random.Generator):
         idx = np.minimum(
@@ -323,15 +280,6 @@ class MixtureCoupling(CouplingSampler):
             raise InvalidMixture("weights must sum to 1")
         self.components = tuple(comps)
 
-    def draw(self, rng: np.random.Generator) -> CouplingDraw:
-        r = rng.random()
-        acc = 0.0
-        for weight, sampler in self.components:
-            acc += float(weight)
-            if r < acc:
-                return sampler.draw(rng)
-        return self.components[-1][1].draw(rng)
-
     def draw_batch(self, shape, rng: np.random.Generator):
         weights = np.array([float(w) for w, _ in self.components])
         which = rng.choice(len(weights), size=shape, p=weights / weights.sum())
@@ -348,93 +296,6 @@ class MixtureCoupling(CouplingSampler):
 
 
 # -- walk steps ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CardRecord:
-    label: int
-    draw: CouplingDraw
-    initial_rank: int
-    final_rank: int
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """One dealt step: permutation maps initial position to final position."""
-
-    cards: tuple[CardRecord, ...]
-    permutation: Perm
-
-
-def _rank_with_ties(
-    values: list, draws: list[CouplingDraw], coord: str, reference: list[int]
-) -> list[int]:
-    """Ranks 1..n of values, exact ties resolved by the conjugate pairs.
-
-    Cards tied across gaps sharing an endpoint order by gap position; cards
-    tied inside one gap follow the reference order at a right atom and its
-    reverse at a left atom.  A tie without gap structure asserts: it has
-    probability zero under a correct sampler.
-    """
-    n = len(values)
-    order = sorted(range(n), key=lambda i: values[i])
-    resolved: list[int] = []
-    pos = 0
-    while pos < n:
-        group = [order[pos]]
-        while pos + len(group) < n and values[order[pos + len(group)]] == values[group[0]]:
-            group.append(order[pos + len(group)])
-        if len(group) > 1:
-            tie_value = values[group[0]]
-            primary = all(draws[i].tie_coord == coord for i in group)
-            for i in group:
-                d = draws[i]
-                assert d.pair is not None and not d.pair.is_diffuse, (
-                    f"probability-zero tie at {tie_value} lacks gap structure"
-                )
-                if not primary:
-                    continue
-                lo, hi = d.pair.interval
-                assert lo <= tie_value <= hi, "tie value escapes its gap"
-                for j in group:
-                    jlo, jhi = draws[j].pair.interval
-                    if (jlo, jhi) == (lo, hi):
-                        continue
-                    assert tie_value in (lo, hi) and tie_value in (jlo, jhi), (
-                        "cross-gap tie away from a shared endpoint"
-                    )
-
-            def tie_key(i):
-                d = draws[i]
-                lo, hi = d.pair.interval
-                direction = reference[i] if d.pair.x > d.pair.y else -reference[i]
-                return (lo, hi, direction)
-
-            group = sorted(group, key=tie_key)
-        resolved.extend(group)
-        pos += len(group)
-    ranks = [0] * n
-    for p, i in enumerate(resolved):
-        ranks[i] = p + 1
-    return ranks
-
-
-def step_permutation(
-    n: int, sampler: CouplingSampler, rng: np.random.Generator
-) -> StepOutcome:
-    """Deal one step of the n-card walk (scalar, exact tie semantics)."""
-    if n < 1:
-        raise ValueError("need at least one card")
-    draws = [sampler.draw(rng) for _ in range(n)]
-    u_ranks = _rank_with_ties([d.u for d in draws], draws, "u", list(range(n)))
-    v_ranks = _rank_with_ties([d.v for d in draws], draws, "v", u_ranks)
-    sigma = [0] * n
-    for i in range(n):
-        sigma[u_ranks[i] - 1] = v_ranks[i]
-    cards = tuple(
-        CardRecord(i + 1, draws[i], u_ranks[i], v_ranks[i]) for i in range(n)
-    )
-    return StepOutcome(cards, tuple(sigma))
 
 
 def step_batch(
@@ -498,6 +359,10 @@ def empirical_mixing_curve(
     rng: np.random.Generator,
 ) -> list[float]:
     """Empirical TV to uniform along `trials` parallel walks."""
+    if steps < 0:
+        raise ValueError(f"steps = {steps} is negative")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     uniform_mass = 1.0 / factorial(n)
     state = np.tile(np.arange(1, n + 1, dtype=np.int64), (trials, 1))
 

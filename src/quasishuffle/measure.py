@@ -243,11 +243,6 @@ class ConjugateSample:
     def is_diffuse(self) -> bool:
         return self.gap_index is None
 
-    @property
-    def interval(self) -> tuple:
-        """The gap as (lo, hi); for diffuse samples the degenerate (u, u)."""
-        return (self.x, self.y) if self.x <= self.y else (self.y, self.x)
-
 
 def sample_conjugate_pair(measure: QuasiUniformMeasure, rng: np.random.Generator) -> ConjugateSample:
     """Draw (x, y) with x distributed as mu and y as the conjugate.
@@ -354,9 +349,7 @@ def locate_sample(measure: QuasiUniformMeasure, sample: ConjugateSample) -> tupl
 
 @dataclass(frozen=True, eq=False)
 class _BatchTables:
-    edges: np.ndarray  # region boundaries, float64, first 0.0 and last 1.0
-    region_cell: np.ndarray  # region index -> cell rank
-    cell_is_atom: np.ndarray  # bool per cell rank
+    edges: np.ndarray  # cell boundaries, float64: each cell's lo, then 1.0
     cell_x: np.ndarray  # atom position (atoms) / nan (diffuse)
     cell_y: np.ndarray
     cell_lo: np.ndarray  # cell interval, float64
@@ -366,42 +359,28 @@ class _BatchTables:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _batch_tables(measure: QuasiUniformMeasure) -> _BatchTables:
+    # The cells tile [0,1] in rank order, so a draw's cell is the boundary
+    # interval it falls in.
     cells = cell_decomposition(measure).cells
-    points = {_ZERO, _ONE}
-    for g in measure.gaps:
-        points.add(g.lo)
-        points.add(g.hi)
-    exact_edges = sorted(points)
-    edges = np.array([float(p) for p in exact_edges], dtype=np.float64)
-    region_cell = np.zeros(len(exact_edges) - 1, dtype=np.int64)
-    for r, (a, b) in enumerate(zip(exact_edges, exact_edges[1:])):
-        mid = (a + b) / 2
-        hit = None
-        for i, c in enumerate(cells):
-            if c.lo <= mid <= c.hi:
-                hit = i
-                break
-        assert hit is not None, f"region ({a},{b}) matches no cell"
-        region_cell[r] = hit
-    n = len(cells)
-    cell_is_atom = np.array([c.kind == "atom" for c in cells])
+    cell_lo = np.array([float(c.lo) for c in cells])
+    edges = np.append(cell_lo, 1.0)
     cell_x = np.array([float(c.x) if c.kind == "atom" else np.nan for c in cells])
     cell_y = np.array([float(c.y) if c.kind == "atom" else np.nan for c in cells])
-    cell_lo = np.array([float(c.lo) for c in cells])
     cell_inv_len = np.array([1.0 / float(c.hi - c.lo) for c in cells])
-    sign = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(cells):
-        if c.kind == "atom":
-            sign[i] = 1 if c.atom_side == RIGHT else -1
-    return _BatchTables(edges, region_cell, cell_is_atom, cell_x, cell_y, cell_lo, cell_inv_len, sign)
+    sign = np.array(
+        [0 if c.kind == "diffuse" else 1 if c.atom_side == RIGHT else -1 for c in cells],
+        dtype=np.int64,
+    )
+    return _BatchTables(edges, cell_x, cell_y, cell_lo, cell_inv_len, sign)
 
 
 @dataclass(frozen=True)
 class ConjugateBatch:
     """Vectorized conjugate-pair draws.
 
-    Floating-point region lookup may misclassify a draw within one ulp of a
-    gap endpoint (probability ~2^-52 per draw); scalar sampling stays exact.
+    The float cell lookup may misclassify a draw within one ulp of a cell
+    boundary (probability ~2^-52 per draw); `sample_conjugate_pair` draws
+    one pair with exact gap endpoints.
     """
 
     cell: np.ndarray  # cell rank per draw
@@ -416,14 +395,14 @@ def sample_conjugate_batch(
 ) -> ConjugateBatch:
     t = _batch_tables(measure)
     u = rng.random(shape)
-    region = np.searchsorted(t.edges, u, side="right") - 1
-    np.clip(region, 0, len(t.region_cell) - 1, out=region)
-    cell = t.region_cell[region]
-    atom = t.cell_is_atom[cell]
+    cell = np.searchsorted(t.edges, u, side="right") - 1
+    np.clip(cell, 0, len(t.cell_lo) - 1, out=cell)
+    sign = t.cell_sign[cell]
+    atom = sign != 0
     rel = (u - t.cell_lo[cell]) * t.cell_inv_len[cell]
     x = np.where(atom, t.cell_x[cell], u)
     y = np.where(atom, t.cell_y[cell], u)
-    return ConjugateBatch(cell, x, y, rel, t.cell_sign[cell])
+    return ConjugateBatch(cell, x, y, rel, sign)
 
 
 # -- candidate measures and the quasi-uniform predicate --------------------

@@ -169,13 +169,11 @@ def combine_distributions(parts) -> PermutationDistribution:
     return PermutationDistribution(n, out)
 
 
-def _check_caps(n: int, cells: int, max_n: int, max_cells: int):
+def _check_n(n: int, max_n: int):
     if n < 0:
         raise ValueError(f"n = {n} is negative")
     if n > max_n:
         raise CapExceeded(f"n = {n} above exact cap {max_n}")
-    if cells > max_cells:
-        raise CapExceeded(f"{cells} cells above exact cap {max_cells}")
 
 
 def _descents(ranking: Perm) -> tuple[bool, ...]:
@@ -242,23 +240,21 @@ def ranking_probability(measure: QuasiUniformMeasure, ranking: Perm) -> Fraction
 
 
 def exact_ordering_distribution(
-    source: OrderingSource,
-    n: int,
-    max_n: int = DEFAULT_MAX_N,
-    max_cells: int = DEFAULT_MAX_CELLS,
+    source: OrderingSource, n: int, max_n: int = DEFAULT_MAX_N
 ) -> PermutationDistribution:
     """Exact law of the ranking of n labels (the likelihood route).
 
     Evaluates the block-cut likelihood once per descent class (at most
-    2^(n-1) of them) and assigns it to every ranking in the class.
+    2^(n-1) of them) and assigns it to every ranking in the class.  Each
+    evaluation costs O(cells * n^2), so only n is capped: the law itself
+    has n! entries.
     """
     if isinstance(source, MeasureMixture):
         return combine_distributions(
-            (w, exact_ordering_distribution(m, n, max_n, max_cells))
-            for w, m in source.components
+            (w, exact_ordering_distribution(m, n, max_n)) for w, m in source.components
         )
     cells = cell_decomposition(source).cells
-    _check_caps(n, len(cells), max_n, max_cells)
+    _check_n(n, max_n)
     weights = _block_weights(cells, n)
     by_class: dict[tuple[bool, ...], Fraction] = {}
     probs: dict[Perm, Fraction] = {}
@@ -280,12 +276,14 @@ def _cell_enumeration(
 ) -> PermutationDistribution:
     """Brute-force reference for the ordering law (the cell route).
 
-    Enumerates label-to-cell assignments; within a diffuse cell every
-    arrangement is equally likely, within an atom cell the order is forced
-    by the atom's side.
+    Enumerates the cells^n label-to-cell assignments; within a diffuse cell
+    every arrangement is equally likely, within an atom cell the order is
+    forced by the atom's side.
     """
     cells = cell_decomposition(measure).cells
-    _check_caps(n, len(cells), max_n, max_cells)
+    _check_n(n, max_n)
+    if len(cells) > max_cells:
+        raise CapExceeded(f"{len(cells)} cells above exact cap {max_cells}")
     probs: dict[Perm, Fraction] = {}
     for assign in itertools.product(range(len(cells)), repeat=n):
         base = Fraction(1)
@@ -323,7 +321,6 @@ def exact_step_distribution(
     n: int,
     kind: str = "one",
     max_n: int = DEFAULT_MAX_N,
-    max_cells: int = DEFAULT_MAX_CELLS,
 ) -> PermutationDistribution:
     """Exact one-step law of the walk driven by the conjugate-pair coupling.
 
@@ -333,7 +330,7 @@ def exact_step_distribution(
     """
     if kind not in ("one", "two"):
         raise ValueError(f"kind must be 'one' or 'two', got {kind!r}")
-    d = exact_ordering_distribution(source, n, max_n, max_cells)
+    d = exact_ordering_distribution(source, n, max_n)
     return d if kind == "one" else invert_distribution(d)
 
 
@@ -445,10 +442,11 @@ def mixing_curve(
     kind: str = "one",
     steps: int = 10,
     max_n: int = DEFAULT_MAX_N,
-    max_cells: int = DEFAULT_MAX_CELLS,
 ) -> list[Fraction]:
     """Exact TV distance to uniform after h = 0..steps walk steps from id."""
-    step = exact_step_distribution(source, n, kind, max_n, max_cells)
+    if steps < 0:
+        raise ValueError(f"steps = {steps} is negative")
+    step = exact_step_distribution(source, n, kind, max_n)
     uniform = PermutationDistribution.uniform(n)
     state = PermutationDistribution.point_mass(identity(n))
     curve = [tv_distance(state, uniform)]

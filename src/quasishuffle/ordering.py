@@ -12,8 +12,7 @@ ranks to y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -33,11 +32,9 @@ from . import stats as _stats
 OrderingSource = Union[QuasiUniformMeasure, MeasureMixture]
 
 __all__ = [
-    "OrderingSample",
     "EmpiricalPosition",
     "MeasureMixture",
     "compare",
-    "sample_ordering",
     "sample_ordering_batch",
     "ordering_counts",
     "empirical_positions",
@@ -78,25 +75,6 @@ def compare(
     return False
 
 
-@dataclass(frozen=True)
-class OrderingSample:
-    """A sampled total order: ranking[i] is the rank (1 = lowest) of labels[i]."""
-
-    labels: tuple[int, ...]
-    ranking: Perm
-    samples: tuple[ConjugateSample, ...]
-
-    def rank_of(self, label: int) -> int:
-        return self.ranking[self.labels.index(label)]
-
-    def as_permutation(self) -> Perm:
-        return self.ranking
-
-    def sorted_labels(self) -> tuple[int, ...]:
-        order = sorted(range(len(self.labels)), key=lambda i: self.ranking[i])
-        return tuple(self.labels[i] for i in order)
-
-
 def _resolve_component(
     source: OrderingSource, rng: np.random.Generator
 ) -> QuasiUniformMeasure:
@@ -105,52 +83,20 @@ def _resolve_component(
     return source
 
 
-def sample_ordering(
-    source: OrderingSource, labels: Sequence[int], rng: np.random.Generator
-) -> OrderingSample:
-    """Draw one ordering of the labels (one pair per label, then sort).
-
-    For a mixture, a single component is drawn for the whole ordering.
-    """
-    labels = check_labels(labels)
-    measure = _resolve_component(source, rng)
-    samples = tuple(sample_conjugate_pair(measure, rng) for _ in labels)
-    keys = []
-    for idx, s in enumerate(samples):
-        if s.x > s.y:
-            third = idx
-        elif s.x < s.y:
-            third = -idx
-        else:
-            third = 0
-        keys.append((s.x, s.y, third))
-    order = sorted(range(len(labels)), key=lambda i: keys[i])
-    for a, b in zip(order, order[1:]):
-        if keys[a] == keys[b]:
-            raise IncomparableSamples(
-                f"labels {labels[a]} and {labels[b]} drew identical diffuse values"
-            )
-    ranking = [0] * len(labels)
-    for pos, idx in enumerate(order):
-        ranking[idx] = pos + 1
-    if __debug__:
-        for a, b in zip(order, order[1:]):
-            assert compare(samples[a], samples[b], labels[a], labels[b]), (
-                f"sorted order violates the comparator at {labels[a]}, {labels[b]}"
-            )
-    return OrderingSample(labels, tuple(ranking), samples)
-
-
 def sample_ordering_batch(
     source: OrderingSource,
     labels: Sequence[int],
     size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized ordering draws; returns a (size, n) array of rankings.
+    """Ordering draws; returns a (size, n) array of rankings.
 
+    Each label sorts by its conjugate pair's cell rank, then inside the
+    cell by its relative position (diffuse cell) or by label order, kept
+    at a right atom and reversed at a left atom: the order `compare`
+    defines.  For a mixture, one component is drawn per ordering.
     Floating-point coincidences (probability ~2^-52 per pair) fall back to
-    natural label order instead of raising; the scalar path stays exact.
+    natural label order instead of raising.
     """
     labels = check_labels(labels)
     n = len(labels)

@@ -56,12 +56,13 @@ class TestReport:
         }
 
 
-def _pool(cells: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Merge smallest-expected cells until all expecteds reach MIN_EXPECTED."""
+def _pool(cells: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
+    """Merge the two smallest-expected cells, summing their tuples
+    elementwise, until every expected (first entry) reaches MIN_EXPECTED."""
     cells = sorted(cells)
     while len(cells) > 1 and cells[0][0] < MIN_EXPECTED:
-        (e0, o0), (e1, o1) = cells[0], cells[1]
-        cells = sorted([(e0 + e1, o0 + o1)] + cells[2:])
+        merged = tuple(a + b for a, b in zip(cells[0], cells[1]))
+        cells = sorted([merged] + cells[2:])
     return cells
 
 
@@ -104,16 +105,11 @@ def chi_square_two_sample(
         raise EmptyCounts("both samples need observations")
     keys = sorted(set(counts_a) | set(counts_b))
     grand = total_a + total_b
-    # cells carry (pooled expected, (obs_a, obs_b, col_total)) per outcome
+    # cells carry (expected in the smaller sample, obs_a, obs_b) per outcome
     cols = [
         (float(counts_a.get(k, 0)), float(counts_b.get(k, 0))) for k in keys
     ]
-    merged = sorted(
-        ((a + b) * min(total_a, total_b) / grand, a, b) for a, b in cols
-    )
-    while len(merged) > 1 and merged[0][0] < MIN_EXPECTED:
-        (e0, a0, b0), (e1, a1, b1) = merged[0], merged[1]
-        merged = sorted([(e0 + e1, a0 + a1, b0 + b1)] + merged[2:])
+    merged = _pool([((a + b) * min(total_a, total_b) / grand, a, b) for a, b in cols])
     if len(merged) < 2:
         return TestReport("chi_square_two_sample", 0.0, 1.0, grand, alpha, True,
                           {"df": 0, "note": "support too small after pooling"})

@@ -23,3 +23,16 @@ def test_traced_functions_exist():
         assert function in getattr(quasishuffle, module).__dict__, f"{module}.{function}"
     for function in tracing.CLI_COMMANDS:
         assert function in quasishuffle.cli.__dict__, f"cli.{function}"
+
+
+def test_traced_caches_exist():
+    tracing = load_tracing()
+    for name in tracing.LRU_CACHES:
+        assert hasattr(getattr(quasishuffle.measure, name, None), "cache_info"), name
+    recorder = tracing.Recorder(quasishuffle)
+    recorder.install()
+    try:
+        assert recorder.cache_entries() >= 0
+    finally:
+        recorder.uninstall()
+    assert not hasattr(quasishuffle.ordering.sample_ordering_batch, "__wrapped__")

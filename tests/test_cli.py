@@ -285,6 +285,25 @@ def test_mixing_both_modes(capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_mixing_rejects_negative_steps(capsys, mode):
+    code, out, err = run(
+        capsys, "mixing", "--measure", "gsr", "--n", "3", "--steps", "-1",
+        "--mode", mode, "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: steps = -1 is negative\n"
+
+
+def test_mixing_mc_rejects_zero_samples(capsys):
+    code, out, err = run(
+        capsys, "mixing", "--measure", "gsr", "--n", "3", "--steps", "2",
+        "--mode", "mc", "--seed", "1", "--samples", "0",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: need at least one trial, got 0\n"
+
+
 def test_shuffle_map_json_and_grid(capsys):
     code, out, _ = run(
         capsys,

@@ -1,4 +1,4 @@
-"""Shuffle maps, coupling samplers, tie rules, steps, walks, kernels."""
+"""Shuffle maps, coupling samplers, steps, walks, kernels."""
 
 from fractions import Fraction as F
 
@@ -14,8 +14,6 @@ from quasishuffle.errors import (
 from quasishuffle.kernels import (
     AffinePiece,
     ConjugateCoupling,
-    CouplingDraw,
-    CouplingSampler,
     DeterministicCoupling,
     GridCopulaCoupling,
     InverseConjugateCoupling,
@@ -28,13 +26,11 @@ from quasishuffle.kernels import (
     sampler_from_json,
     shuffle_map_from_measure,
     step_batch,
-    step_permutation,
     walk,
 )
 from quasishuffle.measure import (
     LEFT,
     RIGHT,
-    ConjugateSample,
     GapInterval,
     QuasiUniformMeasure,
     a_shuffle,
@@ -164,44 +160,33 @@ def test_map_preserves_uniform_distribution():
 
 
 def test_forward_coupling_draw_structure(rng):
-    sampler = ConjugateCoupling(gsr())
-    for _ in range(200):
-        d = sampler.draw(rng)
-        assert 0.0 <= d.u < 1.0
-        assert d.tie_coord == "v"
-        if d.pair.is_diffuse:
-            assert d.v == d.pair.x
-        else:
-            u = F(d.u)
-            assert d.v == u * d.pair.x + (1 - u) * d.pair.y
+    # gsr's pairs are (1/2, 0) and (1, 1/2), so v = u / 2 or (1 + u) / 2
+    u, v = ConjugateCoupling(gsr()).draw_batch(200, rng)
+    assert u.shape == v.shape == (200,)
+    assert np.all((0.0 <= u) & (u < 1.0))
+    half = v == u / 2
+    assert np.all(half | (v == 0.5 + u / 2))
+    assert 0 < half.sum() < 200
 
 
 def test_identity_coupling_gives_v_equal_u(rng):
-    sampler = ConjugateCoupling(IDENTITY)
-    for _ in range(50):
-        d = sampler.draw(rng)
-        assert d.v == F(d.u)
+    u, v = ConjugateCoupling(IDENTITY).draw_batch(50, rng)
+    assert np.array_equal(v, u)
 
 
-def test_inverse_coupling_swaps_coordinates(rng):
+def test_inverse_coupling_swaps_coordinates():
     fwd = ConjugateCoupling(gsr())
     inv = InverseConjugateCoupling(gsr())
     assert inv.measure == fwd.measure
-    for _ in range(200):
-        d = inv.draw(rng)
-        assert d.tie_coord == "u"
-        if not d.pair.is_diffuse:
-            v = F(d.v)
-            assert d.u == v * d.pair.x + (1 - v) * d.pair.y
+    u, v = inv.draw_batch((20, 10), make_rng(17))
+    fu, fv = fwd.draw_batch((20, 10), make_rng(17))
+    assert np.array_equal(u, fv) and np.array_equal(v, fu)
 
 
 def test_deterministic_coupling_applies_map(rng):
     smap = shuffle_map_from_measure(gsr())
-    sampler = DeterministicCoupling(smap)
-    for _ in range(100):
-        d = sampler.draw(rng)
-        assert d.pair is None
-        assert d.v == smap(F(d.u))
+    u, v = DeterministicCoupling(smap).draw_batch(100, rng)
+    assert np.array_equal(v, smap.eval_batch(u))
 
 
 def test_grid_copula_validation():
@@ -229,10 +214,9 @@ def test_grid_copula_respects_cells(rng):
     h = F(1, 6)
     grid = [[h, h, F(0)], [F(0), h, h], [h, F(0), h]]
     sampler = GridCopulaCoupling(grid)
+    u, v = sampler.draw_batch(3000, rng)
     counts = np.zeros((3, 3))
-    for _ in range(3000):
-        d = sampler.draw(rng)
-        counts[min(int(d.u * 3), 2), min(int(d.v * 3), 2)] += 1
+    np.add.at(counts, (np.minimum((u * 3).astype(int), 2), np.minimum((v * 3).astype(int), 2)), 1)
     assert counts[0, 2] == 0 and counts[1, 0] == 0 and counts[2, 1] == 0
     assert abs(counts[0, 0] / 3000 - 1 / 6) < 0.04
 
@@ -245,9 +229,10 @@ def test_mixture_coupling_validation_and_draws(rng):
     mix = MixtureCoupling(
         ((F(1, 2), ConjugateCoupling(IDENTITY)), (F(1, 2), DeterministicCoupling(shuffle_map_from_measure(REVERSAL))))
     )
-    for _ in range(50):
-        d = mix.draw(rng)
-        assert d.v == F(d.u) or d.v == 1 - F(d.u)
+    u, v = mix.draw_batch(50, rng)
+    same = v == u
+    assert np.all(same | (v == 1 - u))
+    assert 0 < same.sum() < 50
 
 
 def test_coupling_marginals_uniform():
@@ -269,88 +254,13 @@ def test_coupling_marginals_uniform():
         assert ks_uniform(v).passed, type(sampler).__name__
 
 
-# -- steps, ties, walks ---------------------------------------------------
-
-
-class ScriptedSampler(CouplingSampler):
-    """Returns canned draws; lets tests hit probability-zero ties."""
-
-    def __init__(self, draws):
-        self.queue = list(draws)
-
-    def draw(self, rng):
-        return self.queue.pop(0)
-
-
-def test_step_records_are_consistent(rng):
-    out = step_permutation(4, ConjugateCoupling(gsr()), rng)
-    assert sorted(c.initial_rank for c in out.cards) == [1, 2, 3, 4]
-    assert sorted(c.final_rank for c in out.cards) == [1, 2, 3, 4]
-    for card in out.cards:
-        assert out.permutation[card.initial_rank - 1] == card.final_rank
+# -- steps and walks ------------------------------------------------------
 
 
 def test_step_identity_and_reversal(rng):
-    for _ in range(10):
-        assert step_permutation(4, ConjugateCoupling(IDENTITY), rng).permutation == (
-            1,
-            2,
-            3,
-            4,
-        )
+    assert np.all(step_batch(4, ConjugateCoupling(IDENTITY), 10, rng) == [1, 2, 3, 4])
     smap = shuffle_map_from_measure(REVERSAL)
-    for _ in range(10):
-        assert step_permutation(3, DeterministicCoupling(smap), rng).permutation == (
-            3,
-            2,
-            1,
-        )
-
-
-def test_cross_gap_tie_resolves_to_rightmost_gap(rng):
-    lowgap = ConjugateSample(F(1, 2), F(0), 0)
-    highgap = ConjugateSample(F(1), F(1, 2), 1)
-    draws = [
-        CouplingDraw(0.9, F(1, 2), lowgap, "v"),
-        CouplingDraw(0.1, F(1, 2), highgap, "v"),
-    ]
-    out = step_permutation(2, ScriptedSampler(draws), rng)
-    # card 2 entered lowest (u = 0.1) and the tie puts it on top
-    assert out.cards[0].initial_rank == 2 and out.cards[0].final_rank == 1
-    assert out.cards[1].initial_rank == 1 and out.cards[1].final_rank == 2
-    assert out.permutation == (2, 1)
-
-
-def test_same_gap_tie_right_atom_preserves_order(rng):
-    pair = ConjugateSample(F(1, 2), F(0), 0)
-    draws = [
-        CouplingDraw(0.25, F(1, 8), pair, "v"),
-        CouplingDraw(0.25, F(1, 8), pair, "v"),
-    ]
-    out = step_permutation(2, ScriptedSampler(draws), rng)
-    assert out.permutation == (1, 2)
-    assert [c.initial_rank for c in out.cards] == [1, 2]
-
-
-def test_same_gap_tie_left_atom_reverses_order(rng):
-    pair = ConjugateSample(F(0), F(1), 0)
-    draws = [
-        CouplingDraw(0.4, F(3, 5), pair, "v"),
-        CouplingDraw(0.4, F(3, 5), pair, "v"),
-    ]
-    out = step_permutation(2, ScriptedSampler(draws), rng)
-    assert out.permutation == (2, 1)
-    assert [c.initial_rank for c in out.cards] == [2, 1]
-    assert [c.final_rank for c in out.cards] == [1, 2]
-
-
-def test_unstructured_tie_asserts(rng):
-    draws = [
-        CouplingDraw(0.3, 0.25, ConjugateSample(0.25, 0.25), "v"),
-        CouplingDraw(0.7, 0.25, ConjugateSample(0.25, 0.25), "v"),
-    ]
-    with pytest.raises(AssertionError):
-        step_permutation(2, ScriptedSampler(draws), rng)
+    assert np.all(step_batch(3, DeterministicCoupling(smap), 10, rng) == [3, 2, 1])
 
 
 def test_step_batch_law_matches_oracle():
@@ -369,11 +279,14 @@ def test_step_batch_law_matches_oracle():
 
 
 def test_scalar_step_law_matches_oracle():
+    # one step per call: the single-row case of step_batch
     rng = make_rng(43)
     exact = exact_step_distribution(a_shuffle(3), 3, "one")
+    sampler = ConjugateCoupling(a_shuffle(3))
     counts = {}
     for _ in range(4000):
-        p = step_permutation(3, ConjugateCoupling(a_shuffle(3)), rng).permutation
+        (row,) = step_batch(3, sampler, 1, rng)
+        p = tuple(int(c) for c in row)
         counts[p] = counts.get(p, 0) + 1
     emp = PermutationDistribution.from_counts(3, counts)
     assert float(tv_distance(emp, exact)) < 0.04
@@ -423,6 +336,15 @@ def test_empirical_mixing_tracks_exact(rng):
     assert len(emp) == 5
     for e, x in zip(emp, exact):
         assert abs(e - float(x)) < 0.05
+
+
+def test_empirical_mixing_rejects_bad_sizes(rng):
+    sampler = ConjugateCoupling(gsr())
+    with pytest.raises(ValueError):
+        empirical_mixing_curve(3, sampler, -1, 100, rng)
+    with pytest.raises(ValueError):
+        empirical_mixing_curve(3, sampler, 2, 0, rng)
+    assert empirical_mixing_curve(3, sampler, 0, 1, rng) == [pytest.approx(5 / 6)]
 
 
 # -- kernel matrices ------------------------------------------------------

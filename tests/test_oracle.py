@@ -5,6 +5,7 @@ from math import comb, factorial
 
 import pytest
 
+from quasishuffle import oracle
 from quasishuffle.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -207,11 +208,14 @@ def test_map_route_needs_onto_pieces():
 def test_exact_caps():
     with pytest.raises(CapExceeded):
         exact_ordering_distribution(gsr(), 7)
+    # the likelihood engine caps n only; nine cells are no obstacle
+    d = exact_ordering_distribution(a_shuffle(9), 3)
+    for p in all_permutations(3):
+        assert d.prob(p) == F(comb(9 + 3 - _rising_sequences(p), 3), 9**3)
+    # the cells^n enumeration keeps its cell cap
     with pytest.raises(CapExceeded):
-        exact_ordering_distribution(a_shuffle(9), 3)
-    # caps are explicit arguments, not hard limits
-    d = exact_ordering_distribution(a_shuffle(9), 2, max_cells=9)
-    assert d.prob((2, 1)) == F(4, 9)
+        oracle._cell_enumeration(a_shuffle(9), 3)
+    assert oracle._cell_enumeration(a_shuffle(9), 3, max_cells=9) == d
 
 
 def test_restriction_marginalizes():
@@ -322,6 +326,12 @@ def test_mixing_curve_identity_is_constant():
 def test_mixing_curve_uniform_after_one_step():
     curve = mixing_curve(lebesgue(), 3, "one", steps=3)
     assert curve == [F(5, 6), F(0), F(0), F(0)]
+
+
+def test_mixing_curve_rejects_negative_steps():
+    with pytest.raises(ValueError):
+        mixing_curve(gsr(), 3, "one", steps=-1)
+    assert mixing_curve(gsr(), 3, "one", steps=0) == [F(5, 6)]
 
 
 @measure_params()

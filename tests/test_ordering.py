@@ -1,6 +1,7 @@
 """Ordering samplers: comparator, exact laws, windows, exchangeability."""
 
 from fractions import Fraction as F
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from quasishuffle.measure import (
     lebesgue,
     mixed_fixture,
     sample_conjugate_batch,
+    sample_conjugate_pair,
 )
 from quasishuffle.ordering import (
     check_labels,
@@ -26,7 +28,6 @@ from quasishuffle.ordering import (
     empirical_positions,
     exchangeability_test,
     ordering_counts,
-    sample_ordering,
     sample_ordering_batch,
 )
 from quasishuffle.oracle import exact_ordering_distribution
@@ -83,53 +84,36 @@ def test_check_labels():
         check_labels([])
 
 
-def test_sample_ordering_fields(rng):
-    out = sample_ordering(gsr(), [2, 5, 9], rng)
-    assert out.labels == (2, 5, 9)
-    assert sorted(out.ranking) == [1, 2, 3]
-    assert len(out.samples) == 3
-    assert out.rank_of(5) == out.ranking[1]
-    assert sorted(out.sorted_labels()) == [2, 5, 9]
-    # lowest-ranked label comes first in sorted_labels
-    assert out.rank_of(out.sorted_labels()[0]) == 1
-
-
 def test_identity_and_reversal_are_deterministic(rng):
-    for _ in range(20):
-        assert sample_ordering(IDENTITY, [1, 2, 3, 4], rng).ranking == (1, 2, 3, 4)
-        assert sample_ordering(REVERSAL, [1, 2, 3, 4], rng).ranking == (4, 3, 2, 1)
-    batch = sample_ordering_batch(REVERSAL, [1, 2, 3], 500, rng)
-    assert np.all(batch == np.array([3, 2, 1]))
+    batch = sample_ordering_batch(IDENTITY, [1, 2, 3, 4], 20, rng)
+    assert np.all(batch == np.array([1, 2, 3, 4]))
+    batch = sample_ordering_batch(REVERSAL, [1, 2, 3, 4], 500, rng)
+    assert np.all(batch == np.array([4, 3, 2, 1]))
 
 
-def test_ranking_agrees_with_pairwise_comparator(rng):
-    for measure in (gsr(), mixed_fixture(), lebesgue()):
-        for _ in range(40):
-            out = sample_ordering(measure, [1, 2, 3, 4, 5], rng)
-            for i in range(5):
-                for j in range(5):
-                    if i == j:
-                        continue
-                    below = compare(out.samples[i], out.samples[j], out.labels[i], out.labels[j])
-                    assert below == (out.ranking[i] < out.ranking[j])
+def _assert_ranks_follow_comparator(measure, labels, rows, seed):
+    """With equal seeds, the batch ranks order every pair of labels as
+    `compare` orders their conjugate pairs."""
+    ranks = sample_ordering_batch(measure, labels, rows, make_rng(seed))
+    pairs = sample_conjugate_batch(measure, (rows, len(labels)), make_rng(seed))
+    for r in range(rows):
+        samples = [ConjugateSample(x, y) for x, y in zip(pairs.x[r], pairs.y[r])]
+        for i in range(len(labels)):
+            for j in range(len(labels)):
+                if i != j:
+                    below = compare(samples[i], samples[j], labels[i], labels[j])
+                    assert below == (ranks[r, i] < ranks[r, j])
+
+
+def test_ranking_agrees_with_pairwise_comparator():
+    for seed, measure in enumerate((gsr(), mixed_fixture(), lebesgue(), REVERSAL)):
+        _assert_ranks_follow_comparator(measure, [1, 2, 3, 4, 5], 40, seed)
 
 
 @given(measure_strategy())
 @settings(max_examples=25, deadline=None)
 def test_ranking_agrees_with_comparator_random_measure(measure):
-    rng = make_rng(99)
-    out = sample_ordering(measure, [1, 2, 3, 4], rng)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            below = compare(out.samples[i], out.samples[j], out.labels[i], out.labels[j])
-            assert below == (out.ranking[i] < out.ranking[j])
-
-
-def test_scalar_law_gsr_two_labels(rng):
-    hits = sum(
-        sample_ordering(gsr(), [1, 2], rng).ranking == (2, 1) for _ in range(4000)
-    )
-    assert abs(hits / 4000 - 0.25) < 0.03
+    _assert_ranks_follow_comparator(measure, [-3, 0, 2, 9], 1, 99)
 
 
 def test_batch_law_matches_oracle_gsr(rng):
@@ -149,14 +133,28 @@ def test_batch_law_uniform_lebesgue(rng):
     assert chi_square_goodness(counts, expected, alpha=0.001).passed
 
 
+def _comparator_ranking(measure, labels, rng):
+    """One ordering the paper's way: a scalar pair per label, sorted by
+    `compare`."""
+    samples = [sample_conjugate_pair(measure, rng) for _ in labels]
+    below = cmp_to_key(
+        lambda i, j: -1 if compare(samples[i], samples[j], labels[i], labels[j]) else 1
+    )
+    ranking = [0] * len(labels)
+    for rank, i in enumerate(sorted(range(len(labels)), key=below), start=1):
+        ranking[i] = rank
+    return tuple(ranking)
+
+
 @measure_params()
 def test_batch_and_scalar_same_law(measure):
-    """Scalar and vectorized samplers draw from the same distribution."""
+    """The batch sampler and a comparator sort of scalar pairs draw from the
+    same distribution."""
     rng = make_rng(5)
     exact = exact_ordering_distribution(measure, 3)
     scalar = {}
     for _ in range(3000):
-        p = sample_ordering(measure, [1, 2, 3], rng).ranking
+        p = _comparator_ranking(measure, [1, 2, 3], rng)
         scalar[p] = scalar.get(p, 0) + 1
     batch = ordering_counts(measure, [1, 2, 3], 3000, rng)
     assert float(empirical_tv(scalar, exact)) < 0.04
@@ -172,10 +170,6 @@ def test_relabelling_invariance(rng):
 
 def test_mixture_components_stay_whole(rng):
     mix = MeasureMixture(((F(1, 2), IDENTITY), (F(1, 2), REVERSAL)))
-    seen = set()
-    for _ in range(60):
-        seen.add(sample_ordering(mix, [1, 2, 3, 4], rng).ranking)
-    assert seen == {(1, 2, 3, 4), (4, 3, 2, 1)}
     batch = sample_ordering_batch(mix, [1, 2, 3, 4], 4000, rng)
     ident = np.all(batch == [1, 2, 3, 4], axis=1)
     rever = np.all(batch == [4, 3, 2, 1], axis=1)
