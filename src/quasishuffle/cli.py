@@ -74,6 +74,13 @@ def _sampler_from_args(args) -> object:
     raise ValueError("need --sampler or --measure")
 
 
+def _count(value: int, option: str) -> int:
+    """A count option's value; a negative one is an error that names it."""
+    if value < 0:
+        raise ValueError(f"{option} = {value} is negative")
+    return value
+
+
 def _histogram_lines(hist: dict[str, int]) -> list[str]:
     return [f"# {key},{count}" for key, count in hist.items()]
 
@@ -111,7 +118,7 @@ def cmd_sample_order(args) -> int:
         else tuple(range(1, args.n + 1))
     )
     rng = np.random.default_rng(args.seed)
-    rows = sample_ordering_batch(source, labels, args.samples, rng)
+    rows = sample_ordering_batch(source, labels, _count(args.samples, "samples"), rng)
     lines, hist = _rows_and_histogram(rows)
     if args.format == "json":
         _write(
@@ -134,7 +141,7 @@ def cmd_sample_order(args) -> int:
 def cmd_step(args) -> int:
     sampler = _sampler_from_args(args)
     rng = np.random.default_rng(args.seed)
-    rows = step_batch(args.n, sampler, args.samples, rng)
+    rows = step_batch(args.n, sampler, _count(args.samples, "samples"), rng)
     lines, hist = _rows_and_histogram(rows)
     if args.format == "json":
         _write(

@@ -34,7 +34,14 @@ from .measure import (
     source_from_json,
 )
 from . import oracle as _oracle
-from .permutations import Perm, compose, count_rows, identity, is_permutation, row_histogram
+from .permutations import (
+    Perm,
+    _encoded_counts,
+    compose,
+    identity,
+    is_permutation,
+    row_histogram,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -196,9 +203,7 @@ class ConjugateCoupling(CouplingSampler):
 
     def draw_batch(self, shape, rng: np.random.Generator):
         u = rng.random(shape)
-        batch = sample_conjugate_batch(self.measure, shape, rng)
-        v = batch.y + u * (batch.x - batch.y)
-        return u, v
+        return u, sample_conjugate_batch(self.measure, shape, rng).interpolate(u)
 
 
 class InverseConjugateCoupling(CouplingSampler):
@@ -303,18 +308,20 @@ def step_batch(
 ) -> np.ndarray:
     """Vectorized steps; returns (size, n) permutation rows.
 
-    Floating-point ties (probability ~2^-52 each) resolve by card order.
+    Row r maps each card's u-rank to its v-rank (1-based).  Floating-point
+    ties (probability ~2^-52 each) resolve by card order.
     """
     if n < 1:
         raise ValueError("need at least one card")
+    if size < 0:
+        raise ValueError(f"size = {size} is negative")
     u, v = sampler.draw_batch((size, n), rng)
     order_u = np.argsort(u, axis=1, kind="stable")
-    ranks_u = np.argsort(order_u, axis=1, kind="stable")
     order_v = np.argsort(v, axis=1, kind="stable")
-    ranks_v = np.argsort(order_v, axis=1, kind="stable")
-    sigma = np.empty((size, n), dtype=np.int64)
-    np.put_along_axis(sigma, ranks_u, ranks_v + 1, axis=1)
-    return sigma
+    # invert the v order by one scatter, then read the v-ranks in u order
+    ranks_v = np.empty_like(order_v)
+    np.put_along_axis(ranks_v, order_v, np.arange(1, n + 1), axis=1)
+    return np.take_along_axis(ranks_v, order_u, axis=1)
 
 
 def empirical_step_counts(
@@ -341,6 +348,8 @@ def walk(
 
     The steps sigma_h are the rows of one `step_batch` call.
     """
+    if steps < 0:
+        raise ValueError(f"steps = {steps} is negative")
     state = tuple(start) if start is not None else identity(n)
     if not is_permutation(state) or len(state) != n:
         raise ValueError(f"start {start} is not a permutation of 1..{n}")
@@ -367,7 +376,7 @@ def empirical_mixing_curve(
     state = np.tile(np.arange(1, n + 1, dtype=np.int64), (trials, 1))
 
     def tv_now() -> float:
-        _, counts = count_rows(state)
+        _, counts, _ = _encoded_counts(state)  # counts only: no decoding
         emp = counts / trials
         # permutations never seen each contribute uniform_mass to the L1 sum
         l1 = float(np.abs(emp - uniform_mass).sum()) + (factorial(n) - len(counts)) * uniform_mass

@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -352,6 +352,7 @@ class _BatchTables:
     edges: np.ndarray  # cell boundaries, float64: each cell's lo, then 1.0
     cell_x: np.ndarray  # atom position (atoms) / nan (diffuse)
     cell_y: np.ndarray
+    cell_span: np.ndarray  # x - y (atoms) / 0 (diffuse)
     cell_lo: np.ndarray  # cell interval, float64
     cell_inv_len: np.ndarray  # 1 / (hi - lo)
     cell_sign: np.ndarray  # +1 right atom, -1 left atom, 0 diffuse
@@ -371,23 +372,55 @@ def _batch_tables(measure: QuasiUniformMeasure) -> _BatchTables:
         [0 if c.kind == "diffuse" else 1 if c.atom_side == RIGHT else -1 for c in cells],
         dtype=np.int64,
     )
-    return _BatchTables(edges, cell_x, cell_y, cell_lo, cell_inv_len, sign)
+    # float x - y, as a draw's x - y rounds, so y + s * span is bit-identical
+    # to y + s * (x - y); a diffuse draw has x = y
+    span = np.where(sign != 0, cell_x - cell_y, 0.0)
+    return _BatchTables(edges, cell_x, cell_y, span, cell_lo, cell_inv_len, sign)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugateBatch:
     """Vectorized conjugate-pair draws.
+
+    Drawing stores two arrays: `u`, the uniform seed of each draw, and
+    `cell`, its cell rank.  The other fields (`x`, `y`, `rel`, `sign`) are
+    derived from them and the measure's cell tables on first read and then
+    kept, so a caller pays only for the fields it reads; `interpolate` gives
+    y + s * (x - y) without building `x`.
 
     The float cell lookup may misclassify a draw within one ulp of a cell
     boundary (probability ~2^-52 per draw); `sample_conjugate_pair` draws
     one pair with exact gap endpoints.
     """
 
+    u: np.ndarray  # uniform seed per draw
     cell: np.ndarray  # cell rank per draw
-    x: np.ndarray  # float marginal draw of the measure
-    y: np.ndarray  # float marginal draw of the conjugate
-    rel: np.ndarray  # relative position inside the cell, [0, 1)
-    sign: np.ndarray  # +1 right atom, -1 left atom, 0 diffuse
+    tables: _BatchTables = field(repr=False)
+
+    @cached_property
+    def sign(self) -> np.ndarray:
+        """+1 right atom, -1 left atom, 0 diffuse."""
+        return self.tables.cell_sign[self.cell]
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """Float marginal draw of the measure."""
+        return np.where(self.sign != 0, self.tables.cell_x[self.cell], self.u)
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        """Float marginal draw of the conjugate."""
+        return np.where(self.sign != 0, self.tables.cell_y[self.cell], self.u)
+
+    @cached_property
+    def rel(self) -> np.ndarray:
+        """Relative position inside the cell, [0, 1)."""
+        t = self.tables
+        return (self.u - t.cell_lo[self.cell]) * t.cell_inv_len[self.cell]
+
+    def interpolate(self, s: np.ndarray) -> np.ndarray:
+        """y + s * (x - y) per draw, through the per-cell x - y table."""
+        return self.y + s * self.tables.cell_span[self.cell]
 
 
 def sample_conjugate_batch(
@@ -395,14 +428,10 @@ def sample_conjugate_batch(
 ) -> ConjugateBatch:
     t = _batch_tables(measure)
     u = rng.random(shape)
-    cell = np.searchsorted(t.edges, u, side="right") - 1
-    np.clip(cell, 0, len(t.cell_lo) - 1, out=cell)
-    sign = t.cell_sign[cell]
-    atom = sign != 0
-    rel = (u - t.cell_lo[cell]) * t.cell_inv_len[cell]
-    x = np.where(atom, t.cell_x[cell], u)
-    y = np.where(atom, t.cell_y[cell], u)
-    return ConjugateBatch(cell, x, y, rel, sign)
+    # edges[0] = 0 <= u < 1 = edges[-1], so every cell lies in 0..cells-1
+    cell = np.searchsorted(t.edges, u, side="right")
+    cell -= 1
+    return ConjugateBatch(u, cell, t)
 
 
 # -- candidate measures and the quasi-uniform predicate --------------------

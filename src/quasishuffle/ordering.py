@@ -100,6 +100,8 @@ def sample_ordering_batch(
     """
     labels = check_labels(labels)
     n = len(labels)
+    if size < 0:
+        raise ValueError(f"size = {size} is negative")
     if isinstance(source, MeasureMixture):
         weights = np.array([float(w) for w, _ in source.components])
         weights = weights / weights.sum()
@@ -113,12 +115,18 @@ def sample_ordering_batch(
         return out
     batch = sample_conjugate_batch(source, (size, n), rng)
     asc = (np.arange(n) + 1.0) / (n + 2.0)
-    within = np.where(
-        batch.sign == 0, batch.rel, np.where(batch.sign > 0, asc, 1.0 - asc)
-    )
-    key = batch.cell.astype(np.float64) + within
+    # key = cell rank + position inside the cell: label order at an atom,
+    # the relative position in a diffuse cell (read only if one was hit)
+    key = np.where(batch.sign > 0, asc, 1.0 - asc)
+    diffuse = batch.sign == 0
+    if diffuse.any():
+        np.copyto(key, batch.rel, where=diffuse)
+    key += batch.cell
     order = np.argsort(key, axis=1, kind="stable")
-    return np.argsort(order, axis=1, kind="stable") + 1
+    # a label's rank is its position in the key order: invert it by scatter
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(1, n + 1), axis=1)
+    return ranks
 
 
 def ordering_counts(

@@ -8,7 +8,7 @@ ordering, p[i] is the rank (1 = lowest) of the i-th label.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,22 +60,35 @@ def perm_from_str(text: str) -> Perm:
 
 
 def count_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-D integer array in lexicographic order, with counts.
+    """Distinct rows of a 2-D integer array in lexicographic order, with counts."""
+    rows = np.asarray(rows)
+    keys, counts, base = _encoded_counts(rows)
+    if base is None:
+        return keys, counts
+    return keys[:, None] // _digit_weights(base, rows.shape[1]) % base, counts
+
+
+def _digit_weights(base: int, n: int) -> np.ndarray:
+    return base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _encoded_counts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
+    """Distinct keys of the rows in row order, their counts, and the code base.
 
     When the entries are non-negative and every row fits one int64 code
     (the entries as digits in base max + 1, most significant first, so code
-    order is row order), the codes are counted with a flat `np.unique`,
-    much faster than a row-wise one.  Wider rows, such as permutations of
-    more than 15 cards, fall back to `np.unique(axis=0)`.
+    order is row order), the keys are the codes, counted with a flat
+    `np.unique`, much faster than a row-wise one.  Wider rows, such as
+    permutations of more than 15 cards, fall back to `np.unique(axis=0)`:
+    the keys are the rows themselves and the base is None.
     """
     rows = np.asarray(rows)
     n = rows.shape[1]
     base = int(rows.max(initial=0)) + 1
     if rows.min(initial=0) < 0 or base**n > np.iinfo(np.int64).max:
-        return np.unique(rows, axis=0, return_counts=True)
-    weights = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes, counts = np.unique(rows @ weights, return_counts=True)
-    return codes[:, None] // weights % base, counts
+        return (*np.unique(rows, axis=0, return_counts=True), None)
+    codes, counts = np.unique(rows @ _digit_weights(base, n), return_counts=True)
+    return codes, counts, base
 
 
 def row_histogram(batches: Iterable[np.ndarray]) -> dict[Perm, int]:

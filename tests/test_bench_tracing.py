@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import quasishuffle
 import quasishuffle.cli
 
@@ -36,3 +38,19 @@ def test_traced_caches_exist():
     finally:
         recorder.uninstall()
     assert not hasattr(quasishuffle.ordering.sample_ordering_batch, "__wrapped__")
+
+
+def test_step_batch_trace_keeps_the_sampling_layer():
+    """One traced step_batch call counts its draws and nests the batch draw."""
+    tracing = load_tracing()
+    recorder = tracing.Recorder(quasishuffle)
+    recorder.install()
+    try:
+        sampler = quasishuffle.kernels.ConjugateCoupling(quasishuffle.measure.gsr())
+        quasishuffle.kernels.step_batch(8, sampler, 100, np.random.default_rng(1))
+    finally:
+        recorder.uninstall()
+    assert recorder.counts["measure.draws"] == 800
+    names = [name for name, _, _, _ in recorder.spans]
+    assert names == ["kernels.step_batch", "measure.sample_conjugate_batch"]
+    assert recorder.spans[1][3] == 0  # its parent is the step_batch span

@@ -433,3 +433,18 @@ def test_step_rejects_zero_cards(capsys):
     code, out, err = run(capsys, "step", "--measure", "gsr", "--n", "0", "--samples", "3", "--seed", "1")
     assert code == 2 and out == ""
     assert err == "error: need at least one card\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("step", "--measure", "gsr", "--n", "3", "--samples", "-1"), "samples = -1 is negative"),
+        (("sample-order", "--measure", "gsr", "--n", "3", "--samples", "-1"), "samples = -1 is negative"),
+        (("walk", "--sampler", "nu_mu:gsr", "--n", "3", "--steps", "-1"), "steps = -1 is negative"),
+    ],
+    ids=["step", "sample-order", "walk"],
+)
+def test_negative_counts_name_the_option(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

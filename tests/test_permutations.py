@@ -86,3 +86,21 @@ def test_empirical_mixing_curve_wide_rows(n):
         l1 = sum(abs(c / trials - u) for c in counts.values()) + (factorial(n) - len(counts)) * u
         want.append(l1 / 2)
     assert curve == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_empirical_mixing_curve_counts_without_decoding(n):
+    """The curve reads the row counts alone; decoded rows give the same floats."""
+    sampler, steps, trials = ConjugateCoupling(gsr()), 3, 3000
+    curve = empirical_mixing_curve(n, sampler, steps, trials, make_rng(n))
+    rng = make_rng(n)
+    state = np.tile(np.arange(1, n + 1, dtype=np.int64), (trials, 1))
+    u = 1.0 / factorial(n)
+    want = []
+    for h in range(steps + 1):
+        if h:
+            state = np.take_along_axis(step_batch(n, sampler, trials, rng), state - 1, axis=1)
+        _, counts = count_rows(state)
+        l1 = float(np.abs(counts / trials - u).sum()) + (factorial(n) - len(counts)) * u
+        want.append(l1 / 2.0)
+    assert curve == want

@@ -3,7 +3,13 @@
 from fractions import Fraction as F
 
 from quasishuffle import oracle
-from quasishuffle.measure import MeasureMixture, gsr, interior_atom_fixture, lebesgue
+from quasishuffle.measure import (
+    MeasureMixture,
+    a_shuffle,
+    gsr,
+    interior_atom_fixture,
+    lebesgue,
+)
 from quasishuffle.verify import run_property_suite
 
 
@@ -68,3 +74,16 @@ def test_dp_check_fails_on_a_wrong_law(monkeypatch):
     report = run_property_suite(gsr(), seed=5, n=4, samples=20000, label="gsr")
     failed = {c.name for c in report.checks if not c.passed}
     assert "likelihood-dp-vs-enumeration" in failed
+
+
+def test_enumeration_check_not_run_above_cell_cap():
+    """Nine cells are above the enumeration cap; every other check still runs."""
+    report = run_property_suite(a_shuffle(9), seed=5, n=3, samples=20000, label="a9")
+    by_name = {c.name: c for c in report.checks}
+    skipped = by_name.pop("likelihood-dp-vs-enumeration")
+    assert skipped.passed is None
+    assert skipped.detail == f"not run: 9 cells above exact cap {oracle.DEFAULT_MAX_CELLS}"
+    assert skipped.to_json()["passed"] is None
+    assert all(c.passed for c in by_name.values())
+    assert {"route-equivalence-exact", "restriction-consistent"} <= set(by_name)
+    assert report.passed and report.to_json()["passed"] is True
