@@ -40,7 +40,6 @@ from .measure import (
     interior_atom_fixture,
     is_quasi_uniform,
     lebesgue,
-    locate_sample,
     mixed_fixture,
     parse_measure,
     resolve_source,

@@ -61,16 +61,18 @@ def _measure_only(text: str):
     return source
 
 
+# the coupling of a plain measure that `--type one|two` selects
+_COUPLINGS = {"one": ConjugateCoupling, "two": InverseConjugateCoupling}
+
+
 def _sampler_from_args(args) -> object:
-    if getattr(args, "sampler", None):
+    if args.sampler:
         return resolve_sampler(args.sampler)
-    if getattr(args, "measure", None):
+    if args.measure:
         source = _measure_only(args.measure)
         if isinstance(source, MeasureMixture):
             raise ValueError("build mixture samplers with --sampler JSON")
-        kind = getattr(args, "type", "one") or "one"
-        cls = ConjugateCoupling if kind == "one" else InverseConjugateCoupling
-        return cls(source)
+        return _COUPLINGS[args.type](source)
     raise ValueError("need --sampler or --measure")
 
 
@@ -197,10 +199,9 @@ def cmd_mixing(args) -> int:
             raise ValueError("mc mode needs --seed")
         if isinstance(source, MeasureMixture):
             raise ValueError("mc mixing runs on a plain measure")
-        cls = ConjugateCoupling if args.type == "one" else InverseConjugateCoupling
         rng = np.random.default_rng(args.seed)
         empirical = empirical_mixing_curve(
-            args.n, cls(source), args.steps, args.samples, rng
+            args.n, _COUPLINGS[args.type](source), args.steps, args.samples, rng
         )
     if args.format == "json":
         obj = {"n": args.n, "type": args.type}

@@ -21,15 +21,16 @@ import numpy as np
 from .errors import (
     ExactUnavailable,
     InvalidGridMatrix,
-    InvalidMixture,
     InvalidShuffleMap,
     NotPurelyAtomic,
 )
 from .measure import (
     QuasiUniformMeasure,
     RationalLike,
+    _checked_weights,
+    _component_draws,
     as_fraction,
-    parse_measure,
+    resolve_source,
     sample_conjugate_batch,
     source_from_json,
 )
@@ -275,28 +276,13 @@ class MixtureCoupling(CouplingSampler):
     """Finite mixture of couplings; the component is drawn per pair."""
 
     def __init__(self, components: Sequence[tuple[RationalLike, CouplingSampler]]):
-        comps = []
-        for weight, sampler in components:
-            weight = as_fraction(weight, "mixture weight")
-            if weight <= 0:
-                raise InvalidMixture(f"weight {weight} must be positive")
-            comps.append((weight, sampler))
-        if sum((w for w, _ in comps), _ZERO) != 1:
-            raise InvalidMixture("weights must sum to 1")
-        self.components = tuple(comps)
+        self.components = _checked_weights(components)
 
     def draw_batch(self, shape, rng: np.random.Generator):
-        weights = np.array([float(w) for w, _ in self.components])
-        which = rng.choice(len(weights), size=shape, p=weights / weights.sum())
         u = np.empty(shape)
         v = np.empty(shape)
-        for ci, (_, sampler) in enumerate(self.components):
-            mask = which == ci
-            count = int(mask.sum())
-            if count:
-                cu, cv = sampler.draw_batch(count, rng)
-                u[mask] = cu
-                v[mask] = cv
+        for sampler, mask in _component_draws(self.components, shape, rng):
+            u[mask], v[mask] = sampler.draw_batch(int(mask.sum()), rng)
         return u, v
 
 
@@ -428,7 +414,7 @@ def kernel_matrix(
 
 
 def _measure_argument(obj) -> QuasiUniformMeasure:
-    m = parse_measure(obj) if isinstance(obj, str) else source_from_json(obj)
+    m = resolve_source(obj) if isinstance(obj, str) else source_from_json(obj)
     if not isinstance(m, QuasiUniformMeasure):
         raise ValueError("coupling samplers take a plain measure, not a candidate or mixture")
     return m

@@ -303,10 +303,6 @@ class CellDecomposition:
     def __len__(self):
         return len(self.cells)
 
-    @property
-    def atom_cell_of_gap(self) -> dict:
-        return {c.gap_index: i for i, c in enumerate(self.cells) if c.kind == "atom"}
-
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def cell_decomposition(measure: QuasiUniformMeasure) -> CellDecomposition:
@@ -330,18 +326,6 @@ def cell_decomposition(measure: QuasiUniformMeasure) -> CellDecomposition:
     total = sum((c.mass for c in cells), _ZERO)
     assert total == 1, f"cell masses sum to {total}"
     return CellDecomposition(tuple(cells))
-
-
-def locate_sample(measure: QuasiUniformMeasure, sample: ConjugateSample) -> tuple[int, float]:
-    """Map a scalar sample to (cell rank, relative position within the cell)."""
-    cells = cell_decomposition(measure).cells
-    if sample.gap_index is not None:
-        return cell_decomposition(measure).atom_cell_of_gap[sample.gap_index], 0.5
-    u = sample.x
-    for i, c in enumerate(cells):
-        if c.kind == "diffuse" and c.lo <= u <= c.hi:
-            return i, float((Fraction(u) - c.lo) / (c.hi - c.lo))
-    raise ValueError(f"diffuse value {u} lies in no density-one segment")
 
 
 # -- vectorized sampling tables -------------------------------------------
@@ -552,6 +536,35 @@ def is_quasi_uniform(cand: Union[CandidateMeasure, QuasiUniformMeasure]) -> bool
 # -- mixtures --------------------------------------------------------------
 
 
+def _checked_weights(components) -> tuple:
+    """Mixture components as (Fraction weight, component); the weights must
+    be positive and sum to one."""
+    comps = []
+    for weight, component in components:
+        weight = as_fraction(weight, "mixture weight")
+        if weight <= 0:
+            raise InvalidMixture(f"weight {weight} must be positive")
+        comps.append((weight, component))
+    total = sum((w for w, _ in comps), _ZERO)
+    if total != 1:
+        raise InvalidMixture(f"weights sum to {total}, expected 1")
+    return tuple(comps)
+
+
+def _component_draws(components, shape, rng: np.random.Generator):
+    """Draw one component per entry of `shape` from (weight, component) pairs.
+
+    Yields (component, mask) for each component drawn, in component order;
+    the caller draws that component's entries before taking the next.
+    """
+    weights = np.array([float(w) for w, _ in components])
+    which = rng.choice(len(weights), size=shape, p=weights / weights.sum())
+    for ci, (_, component) in enumerate(components):
+        mask = which == ci
+        if mask.any():
+            yield component, mask
+
+
 @dataclass(frozen=True)
 class MeasureMixture:
     """Finite mixture of quasi-uniform measures with exact rational weights.
@@ -562,25 +575,8 @@ class MeasureMixture:
     components: tuple[tuple[Fraction, QuasiUniformMeasure], ...]
 
     def __post_init__(self):
-        comps = []
-        for weight, m in self.components:
-            weight = as_fraction(weight, "mixture weight")
-            if weight <= 0:
-                raise InvalidMixture(f"weight {weight} must be positive")
-            comps.append((weight, validate(m)))
-        total = sum((w for w, _ in comps), _ZERO)
-        if total != 1:
-            raise InvalidMixture(f"weights sum to {total}, expected 1")
-        object.__setattr__(self, "components", tuple(comps))
-
-    def sample_component(self, rng: np.random.Generator) -> QuasiUniformMeasure:
-        u = rng.random()
-        acc = 0.0
-        for weight, m in self.components:
-            acc += float(weight)
-            if u < acc:
-                return m
-        return self.components[-1][1]
+        comps = _checked_weights(self.components)
+        object.__setattr__(self, "components", tuple((w, validate(m)) for w, m in comps))
 
     def to_json(self) -> dict:
         return {

@@ -21,10 +21,9 @@ from .measure import (
     ConjugateSample,
     MeasureMixture,
     QuasiUniformMeasure,
+    _component_draws,
     cell_decomposition,
-    locate_sample,
     sample_conjugate_batch,
-    sample_conjugate_pair,
 )
 from .permutations import Perm, row_histogram
 from . import stats as _stats
@@ -75,14 +74,6 @@ def compare(
     return False
 
 
-def _resolve_component(
-    source: OrderingSource, rng: np.random.Generator
-) -> QuasiUniformMeasure:
-    if isinstance(source, MeasureMixture):
-        return source.sample_component(rng)
-    return source
-
-
 def sample_ordering_batch(
     source: OrderingSource,
     labels: Sequence[int],
@@ -103,15 +94,9 @@ def sample_ordering_batch(
     if size < 0:
         raise ValueError(f"size = {size} is negative")
     if isinstance(source, MeasureMixture):
-        weights = np.array([float(w) for w, _ in source.components])
-        weights = weights / weights.sum()
-        which = rng.choice(len(weights), size=size, p=weights)
         out = np.empty((size, n), dtype=np.int64)
-        for ci, (_, m) in enumerate(source.components):
-            mask = which == ci
-            count = int(mask.sum())
-            if count:
-                out[mask] = sample_ordering_batch(m, labels, count, rng)
+        for m, mask in _component_draws(source.components, size, rng):
+            out[mask] = sample_ordering_batch(m, labels, int(mask.sum()), rng)
         return out
     batch = sample_conjugate_batch(source, (size, n), rng)
     asc = (np.arange(n) + 1.0) / (n + 2.0)
@@ -173,32 +158,29 @@ def empirical_positions(
         raise WindowTooSmall(
             f"window [-{n_half}, {n_half}] does not contain label {target_label}"
         )
-    measure = _resolve_component(source, rng)
-    target = sample_conjugate_pair(measure, rng)
-    cell_t, rel_t = locate_sample(measure, target)
-    cells = cell_decomposition(measure).cells
-    sign_t = 0
-    if target.gap_index is not None:
-        sign_t = 1 if cells[cell_t].atom_side == "right" else -1
-
-    others = np.arange(-n_half, n_half + 1)
-    others = others[others != target_label]
-    batch = sample_conjugate_batch(measure, others.shape, rng)
-    lower = others < target_label
-    below_cell = batch.cell < cell_t
+    measure = source
+    if isinstance(source, MeasureMixture):
+        measure, _ = next(_component_draws(source.components, 1, rng))
+    labels = np.arange(-n_half, n_half + 1)
+    batch = sample_conjugate_batch(measure, labels.shape, rng)
+    t = target_label + n_half
+    cell_t = batch.cell[t]
+    sign_t = batch.sign[t]
+    below = batch.cell < cell_t
     same_cell = batch.cell == cell_t
+    lower = labels < target_label
+    upper = labels > target_label
     if sign_t == 0:
-        tie_lower = batch.rel < rel_t
-        tie_upper = tie_lower
-    elif sign_t > 0:
-        tie_lower = np.ones_like(lower)
-        tie_upper = np.zeros_like(lower)
+        u_t = float(batch.u[t])
+        target = ConjugateSample(u_t, u_t)
+        below |= same_cell & (batch.rel < batch.rel[t])
     else:
-        tie_lower = np.zeros_like(lower)
-        tie_upper = np.ones_like(lower)
-    below = below_cell | (same_cell & np.where(lower, tie_lower, tie_upper))
+        cell = cell_decomposition(measure).cells[cell_t]
+        target = ConjugateSample(cell.x, cell.y, cell.gap_index)
+        # a right atom keeps label order among its cell's labels, a left one reverses it
+        below |= same_cell & (lower if sign_t > 0 else upper)
     x_hat = float(np.count_nonzero(below & lower)) / n_half
-    y_hat = float(np.count_nonzero(below & ~lower)) / n_half
+    y_hat = float(np.count_nonzero(below & upper)) / n_half
     return EmpiricalPosition(target_label, n_half, x_hat, y_hat, target)
 
 

@@ -372,6 +372,28 @@ def test_unknown_measure_is_usage_error(capsys):
     assert "error:" in err
 
 
+def test_sampler_shorthand_reads_measure_file_and_json(tmp_path, capsys):
+    """`nu_mu:FILE` and `nu_mu:{json}` resolve as `--measure` does."""
+    spec = {"gaps": [{"lo": "1/4", "hi": "1/2", "atom_side": "left"}]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(spec))
+    common = ("--n", "3", "--samples", "20", "--seed", "1")
+    _, expected, _ = run(capsys, "step", "--measure", str(path), *common)
+    for sampler in (f"nu_mu:{path}", "nu_mu:" + json.dumps(spec)):
+        code, out, err = run(capsys, "step", "--sampler", sampler, *common)
+        assert (code, err) == (0, "")
+        assert out == expected
+
+
+def test_sampler_shorthand_rejects_a_mixture(capsys):
+    spec = {"mixture": [{"weight": "1", "measure": "gsr"}]}
+    code, _, err = run(
+        capsys, "step", "--sampler", "nu_mu:" + json.dumps(spec),
+        "--n", "3", "--samples", "2", "--seed", "1",
+    )
+    assert code == 2 and "plain measure" in err
+
+
 def test_mixture_json_measure(capsys):
     spec = json.dumps(
         {

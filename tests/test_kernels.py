@@ -221,6 +221,23 @@ def test_grid_copula_respects_cells(rng):
     assert abs(counts[0, 0] / 3000 - 1 / 6) < 0.04
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [(F(1, 2), F(1, 4)), (F(0), F(1)), (F(-1, 2), F(3, 2)), (F(1, 2),)],
+    ids=["short-sum", "zero", "negative", "one-half"],
+)
+def test_mixture_weight_errors_agree(weights):
+    """Measure and coupling mixtures reject bad weights with one message."""
+    from quasishuffle.errors import InvalidMixture
+    from quasishuffle.measure import MeasureMixture
+
+    with pytest.raises(InvalidMixture) as measure_error:
+        MeasureMixture(tuple((w, gsr()) for w in weights))
+    with pytest.raises(InvalidMixture) as coupling_error:
+        MixtureCoupling(tuple((w, ConjugateCoupling(gsr())) for w in weights))
+    assert str(coupling_error.value) == str(measure_error.value)
+
+
 def test_mixture_coupling_validation_and_draws(rng):
     from quasishuffle.errors import InvalidMixture
 

@@ -216,6 +216,24 @@ def test_empirical_positions_offcenter_target(rng):
     assert abs(est.y_hat - float(est.target.y)) < 0.07
 
 
+def test_empirical_positions_mixture(rng):
+    """One component drives the whole window: the target's pair is a gsr
+    atom pair or a diffuse Lebesgue draw, and the window recovers it."""
+    mix = MeasureMixture(((F(1, 2), gsr()), (F(1, 2), lebesgue())))
+    gsr_pairs = {(F(1, 2), F(0)), (F(1), F(1, 2))}
+    kinds = set()
+    for _ in range(12):
+        est = empirical_positions(mix, 0, 2000, rng)
+        if est.target.is_diffuse:
+            assert est.target.x == est.target.y
+        else:
+            assert (est.target.x, est.target.y) in gsr_pairs
+        kinds.add(est.target.is_diffuse)
+        assert abs(est.x_hat - float(est.target.x)) < 0.06
+        assert abs(est.y_hat - float(est.target.y)) < 0.06
+    assert kinds == {True, False}
+
+
 def test_exchangeability_gsr(rng):
     report = exchangeability_test(gsr(), [1, 2, 3], [5, 40, 1000], 20000, rng)
     assert report.passed
