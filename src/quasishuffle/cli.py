@@ -19,7 +19,6 @@ from .errors import QuasiShuffleError
 from .kernels import (
     empirical_mixing_curve,
     resolve_sampler,
-    sampler_from_json,
     shuffle_map_from_measure,
     step_batch,
     walk,

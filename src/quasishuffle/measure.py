@@ -44,6 +44,9 @@ _ONE = Fraction(1)
 # tables): enough for every measure a run names, bounded for a long-lived
 # process fed many user measures.
 _CACHE_SIZE = 256
+# Draws per block of the batch cell lookup: the block's four 8-byte
+# temporaries (512 KB together) fit in one core's L2 cache.
+_LOOKUP_BLOCK = 1 << 14
 
 
 def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
@@ -333,10 +336,22 @@ def cell_decomposition(measure: QuasiUniformMeasure) -> CellDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class _BatchTables:
+    """Per-cell tables of a measure, for vectorized draws.
+
+    A draw u finds its cell through a guide table (Chen & Asau's indexed
+    search): `guide[b]` is the cell holding b/B for B = len(guide) buckets,
+    and at most `guide_steps` comparisons u >= edges[cell + 1] step it
+    forward.  They are the comparisons a binary search over `edges` makes,
+    so the cell is the one that search finds.
+    """
+
     edges: np.ndarray  # cell boundaries, float64: each cell's lo, then 1.0
-    cell_x: np.ndarray  # atom position (atoms) / nan (diffuse)
+    guide: np.ndarray  # cell holding b/B, per bucket b; B a power of two
+    guide_steps: int  # most edges strictly inside one bucket
+    cell_x: np.ndarray  # atom position (atoms) / 0 (diffuse)
     cell_y: np.ndarray
     cell_span: np.ndarray  # x - y (atoms) / 0 (diffuse)
+    cell_diffuse: np.ndarray  # 0.0 (atoms) / 1.0 (diffuse)
     cell_lo: np.ndarray  # cell interval, float64
     cell_inv_len: np.ndarray  # 1 / (hi - lo)
     cell_sign: np.ndarray  # +1 right atom, -1 left atom, 0 diffuse
@@ -349,8 +364,13 @@ def _batch_tables(measure: QuasiUniformMeasure) -> _BatchTables:
     cells = cell_decomposition(measure).cells
     cell_lo = np.array([float(c.lo) for c in cells])
     edges = np.append(cell_lo, 1.0)
-    cell_x = np.array([float(c.x) if c.kind == "atom" else np.nan for c in cells])
-    cell_y = np.array([float(c.y) if c.kind == "atom" else np.nan for c in cells])
+    # B >= 2 * cells buckets leave most of them without an edge inside
+    buckets = 1 << (2 * len(cells) - 1).bit_length()
+    grid = np.arange(buckets + 1) / buckets
+    guide = np.searchsorted(edges, grid[:-1], side="right") - 1
+    guide_steps = int(np.max(np.searchsorted(edges, grid[1:], side="left") - 1 - guide))
+    cell_x = np.array([float(c.x) if c.kind == "atom" else 0.0 for c in cells])
+    cell_y = np.array([float(c.y) if c.kind == "atom" else 0.0 for c in cells])
     cell_inv_len = np.array([1.0 / float(c.hi - c.lo) for c in cells])
     sign = np.array(
         [0 if c.kind == "diffuse" else 1 if c.atom_side == RIGHT else -1 for c in cells],
@@ -358,8 +378,11 @@ def _batch_tables(measure: QuasiUniformMeasure) -> _BatchTables:
     )
     # float x - y, as a draw's x - y rounds, so y + s * span is bit-identical
     # to y + s * (x - y); a diffuse draw has x = y
-    span = np.where(sign != 0, cell_x - cell_y, 0.0)
-    return _BatchTables(edges, cell_x, cell_y, span, cell_lo, cell_inv_len, sign)
+    span = cell_x - cell_y
+    diffuse = (sign == 0).astype(np.float64)
+    return _BatchTables(
+        edges, guide, guide_steps, cell_x, cell_y, span, diffuse, cell_lo, cell_inv_len, sign
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,8 +390,9 @@ class ConjugateBatch:
     """Vectorized conjugate-pair draws.
 
     Drawing stores two arrays: `u`, the uniform seed of each draw, and
-    `cell`, its cell rank.  The other fields (`x`, `y`, `rel`, `sign`) are
-    derived from them and the measure's cell tables on first read and then
+    `cell`, its cell rank, found through the measure's guide table plus at
+    most `guide_steps` comparisons per draw.  The other fields (`x`, `y`,
+    `rel`, `sign`) are gathered from per-cell tables on first read and then
     kept, so a caller pays only for the fields it reads; `interpolate` gives
     y + s * (x - y) without building `x`.
 
@@ -381,6 +405,13 @@ class ConjugateBatch:
     cell: np.ndarray  # cell rank per draw
     tables: _BatchTables = field(repr=False)
 
+    def _atom_or_u(self, table: np.ndarray) -> np.ndarray:
+        # table + u * diffuse: an atom's table value plus +0.0, or 0 + u in a
+        # diffuse cell; neither sum rounds
+        out = self.u * self.tables.cell_diffuse[self.cell]
+        out += table[self.cell]
+        return out
+
     @cached_property
     def sign(self) -> np.ndarray:
         """+1 right atom, -1 left atom, 0 diffuse."""
@@ -389,12 +420,12 @@ class ConjugateBatch:
     @cached_property
     def x(self) -> np.ndarray:
         """Float marginal draw of the measure."""
-        return np.where(self.sign != 0, self.tables.cell_x[self.cell], self.u)
+        return self._atom_or_u(self.tables.cell_x)
 
     @cached_property
     def y(self) -> np.ndarray:
         """Float marginal draw of the conjugate."""
-        return np.where(self.sign != 0, self.tables.cell_y[self.cell], self.u)
+        return self._atom_or_u(self.tables.cell_y)
 
     @cached_property
     def rel(self) -> np.ndarray:
@@ -412,9 +443,20 @@ def sample_conjugate_batch(
 ) -> ConjugateBatch:
     t = _batch_tables(measure)
     u = rng.random(shape)
-    # edges[0] = 0 <= u < 1 = edges[-1], so every cell lies in 0..cells-1
-    cell = np.searchsorted(t.edges, u, side="right")
-    cell -= 1
+    cell = np.empty(u.shape, dtype=np.intp)
+    hi = t.edges[1:]
+    # in blocks whose temporaries stay in the core's L2 cache: memory shared
+    # with other cores then sees u read once and the cells written once,
+    # whatever the batch size
+    flat_u, flat_cell = u.reshape(-1), cell.reshape(-1)
+    for start in range(0, flat_u.size, _LOOKUP_BLOCK):
+        block = flat_u[start : start + _LOOKUP_BLOCK]
+        # u * B is exact for a power of two B, so the bucket is too; u < 1 =
+        # edges[-1] keeps every step inside 0..cells-1
+        c = t.guide[(block * len(t.guide)).astype(np.intp)]
+        for _ in range(t.guide_steps):
+            c += block >= hi[c]
+        flat_cell[start : start + _LOOKUP_BLOCK] = c
     return ConjugateBatch(u, cell, t)
 
 

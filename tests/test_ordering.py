@@ -15,7 +15,6 @@ from quasishuffle.measure import (
     GapInterval,
     MeasureMixture,
     QuasiUniformMeasure,
-    cell_decomposition,
     gsr,
     lebesgue,
     mixed_fixture,
