@@ -5,7 +5,13 @@ step deals n cards, one coupled pair each: initial positions are the ranks
 of the u's, final positions the ranks of the v's, and the step permutation
 maps initial to final positions (left composition onto the walk state).
 
-Exact ties have probability zero and resolve by card order.
+A conjugate coupling's step is dealt as the measure's random ordering of
+labels 1..n, the card with the k-th smallest u being label k: its cell is
+drawn independently of u, and inside an atom cell v follows the u order
+(reversed at a left atom).  So order inside atom cells is exact, and only
+two draws in one diffuse cell can tie in floating point.  Every other
+coupling ranks its float pairs; ties there (probability ~2^-52 each)
+resolve by card order.
 """
 
 from __future__ import annotations
@@ -35,9 +41,11 @@ from .measure import (
     source_from_json,
 )
 from . import oracle as _oracle
+from .ordering import _key_order
 from .permutations import (
     Perm,
     _encoded_counts,
+    _ranks_of_order,
     compose,
     identity,
     is_permutation,
@@ -294,19 +302,32 @@ def step_batch(
 ) -> np.ndarray:
     """Vectorized steps; returns (size, n) permutation rows.
 
-    Row r maps each card's u-rank to its v-rank (1-based).  Floating-point
-    ties (probability ~2^-52 each) resolve by card order.
+    Row r maps each card's u-rank to its v-rank (1-based).  A conjugate
+    coupling's rows are orderings of the measure, drawn with one uniform and
+    one sort per card (type two is the row inverse of type one); other
+    couplings rank their (u, v) draws.
     """
     if n < 1:
         raise ValueError("need at least one card")
     if size < 0:
         raise ValueError(f"size = {size} is negative")
-    u, v = sampler.draw_batch((size, n), rng)
+    if isinstance(sampler, ConjugateCoupling):
+        return _ranks_of_order(_key_order(sampler.measure, n, size, rng))
+    if isinstance(sampler, InverseConjugateCoupling):
+        order = _key_order(sampler.measure, n, size, rng)
+        order += 1  # the row inverse of the ranks is the key order itself
+        return order
+    return _rank_pairs(*sampler.draw_batch((size, n), rng))
+
+
+def _rank_pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Step rows of dealt (u, v) pairs: each card's u-rank to its v-rank.
+
+    Floating-point ties (probability ~2^-52 each) resolve by card order.
+    """
     order_u = np.argsort(u, axis=1, kind="stable")
-    order_v = np.argsort(v, axis=1, kind="stable")
     # invert the v order by one scatter, then read the v-ranks in u order
-    ranks_v = np.empty_like(order_v)
-    np.put_along_axis(ranks_v, order_v, np.arange(1, n + 1), axis=1)
+    ranks_v = _ranks_of_order(np.argsort(v, axis=1, kind="stable"))
     return np.take_along_axis(ranks_v, order_u, axis=1)
 
 

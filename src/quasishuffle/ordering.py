@@ -25,7 +25,7 @@ from .measure import (
     cell_decomposition,
     sample_conjugate_batch,
 )
-from .permutations import Perm, row_histogram
+from .permutations import Perm, _ranks_of_order, row_histogram
 from . import stats as _stats
 
 OrderingSource = Union[QuasiUniformMeasure, MeasureMixture]
@@ -86,8 +86,9 @@ def sample_ordering_batch(
     cell by its relative position (diffuse cell) or by label order, kept
     at a right atom and reversed at a left atom: the order `compare`
     defines.  For a mixture, one component is drawn per ordering.
-    Floating-point coincidences (probability ~2^-52 per pair) fall back to
-    natural label order instead of raising.
+    Only two draws in one diffuse cell can coincide in floating point
+    (probability ~2^-52 per pair); they fall back to natural label order
+    instead of raising.
     """
     labels = check_labels(labels)
     n = len(labels)
@@ -98,20 +99,33 @@ def sample_ordering_batch(
         for m, mask in _component_draws(source.components, size, rng):
             out[mask] = sample_ordering_batch(m, labels, int(mask.sum()), rng)
         return out
-    batch = sample_conjugate_batch(source, (size, n), rng)
+    # a label's rank is its position in the key order
+    return _ranks_of_order(_key_order(source, n, size, rng))
+
+
+def _key_order(
+    measure: QuasiUniformMeasure, n: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-row argsort of the ordering keys of n labels, (size, n).
+
+    Row r lists the label indices 0..n-1 from the lowest label up.
+    """
+    batch = sample_conjugate_batch(measure, (size, n), rng)
     asc = (np.arange(n) + 1.0) / (n + 2.0)
     # key = cell rank + position inside the cell: label order at an atom,
     # the relative position in a diffuse cell (read only if one was hit)
     key = np.where(batch.sign > 0, asc, 1.0 - asc)
     diffuse = batch.sign == 0
+    # atom keys in a row are pairwise distinct: 1/(n + 2) apart inside a
+    # cell and strictly between cell ranks, far above the float spacing
+    # while (n + 2) * cells < 2^50.  Any sort then returns the stable order,
+    # so the fast one is used unless a diffuse draw was hit
+    kind = None
     if diffuse.any():
         np.copyto(key, batch.rel, where=diffuse)
+        kind = "stable"
     key += batch.cell
-    order = np.argsort(key, axis=1, kind="stable")
-    # a label's rank is its position in the key order: invert it by scatter
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(1, n + 1), axis=1)
-    return ranks
+    return np.argsort(key, axis=1, kind=kind)
 
 
 def ordering_counts(

@@ -59,6 +59,13 @@ def perm_from_str(text: str) -> Perm:
     return p
 
 
+def _ranks_of_order(order: np.ndarray) -> np.ndarray:
+    """1-based rank of each column from a per-row argsort, by one scatter."""
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(1, order.shape[1] + 1), axis=1)
+    return ranks
+
+
 def count_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a 2-D integer array in lexicographic order, with counts."""
     rows = np.asarray(rows)

@@ -25,6 +25,7 @@ from .measure import (
     QuasiUniformMeasure,
     is_quasi_uniform,
 )
+from .permutations import Perm, row_histogram
 
 
 @dataclass
@@ -69,6 +70,26 @@ def _tv_check(name: str, counts, law, samples: int, unit: str) -> CheckResult:
     bound = max(3.0 * math.sqrt(len(law.probs) / samples), 50.0 / samples)
     return CheckResult(
         name, tv < bound, f"TV = {tv:.5f} over {samples} {unit} (bound {bound:.5f})"
+    )
+
+
+def _pair_step_counts(
+    n: int,
+    sampler: kernels.CouplingSampler,
+    samples: int,
+    rng: np.random.Generator,
+) -> dict[Perm, int]:
+    """Step histogram ranked from the coupling's own (u, v) draws.
+
+    `step_batch` deals a conjugate step as the measure's ordering; ranking
+    the coupling's pairs instead keeps this check independent of that route
+    and tests the draw that mixture steps use.  The chunks are those of
+    `empirical_step_counts`.
+    """
+    chunk = 1_000_000
+    return row_histogram(
+        kernels._rank_pairs(*sampler.draw_batch((min(chunk, samples - start), n), rng))
+        for start in range(0, samples, chunk)
     )
 
 
@@ -142,9 +163,7 @@ def _verify_measure(
     report.checks.append(
         _tv_check("ordering-sampler-vs-oracle", counts, exact, samples, "draws")
     )
-    step_counts = kernels.empirical_step_counts(
-        n, kernels.ConjugateCoupling(measure), samples, rng
-    )
+    step_counts = _pair_step_counts(n, kernels.ConjugateCoupling(measure), samples, rng)
     report.checks.append(
         _tv_check("step-sampler-vs-oracle", step_counts, exact, samples, "steps")
     )
@@ -174,7 +193,7 @@ def _verify_measure(
             CheckResult("route-equivalence-exact", agree, "coupling route vs cell route")
         )
     else:
-        inv_counts = kernels.empirical_step_counts(
+        inv_counts = _pair_step_counts(
             n, kernels.InverseConjugateCoupling(measure), samples, rng
         )
         report.checks.append(

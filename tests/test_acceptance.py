@@ -8,7 +8,6 @@ any failure indicates a real defect rather than sampling noise.
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 
 from quasishuffle.errors import InvalidGridMatrix
 from quasishuffle.kernels import (

@@ -2,7 +2,10 @@
 
 The references build every conjugate-pair field at draw time and rank by
 argsorting each argsort, as the samplers once did.  The samplers must give
-the same arrays, bit for bit, from the same seed.
+the same arrays, bit for bit, from the same seed.  A conjugate coupling's
+step is dealt as the measure's ordering (type two as its row inverse), so
+its reference is the ordering one; the coupling's own (u, v) draws, which
+mixture steps and `verify` rank, keep the pair reference.
 """
 
 from fractions import Fraction as F
@@ -14,6 +17,7 @@ from quasishuffle.kernels import (
     ConjugateCoupling,
     InverseConjugateCoupling,
     MixtureCoupling,
+    _rank_pairs,
     step_batch,
 )
 from quasishuffle.measure import (
@@ -111,6 +115,17 @@ def double_argsort_ordering(source, n, size, rng):
     return np.argsort(order, axis=1, kind="stable") + 1
 
 
+def step_reference(n, sampler, size, rng):
+    """`step_batch` rows: the ordering for a conjugate coupling, its row
+    inverse for the coordinate swap, ranked pairs for a mixture."""
+    if isinstance(sampler, ConjugateCoupling):
+        return double_argsort_ordering(sampler.measure, n, size, rng)
+    if isinstance(sampler, InverseConjugateCoupling):
+        ranks = double_argsort_ordering(sampler.measure, n, size, rng)
+        return np.argsort(ranks, axis=1, kind="stable") + 1
+    return double_argsort_step(n, sampler, size, rng)
+
+
 def samplers():
     out = {}
     for name, m in MEASURES.items():
@@ -137,6 +152,14 @@ def identical(a, b):
 def test_step_batch_equals_double_argsort(name, n):
     sampler, size = samplers()[name], 500
     got = step_batch(n, sampler, size, make_rng(n))
+    assert identical(got, step_reference(n, sampler, size, make_rng(n)))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("name", sorted(samplers()))
+def test_rank_pairs_equals_double_argsort(name, n):
+    sampler, size = samplers()[name], 500
+    got = _rank_pairs(*sampler.draw_batch((size, n), make_rng(n)))
     assert identical(got, double_argsort_step(n, sampler, size, make_rng(n)))
 
 

@@ -1,10 +1,12 @@
-"""The guide-table cell lookup and the gather-only `interpolate`.
+"""The guide-table cell lookup, the gather-only `interpolate` and the key sort.
 
 `sample_conjugate_batch` finds each draw's cell through a guide table and a
 few comparisons.  It must give the cell a binary search over the cell
 edges gives, at every edge and one ulp either side of it, with the same
 dtype; the samplers built on it must stay byte-identical to the eager
-references in `test_batch_reference`.
+references in `test_batch_reference`.  The ordering keys of a batch with
+no diffuse draw cannot tie, so it is sorted with the fast unstable sort;
+it must still give the stable order.
 """
 
 from fractions import Fraction as F
@@ -14,7 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasishuffle.kernels import ConjugateCoupling, InverseConjugateCoupling, step_batch
+from quasishuffle.kernels import (
+    ConjugateCoupling,
+    InverseConjugateCoupling,
+    _rank_pairs,
+    step_batch,
+)
 from quasishuffle.measure import (
     LEFT,
     RIGHT,
@@ -36,6 +43,7 @@ from test_batch_reference import (
     double_argsort_step,
     eager_batch,
     identical,
+    step_reference,
 )
 
 TINY = F(1, 2**40)
@@ -56,13 +64,17 @@ def clustered_measure():
 
 
 class FixedDraws:
-    """Stands in for a generator: `random(shape)` returns the given u."""
+    """Stands in for a generator: `random(shape)` returns the given u.
+
+    A 1-D u holds one value per row, repeated across the row.
+    """
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=np.float64)
 
     def random(self, shape):
-        return np.broadcast_to(self.u.reshape(-1, *([1] * (len(shape) - 1))), shape).copy()
+        u = self.u if self.u.ndim > 1 else self.u.reshape(-1, *([1] * (len(shape) - 1)))
+        return np.broadcast_to(u, shape).copy()
 
 
 def boundary_draws(measure, seed=0):
@@ -132,6 +144,14 @@ DECKS = {"a-shuffle-48": a_shuffle(48), "clustered": clustered_measure()}
 def test_deck_step_batch_equals_reference(name, kind):
     sampler = kind(DECKS[name])
     got = step_batch(52, sampler, 500, make_rng(52))
+    assert identical(got, step_reference(52, sampler, 500, make_rng(52)))
+
+
+@pytest.mark.parametrize("kind", (ConjugateCoupling, InverseConjugateCoupling))
+@pytest.mark.parametrize("name", sorted(DECKS))
+def test_deck_rank_pairs_equals_reference(name, kind):
+    sampler = kind(DECKS[name])
+    got = _rank_pairs(*sampler.draw_batch((500, 52), make_rng(52)))
     assert identical(got, double_argsort_step(52, sampler, 500, make_rng(52)))
 
 
@@ -156,3 +176,39 @@ def test_interpolate_keeps_bits_at_corners(measure):
     got, ref = batch.interpolate(s), want["y"] + s * (want["x"] - want["y"])
     assert np.array_equal(got, ref)
     assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@st.composite
+def atom_only_measures(draw):
+    """1-1,024 gaps covering [0, 1] on a dyadic or non-dyadic grid, either side."""
+    k = draw(st.integers(1, 1024))
+    den = draw(st.sampled_from((1024, 2**20, 3000, 10**6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = [0, *sorted(rng.choice(np.arange(1, den), k - 1, replace=False).tolist()), den]
+    sides = rng.choice((LEFT, RIGHT), k)
+    return QuasiUniformMeasure(
+        tuple(GapInterval(F(lo, den), F(hi, den), s) for lo, hi, s in zip(cuts, cuts[1:], sides))
+    )
+
+
+@given(atom_only_measures(), st.integers(1, 52), st.integers(0, 2**32 - 1))
+@example(a_shuffle(1024), 52, 0)
+@example(a_shuffle(48), 52, 1)
+@settings(max_examples=60, deadline=None)
+def test_atom_only_ordering_equals_stable_sort(measure, n, seed):
+    assert measure.is_purely_atomic
+    got = sample_ordering_batch(measure, range(1, n + 1), 200, make_rng(seed))
+    assert identical(got, double_argsort_ordering(measure, n, 200, make_rng(seed)))
+
+
+@pytest.mark.parametrize("measure", [lebesgue(), mixed_fixture()], ids=["lebesgue", "mixed"])
+def test_equal_diffuse_keys_keep_label_order(measure):
+    # 52 labels draw from a dozen u values: diffuse draws that share a u
+    # share a rel, and every such tie must resolve by label order
+    u = make_rng(5).choice(boundary_draws(measure)[:12], size=(200, 52))
+    got = sample_ordering_batch(measure, range(1, 53), 200, FixedDraws(u))
+    assert identical(got, double_argsort_ordering(measure, 52, 200, FixedDraws(u)))
+    diffuse = sample_conjugate_batch(measure, u.shape, FixedDraws(u)).sign == 0
+    tied = (u[:, :, None] == u[:, None, :]) & diffuse[:, :, None] & np.triu(np.ones((52, 52), bool), 1)
+    assert tied.any()
+    assert (got[:, :, None] < got[:, None, :])[tied].all()

@@ -19,6 +19,7 @@ from quasishuffle.kernels import (
     InverseConjugateCoupling,
     MixtureCoupling,
     ShuffleMap,
+    _rank_pairs,
     empirical_mixing_curve,
     empirical_step_counts,
     kernel_matrix,
@@ -37,15 +38,16 @@ from quasishuffle.measure import (
     gsr,
     lebesgue,
     mixed_fixture,
+    parse_measure,
 )
 from quasishuffle.oracle import (
     PermutationDistribution,
     exact_step_distribution,
-    invert_distribution,
     mixing_curve,
     tv_distance,
 )
-from quasishuffle.stats import ks_uniform
+from quasishuffle.permutations import row_histogram
+from quasishuffle.stats import chi_square_goodness, chi_square_two_sample, ks_uniform
 
 from conftest import atomic_params, make_rng
 
@@ -307,6 +309,36 @@ def test_scalar_step_law_matches_oracle():
         counts[p] = counts.get(p, 0) + 1
     emp = PermutationDistribution.from_counts(3, counts)
     assert float(tv_distance(emp, exact)) < 0.04
+
+
+@pytest.mark.parametrize("kind", ("one", "two"))
+@pytest.mark.parametrize(
+    "measure", [mixed_fixture(), parse_measure("gap(1/4,1/2,left)")], ids=["mixed", "left-gap"]
+)
+def test_ordering_step_law_matches_oracle_and_pair_route(measure, kind):
+    # the conjugate step is dealt as an ordering; it must have the exact step
+    # law and agree with ranking the coupling's own (u, v) pairs
+    sampler = (ConjugateCoupling if kind == "one" else InverseConjugateCoupling)(measure)
+    rng = make_rng(47)
+    dealt = row_histogram([step_batch(4, sampler, 40000, rng)])
+    paired = row_histogram([_rank_pairs(*sampler.draw_batch((40000, 4), rng))])
+    exact = exact_step_distribution(measure, 4, kind)
+    assert chi_square_goodness(dealt, exact.probs).passed
+    assert chi_square_two_sample(dealt, paired).passed
+
+
+def test_conjugate_steps_never_draw_pairs(monkeypatch):
+    def no_pairs(self, shape, rng):
+        raise AssertionError("a conjugate step drew (u, v) pairs")
+
+    monkeypatch.setattr(ConjugateCoupling, "draw_batch", no_pairs)
+    for sampler in (ConjugateCoupling(mixed_fixture()), InverseConjugateCoupling(gsr())):
+        assert step_batch(5, sampler, 10, make_rng(1)).shape == (10, 5)
+        assert sum(empirical_step_counts(3, sampler, 100, make_rng(2)).values()) == 100
+        assert len(walk(4, sampler, 3, make_rng(3))) == 4
+        assert len(empirical_mixing_curve(3, sampler, 2, 50, make_rng(4))) == 3
+    with pytest.raises(AssertionError, match="drew"):
+        step_batch(3, MixtureCoupling([(1, ConjugateCoupling(gsr()))]), 2, make_rng(5))
 
 
 def test_empirical_step_counts_same_law(rng):
