@@ -12,6 +12,14 @@ drawn independently of u, and inside an atom cell v follows the u order
 two draws in one diffuse cell can tie in floating point.  Every other
 coupling ranks its float pairs; ties there (probability ~2^-52 each)
 resolve by card order.
+
+Steps are dealt in row blocks of about 2^14 draws (`measure._row_blocks`),
+each written straight into one preallocated output, so no temporary grows
+with the batch; `empirical_mixing_curve` composes its one state array in
+place, block by block.  Blocks draw their uniforms in row order, so
+conjugate steps are those of one whole-batch draw; a coupling that draws
+(u, v) pairs draws them block by block, which keeps its law but not its
+rows at a fixed seed once a batch spans more than one block.
 """
 
 from __future__ import annotations
@@ -35,13 +43,14 @@ from .measure import (
     RationalLike,
     _checked_weights,
     _component_draws,
+    _row_blocks,
     as_fraction,
     resolve_source,
     sample_conjugate_batch,
     source_from_json,
 )
 from . import oracle as _oracle
-from .ordering import _key_order
+from .ordering import _key_orders
 from .permutations import (
     Perm,
     _encoded_counts,
@@ -305,19 +314,48 @@ def step_batch(
     Row r maps each card's u-rank to its v-rank (1-based).  A conjugate
     coupling's rows are orderings of the measure, drawn with one uniform and
     one sort per card (type two is the row inverse of type one); other
-    couplings rank their (u, v) draws.
+    couplings rank their (u, v) draws.  Rows are dealt in cache-sized
+    blocks straight into the output; a pair-drawing coupling draws its
+    pairs block by block, so beyond one block its rows differ at a fixed
+    seed from one whole-batch draw, with the same law.
     """
     if n < 1:
         raise ValueError("need at least one card")
     if size < 0:
         raise ValueError(f"size = {size} is negative")
-    if isinstance(sampler, ConjugateCoupling):
-        return _ranks_of_order(_key_order(sampler.measure, n, size, rng))
-    if isinstance(sampler, InverseConjugateCoupling):
-        order = _key_order(sampler.measure, n, size, rng)
-        order += 1  # the row inverse of the ranks is the key order itself
-        return order
-    return _rank_pairs(*sampler.draw_batch((size, n), rng))
+    out = np.empty((size, n), dtype=np.int64)
+    for _ in _step_blocks(n, sampler, size, rng, out):
+        pass  # each block is written into out
+    return out
+
+
+def _step_blocks(
+    n: int,
+    sampler: CouplingSampler,
+    size: int,
+    rng: np.random.Generator,
+    out: Optional[np.ndarray] = None,
+):
+    """Deal `size` steps of n cards in row blocks; yields (start, stop, rows).
+
+    rows holds the step rows start..stop-1: out[start:stop] when `out` is
+    given, else a block-sized array of its own.
+    """
+    if isinstance(sampler, (ConjugateCoupling, InverseConjugateCoupling)):
+        for start, stop, order in _key_orders(sampler.measure, n, size, rng):
+            rows = None if out is None else out[start:stop]
+            if isinstance(sampler, ConjugateCoupling):
+                rows = _ranks_of_order(order, rows)
+            else:
+                # the row inverse of the ranks is the key order itself
+                rows = np.add(order, 1, out=rows)
+            yield start, stop, rows
+        return
+    for start, stop in _row_blocks(size, n):
+        rows = _rank_pairs(*sampler.draw_batch((stop - start, n), rng))
+        if out is not None:
+            out[start:stop] = rows
+        yield start, stop, rows
 
 
 def _rank_pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -375,6 +413,8 @@ def empirical_mixing_curve(
     rng: np.random.Generator,
 ) -> list[float]:
     """Empirical TV to uniform along `trials` parallel walks."""
+    if n < 1:
+        raise ValueError("need at least one card")
     if steps < 0:
         raise ValueError(f"steps = {steps} is negative")
     if trials < 1:
@@ -391,8 +431,12 @@ def empirical_mixing_curve(
 
     curve = [tv_now()]
     for _ in range(steps):
-        sigma = step_batch(n, sampler, trials, rng)
-        state = np.take_along_axis(sigma, state - 1, axis=1)
+        # compose each block of the state with its block of steps, in place:
+        # row r of sigma . state reads sigma's flat entry r * n + state - 1
+        for start, stop, sigma in _step_blocks(n, sampler, trials, rng):
+            block = state[start:stop]
+            block += np.arange(-1, (stop - start) * n - 1, n)[:, None]
+            block[...] = sigma.reshape(-1)[block]
         curve.append(tv_now())
     return curve
 

@@ -30,6 +30,7 @@ from .errors import (
     InvalidMixture,
     OutOfRange,
     OverlappingGaps,
+    QuasiShuffleError,
 )
 
 LEFT = "left"
@@ -44,8 +45,8 @@ _ONE = Fraction(1)
 # tables): enough for every measure a run names, bounded for a long-lived
 # process fed many user measures.
 _CACHE_SIZE = 256
-# Draws per block of the batch cell lookup: the block's four 8-byte
-# temporaries (512 KB together) fit in one core's L2 cache.
+# Draws per block of the batch cell lookup and of the samplers built on it:
+# a block's 8-byte temporaries (128 KB each) fit in one core's L2 cache.
 _LOOKUP_BLOCK = 1 << 14
 
 
@@ -142,6 +143,17 @@ class QuasiUniformMeasure:
             g if isinstance(g, GapInterval) else GapInterval(*g) for g in self.gaps
         )
         object.__setattr__(self, "gaps", _checked_gaps(gaps))
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # every per-measure cache lookup hashes the measure, once per sampled
+        # row block, and hashing Fraction endpoints costs about 3 us a gap: so
+        # it is hashed once, from numbers alone, which hash alike in every
+        # process
+        return hash(tuple((g.lo, g.hi, g.atom_side == RIGHT) for g in self.gaps))
 
     # -- structure ---------------------------------------------------------
 
@@ -327,7 +339,8 @@ def cell_decomposition(measure: QuasiUniformMeasure) -> CellDecomposition:
         )
     cells.sort(key=Cell.sort_key)
     total = sum((c.mass for c in cells), _ZERO)
-    assert total == 1, f"cell masses sum to {total}"
+    if total != 1:
+        raise QuasiShuffleError(f"cell masses sum to {total}")
     return CellDecomposition(tuple(cells))
 
 
@@ -431,11 +444,27 @@ class ConjugateBatch:
     def rel(self) -> np.ndarray:
         """Relative position inside the cell, [0, 1)."""
         t = self.tables
-        return (self.u - t.cell_lo[self.cell]) * t.cell_inv_len[self.cell]
+        rel = self.u - t.cell_lo[self.cell]
+        rel *= t.cell_inv_len[self.cell]  # in place: one temporary fewer
+        return rel
 
     def interpolate(self, s: np.ndarray) -> np.ndarray:
         """y + s * (x - y) per draw, through the per-cell x - y table."""
         return self.y + s * self.tables.cell_span[self.cell]
+
+
+def _row_blocks(size: int, n: int):
+    """(start, stop) of consecutive blocks of `size` rows of n draws.
+
+    A block holds about `_LOOKUP_BLOCK` draws, or one row when a row is
+    wider.  The samplers deal each block on its own, into one preallocated
+    output, so their temporaries stay cache-sized; blocks come in row order
+    and `rng.random` fills them in C order, so the draws are those of one
+    whole-batch call.
+    """
+    rows = max(1, _LOOKUP_BLOCK // n)
+    for start in range(0, size, rows):
+        yield start, min(start + rows, size)
 
 
 def sample_conjugate_batch(

@@ -23,7 +23,13 @@ from math import factorial, lcm
 from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
-from .errors import CapExceeded, DimensionMismatch, ExactUnavailable, NotPurelyAtomic
+from .errors import (
+    CapExceeded,
+    DimensionMismatch,
+    ExactUnavailable,
+    NotPurelyAtomic,
+    QuasiShuffleError,
+)
 from .measure import (
     LEFT,
     RIGHT,
@@ -453,5 +459,8 @@ def mixing_curve(
     for _ in range(steps):
         state = convolve(step, state)
         curve.append(tv_distance(state, uniform))
-        assert curve[-1] <= curve[-2], "TV to uniform must not increase"
+        if curve[-1] > curve[-2]:
+            raise QuasiShuffleError(
+                f"TV to uniform must not increase: {curve[-2]} -> {curve[-1]}"
+            )
     return curve

@@ -7,6 +7,11 @@ left atom (x < y) reverses it.  The resulting random order is invariant
 under order-preserving relabelling, and the rank of a label inside a large
 window recovers its pair: lower-window ranks converge to x, upper-window
 ranks to y.
+
+Orderings are dealt in row blocks of about 2^14 draws
+(`measure._row_blocks`), each sorted and scattered straight into one
+preallocated output.  The blocks draw their uniforms in row order, so the
+rows are those of one whole-batch draw.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from .measure import (
     ConjugateSample,
     MeasureMixture,
     QuasiUniformMeasure,
+    _batch_tables,
     _component_draws,
+    _row_blocks,
     cell_decomposition,
     sample_conjugate_batch,
 )
@@ -88,44 +95,69 @@ def sample_ordering_batch(
     defines.  For a mixture, one component is drawn per ordering.
     Only two draws in one diffuse cell can coincide in floating point
     (probability ~2^-52 per pair); they fall back to natural label order
-    instead of raising.
+    instead of raising.  Rows are dealt in cache-sized blocks straight
+    into the output.
     """
     labels = check_labels(labels)
     n = len(labels)
     if size < 0:
         raise ValueError(f"size = {size} is negative")
+    out = np.empty((size, n), dtype=np.int64)
     if isinstance(source, MeasureMixture):
-        out = np.empty((size, n), dtype=np.int64)
         for m, mask in _component_draws(source.components, size, rng):
-            out[mask] = sample_ordering_batch(m, labels, int(mask.sum()), rng)
+            rows = np.flatnonzero(mask)
+            for start, stop, order in _key_orders(m, n, len(rows), rng):
+                out[rows[start:stop]] = _ranks_of_order(order)
         return out
     # a label's rank is its position in the key order
-    return _ranks_of_order(_key_order(source, n, size, rng))
+    for start, stop, order in _key_orders(source, n, size, rng):
+        _ranks_of_order(order, out[start:stop])
+    return out
 
 
-def _key_order(
+def _key_orders(
     measure: QuasiUniformMeasure, n: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-row argsort of the ordering keys of n labels, (size, n).
+):
+    """Per-row argsort of the ordering keys of n labels, in row blocks.
 
-    Row r lists the label indices 0..n-1 from the lowest label up.
+    Yields (start, stop, order) for each block of `_row_blocks`: order is
+    the (stop - start, n) argsort of rows start..stop-1, listing the label
+    indices 0..n-1 from the lowest label up.
     """
-    batch = sample_conjugate_batch(measure, (size, n), rng)
+    t = _batch_tables(measure)
     asc = (np.arange(n) + 1.0) / (n + 2.0)
-    # key = cell rank + position inside the cell: label order at an atom,
-    # the relative position in a diffuse cell (read only if one was hit)
-    key = np.where(batch.sign > 0, asc, 1.0 - asc)
-    diffuse = batch.sign == 0
-    # atom keys in a row are pairwise distinct: 1/(n + 2) apart inside a
-    # cell and strictly between cell ranks, far above the float spacing
-    # while (n + 2) * cells < 2^50.  Any sort then returns the stable order,
-    # so the fast one is used unless a diffuse draw was hit
-    kind = None
-    if diffuse.any():
-        np.copyto(key, batch.rel, where=diffuse)
-        kind = "stable"
-    key += batch.cell
-    return np.argsort(key, axis=1, kind=kind)
+    sign = t.cell_sign[:, None]
+    # key = cell rank + position inside the cell: label order at a right
+    # atom, reversed at a left one, and in a diffuse cell the relative
+    # position, added per draw.  The atom keys are one small table per
+    # (cell, label)
+    table = np.where(sign > 0, asc, np.where(sign < 0, 1.0 - asc, 0.0))
+    table += np.arange(len(sign))[:, None]
+    table = table.reshape(-1)
+    has_diffuse = bool(t.cell_diffuse.any())
+    label = np.arange(n)
+
+    def block_order(rows: int) -> np.ndarray:
+        # the block's temporaries are freed on return, before the caller
+        # writes its rows
+        batch = sample_conjugate_batch(measure, (rows, n), rng)
+        key = table[batch.cell * n + label]
+        # atom keys in a row are pairwise distinct: 1/(n + 2) apart inside a
+        # cell and strictly between cell ranks, far above the float spacing
+        # while (n + 2) * cells < 2^50.  Any sort then returns the stable
+        # order, so the fast one is used unless a diffuse draw was hit
+        kind = None
+        if has_diffuse:
+            diffuse = t.cell_diffuse[batch.cell]
+            if diffuse.any():
+                # rel * 0.0 adds +0.0 to an atom key; a diffuse key is rel + cell
+                diffuse *= batch.rel
+                key += diffuse
+                kind = "stable"
+        return np.argsort(key, axis=1, kind=kind)
+
+    for start, stop in _row_blocks(size, n):
+        yield start, stop, block_order(stop - start)
 
 
 def ordering_counts(

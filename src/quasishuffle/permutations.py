@@ -59,11 +59,21 @@ def perm_from_str(text: str) -> Perm:
     return p
 
 
-def _ranks_of_order(order: np.ndarray) -> np.ndarray:
-    """1-based rank of each column from a per-row argsort, by one scatter."""
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(1, order.shape[1] + 1), axis=1)
-    return ranks
+def _ranks_of_order(order: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """1-based rank of each column from a per-row argsort, by one flat
+    scatter into `out`: a new array when None, else a C-contiguous one.
+
+    `order` is used up: it is overwritten with the flat scatter indices, so
+    that no index array as large as the batch is allocated.
+    """
+    rows, n = order.shape
+    if out is None:
+        out = np.empty_like(order, order="C")
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous, so its flat view is a view")
+    order += np.arange(0, rows * n, n)[:, None]
+    out.reshape(-1)[order] = np.arange(1, n + 1)
+    return out
 
 
 def count_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

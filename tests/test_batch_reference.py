@@ -21,6 +21,7 @@ from quasishuffle.kernels import (
     step_batch,
 )
 from quasishuffle.measure import (
+    _LOOKUP_BLOCK,
     MeasureMixture,
     a_shuffle,
     cell_decomposition,
@@ -117,13 +118,21 @@ def double_argsort_ordering(source, n, size, rng):
 
 def step_reference(n, sampler, size, rng):
     """`step_batch` rows: the ordering for a conjugate coupling, its row
-    inverse for the coordinate swap, ranked pairs for a mixture."""
+    inverse for the coordinate swap, ranked pairs for a mixture.
+
+    A mixture draws its pairs one row block of `_LOOKUP_BLOCK` draws at a
+    time, as `step_batch` does; the conjugate references draw the whole
+    batch at once.
+    """
     if isinstance(sampler, ConjugateCoupling):
         return double_argsort_ordering(sampler.measure, n, size, rng)
     if isinstance(sampler, InverseConjugateCoupling):
         ranks = double_argsort_ordering(sampler.measure, n, size, rng)
         return np.argsort(ranks, axis=1, kind="stable") + 1
-    return double_argsort_step(n, sampler, size, rng)
+    rows = max(1, _LOOKUP_BLOCK // n)
+    return np.concatenate(
+        [double_argsort_step(n, sampler, min(rows, size - s), rng) for s in range(0, size, rows)]
+    )
 
 
 def samplers():

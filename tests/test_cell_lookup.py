@@ -64,17 +64,23 @@ def clustered_measure():
 
 
 class FixedDraws:
-    """Stands in for a generator: `random(shape)` returns the given u.
+    """Stands in for a generator: `random(shape)` hands out the next
+    shape[0] rows of the given u, as a generator hands out its next draws,
+    so a sampler that draws in row blocks reads u in order.
 
     A 1-D u holds one value per row, repeated across the row.
     """
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=np.float64)
+        self.row = 0
 
     def random(self, shape):
-        u = self.u if self.u.ndim > 1 else self.u.reshape(-1, *([1] * (len(shape) - 1)))
-        return np.broadcast_to(u, shape).copy()
+        rows = self.u[self.row : self.row + shape[0]]
+        self.row += shape[0]
+        if rows.ndim == 1:
+            rows = rows.reshape(-1, *([1] * (len(shape) - 1)))
+        return np.broadcast_to(rows, shape).copy()
 
 
 def boundary_draws(measure, seed=0):

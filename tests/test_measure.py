@@ -13,6 +13,7 @@ from quasishuffle.errors import (
     IncomparableSamples,
     OutOfRange,
     OverlappingGaps,
+    QuasiShuffleError,
 )
 from quasishuffle.measure import (
     LEFT,
@@ -185,6 +186,14 @@ def test_cell_decomposition_frozen_mixed():
     assert (atom.x, atom.y) == (F(1, 2), F(1, 4))
     left_atom = cells[3]
     assert (left_atom.x, left_atom.y) == (F(3, 4), F(1))
+
+
+def test_cell_decomposition_raises_when_masses_miss_one(monkeypatch):
+    # a raise, not an assert, so the check survives python -O; the cache is
+    # bypassed, since a cached decomposition is not checked again
+    monkeypatch.setattr(QuasiUniformMeasure, "diffuse_segments", lambda self: ())
+    with pytest.raises(QuasiShuffleError, match="cell masses sum to 1/2"):
+        cell_decomposition.__wrapped__(mixed_fixture())
 
 
 @measure_params()

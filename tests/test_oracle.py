@@ -11,6 +11,7 @@ from quasishuffle.errors import (
     DimensionMismatch,
     ExactUnavailable,
     NotPurelyAtomic,
+    QuasiShuffleError,
 )
 from quasishuffle.kernels import AffinePiece, ShuffleMap, shuffle_map_from_measure
 from quasishuffle.measure import (
@@ -326,6 +327,14 @@ def test_mixing_curve_identity_is_constant():
 def test_mixing_curve_uniform_after_one_step():
     curve = mixing_curve(lebesgue(), 3, "one", steps=3)
     assert curve == [F(5, 6), F(0), F(0), F(0)]
+
+
+def test_mixing_curve_raises_when_tv_increases(monkeypatch):
+    # a raise, not an assert, so the check survives python -O
+    values = iter([F(1, 2), F(1, 4), F(1, 3)])
+    monkeypatch.setattr(oracle, "tv_distance", lambda state, uniform: next(values))
+    with pytest.raises(QuasiShuffleError, match="must not increase: 1/4 -> 1/3"):
+        mixing_curve(gsr(), 3, "one", steps=2)
 
 
 def test_mixing_curve_rejects_negative_steps():
