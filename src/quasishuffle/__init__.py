@@ -36,12 +36,14 @@ from .measure import (
     a_shuffle,
     as_fraction,
     cell_decomposition,
+    compose,
     gsr,
     interior_atom_fixture,
     is_quasi_uniform,
     lebesgue,
     mixed_fixture,
     parse_measure,
+    power,
     resolve_source,
     sample_conjugate_batch,
     sample_conjugate_pair,

@@ -24,6 +24,7 @@ rows at a fixed seed once a batch spans more than one block.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -419,14 +420,20 @@ def empirical_mixing_curve(
         raise ValueError(f"steps = {steps} is negative")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    uniform_mass = 1.0 / factorial(n)
+    n_perms = factorial(n)
+    # n! beyond floats (n >= 171) is far above any number of trials
+    beyond_floats = n_perms > sys.float_info.max
+    uniform_mass = 0.0 if beyond_floats else 1.0 / n_perms
     state = np.tile(np.arange(1, n + 1, dtype=np.int64), (trials, 1))
 
     def tv_now() -> float:
         _, counts, _ = _encoded_counts(state)  # counts only: no decoding
+        if beyond_floats:
+            # every seen row is over-represented: TV = 1 - distinct / n!
+            return 1.0 - len(counts) / n_perms
         emp = counts / trials
         # permutations never seen each contribute uniform_mass to the L1 sum
-        l1 = float(np.abs(emp - uniform_mass).sum()) + (factorial(n) - len(counts)) * uniform_mass
+        l1 = float(np.abs(emp - uniform_mass).sum()) + (n_perms - len(counts)) * uniform_mass
         return l1 / 2.0
 
     curve = [tv_now()]

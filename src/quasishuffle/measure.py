@@ -657,6 +657,42 @@ class MeasureMixture:
         }
 
 
+# -- composition -----------------------------------------------------------
+
+
+def compose(first: QuasiUniformMeasure, then: QuasiUniformMeasure) -> QuasiUniformMeasure:
+    """The measure whose one step is a step by `first` followed by one by `then`.
+
+    Each gap of `then` holds a copy of `first`, mapped affinely onto the gap:
+    increasing at a right atom, decreasing (so atom sides swap) at a left
+    atom.  Everything else is diffuse.  The ordering law of the result is
+    `convolve(step(then), step(first))`, because the conjugate coupling picks
+    its cell independently of u.
+    """
+    gaps = []
+    for outer in then.gaps:
+        right = outer.atom_side == RIGHT
+        for inner in first.gaps:
+            if right:
+                lo, hi = outer.lo + inner.lo * outer.mass, outer.lo + inner.hi * outer.mass
+            else:
+                lo, hi = outer.hi - inner.hi * outer.mass, outer.hi - inner.lo * outer.mass
+            # the atom is on the right when both gaps have it on the same side
+            side = RIGHT if (inner.atom_side == RIGHT) == right else LEFT
+            gaps.append(GapInterval(lo, hi, side))
+    return QuasiUniformMeasure(tuple(gaps))
+
+
+def power(measure: QuasiUniformMeasure, h: int) -> QuasiUniformMeasure:
+    """The measure whose one step is h steps by `measure` (h = 0: the identity)."""
+    if h < 0:
+        raise ValueError(f"h = {h} is negative")
+    out = QuasiUniformMeasure((GapInterval(_ZERO, _ONE, RIGHT),))
+    for _ in range(h):
+        out = compose(out, measure)
+    return out
+
+
 # -- built-ins and parsing -------------------------------------------------
 
 

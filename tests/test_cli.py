@@ -1,6 +1,8 @@
 """End-to-end command-line checks: formats, determinism, exit codes."""
 
 import json
+from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -302,6 +304,45 @@ def test_mixing_mc_rejects_zero_samples(capsys):
     )
     assert code == 2 and out == ""
     assert err == "error: need at least one trial, got 0\n"
+
+
+def test_mixing_mc_beyond_float_factorial(capsys):
+    # 171! does not fit a float, and TV = 1 - 1/171! prints as 1
+    code, out, err = run(
+        capsys, "mixing", "--measure", "gsr", "--n", "171", "--steps", "1",
+        "--mode", "mc", "--samples", "2", "--seed", "1",
+    )
+    assert code == 0 and err == ""
+    assert out == "h,tv_empirical\n0,1\n1,1\n"
+
+
+def test_mixing_exact_eight_cards_is_bayer_diaconis(capsys):
+    """Ten riffles of eight cards: TV_h = 1/2 sum over d of A(8, d) |C(2^h + 7 - d, 8)
+    / 2^(8h) - 1/8!|, A(8, d) the Eulerian numbers."""
+    eulerian = [1, 247, 4293, 15619, 15619, 4293, 247, 1]
+    want = ["h,tv_exact"]
+    for h in range(11):
+        a = 2**h
+        tv = sum(
+            e * abs(Fraction(comb(a + 7 - d, 8), a**8) - Fraction(1, factorial(8)))
+            for d, e in enumerate(eulerian)
+        ) / 2
+        want.append(f"{h},{float(tv):.12g}")
+    code, out, err = run(capsys, "mixing", "--measure", "gsr", "--n", "8", "--steps", "10")
+    assert code == 0 and err == ""
+    assert out.splitlines() == want
+
+
+def test_mixing_mixture_above_cap_is_one_line_error(capsys):
+    mixture = json.dumps(
+        {"mixture": [{"weight": "1/2", "measure": "gsr"}, {"weight": "1/2", "measure": "mixed"}]}
+    )
+    code, out, err = run(capsys, "mixing", "--measure", mixture, "--n", "7", "--steps", "2")
+    assert code == 2 and out == ""
+    assert err == "error: n = 7 above exact cap 6\n"
+    # a plain measure at the same size has no cap on n
+    code, out, err = run(capsys, "mixing", "--measure", "mixed", "--n", "7", "--steps", "2")
+    assert code == 0 and err == "" and len(out.splitlines()) == 4
 
 
 def test_shuffle_map_json_and_grid(capsys):

@@ -1,5 +1,6 @@
 """Exact brute-force references and their closed-form cross-checks."""
 
+import itertools
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -187,6 +188,64 @@ def test_coupling_route_needs_purely_atomic():
         exact_coupling_step_distribution(lebesgue(), 3)
 
 
+def _coupling_loop(measure, n):
+    """Both kinds of the coupling route, one (gap assignment, u-rank vector)
+    pair at a time in Python ints: the route before it ranked arrays."""
+    gaps = measure.gaps
+    mass_num, den = oracle._over_common_denominator(g.mass for g in gaps)
+    counts = {"one": {}, "two": {}}
+    span = 2 * n + 1
+    sign = [1 if g.atom_side == "right" else -1 for g in gaps]
+    ranks = all_permutations(n)
+    for assign in itertools.product(range(len(gaps)), repeat=n):
+        weight = 1
+        for g in assign:
+            weight *= mass_num[g]
+        offsets = [g * span for g in assign]
+        signs = [sign[g] for g in assign]
+        for u_ranks in ranks:
+            v_key = [offsets[i] + signs[i] * u_ranks[i] for i in range(n)]
+            order = sorted(range(n), key=v_key.__getitem__)
+            v_ranks = [0] * n
+            for pos, i in enumerate(order):
+                v_ranks[i] = pos + 1
+            one, two = [0] * n, [0] * n
+            for i in range(n):
+                one[u_ranks[i] - 1] = v_ranks[i]
+                two[v_ranks[i] - 1] = u_ranks[i]
+            for kind, sigma in (("one", one), ("two", two)):
+                key = tuple(sigma)
+                counts[kind][key] = counts[kind].get(key, 0) + weight
+    total = den**n * factorial(n)
+    return {
+        kind: PermutationDistribution(n, {p: F(c, total) for p, c in law.items()})
+        for kind, law in counts.items()
+    }
+
+
+COUPLING_MEASURES = {
+    "gsr": gsr(),
+    "gsr-conjugate": gsr().conjugate(),
+    "a-shuffle-3": a_shuffle(3),
+    "left-atoms": QuasiUniformMeasure(
+        (GapInterval(F(0), F(1, 3), LEFT), GapInterval(F(1, 3), F(1), LEFT))
+    ),
+    # both atoms sit at 1/2
+    "touching": QuasiUniformMeasure(
+        (GapInterval(F(0), F(1, 2), RIGHT), GapInterval(F(1, 2), F(1), LEFT))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_MEASURES))
+def test_coupling_route_equals_loop_reference(name):
+    measure = COUPLING_MEASURES[name]
+    for n in range(0, 7):
+        want = _coupling_loop(measure, n)
+        for kind in ("one", "two"):
+            assert exact_coupling_step_distribution(measure, n, kind) == want[kind]
+
+
 def test_map_route_agrees_with_inverse_law():
     for measure in (gsr(), a_shuffle(3)):
         smap = shuffle_map_from_measure(measure)
@@ -330,11 +389,17 @@ def test_mixing_curve_uniform_after_one_step():
 
 
 def test_mixing_curve_raises_when_tv_increases(monkeypatch):
-    # a raise, not an assert, so the check survives python -O
-    values = iter([F(1, 2), F(1, 4), F(1, 3)])
-    monkeypatch.setattr(oracle, "tv_distance", lambda state, uniform: next(values))
+    # a raise, not an assert, so the check survives python -O; a plain
+    # measure's curve comes from the transfer kernel, a mixture's from
+    # convolutions, and the check covers both
+    bad = [F(1, 2), F(1, 4), F(1, 3)]
+    monkeypatch.setattr(oracle, "_transfer_curve", lambda measure, n, steps: list(bad))
     with pytest.raises(QuasiShuffleError, match="must not increase: 1/4 -> 1/3"):
         mixing_curve(gsr(), 3, "one", steps=2)
+    values = iter(bad)
+    monkeypatch.setattr(oracle, "tv_distance", lambda state, uniform: next(values))
+    with pytest.raises(QuasiShuffleError, match="must not increase: 1/4 -> 1/3"):
+        mixing_curve(MeasureMixture(((F(1, 2), gsr()), (F(1, 2), REVERSAL))), 3, "one", steps=2)
 
 
 def test_mixing_curve_rejects_negative_steps():
