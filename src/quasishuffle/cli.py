@@ -82,10 +82,6 @@ def _count(value: int, option: str) -> int:
     return value
 
 
-def _histogram_lines(hist: dict[str, int]) -> list[str]:
-    return [f"# {key},{count}" for key, count in hist.items()]
-
-
 def _rows_and_histogram(rows: np.ndarray) -> tuple[list[str], dict[str, int]]:
     """`perm_to_str` of each row, and the histogram in lexicographic order.
 
@@ -111,6 +107,19 @@ def _rows_and_histogram(rows: np.ndarray) -> tuple[list[str], dict[str, int]]:
     return strings[:size], dict(zip(strings[size:-1], counts.tolist()))
 
 
+def _write_rows(args, head: dict, name: str, rows: np.ndarray) -> None:
+    """Write sampled rows and their histogram: a JSON object of `head`,
+    the rows under `name` and the histogram, or CSV rows then `# key,count`
+    histogram lines."""
+    lines, hist = _rows_and_histogram(rows)
+    if args.format == "json":
+        _write(args.out, _json_text({**head, name: lines, "histogram": hist}))
+    else:
+        body = ["permutation", *lines, "# histogram"]
+        body += [f"# {key},{count}" for key, count in hist.items()]
+        _write(args.out, "\n".join(body) + "\n")
+
+
 def cmd_sample_order(args) -> int:
     source = _measure_only(args.measure)
     labels = (
@@ -120,22 +129,7 @@ def cmd_sample_order(args) -> int:
     )
     rng = np.random.default_rng(args.seed)
     rows = sample_ordering_batch(source, labels, _count(args.samples, "samples"), rng)
-    lines, hist = _rows_and_histogram(rows)
-    if args.format == "json":
-        _write(
-            args.out,
-            _json_text(
-                {
-                    "labels": list(labels),
-                    "seed": args.seed,
-                    "rankings": lines,
-                    "histogram": hist,
-                }
-            ),
-        )
-    else:
-        body = ["permutation"] + lines + ["# histogram"] + _histogram_lines(hist)
-        _write(args.out, "\n".join(body) + "\n")
+    _write_rows(args, {"labels": list(labels), "seed": args.seed}, "rankings", rows)
     return 0
 
 
@@ -143,22 +137,7 @@ def cmd_step(args) -> int:
     sampler = _sampler_from_args(args)
     rng = np.random.default_rng(args.seed)
     rows = step_batch(args.n, sampler, _count(args.samples, "samples"), rng)
-    lines, hist = _rows_and_histogram(rows)
-    if args.format == "json":
-        _write(
-            args.out,
-            _json_text(
-                {
-                    "n": args.n,
-                    "seed": args.seed,
-                    "steps": lines,
-                    "histogram": hist,
-                }
-            ),
-        )
-    else:
-        body = ["permutation"] + lines + ["# histogram"] + _histogram_lines(hist)
-        _write(args.out, "\n".join(body) + "\n")
+    _write_rows(args, {"n": args.n, "seed": args.seed}, "steps", rows)
     return 0
 
 
@@ -180,9 +159,8 @@ def cmd_walk(args) -> int:
 
 def cmd_verify(args) -> int:
     source = resolve_source(args.measure)
-    report = run_property_suite(
-        source, args.seed, n=args.n, samples=args.samples, label=args.measure
-    )
+    samples = _count(args.samples, "samples")
+    report = run_property_suite(source, args.seed, n=args.n, samples=samples, label=args.measure)
     _write(args.out, _json_text(report.to_json()))
     return 0 if report.passed else 1
 
@@ -231,23 +209,24 @@ def cmd_shuffle_map(args) -> int:
     source = _measure_only(args.measure)
     if not isinstance(source, QuasiUniformMeasure):
         raise ValueError("shuffle-map needs a plain measure")
+    grid = _count(args.grid or 0, "grid")  # 0: no table
     smap = shuffle_map_from_measure(source)
     if args.format == "json":
         obj = smap.to_json()
-        if args.grid:
+        if grid:
             obj["table"] = [
-                {"x": str(Fraction(k, args.grid)), "value": str(smap(Fraction(k, args.grid)))}
-                for k in range(args.grid + 1)
+                {"x": str(Fraction(k, grid)), "value": str(smap(Fraction(k, grid)))}
+                for k in range(grid + 1)
             ]
         _write(args.out, _json_text(obj))
     else:
         body = ["lo,hi,slope,intercept"]
         for p in smap.pieces:
             body.append(f"{p.lo},{p.hi},{p.slope},{p.intercept}")
-        if args.grid:
+        if grid:
             body.append("# x,value")
-            for k in range(args.grid + 1):
-                x = Fraction(k, args.grid)
+            for k in range(grid + 1):
+                x = Fraction(k, grid)
                 body.append(f"# {x},{smap(x)}")
         _write(args.out, "\n".join(body) + "\n")
     return 0

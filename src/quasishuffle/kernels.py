@@ -352,11 +352,21 @@ def _step_blocks(
                 rows = np.add(order, 1, out=rows)
             yield start, stop, rows
         return
-    for start, stop in _row_blocks(size, n):
-        rows = _rank_pairs(*sampler.draw_batch((stop - start, n), rng))
+    for start, stop, rows in _pair_step_blocks(n, sampler, size, rng):
         if out is not None:
             out[start:stop] = rows
         yield start, stop, rows
+
+
+def _pair_step_blocks(n: int, sampler: CouplingSampler, size: int, rng: np.random.Generator):
+    """Steps ranked from the coupling's own (u, v) draws, one row block at a
+    time; yields (start, stop, rows) as `_step_blocks` does.
+
+    This is the step route of every coupling but the conjugate ones, and
+    `verify` ranks conjugate couplings' pairs through it too.
+    """
+    for start, stop in _row_blocks(size, n):
+        yield start, stop, _rank_pairs(*sampler.draw_batch((stop - start, n), rng))
 
 
 def _rank_pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -377,6 +387,9 @@ def empirical_step_counts(
     rng: np.random.Generator,
     chunk: int = 1_000_000,
 ) -> dict[Perm, int]:
+    """Histogram of `size` sampled steps, in chunks."""
+    if size < 0:
+        raise ValueError(f"size = {size} is negative")
     return row_histogram(
         step_batch(n, sampler, min(chunk, size - start), rng)
         for start in range(0, size, chunk)

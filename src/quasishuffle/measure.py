@@ -361,8 +361,7 @@ class _BatchTables:
     edges: np.ndarray  # cell boundaries, float64: each cell's lo, then 1.0
     guide: np.ndarray  # cell holding b/B, per bucket b; B a power of two
     guide_steps: int  # most edges strictly inside one bucket
-    cell_x: np.ndarray  # atom position (atoms) / 0 (diffuse)
-    cell_y: np.ndarray
+    cell_y: np.ndarray  # conjugate position (atoms) / 0 (diffuse)
     cell_span: np.ndarray  # x - y (atoms) / 0 (diffuse)
     cell_diffuse: np.ndarray  # 0.0 (atoms) / 1.0 (diffuse)
     cell_lo: np.ndarray  # cell interval, float64
@@ -394,20 +393,20 @@ def _batch_tables(measure: QuasiUniformMeasure) -> _BatchTables:
     span = cell_x - cell_y
     diffuse = (sign == 0).astype(np.float64)
     return _BatchTables(
-        edges, guide, guide_steps, cell_x, cell_y, span, diffuse, cell_lo, cell_inv_len, sign
+        edges, guide, guide_steps, cell_y, span, diffuse, cell_lo, cell_inv_len, sign
     )
 
 
 @dataclass(frozen=True, eq=False)
 class ConjugateBatch:
-    """Vectorized conjugate-pair draws.
+    """Vectorized conjugate-pair draws: each draw's uniform seed `u` and its
+    cell rank `cell`, found through the measure's guide table plus at most
+    `guide_steps` comparisons per draw.
 
-    Drawing stores two arrays: `u`, the uniform seed of each draw, and
-    `cell`, its cell rank, found through the measure's guide table plus at
-    most `guide_steps` comparisons per draw.  The other fields (`x`, `y`,
-    `rel`, `sign`) are gathered from per-cell tables on first read and then
-    kept, so a caller pays only for the fields it reads; `interpolate` gives
-    y + s * (x - y) without building `x`.
+    A draw's pair is its cell's: (atom end, far end) in an atom cell, (u, u)
+    in a diffuse one.  `rel` gives each draw's position inside its cell and
+    `interpolate` gives y + s * (x - y), both gathered from per-cell tables
+    when called; the ordering comparator is `ordering._ordering_keys`.
 
     The float cell lookup may misclassify a draw within one ulp of a cell
     boundary (probability ~2^-52 per draw); `sample_conjugate_pair` draws
@@ -418,29 +417,7 @@ class ConjugateBatch:
     cell: np.ndarray  # cell rank per draw
     tables: _BatchTables = field(repr=False)
 
-    def _atom_or_u(self, table: np.ndarray) -> np.ndarray:
-        # table + u * diffuse: an atom's table value plus +0.0, or 0 + u in a
-        # diffuse cell; neither sum rounds
-        out = self.u * self.tables.cell_diffuse[self.cell]
-        out += table[self.cell]
-        return out
-
-    @cached_property
-    def sign(self) -> np.ndarray:
-        """+1 right atom, -1 left atom, 0 diffuse."""
-        return self.tables.cell_sign[self.cell]
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        """Float marginal draw of the measure."""
-        return self._atom_or_u(self.tables.cell_x)
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        """Float marginal draw of the conjugate."""
-        return self._atom_or_u(self.tables.cell_y)
-
-    @cached_property
+    @property
     def rel(self) -> np.ndarray:
         """Relative position inside the cell, [0, 1)."""
         t = self.tables
@@ -450,7 +427,12 @@ class ConjugateBatch:
 
     def interpolate(self, s: np.ndarray) -> np.ndarray:
         """y + s * (x - y) per draw, through the per-cell x - y table."""
-        return self.y + s * self.tables.cell_span[self.cell]
+        t = self.tables
+        # y = u * diffuse + cell_y: an atom's y plus +0.0, or 0 + u in a
+        # diffuse cell; neither sum rounds
+        y = self.u * t.cell_diffuse[self.cell]
+        y += t.cell_y[self.cell]
+        return y + s * t.cell_span[self.cell]
 
 
 def _row_blocks(size: int, n: int):

@@ -115,6 +115,50 @@ def sample_ordering_batch(
     return out
 
 
+def _ordering_keys(measure: QuasiUniformMeasure, n: int, rows: int):
+    """The ordering comparator in batch form, for `rows` rows of n labels.
+
+    Returns keys(batch) -> (key, diffuse_hit) for a (..., n) conjugate
+    batch of `measure`: label i sits below label j exactly when key_i <
+    key_j, or the keys tie and i < j.  key = cell rank + position inside
+    the cell: label order at a right atom, reversed at a left one, and the
+    relative position in a diffuse cell.  diffuse_hit says whether a draw
+    fell in a diffuse cell; without one, keys in a row are pairwise
+    distinct.
+    """
+    t = _batch_tables(measure)
+    asc = (np.arange(n) + 1.0) / (n + 2.0)
+    # position inside the cell per (side, label), each cell's side given by
+    # its offset into `within`; a diffuse cell's rel is added per draw
+    within = np.concatenate([np.zeros(n), asc, 1.0 - asc])
+    offset = np.where(t.cell_sign > 0, n, np.where(t.cell_sign < 0, 2 * n, 0))
+    has_diffuse = bool(t.cell_diffuse.any())
+    label = np.arange(n)
+    if len(offset) <= rows:
+        # one gather per draw from a (cells x n) table of atom keys, built
+        # when it is no larger than the rows it keys
+        table = (within[offset[:, None] + label] + np.arange(len(offset))[:, None]).reshape(-1)
+        atom_keys = lambda cell: table[cell * n + label]
+    else:
+        atom_keys = lambda cell: within[offset[cell] + label] + cell
+
+    def keys(batch) -> tuple[np.ndarray, bool]:
+        key = atom_keys(batch.cell)
+        # atom keys in a row are pairwise distinct: 1/(n + 2) apart inside a
+        # cell and strictly between cell ranks, far above the float spacing
+        # while (n + 2) * cells < 2^50
+        if has_diffuse:
+            diffuse = t.cell_diffuse[batch.cell]
+            if diffuse.any():
+                # rel * 0.0 adds +0.0 to an atom key; a diffuse key is rel + cell
+                diffuse *= batch.rel
+                key += diffuse
+                return key, True
+        return key, False
+
+    return keys
+
+
 def _key_orders(
     measure: QuasiUniformMeasure, n: int, size: int, rng: np.random.Generator
 ):
@@ -124,40 +168,14 @@ def _key_orders(
     the (stop - start, n) argsort of rows start..stop-1, listing the label
     indices 0..n-1 from the lowest label up.
     """
-    t = _batch_tables(measure)
-    asc = (np.arange(n) + 1.0) / (n + 2.0)
-    sign = t.cell_sign[:, None]
-    # key = cell rank + position inside the cell: label order at a right
-    # atom, reversed at a left one, and in a diffuse cell the relative
-    # position, added per draw.  The atom keys are one small table per
-    # (cell, label)
-    table = np.where(sign > 0, asc, np.where(sign < 0, 1.0 - asc, 0.0))
-    table += np.arange(len(sign))[:, None]
-    table = table.reshape(-1)
-    has_diffuse = bool(t.cell_diffuse.any())
-    label = np.arange(n)
-
-    def block_order(rows: int) -> np.ndarray:
-        # the block's temporaries are freed on return, before the caller
-        # writes its rows
-        batch = sample_conjugate_batch(measure, (rows, n), rng)
-        key = table[batch.cell * n + label]
-        # atom keys in a row are pairwise distinct: 1/(n + 2) apart inside a
-        # cell and strictly between cell ranks, far above the float spacing
-        # while (n + 2) * cells < 2^50.  Any sort then returns the stable
-        # order, so the fast one is used unless a diffuse draw was hit
-        kind = None
-        if has_diffuse:
-            diffuse = t.cell_diffuse[batch.cell]
-            if diffuse.any():
-                # rel * 0.0 adds +0.0 to an atom key; a diffuse key is rel + cell
-                diffuse *= batch.rel
-                key += diffuse
-                kind = "stable"
-        return np.argsort(key, axis=1, kind=kind)
-
+    keys = _ordering_keys(measure, n, size)
     for start, stop in _row_blocks(size, n):
-        yield start, stop, block_order(stop - start)
+        key, diffuse_hit = keys(sample_conjugate_batch(measure, (stop - start, n), rng))
+        # distinct keys sort alike under any sort, so the fast one is used
+        # unless a diffuse draw was hit
+        order = np.argsort(key, axis=1, kind="stable" if diffuse_hit else None)
+        del key  # freed before the caller writes its rows
+        yield start, stop, order
 
 
 def ordering_counts(
@@ -169,6 +187,8 @@ def ordering_counts(
 ) -> dict[Perm, int]:
     """Histogram of sampled rankings over `size` draws, in chunks."""
     labels = check_labels(labels)
+    if size < 0:
+        raise ValueError(f"size = {size} is negative")
     return row_histogram(
         sample_ordering_batch(source, labels, min(chunk, size - start), rng)
         for start in range(0, size, chunk)
@@ -210,21 +230,16 @@ def empirical_positions(
     labels = np.arange(-n_half, n_half + 1)
     batch = sample_conjugate_batch(measure, labels.shape, rng)
     t = target_label + n_half
-    cell_t = batch.cell[t]
-    sign_t = batch.sign[t]
-    below = batch.cell < cell_t
-    same_cell = batch.cell == cell_t
+    key, _ = _ordering_keys(measure, len(labels), 1)(batch)
     lower = labels < target_label
     upper = labels > target_label
-    if sign_t == 0:
+    below = (key < key[t]) | ((key == key[t]) & lower)
+    cell = cell_decomposition(measure).cells[batch.cell[t]]
+    if cell.kind == "diffuse":
         u_t = float(batch.u[t])
         target = ConjugateSample(u_t, u_t)
-        below |= same_cell & (batch.rel < batch.rel[t])
     else:
-        cell = cell_decomposition(measure).cells[cell_t]
         target = ConjugateSample(cell.x, cell.y, cell.gap_index)
-        # a right atom keeps label order among its cell's labels, a left one reverses it
-        below |= same_cell & (lower if sign_t > 0 else upper)
     x_hat = float(np.count_nonzero(below & lower)) / n_half
     y_hat = float(np.count_nonzero(below & upper)) / n_half
     return EmpiricalPosition(target_label, n_half, x_hat, y_hat, target)

@@ -83,13 +83,10 @@ def _pair_step_counts(
 
     `step_batch` deals a conjugate step as the measure's ordering; ranking
     the coupling's pairs instead keeps this check independent of that route
-    and tests the draw that mixture steps use.  The chunks are those of
-    `empirical_step_counts`.
+    and tests the draw that mixture steps use.
     """
-    chunk = 1_000_000
     return row_histogram(
-        kernels._rank_pairs(*sampler.draw_batch((min(chunk, samples - start), n), rng))
-        for start in range(0, samples, chunk)
+        rows for _, _, rows in kernels._pair_step_blocks(n, sampler, samples, rng)
     )
 
 

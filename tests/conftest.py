@@ -12,6 +12,7 @@ from quasishuffle.measure import (
     GapInterval,
     QuasiUniformMeasure,
     a_shuffle,
+    cell_decomposition,
     gsr,
     lebesgue,
     mixed_fixture,
@@ -27,6 +28,23 @@ def make_rng(seed: int = SEED) -> np.random.Generator:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return make_rng()
+
+
+def eager_pairs(measure, batch) -> tuple[np.ndarray, np.ndarray]:
+    """Float (x, y) of each draw of a conjugate batch, from its cell: x is
+    the atom end and y the far end of an atom cell, both u in a diffuse one."""
+    cells = cell_decomposition(measure).cells
+    atom = np.array([c.kind == "atom" for c in cells])[batch.cell]
+    x = np.array([float(c.x) if c.kind == "atom" else 0.0 for c in cells])
+    y = np.array([float(c.y) if c.kind == "atom" else 0.0 for c in cells])
+    return np.where(atom, x[batch.cell], batch.u), np.where(atom, y[batch.cell], batch.u)
+
+
+def cell_sides(measure, cell: np.ndarray) -> np.ndarray:
+    """+1 right atom, -1 left atom, 0 diffuse, per cell rank in `cell`."""
+    cells = cell_decomposition(measure).cells
+    side = [0 if c.kind == "diffuse" else 1 if c.atom_side == RIGHT else -1 for c in cells]
+    return np.array(side)[cell]
 
 
 def builtin_measures() -> dict:

@@ -35,9 +35,9 @@ from quasishuffle.measure import (
     parse_measure,
     sample_conjugate_batch,
 )
-from quasishuffle.ordering import sample_ordering_batch
+from quasishuffle.ordering import _ordering_keys, sample_ordering_batch
 
-from conftest import make_rng
+from conftest import cell_sides, make_rng
 from test_batch_reference import (
     double_argsort_ordering,
     double_argsort_step,
@@ -207,6 +207,19 @@ def test_atom_only_ordering_equals_stable_sort(measure, n, seed):
     assert identical(got, double_argsort_ordering(measure, n, 200, make_rng(seed)))
 
 
+@given(gap_lists(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+@example(mixed_fixture(), 52, 0)
+@settings(max_examples=60, deadline=None)
+def test_key_table_and_per_draw_keys_agree(measure, n, seed):
+    # the comparator gathers its keys from a (cells x n) table when it keys
+    # at least one row per cell, else it adds each draw's cell itself
+    batch = sample_conjugate_batch(measure, (4, n), make_rng(seed))
+    cells = len(cell_decomposition(measure))
+    table_key, table_hit = _ordering_keys(measure, n, cells)(batch)
+    draw_key, draw_hit = _ordering_keys(measure, n, cells - 1)(batch)
+    assert identical(table_key, draw_key) and table_hit == draw_hit
+
+
 @pytest.mark.parametrize("measure", [lebesgue(), mixed_fixture()], ids=["lebesgue", "mixed"])
 def test_equal_diffuse_keys_keep_label_order(measure):
     # 52 labels draw from a dozen u values: diffuse draws that share a u
@@ -214,7 +227,7 @@ def test_equal_diffuse_keys_keep_label_order(measure):
     u = make_rng(5).choice(boundary_draws(measure)[:12], size=(200, 52))
     got = sample_ordering_batch(measure, range(1, 53), 200, FixedDraws(u))
     assert identical(got, double_argsort_ordering(measure, 52, 200, FixedDraws(u)))
-    diffuse = sample_conjugate_batch(measure, u.shape, FixedDraws(u)).sign == 0
+    diffuse = cell_sides(measure, sample_conjugate_batch(measure, u.shape, FixedDraws(u)).cell) == 0
     tied = (u[:, :, None] == u[:, None, :]) & diffuse[:, :, None] & np.triu(np.ones((52, 52), bool), 1)
     assert tied.any()
     assert (got[:, :, None] < got[:, None, :])[tied].all()

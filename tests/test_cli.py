@@ -368,6 +368,17 @@ def test_shuffle_map_json_and_grid(capsys):
     ]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_shuffle_map_grid_zero_or_negative(capsys, fmt):
+    plain = run(capsys, "shuffle-map", "--measure", "gsr", "--format", fmt)
+    assert plain[0] == 0
+    # --grid 0 tabulates nothing, as if no grid were given
+    assert run(capsys, "shuffle-map", "--measure", "gsr", "--grid", "0", "--format", fmt) == plain
+    code, out, err = run(capsys, "shuffle-map", "--measure", "gsr", "--grid", "-2", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "error: grid = -2 is negative\n"
+
+
 def test_shuffle_map_rejects_diffuse(capsys):
     code, _, err = run(capsys, "shuffle-map", "--measure", "lebesgue")
     assert code == 2
@@ -504,8 +515,9 @@ def test_step_rejects_zero_cards(capsys):
         (("step", "--measure", "gsr", "--n", "3", "--samples", "-1"), "samples = -1 is negative"),
         (("sample-order", "--measure", "gsr", "--n", "3", "--samples", "-1"), "samples = -1 is negative"),
         (("walk", "--sampler", "nu_mu:gsr", "--n", "3", "--steps", "-1"), "steps = -1 is negative"),
+        (("verify", "--measure", "gsr", "--samples", "-1"), "samples = -1 is negative"),
     ],
-    ids=["step", "sample-order", "walk"],
+    ids=["step", "sample-order", "walk", "verify"],
 )
 def test_negative_counts_name_the_option(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--seed", "1")

@@ -451,6 +451,15 @@ def test_kernel_matrix_mc_agrees_with_exact():
         kernel_matrix(3, ConjugateCoupling(gsr()), mode="mc")
 
 
+def test_step_counts_reject_a_negative_size():
+    # the same error as step_batch, and so from kernel_matrix's mc mode
+    with pytest.raises(ValueError, match="^size = -5 is negative$"):
+        empirical_step_counts(3, ConjugateCoupling(gsr()), -5, make_rng(1))
+    with pytest.raises(ValueError, match="^size = -3 is negative$"):
+        kernel_matrix(3, ConjugateCoupling(gsr()), mode="mc", samples=-3, rng=make_rng(1))
+    assert empirical_step_counts(3, ConjugateCoupling(gsr()), 0, make_rng(1)) == {}
+
+
 # -- sampler resolution ---------------------------------------------------
 
 

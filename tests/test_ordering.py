@@ -32,7 +32,7 @@ from quasishuffle.ordering import (
 from quasishuffle.oracle import exact_ordering_distribution
 from quasishuffle.stats import chi_square_goodness, empirical_tv
 
-from conftest import make_rng, measure_params, measure_strategy
+from conftest import cell_sides, eager_pairs, make_rng, measure_params, measure_strategy
 
 IDENTITY = QuasiUniformMeasure((GapInterval(F(0), F(1), RIGHT),))
 REVERSAL = QuasiUniformMeasure((GapInterval(F(0), F(1), LEFT),))
@@ -94,9 +94,10 @@ def _assert_ranks_follow_comparator(measure, labels, rows, seed):
     """With equal seeds, the batch ranks order every pair of labels as
     `compare` orders their conjugate pairs."""
     ranks = sample_ordering_batch(measure, labels, rows, make_rng(seed))
-    pairs = sample_conjugate_batch(measure, (rows, len(labels)), make_rng(seed))
+    batch = sample_conjugate_batch(measure, (rows, len(labels)), make_rng(seed))
+    xs, ys = eager_pairs(measure, batch)
     for r in range(rows):
-        samples = [ConjugateSample(x, y) for x, y in zip(pairs.x[r], pairs.y[r])]
+        samples = [ConjugateSample(x, y) for x, y in zip(xs[r], ys[r])]
         for i in range(len(labels)):
             for j in range(len(labels)):
                 if i != j:
@@ -233,19 +234,26 @@ def test_empirical_positions_mixture(rng):
     assert kinds == {True, False}
 
 
+def test_ordering_counts_reject_a_negative_size(rng):
+    # the same error as sample_ordering_batch
+    with pytest.raises(ValueError, match="^size = -5 is negative$"):
+        ordering_counts(gsr(), [1, 2, 3], -5, rng)
+    assert ordering_counts(gsr(), [1, 2, 3], 0, rng) == {}
+
+
 def test_exchangeability_gsr(rng):
     report = exchangeability_test(gsr(), [1, 2, 3], [5, 40, 1000], 20000, rng)
     assert report.passed
     assert report.alpha == 0.001
 
 
-def _pairwise_below(batch, n):
+def _pairwise_below(measure, batch, n):
     """below[i, j] says card i sits under card j, from batch arrays."""
     ci = batch.cell[:, None]
     cj = batch.cell[None, :]
     same = ci == cj
     lt = ci < cj
-    sign = batch.sign[:, None]
+    sign = cell_sides(measure, ci)
     rel_i = batch.rel[:, None]
     rel_j = batch.rel[None, :]
     nat = np.arange(n)
@@ -269,7 +277,7 @@ def test_window_frequencies_satisfy_sandwich(name):
     rng = make_rng(31)
     big = 1200
     batch = sample_conjugate_batch(measure, 2 * big, rng)
-    below = _pairwise_below(batch, 2 * big)
+    below = _pairwise_below(measure, batch, 2 * big)
     pref = np.cumsum(below, axis=0)
     yhat = np.array(
         [(pref[k + big, k] - pref[k, k]) / big for k in range(big)]

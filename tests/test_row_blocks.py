@@ -28,6 +28,7 @@ from quasishuffle.kernels import (
 from quasishuffle.measure import (
     _LOOKUP_BLOCK,
     MeasureMixture,
+    a_shuffle,
     gsr,
     mixed_fixture,
     parse_measure,
@@ -124,6 +125,20 @@ def test_peak_allocation_is_the_output_and_one_block(name):
         tracemalloc.stop()
     assert out.shape == (100_000, 8)
     assert peak < out.nbytes + 2**20
+
+
+def test_wide_rows_of_many_cells_allocate_no_key_table():
+    # two rows of 20,000 cards from 256 cells: a (cells x n) key table would
+    # take 41 MB, where one row block's temporaries take well under 2 MB
+    sampler = ConjugateCoupling(a_shuffle(256))
+    step_batch(8, sampler, 2, make_rng(1))  # the measure's tables are built and cached
+    tracemalloc.start()
+    try:
+        out = step_batch(20_000, sampler, 2, make_rng(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 2 * 2**20
 
 
 def test_blocked_mixture_steps_keep_the_pair_law():
