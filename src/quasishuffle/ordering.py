@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import IncomparableSamples, WindowTooSmall
 from .measure import (
+    ConjugateBatch,
     ConjugateSample,
     MeasureMixture,
     QuasiUniformMeasure,
@@ -115,48 +116,38 @@ def sample_ordering_batch(
     return out
 
 
-def _ordering_keys(measure: QuasiUniformMeasure, n: int, rows: int):
-    """The ordering comparator in batch form, for `rows` rows of n labels.
+def _ordering_keys(
+    measure: QuasiUniformMeasure, batch: ConjugateBatch
+) -> tuple[np.ndarray, bool]:
+    """The ordering comparator in batch form, for a (..., n) conjugate batch.
 
-    Returns keys(batch) -> (key, diffuse_hit) for a (..., n) conjugate
-    batch of `measure`: label i sits below label j exactly when key_i <
-    key_j, or the keys tie and i < j.  key = cell rank + position inside
-    the cell: label order at a right atom, reversed at a left one, and the
-    relative position in a diffuse cell.  diffuse_hit says whether a draw
-    fell in a diffuse cell; without one, keys in a row are pairwise
+    Returns (key, diffuse_hit): label i sits below label j exactly when
+    key_i < key_j, or the keys tie and i < j.  key = cell rank + position
+    inside the cell: label order at a right atom, reversed at a left one,
+    and the relative position in a diffuse cell.  diffuse_hit says whether
+    a draw fell in a diffuse cell; without one, keys in a row are pairwise
     distinct.
     """
     t = _batch_tables(measure)
+    n = batch.cell.shape[-1]
     asc = (np.arange(n) + 1.0) / (n + 2.0)
     # position inside the cell per (side, label), each cell's side given by
-    # its offset into `within`; a diffuse cell's rel is added per draw
+    # its offset into `within`
     within = np.concatenate([np.zeros(n), asc, 1.0 - asc])
     offset = np.where(t.cell_sign > 0, n, np.where(t.cell_sign < 0, 2 * n, 0))
-    has_diffuse = bool(t.cell_diffuse.any())
-    label = np.arange(n)
-    if len(offset) <= rows:
-        # one gather per draw from a (cells x n) table of atom keys, built
-        # when it is no larger than the rows it keys
-        table = (within[offset[:, None] + label] + np.arange(len(offset))[:, None]).reshape(-1)
-        atom_keys = lambda cell: table[cell * n + label]
-    else:
-        atom_keys = lambda cell: within[offset[cell] + label] + cell
-
-    def keys(batch) -> tuple[np.ndarray, bool]:
-        key = atom_keys(batch.cell)
-        # atom keys in a row are pairwise distinct: 1/(n + 2) apart inside a
-        # cell and strictly between cell ranks, far above the float spacing
-        # while (n + 2) * cells < 2^50
-        if has_diffuse:
-            diffuse = t.cell_diffuse[batch.cell]
-            if diffuse.any():
-                # rel * 0.0 adds +0.0 to an atom key; a diffuse key is rel + cell
-                diffuse *= batch.rel
-                key += diffuse
-                return key, True
-        return key, False
-
-    return keys
+    key = within[offset[batch.cell] + np.arange(n)]
+    key += batch.cell
+    # atom keys in a row are pairwise distinct: 1/(n + 2) apart inside a
+    # cell and strictly between cell ranks, far above the float spacing
+    # while (n + 2) * cells < 2^50
+    if t.cell_diffuse.any():
+        diffuse = t.cell_diffuse[batch.cell]
+        if diffuse.any():
+            # rel * 0.0 adds +0.0 to an atom key; a diffuse key is rel + cell
+            diffuse *= batch.rel
+            key += diffuse
+            return key, True
+    return key, False
 
 
 def _key_orders(
@@ -168,13 +159,13 @@ def _key_orders(
     the (stop - start, n) argsort of rows start..stop-1, listing the label
     indices 0..n-1 from the lowest label up.
     """
-    keys = _ordering_keys(measure, n, size)
     for start, stop in _row_blocks(size, n):
-        key, diffuse_hit = keys(sample_conjugate_batch(measure, (stop - start, n), rng))
+        batch = sample_conjugate_batch(measure, (stop - start, n), rng)
+        key, diffuse_hit = _ordering_keys(measure, batch)
         # distinct keys sort alike under any sort, so the fast one is used
         # unless a diffuse draw was hit
         order = np.argsort(key, axis=1, kind="stable" if diffuse_hit else None)
-        del key  # freed before the caller writes its rows
+        del batch, key  # freed before the caller writes its rows
         yield start, stop, order
 
 
@@ -230,7 +221,7 @@ def empirical_positions(
     labels = np.arange(-n_half, n_half + 1)
     batch = sample_conjugate_batch(measure, labels.shape, rng)
     t = target_label + n_half
-    key, _ = _ordering_keys(measure, len(labels), 1)(batch)
+    key, _ = _ordering_keys(measure, batch)
     lower = labels < target_label
     upper = labels > target_label
     below = (key < key[t]) | ((key == key[t]) & lower)

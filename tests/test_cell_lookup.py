@@ -35,7 +35,7 @@ from quasishuffle.measure import (
     parse_measure,
     sample_conjugate_batch,
 )
-from quasishuffle.ordering import _ordering_keys, sample_ordering_batch
+from quasishuffle.ordering import sample_ordering_batch
 
 from conftest import cell_sides, make_rng
 from test_batch_reference import (
@@ -205,19 +205,6 @@ def test_atom_only_ordering_equals_stable_sort(measure, n, seed):
     assert measure.is_purely_atomic
     got = sample_ordering_batch(measure, range(1, n + 1), 200, make_rng(seed))
     assert identical(got, double_argsort_ordering(measure, n, 200, make_rng(seed)))
-
-
-@given(gap_lists(), st.integers(1, 60), st.integers(0, 2**32 - 1))
-@example(mixed_fixture(), 52, 0)
-@settings(max_examples=60, deadline=None)
-def test_key_table_and_per_draw_keys_agree(measure, n, seed):
-    # the comparator gathers its keys from a (cells x n) table when it keys
-    # at least one row per cell, else it adds each draw's cell itself
-    batch = sample_conjugate_batch(measure, (4, n), make_rng(seed))
-    cells = len(cell_decomposition(measure))
-    table_key, table_hit = _ordering_keys(measure, n, cells)(batch)
-    draw_key, draw_hit = _ordering_keys(measure, n, cells - 1)(batch)
-    assert identical(table_key, draw_key) and table_hit == draw_hit
 
 
 @pytest.mark.parametrize("measure", [lebesgue(), mixed_fixture()], ids=["lebesgue", "mixed"])
