@@ -90,7 +90,7 @@ def _rows_and_histogram(rows: np.ndarray) -> tuple[list[str], dict[str, int]]:
     formatted at once.
     """
     size, n = rows.shape
-    keys, counts = count_rows(rows)
+    keys, counts = count_rows([rows])
     if n <= 9:
         text = np.full((size + len(keys), n + 1), ord("\n"), dtype=np.uint8)
         text[:size, :n] = rows

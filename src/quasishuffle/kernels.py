@@ -15,8 +15,9 @@ resolve by card order.
 
 Steps are dealt in row blocks of about 2^14 draws (`measure._row_blocks`),
 each written straight into one preallocated output, so no temporary grows
-with the batch; `empirical_mixing_curve` composes its one state array in
-place, block by block.  Blocks draw their uniforms in row order, so
+with the batch; `empirical_step_counts` counts the blocks one by one, and
+`empirical_mixing_curve` composes its one state array in place, block by
+block.  Blocks draw their uniforms in row order, so
 conjugate steps are those of one whole-batch draw; a coupling that draws
 (u, v) pairs draws them block by block, which keeps its law but not its
 rows at a fixed seed once a batch spans more than one block.
@@ -385,15 +386,14 @@ def empirical_step_counts(
     sampler: CouplingSampler,
     size: int,
     rng: np.random.Generator,
-    chunk: int = 1_000_000,
 ) -> dict[Perm, int]:
-    """Histogram of `size` sampled steps, in chunks."""
+    """Histogram of `size` sampled steps, counted block by block from the
+    rows `step_batch` deals, with no whole-batch array."""
+    if n < 1:
+        raise ValueError("need at least one card")
     if size < 0:
         raise ValueError(f"size = {size} is negative")
-    return row_histogram(
-        step_batch(n, sampler, min(chunk, size - start), rng)
-        for start in range(0, size, chunk)
-    )
+    return row_histogram(rows for _, _, rows in _step_blocks(n, sampler, size, rng))
 
 
 def walk(

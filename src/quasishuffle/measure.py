@@ -321,6 +321,10 @@ class CellDecomposition:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def cell_decomposition(measure: QuasiUniformMeasure) -> CellDecomposition:
+    if not isinstance(measure, QuasiUniformMeasure):
+        raise ValueError(
+            f"cell decomposition takes a plain measure, not a {type(measure).__name__}"
+        )
     cells = []
     for a, b in measure.diffuse_segments():
         cells.append(Cell("diffuse", a, b, b - a))

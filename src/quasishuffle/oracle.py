@@ -39,6 +39,7 @@ import numpy as np
 from .errors import (
     CapExceeded,
     DimensionMismatch,
+    EmptyCounts,
     ExactUnavailable,
     NotPurelyAtomic,
     QuasiShuffleError,
@@ -129,6 +130,8 @@ class PermutationDistribution:
     @classmethod
     def from_counts(cls, n: int, counts: Mapping[Perm, int]) -> "PermutationDistribution":
         total = sum(counts.values())
+        if not total:
+            raise EmptyCounts("no observations")
         return cls(n, {p: Fraction(c, total) for p, c in counts.items() if c})
 
     def prob(self, perm: Perm) -> Fraction:
@@ -180,6 +183,8 @@ def restrict_distribution(d: PermutationDistribution, m: int) -> PermutationDist
 def combine_distributions(parts) -> PermutationDistribution:
     """Exact mixture sum((weight, distribution))."""
     parts = list(parts)
+    if not parts:
+        raise ValueError("a mixture needs at least one component")
     n = parts[0][1].n
     out: dict[Perm, Fraction] = {}
     for weight, d in parts:
@@ -463,8 +468,7 @@ def exact_coupling_step_distribution(
         raise ValueError(f"kind must be 'one' or 'two', got {kind!r}")
     if not measure.is_purely_atomic:
         raise NotPurelyAtomic("coupling route needs a purely atomic measure")
-    if n > max_n:
-        raise CapExceeded(f"n = {n} above exact cap {max_n}")
+    _check_n(n, max_n)
     gaps = measure.gaps
     k = len(gaps)
     work = k**n * factorial(n) * n

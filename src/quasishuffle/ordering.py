@@ -10,14 +10,15 @@ ranks to y.
 
 Orderings are dealt in row blocks of about 2^14 draws
 (`measure._row_blocks`), each sorted and scattered straight into one
-preallocated output.  The blocks draw their uniforms in row order, so the
-rows are those of one whole-batch draw.
+preallocated output, or counted one by one (`ordering_counts`).  The
+blocks draw their uniforms in row order, so the rows are those of one
+whole-batch draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -100,20 +101,39 @@ def sample_ordering_batch(
     into the output.
     """
     labels = check_labels(labels)
-    n = len(labels)
     if size < 0:
         raise ValueError(f"size = {size} is negative")
-    out = np.empty((size, n), dtype=np.int64)
-    if isinstance(source, MeasureMixture):
-        for m, mask in _component_draws(source.components, size, rng):
-            rows = np.flatnonzero(mask)
-            for start, stop, order in _key_orders(m, n, len(rows), rng):
-                out[rows[start:stop]] = _ranks_of_order(order)
-        return out
-    # a label's rank is its position in the key order
-    for start, stop, order in _key_orders(source, n, size, rng):
-        _ranks_of_order(order, out[start:stop])
+    out = np.empty((size, len(labels)), dtype=np.int64)
+    for _ in _ordering_blocks(source, len(labels), size, rng, out):
+        pass  # each block is written into out
     return out
+
+
+def _ordering_blocks(
+    source: OrderingSource,
+    n: int,
+    size: int,
+    rng: np.random.Generator,
+    out: Optional[np.ndarray] = None,
+):
+    """Rankings of `size` orderings of n labels, yielded one row block at a
+    time; with `out`, each block is also written into its rows of `out`.
+
+    A mixture draws one component per ordering for the whole batch first,
+    then deals each component's orderings in blocks.
+    """
+    if not isinstance(source, MeasureMixture):
+        # a label's rank is its position in the key order
+        for start, stop, order in _key_orders(source, n, size, rng):
+            yield _ranks_of_order(order, None if out is None else out[start:stop])
+        return
+    for measure, mask in _component_draws(source.components, size, rng):
+        index = np.flatnonzero(mask)
+        for start, stop, order in _key_orders(measure, n, len(index), rng):
+            rows = _ranks_of_order(order)
+            if out is not None:
+                out[index[start:stop]] = rows
+            yield rows
 
 
 def _ordering_keys(
@@ -174,16 +194,13 @@ def ordering_counts(
     labels: Sequence[int],
     size: int,
     rng: np.random.Generator,
-    chunk: int = 1_000_000,
 ) -> dict[Perm, int]:
-    """Histogram of sampled rankings over `size` draws, in chunks."""
+    """Histogram of `size` sampled rankings, counted block by block from the
+    rows `sample_ordering_batch` deals, with no whole-batch array."""
     labels = check_labels(labels)
     if size < 0:
         raise ValueError(f"size = {size} is negative")
-    return row_histogram(
-        sample_ordering_batch(source, labels, min(chunk, size - start), rng)
-        for start in range(0, size, chunk)
-    )
+    return row_histogram(_ordering_blocks(source, len(labels), size, rng))
 
 
 @dataclass(frozen=True)

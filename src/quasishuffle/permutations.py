@@ -14,6 +14,10 @@ import numpy as np
 
 Perm = Tuple[int, ...]
 
+# `count_rows` lets at least this many counted keys wait before a fold, so
+# that rows of a small support are not merged block by block.
+_FOLD_AT = 1 << 14
+
 
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
@@ -76,13 +80,61 @@ def _ranks_of_order(order: np.ndarray, out: Optional[np.ndarray] = None) -> np.n
     return out
 
 
-def count_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-D integer array in lexicographic order, with counts."""
-    rows = np.asarray(rows)
-    keys, counts, base = _encoded_counts(rows)
-    if base is None:
-        return keys, counts
-    return keys[:, None] // _digit_weights(base, rows.shape[1]) % base, counts
+def count_rows(batches: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of 2-D integer row batches of one width, in
+    lexicographic order, with their counts summed over the batches.
+
+    Each batch is counted on its own (`_encoded_counts`).  Its distinct keys
+    wait until the waiting keys outnumber both the running ones and
+    `_FOLD_AT`; then all are folded into one running (keys, counts) part.
+    So memory stays bounded by the number of distinct rows, however many
+    batches come, and rows are decoded once, at the end.  Batches may have
+    different maxima, and so different code bases: a fold re-encodes its
+    parts in the largest base, or as rows when one part is too wide to
+    encode.
+    """
+    n = None
+    parts: list = []  # (keys, counts, base), the running part first
+    held = waiting = 0
+    for rows in batches:
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or n not in (None, rows.shape[1]):
+            raise ValueError(f"row batches must be 2-D of one width, got shape {rows.shape}")
+        n = rows.shape[1]
+        if len(rows) == 0:
+            continue
+        parts.append(_encoded_counts(rows))
+        waiting += len(parts[-1][0])
+        if waiting > max(held, _FOLD_AT):
+            parts = [_fold(parts, n)]
+            held, waiting = len(parts[0][0]), 0
+    if not parts:
+        return np.zeros((0, n or 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    keys, counts, base = _fold(parts, n)
+    return _recoded(keys, base, None, n), counts
+
+
+def _fold(parts: list, n: int) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
+    """Merge (keys, counts, base) parts of n-wide rows into one such part."""
+    if len(parts) == 1:
+        return parts[0]
+    bases = {base for _, _, base in parts}
+    base = None if None in bases else max(bases)
+    keys = np.concatenate([_recoded(k, b, base, n) for k, _, b in parts])
+    order = np.lexsort(keys.T[::-1]) if base is None else np.argsort(keys)
+    keys = keys[order]
+    counts = np.concatenate([c for _, c, _ in parts])[order]
+    new = keys[1:] != keys[:-1]
+    first = np.flatnonzero(np.concatenate([[True], new.any(axis=1) if base is None else new]))
+    return keys[first], np.add.reduceat(counts, first), base
+
+
+def _recoded(keys: np.ndarray, base: Optional[int], to: Optional[int], n: int) -> np.ndarray:
+    """Keys of n-wide rows coded in `base` (rows when None), coded in `to`."""
+    if base == to:
+        return keys
+    rows = keys if base is None else keys[:, None] // _digit_weights(base, n) % base
+    return rows if to is None else rows @ _digit_weights(to, n)
 
 
 def _digit_weights(base: int, n: int) -> np.ndarray:
@@ -109,10 +161,6 @@ def _encoded_counts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[
 
 
 def row_histogram(batches: Iterable[np.ndarray]) -> dict[Perm, int]:
-    """Merged `count_rows` of row batches, keyed by row tuples."""
-    totals: dict[Perm, int] = {}
-    for rows in batches:
-        keys, counts = count_rows(rows)
-        for key, count in zip(map(tuple, keys.tolist()), counts.tolist()):
-            totals[key] = totals.get(key, 0) + count
-    return totals
+    """`count_rows` of row batches as a dict keyed by row tuples."""
+    keys, counts = count_rows(batches)
+    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))

@@ -1,6 +1,7 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and every
+parameter of a library function is read in its body.
 
-The scan uses the stdlib `ast` over the library's and the tests' own files.
+The scans use the stdlib `ast` over the library's and the tests' own files.
 `__init__.py` is skipped: its imports are the package's re-exports.  A name
 listed in a module's `__all__` counts as read.
 """
@@ -44,3 +45,50 @@ def test_every_import_is_read(path):
 def test_the_scan_finds_an_unread_import():
     source = "import os\nimport a.b\nfrom x import y as z, w\n__all__ = ['w']\nprint(a)\n"
     assert unread_imports(source) == ["os (line 1)", "z (line 3)"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters that a function's body never reads.
+
+    A body that only raises (after an optional docstring) is abstract, and
+    its parameters are exempt.  A read from a nested function counts.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = node.body if isinstance(node.body, list) else [node.body]
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) == 1 and isinstance(body[0], ast.Raise):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+        }
+        name = getattr(node, "name", "<lambda>")
+        out += [f"{name}({p.arg}) (line {node.lineno})" for p in params if p.arg not in read]
+    return out
+
+
+LIBRARY = [p for p in FILES if p.parent.name == "quasishuffle"]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[p.relative_to(ROOT).as_posix() for p in LIBRARY])
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_the_scan_finds_an_unread_parameter():
+    source = (
+        "def f(a, b, *, c=1, **kw):\n    return a + kw['x']\n"
+        "class S:\n    def draw(self, shape):\n        'abstract'\n        raise NotImplementedError\n"
+        "    def g(self, x):\n        return lambda y: x\n"
+    )
+    assert unread_parameters(source) == [
+        "f(b) (line 1)", "f(c) (line 1)", "g(self) (line 7)", "<lambda>(y) (line 8)"
+    ]

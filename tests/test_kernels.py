@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quasishuffle.errors import (
+    EmptyCounts,
     ExactUnavailable,
     InvalidGridMatrix,
     InvalidShuffleMap,
@@ -458,6 +459,11 @@ def test_step_counts_reject_a_negative_size():
     with pytest.raises(ValueError, match="^size = -3 is negative$"):
         kernel_matrix(3, ConjugateCoupling(gsr()), mode="mc", samples=-3, rng=make_rng(1))
     assert empirical_step_counts(3, ConjugateCoupling(gsr()), 0, make_rng(1)) == {}
+
+
+def test_mc_kernel_of_no_samples_has_no_observations():
+    with pytest.raises(EmptyCounts, match="^no observations$"):
+        kernel_matrix(3, ConjugateCoupling(gsr()), mode="mc", samples=0, rng=make_rng(1))
 
 
 # -- sampler resolution ---------------------------------------------------

@@ -10,6 +10,7 @@ from quasishuffle import oracle
 from quasishuffle.errors import (
     CapExceeded,
     DimensionMismatch,
+    EmptyCounts,
     ExactUnavailable,
     NotPurelyAtomic,
     QuasiShuffleError,
@@ -23,6 +24,7 @@ from quasishuffle.measure import (
     QuasiUniformMeasure,
     a_shuffle,
     gsr,
+    interior_atom_fixture,
     lebesgue,
     mixed_fixture,
 )
@@ -36,11 +38,12 @@ from quasishuffle.oracle import (
     exact_step_distribution,
     invert_distribution,
     mixing_curve,
+    ranking_probability,
     restrict_distribution,
     transition_matrix,
     tv_distance,
 )
-from quasishuffle.ordering import ordering_counts
+from quasishuffle.ordering import ordering_counts, sample_ordering_batch
 from quasishuffle.permutations import all_permutations, compose, invert
 from quasishuffle.stats import empirical_tv
 
@@ -68,6 +71,9 @@ def test_distribution_constructors():
     assert pm.prob((2, 1, 3)) == 1
     fc = PermutationDistribution.from_counts(2, {(1, 2): 3, (2, 1): 1})
     assert fc.prob((1, 2)) == F(3, 4)
+    for counts in ({}, {(1, 2): 0}):
+        with pytest.raises(EmptyCounts, match="^no observations$"):
+            PermutationDistribution.from_counts(2, counts)
 
 
 def test_distribution_json_round_trip():
@@ -188,6 +194,13 @@ def test_coupling_route_needs_purely_atomic():
         exact_coupling_step_distribution(lebesgue(), 3)
 
 
+def test_coupling_route_checks_n_as_the_other_exact_routes():
+    with pytest.raises(ValueError, match="^n = -1 is negative$"):
+        exact_coupling_step_distribution(gsr(), -1)
+    with pytest.raises(CapExceeded, match="^n = 7 above exact cap 6$"):
+        exact_coupling_step_distribution(gsr(), 7)
+
+
 def _coupling_loop(measure, n):
     """Both kinds of the coupling route, one (gap assignment, u-rank vector)
     pair at a time in Python ints: the route before it ranked arrays."""
@@ -304,6 +317,8 @@ def test_combine_distributions():
                 (F(1, 2), PermutationDistribution.uniform(3)),
             ]
         )
+    with pytest.raises(ValueError, match="at least one component"):
+        combine_distributions([])
 
 
 def test_mixture_ordering_law():
@@ -421,3 +436,24 @@ def test_invert_distribution_involution():
     assert invert_distribution(invert_distribution(d)) == d
     for p, mass in d.probs.items():
         assert invert_distribution(d).prob(invert(p)) == mass
+
+
+MIXTURE = MeasureMixture(((F(1, 2), gsr()), (F(1, 2), REVERSAL)))
+CANDIDATE = interior_atom_fixture()
+# every exact route and sampler reads the cell decomposition, which takes a
+# plain measure; a mixture's own routes split it into components first
+NOT_PLAIN = {
+    "ranking_probability-mixture": lambda: ranking_probability(MIXTURE, (1, 2, 3)),
+    "ranking_probability-candidate": lambda: ranking_probability(CANDIDATE, (1, 2, 3)),
+    "exact_ordering_distribution": lambda: exact_ordering_distribution(CANDIDATE, 3),
+    "mixing_curve": lambda: mixing_curve(CANDIDATE, 3),
+    "sample_ordering_batch": lambda: sample_ordering_batch(CANDIDATE, (1, 2), 3, make_rng(1)),
+    "exact_step_distribution": lambda: exact_step_distribution(CANDIDATE, 3, "two"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(NOT_PLAIN))
+def test_routes_name_a_source_that_is_not_a_plain_measure(route):
+    kind = "MeasureMixture" if route.endswith("mixture") else "CandidateMeasure"
+    with pytest.raises(ValueError, match=f"^cell decomposition takes a plain measure, not a {kind}$"):
+        NOT_PLAIN[route]()

@@ -1,6 +1,8 @@
 """The shared row counter and the histograms built on it."""
 
+import tracemalloc
 from collections import Counter
+from fractions import Fraction as F
 from math import factorial
 
 import numpy as np
@@ -8,13 +10,15 @@ import pytest
 
 from quasishuffle.kernels import (
     ConjugateCoupling,
+    GridCopulaCoupling,
+    InverseConjugateCoupling,
     empirical_mixing_curve,
     empirical_step_counts,
     step_batch,
 )
-from quasishuffle.measure import gsr
+from quasishuffle.measure import _LOOKUP_BLOCK, MeasureMixture, gsr, mixed_fixture
 from quasishuffle.ordering import ordering_counts, sample_ordering_batch
-from quasishuffle.permutations import count_rows
+from quasishuffle.permutations import count_rows, row_histogram
 
 from conftest import make_rng
 
@@ -28,7 +32,7 @@ def _random_perm_rows(rng, size, n, distinct):
 @pytest.mark.parametrize("n", [1, 4, 9, 15, 16, 20])
 def test_count_rows_matches_rowwise_unique(n):
     rows = _random_perm_rows(make_rng(n), 3000, n, 50)
-    keys, counts = count_rows(rows)
+    keys, counts = count_rows([rows])
     want_keys, want_counts = np.unique(rows, axis=0, return_counts=True)
     assert np.array_equal(keys, want_keys)
     assert np.array_equal(counts, want_counts)
@@ -37,13 +41,13 @@ def test_count_rows_matches_rowwise_unique(n):
 def test_count_rows_general_integers():
     rng = make_rng()
     for rows in (rng.integers(-3, 4, (2000, 5)), rng.integers(0, 3, (2000, 6)).astype(np.uint8)):
-        keys, counts = count_rows(rows)
+        keys, counts = count_rows([rows])
         want_keys, want_counts = np.unique(rows, axis=0, return_counts=True)
         assert np.array_equal(keys, want_keys) and np.array_equal(counts, want_counts)
 
 
 def test_count_rows_empty():
-    keys, counts = count_rows(np.zeros((0, 5), dtype=np.int64))
+    keys, counts = count_rows([np.zeros((0, 5), dtype=np.int64)])
     assert keys.shape == (0, 5) and counts.shape == (0,)
 
 
@@ -55,13 +59,9 @@ def _check_histogram(counts, rows, n):
 
 @pytest.mark.parametrize("n", [15, 16, 20])
 def test_ordering_counts_wide_rows(n):
-    labels, size, chunk = tuple(range(1, n + 1)), 2000, 700
-    counts = ordering_counts(gsr(), labels, size, make_rng(n), chunk=chunk)
-    rng = make_rng(n)
-    rows = np.concatenate(
-        [sample_ordering_batch(gsr(), labels, min(chunk, size - s), rng) for s in range(0, size, chunk)]
-    )
-    _check_histogram(counts, rows, n)
+    labels = tuple(range(1, n + 1))
+    counts = ordering_counts(gsr(), labels, 2000, make_rng(n))
+    _check_histogram(counts, sample_ordering_batch(gsr(), labels, 2000, make_rng(n)), n)
 
 
 @pytest.mark.parametrize("n", [15, 16, 20])
@@ -69,6 +69,100 @@ def test_empirical_step_counts_wide_rows(n):
     sampler = ConjugateCoupling(gsr())
     counts = empirical_step_counts(n, sampler, 2000, make_rng(n))
     _check_histogram(counts, step_batch(n, sampler, 2000, make_rng(n)), n)
+
+
+MIXTURE = MeasureMixture(((F(1, 3), gsr()), (F(2, 3), mixed_fixture())))
+ORDERING_SOURCES = {"gsr": gsr(), "mixture": MIXTURE}
+GRID = GridCopulaCoupling([[F(1, 3), 0, 0], [0, F(1, 6), F(1, 6)], [0, F(1, 6), F(1, 6)]])
+STEP_SAMPLERS = {
+    "one-gsr": ConjugateCoupling(gsr()),
+    "two-mixed": InverseConjugateCoupling(mixed_fixture()),
+    "grid": GRID,
+}
+COUNTED_WIDTHS = [4, 8, 16, 20]
+
+
+def _blocks_and_a_part(n):
+    """Three whole row blocks of n-card rows and a partial fourth."""
+    return 3 * (_LOOKUP_BLOCK // n) + 5
+
+
+@pytest.mark.parametrize("n", COUNTED_WIDTHS)
+@pytest.mark.parametrize("name", sorted(ORDERING_SOURCES))
+def test_ordering_counts_are_the_histogram_of_the_sampled_rows(name, n):
+    # the counter histograms the blocks sample_ordering_batch deals, so at
+    # one seed its counts are those of the sampled rows
+    source, labels, size = ORDERING_SOURCES[name], tuple(range(1, n + 1)), _blocks_and_a_part(n)
+    counts = ordering_counts(source, labels, size, make_rng(n))
+    _check_histogram(counts, sample_ordering_batch(source, labels, size, make_rng(n)), n)
+
+
+@pytest.mark.parametrize("n", COUNTED_WIDTHS)
+@pytest.mark.parametrize("name", sorted(STEP_SAMPLERS))
+def test_step_counts_are_the_histogram_of_the_dealt_steps(name, n):
+    sampler, size = STEP_SAMPLERS[name], _blocks_and_a_part(n)
+    counts = empirical_step_counts(n, sampler, size, make_rng(n + 1))
+    _check_histogram(counts, step_batch(n, sampler, size, make_rng(n + 1)), n)
+
+
+def test_step_counts_need_a_card():
+    with pytest.raises(ValueError, match="^need at least one card$"):
+        empirical_step_counts(0, ConjugateCoupling(gsr()), 5, make_rng(1))
+
+
+def test_count_rows_merges_batches_of_different_maxima():
+    # codes of batches with different maxima are in different bases; a batch
+    # with a negative entry, or one too wide for an int64 code, is counted
+    # as rows, and every fold must still merge equal rows.  The first
+    # batches hold enough distinct rows to fold before the last batch.
+    rng = make_rng(5)
+    batches = [rng.integers(0, high, (6000, 6)) for high in (2, 7, 3, 40, 2, 30, 5, 40)]
+    batches += [np.zeros((0, 6), dtype=np.int64), rng.integers(-2, 3, (300, 6))]
+    batches += [rng.integers(0, 2, (400, 6)) for _ in range(20)]
+    batches.append(np.full((2, 6), 2**62))
+    batches += [rng.integers(0, 3, (50, 6)) for _ in range(5)]
+    whole = np.concatenate(batches)
+    for parts in (batches, batches[:8], batches[10:30], [whole]):
+        keys, counts = count_rows(parts)
+        want_keys, want_counts = np.unique(np.concatenate(parts), axis=0, return_counts=True)
+        assert np.array_equal(keys, want_keys) and np.array_equal(counts, want_counts)
+    assert row_histogram(batches) == Counter(map(tuple, whole.tolist()))
+
+
+def test_count_rows_takes_batches_of_one_width():
+    keys, counts = count_rows([])
+    assert keys.shape == (0, 0) and counts.shape == (0,)
+    with pytest.raises(ValueError, match="one width"):
+        count_rows([np.zeros((2, 3), dtype=np.int64), np.zeros((2, 4), dtype=np.int64)])
+    # a bare 2-D array is an iterable of 1-D rows, not of batches
+    with pytest.raises(ValueError, match="2-D"):
+        count_rows(np.zeros((2, 3), dtype=np.int64))
+
+
+COUNTERS = {
+    "ordering_counts-gsr": lambda size, rng: ordering_counts(gsr(), range(1, 7), size, rng),
+    "empirical_step_counts-one-gsr": lambda size, rng: empirical_step_counts(
+        6, ConjugateCoupling(gsr()), size, rng
+    ),
+    "empirical_step_counts-two-mixed": lambda size, rng: empirical_step_counts(
+        6, InverseConjugateCoupling(mixed_fixture()), size, rng
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTERS))
+def test_counters_allocate_no_batch_sized_array(name):
+    # 10^6 rows of 6 cards take 48 MB; the counters hold one row block and
+    # the distinct rows (at most 6! = 720) at a time
+    COUNTERS[name](10, make_rng(1))  # the measure's tables are built and cached
+    tracemalloc.start()
+    try:
+        counts = COUNTERS[name](10**6, make_rng(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == 10**6
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("n", [15, 16, 20])
@@ -100,7 +194,7 @@ def test_empirical_mixing_curve_counts_without_decoding(n):
     for h in range(steps + 1):
         if h:
             state = np.take_along_axis(step_batch(n, sampler, trials, rng), state - 1, axis=1)
-        _, counts = count_rows(state)
+        _, counts = count_rows([state])
         l1 = float(np.abs(counts / trials - u).sum()) + (factorial(n) - len(counts)) * u
         want.append(l1 / 2.0)
     assert curve == want

@@ -97,7 +97,7 @@ def test_mixing_curve_spans_blocks(name, kind):
         if h:
             sigma = step_reference(n, sampler, trials, rng)
             state = np.take_along_axis(sigma, state - 1, axis=1)
-        _, counts = count_rows(state)
+        _, counts = count_rows([state])
         l1 = float(np.abs(counts / trials - u).sum()) + (factorial(n) - len(counts)) * u
         want.append(l1 / 2.0)
     assert curve == want
