@@ -167,15 +167,17 @@ def cmd_verify(args) -> int:
 
 def cmd_mixing(args) -> int:
     source = _measure_only(args.measure)
+    mc = args.mode in ("mc", "both")
+    # the mc preconditions fail before any work on the exact curve
+    if mc and args.seed is None:
+        raise ValueError("mc mode needs --seed")
+    if mc and isinstance(source, MeasureMixture):
+        raise ValueError("mc mixing runs on a plain measure")
     exact: list | None = None
     empirical: list | None = None
     if args.mode in ("exact", "both"):
         exact = mixing_curve(source, args.n, args.type, args.steps)
-    if args.mode in ("mc", "both"):
-        if args.seed is None:
-            raise ValueError("mc mode needs --seed")
-        if isinstance(source, MeasureMixture):
-            raise ValueError("mc mixing runs on a plain measure")
+    if mc:
         rng = np.random.default_rng(args.seed)
         empirical = empirical_mixing_curve(
             args.n, _COUPLINGS[args.type](source), args.steps, args.samples, rng

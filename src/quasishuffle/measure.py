@@ -45,8 +45,8 @@ _ONE = Fraction(1)
 # tables): enough for every measure a run names, bounded for a long-lived
 # process fed many user measures.
 _CACHE_SIZE = 256
-# Draws per block of the batch cell lookup and of the samplers built on it:
-# a block's 8-byte temporaries (128 KB each) fit in one core's L2 cache.
+# Draws per row block of the samplers (`_row_blocks`): a block's 8-byte
+# temporaries (128 KB each) fit in one core's L2 cache.
 _LOOKUP_BLOCK = 1 << 14
 
 
@@ -368,7 +368,6 @@ class _BatchTables:
     cell_y: np.ndarray  # conjugate position (atoms) / 0 (diffuse)
     cell_span: np.ndarray  # x - y (atoms) / 0 (diffuse)
     cell_diffuse: np.ndarray  # 0.0 (atoms) / 1.0 (diffuse)
-    cell_lo: np.ndarray  # cell interval, float64
     cell_inv_len: np.ndarray  # 1 / (hi - lo)
     cell_sign: np.ndarray  # +1 right atom, -1 left atom, 0 diffuse
 
@@ -378,8 +377,7 @@ def _batch_tables(measure: QuasiUniformMeasure) -> _BatchTables:
     # The cells tile [0,1] in rank order, so a draw's cell is the boundary
     # interval it falls in.
     cells = cell_decomposition(measure).cells
-    cell_lo = np.array([float(c.lo) for c in cells])
-    edges = np.append(cell_lo, 1.0)
+    edges = np.append([float(c.lo) for c in cells], 1.0)
     # B >= 2 * cells buckets leave most of them without an edge inside
     buckets = 1 << (2 * len(cells) - 1).bit_length()
     grid = np.arange(buckets + 1) / buckets
@@ -397,7 +395,7 @@ def _batch_tables(measure: QuasiUniformMeasure) -> _BatchTables:
     span = cell_x - cell_y
     diffuse = (sign == 0).astype(np.float64)
     return _BatchTables(
-        edges, guide, guide_steps, cell_y, span, diffuse, cell_lo, cell_inv_len, sign
+        edges, guide, guide_steps, cell_y, span, diffuse, cell_inv_len, sign
     )
 
 
@@ -425,7 +423,7 @@ class ConjugateBatch:
     def rel(self) -> np.ndarray:
         """Relative position inside the cell, [0, 1)."""
         t = self.tables
-        rel = self.u - t.cell_lo[self.cell]
+        rel = self.u - t.edges[self.cell]  # the cell's lo edge
         rel *= t.cell_inv_len[self.cell]  # in place: one temporary fewer
         return rel
 
@@ -456,22 +454,21 @@ def _row_blocks(size: int, n: int):
 def sample_conjugate_batch(
     measure: QuasiUniformMeasure, shape, rng: np.random.Generator
 ) -> ConjugateBatch:
+    """Conjugate-pair draws of `measure`, one per entry of `shape`.
+
+    Each draw takes one uniform u from `rng` and finds its cell through the
+    guide table, so the draws are those of `rng.random(shape)`.  The lookup
+    runs on the whole shape at once; the samplers call it one row block at
+    a time (`_row_blocks`).
+    """
     t = _batch_tables(measure)
     u = rng.random(shape)
-    cell = np.empty(u.shape, dtype=np.intp)
+    # u * B is exact for a power of two B, so the bucket is too; u < 1 =
+    # edges[-1] keeps every step inside 0..cells-1
+    cell = t.guide[(u * len(t.guide)).astype(np.intp)]
     hi = t.edges[1:]
-    # in blocks whose temporaries stay in the core's L2 cache: memory shared
-    # with other cores then sees u read once and the cells written once,
-    # whatever the batch size
-    flat_u, flat_cell = u.reshape(-1), cell.reshape(-1)
-    for start in range(0, flat_u.size, _LOOKUP_BLOCK):
-        block = flat_u[start : start + _LOOKUP_BLOCK]
-        # u * B is exact for a power of two B, so the bucket is too; u < 1 =
-        # edges[-1] keeps every step inside 0..cells-1
-        c = t.guide[(block * len(t.guide)).astype(np.intp)]
-        for _ in range(t.guide_steps):
-            c += block >= hi[c]
-        flat_cell[start : start + _LOOKUP_BLOCK] = c
+    for _ in range(t.guide_steps):
+        cell += u >= hi[cell]
     return ConjugateBatch(u, cell, t)
 
 

@@ -203,6 +203,11 @@ def _check_n(n: int, max_n: int):
         raise CapExceeded(f"n = {n} above exact cap {max_n}")
 
 
+def _check_kind(kind: str):
+    if kind not in ("one", "two"):
+        raise ValueError(f"kind must be 'one' or 'two', got {kind!r}")
+
+
 def _descent_set(ranking: Perm) -> int:
     """Descent set of the labels listed in rank order (the inverse of
     ranking), as a bit mask: bit i is set when that list falls after
@@ -444,8 +449,7 @@ def exact_step_distribution(
     law equals the ordering law); kind "two" is the time reversal, the
     inverse permutation.
     """
-    if kind not in ("one", "two"):
-        raise ValueError(f"kind must be 'one' or 'two', got {kind!r}")
+    _check_kind(kind)
     d = exact_ordering_distribution(source, n, max_n)
     return d if kind == "one" else invert_distribution(d)
 
@@ -464,8 +468,7 @@ def exact_coupling_step_distribution(
     integer array, and each gap multiset's exact weight is applied once to
     the histogram of its assignments' steps.
     """
-    if kind not in ("one", "two"):
-        raise ValueError(f"kind must be 'one' or 'two', got {kind!r}")
+    _check_kind(kind)
     if not measure.is_purely_atomic:
         raise NotPurelyAtomic("coupling route needs a purely atomic measure")
     _check_n(n, max_n)
@@ -586,8 +589,7 @@ def mixing_curve(
     The two kinds give the same curve (TV is invariant under inversion).  A
     MeasureMixture convolves its n!-entry step law instead, capped at max_n.
     """
-    if kind not in ("one", "two"):
-        raise ValueError(f"kind must be 'one' or 'two', got {kind!r}")
+    _check_kind(kind)
     if steps < 0:
         raise ValueError(f"steps = {steps} is negative")
     if isinstance(source, MeasureMixture):

@@ -11,14 +11,16 @@ ranks to y.
 Orderings are dealt in row blocks of about 2^14 draws
 (`measure._row_blocks`), each sorted and scattered straight into one
 preallocated output, or counted one by one (`ordering_counts`).  The
-blocks draw their uniforms in row order, so the rows are those of one
-whole-batch draw.
+blocks draw their uniforms in row order, so the rows of a measure are
+those of one whole-batch draw.  A mixture draws the components of each
+block's rows before their uniforms, so beyond one block its rows differ
+from those of a whole-batch component draw, with the same law.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -104,36 +106,10 @@ def sample_ordering_batch(
     if size < 0:
         raise ValueError(f"size = {size} is negative")
     out = np.empty((size, len(labels)), dtype=np.int64)
-    for _ in _ordering_blocks(source, len(labels), size, rng, out):
-        pass  # each block is written into out
-    return out
-
-
-def _ordering_blocks(
-    source: OrderingSource,
-    n: int,
-    size: int,
-    rng: np.random.Generator,
-    out: Optional[np.ndarray] = None,
-):
-    """Rankings of `size` orderings of n labels, yielded one row block at a
-    time; with `out`, each block is also written into its rows of `out`.
-
-    A mixture draws one component per ordering for the whole batch first,
-    then deals each component's orderings in blocks.
-    """
-    if not isinstance(source, MeasureMixture):
+    for start, stop, order in _key_orders(source, len(labels), size, rng):
         # a label's rank is its position in the key order
-        for start, stop, order in _key_orders(source, n, size, rng):
-            yield _ranks_of_order(order, None if out is None else out[start:stop])
-        return
-    for measure, mask in _component_draws(source.components, size, rng):
-        index = np.flatnonzero(mask)
-        for start, stop, order in _key_orders(measure, n, len(index), rng):
-            rows = _ranks_of_order(order)
-            if out is not None:
-                out[index[start:stop]] = rows
-            yield rows
+        _ranks_of_order(order, out[start:stop])
+    return out
 
 
 def _ordering_keys(
@@ -170,23 +146,30 @@ def _ordering_keys(
     return key, False
 
 
-def _key_orders(
-    measure: QuasiUniformMeasure, n: int, size: int, rng: np.random.Generator
-):
+def _key_orders(source: OrderingSource, n: int, size: int, rng: np.random.Generator):
     """Per-row argsort of the ordering keys of n labels, in row blocks.
 
     Yields (start, stop, order) for each block of `_row_blocks`: order is
     the (stop - start, n) argsort of rows start..stop-1, listing the label
-    indices 0..n-1 from the lowest label up.
+    indices 0..n-1 from the lowest label up.  A mixture draws the
+    components of a block's rows, then deals each component's rows.
     """
     for start, stop in _row_blocks(size, n):
-        batch = sample_conjugate_batch(measure, (stop - start, n), rng)
-        key, diffuse_hit = _ordering_keys(measure, batch)
-        # distinct keys sort alike under any sort, so the fast one is used
-        # unless a diffuse draw was hit
-        order = np.argsort(key, axis=1, kind="stable" if diffuse_hit else None)
-        del batch, key  # freed before the caller writes its rows
+        if not isinstance(source, MeasureMixture):
+            yield start, stop, _key_order(source, (stop - start, n), rng)
+            continue
+        order = np.empty((stop - start, n), dtype=np.intp)
+        for measure, mask in _component_draws(source.components, stop - start, rng):
+            order[mask] = _key_order(measure, (int(mask.sum()), n), rng)
         yield start, stop, order
+
+
+def _key_order(measure: QuasiUniformMeasure, shape, rng: np.random.Generator) -> np.ndarray:
+    """Per-row argsort of the ordering keys of one conjugate batch of `shape`."""
+    key, diffuse_hit = _ordering_keys(measure, sample_conjugate_batch(measure, shape, rng))
+    # distinct keys sort alike under any sort, so the fast one is used
+    # unless a diffuse draw was hit
+    return np.argsort(key, axis=1, kind="stable" if diffuse_hit else None)
 
 
 def ordering_counts(
@@ -200,7 +183,8 @@ def ordering_counts(
     labels = check_labels(labels)
     if size < 0:
         raise ValueError(f"size = {size} is negative")
-    return row_histogram(_ordering_blocks(source, len(labels), size, rng))
+    blocks = _key_orders(source, len(labels), size, rng)
+    return row_histogram(_ranks_of_order(order) for _, _, order in blocks)
 
 
 @dataclass(frozen=True)

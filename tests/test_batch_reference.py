@@ -100,20 +100,34 @@ def double_argsort_step(n, sampler, size, rng):
 
 
 def double_argsort_ordering(source, n, size, rng):
+    """`sample_ordering_batch` rows.
+
+    A mixture draws its rows' components one row block of `_LOOKUP_BLOCK`
+    draws at a time, as `sample_ordering_batch` does; a measure draws the
+    whole batch at once.
+    """
     if isinstance(source, MeasureMixture):
-        weights = np.array([float(w) for w, _ in source.components])
-        which = rng.choice(len(weights), size=size, p=weights / weights.sum())
-        out = np.empty((size, n), dtype=np.int64)
-        for ci, (_, m) in enumerate(source.components):
-            mask = which == ci
-            if mask.any():
-                out[mask] = double_argsort_ordering(m, n, int(mask.sum()), rng)
-        return out
+        rows = max(1, _LOOKUP_BLOCK // n)
+        return np.concatenate(
+            [mixture_ordering(source, n, min(rows, size - s), rng) for s in range(0, size, rows)]
+        )
     b = eager_batch(source, (size, n), rng)
     asc = (np.arange(n) + 1.0) / (n + 2.0)
     within = np.where(b["sign"] == 0, b["rel"], np.where(b["sign"] > 0, asc, 1.0 - asc))
     order = np.argsort(b["cell"] + within, axis=1, kind="stable")
     return np.argsort(order, axis=1, kind="stable") + 1
+
+
+def mixture_ordering(source, n, size, rng):
+    """Rows of a mixture with one component drawn per row, all rows at once."""
+    weights = np.array([float(w) for w, _ in source.components])
+    which = rng.choice(len(weights), size=size, p=weights / weights.sum())
+    out = np.empty((size, n), dtype=np.int64)
+    for ci, (_, m) in enumerate(source.components):
+        mask = which == ci
+        if mask.any():
+            out[mask] = double_argsort_ordering(m, n, int(mask.sum()), rng)
+    return out
 
 
 def step_reference(n, sampler, size, rng):

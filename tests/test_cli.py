@@ -345,6 +345,28 @@ def test_mixing_mixture_above_cap_is_one_line_error(capsys):
     assert code == 0 and err == "" and len(out.splitlines()) == 4
 
 
+def test_mixing_rejects_a_mc_mixture_before_the_exact_curve(capsys):
+    # the exact curve alone would fail on the mixture's cap on n
+    mixture = json.dumps(
+        {"mixture": [{"weight": "1/2", "measure": "gsr"}, {"weight": "1/2", "measure": "mixed"}]}
+    )
+    code, out, err = run(
+        capsys, "mixing", "--measure", mixture, "--n", "7", "--steps", "6",
+        "--mode", "both", "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: mc mixing runs on a plain measure\n"
+
+
+def test_mixing_asks_for_a_seed_before_the_exact_curve(capsys):
+    # the exact curve alone would fail on its work cap
+    code, out, err = run(
+        capsys, "mixing", "--measure", "gsr", "--n", "52", "--steps", "10", "--mode", "both"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: mc mode needs --seed\n"
+
+
 def test_shuffle_map_json_and_grid(capsys):
     code, out, _ = run(
         capsys,

@@ -141,6 +141,7 @@ def test_count_rows_takes_batches_of_one_width():
 
 COUNTERS = {
     "ordering_counts-gsr": lambda size, rng: ordering_counts(gsr(), range(1, 7), size, rng),
+    "ordering_counts-mixture": lambda size, rng: ordering_counts(MIXTURE, range(1, 7), size, rng),
     "empirical_step_counts-one-gsr": lambda size, rng: empirical_step_counts(
         6, ConjugateCoupling(gsr()), size, rng
     ),

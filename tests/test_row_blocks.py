@@ -6,7 +6,8 @@ output.  The blocks draw their uniforms in row order, so the rows must
 equal one whole-batch draw byte for byte across block boundaries: over
 several blocks ending in a partial one, and with rows wider than one block.
 A sampler must allocate little beyond its output.  Pair-drawing couplings
-draw their pairs block by block, which keeps their law.
+draw their pairs block by block, and mixtures draw their components block
+by block; both keep their law.
 """
 
 import tracemalloc
@@ -33,9 +34,10 @@ from quasishuffle.measure import (
     mixed_fixture,
     parse_measure,
 )
+from quasishuffle.oracle import exact_ordering_distribution
 from quasishuffle.ordering import sample_ordering_batch
 from quasishuffle.permutations import count_rows, row_histogram
-from quasishuffle.stats import chi_square_two_sample
+from quasishuffle.stats import chi_square_goodness, chi_square_two_sample
 
 from conftest import make_rng
 from test_batch_reference import double_argsort_ordering, identical, step_reference
@@ -153,3 +155,13 @@ def test_blocked_mixture_steps_keep_the_pair_law():
     blocked = row_histogram([step_batch(n, sampler, size, rng)])
     whole = row_histogram([_rank_pairs(*sampler.draw_batch((size, n), rng))])
     assert chi_square_two_sample(blocked, whole).passed
+
+
+def test_blocked_mixture_orderings_keep_the_exact_law():
+    # a mixture draws its rows' components one row block at a time; rows
+    # spanning many blocks must keep the exact mixture law
+    mixture, n, size = SOURCES["mixture"], 4, 40_000
+    assert size > 5 * (_LOOKUP_BLOCK // n)
+    rows = sample_ordering_batch(mixture, range(1, n + 1), size, make_rng(84))
+    exact = exact_ordering_distribution(mixture, n)
+    assert chi_square_goodness(row_histogram([rows]), exact.probs, alpha=0.01).passed
