@@ -1,8 +1,14 @@
 """Command-line interface.
 
 Subcommands: sample-order, step, walk, verify, mixing, shuffle-map,
-oracle.  Output is byte-stable for a fixed command line and seed.  Exit
-codes: 0 success, 1 property failure, 2 usage or configuration error.
+oracle.  Each takes only the options it reads.  `--format csv|json`
+belongs to sample-order, step, walk, mixing and shuffle-map; verify and
+oracle always print JSON.  `--seed` belongs to the sampling commands
+(sample-order, step, walk, verify, and mixing in mc mode).  `--sampler`
+excludes `--measure` and `--type`; `--labels` excludes `--n`.  Output is
+byte-stable for a fixed command line and seed.  Exit codes: 0 success, 1
+property failure, 2 usage or configuration error, a malformed JSON spec
+included.
 """
 
 from __future__ import annotations
@@ -65,13 +71,15 @@ _COUPLINGS = {"one": ConjugateCoupling, "two": InverseConjugateCoupling}
 
 
 def _sampler_from_args(args) -> object:
-    if args.sampler:
+    if args.sampler is not None:
+        if args.measure is not None or args.type is not None:
+            raise ValueError("--sampler excludes --measure and --type")
         return resolve_sampler(args.sampler)
-    if args.measure:
+    if args.measure is not None:
         source = _measure_only(args.measure)
         if isinstance(source, MeasureMixture):
             raise ValueError("build mixture samplers with --sampler JSON")
-        return _COUPLINGS[args.type](source)
+        return _COUPLINGS[args.type or "one"](source)
     raise ValueError("need --sampler or --measure")
 
 
@@ -107,25 +115,33 @@ def _rows_and_histogram(rows: np.ndarray) -> tuple[list[str], dict[str, int]]:
     return strings[:size], dict(zip(strings[size:-1], counts.tolist()))
 
 
+def _emit(args, obj, csv_lines) -> None:
+    """Write `obj` as JSON under `--format json`, else the lines that
+    `csv_lines()` returns, built only then."""
+    text = _json_text(obj) if args.format == "json" else "\n".join(csv_lines()) + "\n"
+    _write(args.out, text)
+
+
 def _write_rows(args, head: dict, name: str, rows: np.ndarray) -> None:
     """Write sampled rows and their histogram: a JSON object of `head`,
     the rows under `name` and the histogram, or CSV rows then `# key,count`
     histogram lines."""
     lines, hist = _rows_and_histogram(rows)
-    if args.format == "json":
-        _write(args.out, _json_text({**head, name: lines, "histogram": hist}))
-    else:
-        body = ["permutation", *lines, "# histogram"]
-        body += [f"# {key},{count}" for key, count in hist.items()]
-        _write(args.out, "\n".join(body) + "\n")
+    _emit(
+        args,
+        {**head, name: lines, "histogram": hist},
+        lambda: ["permutation", *lines, "# histogram", *(f"# {k},{c}" for k, c in hist.items())],
+    )
 
 
 def cmd_sample_order(args) -> int:
+    if args.labels is not None and args.n is not None:
+        raise ValueError("--labels excludes --n")
     source = _measure_only(args.measure)
     labels = (
         check_labels([int(v) for v in args.labels.split(",")])
-        if args.labels
-        else tuple(range(1, args.n + 1))
+        if args.labels is not None
+        else tuple(range(1, (3 if args.n is None else args.n) + 1))
     )
     rng = np.random.default_rng(args.seed)
     rows = sample_ordering_batch(source, labels, _count(args.samples, "samples"), rng)
@@ -145,15 +161,9 @@ def cmd_walk(args) -> int:
     sampler = _sampler_from_args(args)
     rng = np.random.default_rng(args.seed)
     start = perm_from_str(args.start) if args.start else None
-    states = walk(args.n, sampler, args.steps, rng, start)
-    if args.format == "json":
-        _write(
-            args.out,
-            _json_text({"n": args.n, "seed": args.seed, "states": [perm_to_str(p) for p in states]}),
-        )
-    else:
-        body = ["h,permutation"] + [f"{h},{perm_to_str(p)}" for h, p in enumerate(states)]
-        _write(args.out, "\n".join(body) + "\n")
+    states = [perm_to_str(p) for p in walk(args.n, sampler, args.steps, rng, start)]
+    obj = {"n": args.n, "seed": args.seed, "states": states}
+    _emit(args, obj, lambda: ["h,permutation", *(f"{h},{s}" for h, s in enumerate(states))])
     return 0
 
 
@@ -173,37 +183,19 @@ def cmd_mixing(args) -> int:
         raise ValueError("mc mode needs --seed")
     if mc and isinstance(source, MeasureMixture):
         raise ValueError("mc mixing runs on a plain measure")
-    exact: list | None = None
-    empirical: list | None = None
+    curves = []  # (name, JSON values, CSV values) per curve
     if args.mode in ("exact", "both"):
         exact = mixing_curve(source, args.n, args.type, args.steps)
+        curves.append(("tv_exact", [str(v) for v in exact], [f"{float(v):.12g}" for v in exact]))
     if mc:
         rng = np.random.default_rng(args.seed)
-        empirical = empirical_mixing_curve(
+        tv = empirical_mixing_curve(
             args.n, _COUPLINGS[args.type](source), args.steps, args.samples, rng
         )
-    if args.format == "json":
-        obj = {"n": args.n, "type": args.type}
-        if exact is not None:
-            obj["tv_exact"] = [str(v) for v in exact]
-        if empirical is not None:
-            obj["tv_empirical"] = [f"{v:.6f}" for v in empirical]
-        _write(args.out, _json_text(obj))
-    else:
-        cols = ["h"]
-        if exact is not None:
-            cols.append("tv_exact")
-        if empirical is not None:
-            cols.append("tv_empirical")
-        body = [",".join(cols)]
-        for h in range(args.steps + 1):
-            row = [str(h)]
-            if exact is not None:
-                row.append(f"{float(exact[h]):.12g}")
-            if empirical is not None:
-                row.append(f"{empirical[h]:.12g}")
-            body.append(",".join(row))
-        _write(args.out, "\n".join(body) + "\n")
+        curves.append(("tv_empirical", [f"{v:.6f}" for v in tv], [f"{v:.12g}" for v in tv]))
+    columns = [["h", *map(str, range(args.steps + 1))]] + [[name, *col] for name, _, col in curves]
+    obj = {"n": args.n, "type": args.type, **{name: values for name, values, _ in curves}}
+    _emit(args, obj, lambda: [",".join(row) for row in zip(*columns)])
     return 0
 
 
@@ -213,24 +205,20 @@ def cmd_shuffle_map(args) -> int:
         raise ValueError("shuffle-map needs a plain measure")
     grid = _count(args.grid or 0, "grid")  # 0: no table
     smap = shuffle_map_from_measure(source)
-    if args.format == "json":
-        obj = smap.to_json()
-        if grid:
-            obj["table"] = [
-                {"x": str(Fraction(k, grid)), "value": str(smap(Fraction(k, grid)))}
-                for k in range(grid + 1)
-            ]
-        _write(args.out, _json_text(obj))
-    else:
-        body = ["lo,hi,slope,intercept"]
-        for p in smap.pieces:
-            body.append(f"{p.lo},{p.hi},{p.slope},{p.intercept}")
-        if grid:
-            body.append("# x,value")
-            for k in range(grid + 1):
-                x = Fraction(k, grid)
-                body.append(f"# {x},{smap(x)}")
-        _write(args.out, "\n".join(body) + "\n")
+    table = [(x, smap(x)) for x in (Fraction(k, grid) for k in range(grid + 1))] if grid else []
+    obj = smap.to_json()
+    if table:
+        obj["table"] = [{"x": str(x), "value": str(value)} for x, value in table]
+    _emit(
+        args,
+        obj,
+        lambda: [
+            "lo,hi,slope,intercept",
+            *(f"{p.lo},{p.hi},{p.slope},{p.intercept}" for p in smap.pieces),
+            *(["# x,value"] if table else []),
+            *(f"# {x},{value}" for x, value in table),
+        ],
+    )
     return 0
 
 
@@ -252,67 +240,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed_required=True):
+    def command(name, func, help_text, csv=True):
+        """A subparser that runs `func`: `--out`, and `--format` if it writes CSV."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--out", default="-", help="output path, - for stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, required=seed_required)
+        if csv:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        return p
 
-    p = sub.add_parser("sample-order", help="sample rankings of a label set")
+    def add_coupling(p):
+        p.add_argument("--sampler", help="sampler spec; excludes --measure and --type")
+        p.add_argument("--measure")
+        p.add_argument("--type", choices=("one", "two"), help="coupling of --measure, default one")
+
+    p = command("sample-order", cmd_sample_order, "sample rankings of a label set")
     p.add_argument("--measure", required=True)
-    p.add_argument("--labels", help="comma-separated strictly increasing labels")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--labels", help="comma-separated strictly increasing labels; excludes --n")
+    p.add_argument("--n", type=int, help="rank labels 1..n, default 3")
     p.add_argument("--samples", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_sample_order)
+    p.add_argument("--seed", type=int, required=True)
 
-    p = sub.add_parser("step", help="sample one-step permutations of a coupling")
-    p.add_argument("--sampler")
-    p.add_argument("--measure")
-    p.add_argument("--type", choices=("one", "two"), default="one")
+    p = command("step", cmd_step, "sample one-step permutations of a coupling")
+    add_coupling(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_step)
+    p.add_argument("--seed", type=int, required=True)
 
-    p = sub.add_parser("walk", help="run one walk trajectory")
-    p.add_argument("--sampler")
-    p.add_argument("--measure")
-    p.add_argument("--type", choices=("one", "two"), default="one")
+    p = command("walk", cmd_walk, "run one walk trajectory")
+    add_coupling(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--start", help="starting permutation, e.g. 2314")
-    add_common(p)
-    p.set_defaults(func=cmd_walk)
+    p.add_argument("--seed", type=int, required=True)
 
-    p = sub.add_parser("verify", help="run the property suite on a measure")
+    p = command("verify", cmd_verify, "run the property suite on a measure", csv=False)
     p.add_argument("--measure", required=True)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--samples", type=int, default=100_000)
-    add_common(p)
-    p.set_defaults(func=cmd_verify)
+    p.add_argument("--seed", type=int, required=True)
 
-    p = sub.add_parser("mixing", help="TV-to-uniform mixing curve of the walk")
+    p = command("mixing", cmd_mixing, "TV-to-uniform mixing curve of the walk")
     p.add_argument("--measure", required=True)
     p.add_argument("--type", choices=("one", "two"), default="one")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "mc", "both"), default="exact")
     p.add_argument("--samples", type=int, default=100_000, help="mc trajectories")
-    add_common(p, seed_required=False)
-    p.set_defaults(func=cmd_mixing)
+    p.add_argument("--seed", type=int, help="needed by --mode mc and both")
 
-    p = sub.add_parser("shuffle-map", help="deterministic map of a purely atomic measure")
+    p = command("shuffle-map", cmd_shuffle_map, "deterministic map of a purely atomic measure")
     p.add_argument("--measure", required=True)
     p.add_argument("--grid", type=int, help="also tabulate x = k/grid")
-    add_common(p, seed_required=False)
-    p.set_defaults(func=cmd_shuffle_map)
 
-    p = sub.add_parser("oracle", help="exact ordering or step distribution")
+    p = command("oracle", cmd_oracle, "exact ordering or step distribution", csv=False)
     p.add_argument("--measure", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("order", "one", "two"), default="order")
-    add_common(p, seed_required=False)
-    p.set_defaults(func=cmd_oracle)
 
     return parser
 

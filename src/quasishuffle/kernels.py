@@ -45,6 +45,7 @@ from .measure import (
     RationalLike,
     _checked_weights,
     _component_draws,
+    _json_object,
     _row_blocks,
     as_fraction,
     resolve_source,
@@ -170,12 +171,10 @@ class ShuffleMap:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ShuffleMap":
-        return cls(
-            tuple(
-                AffinePiece(p["lo"], p["hi"], p["slope"], p["intercept"])
-                for p in obj["pieces"]
-            )
-        )
+        keys = ("lo", "hi", "slope", "intercept")
+        pieces = _json_object(obj, "shuffle map", "pieces")["pieces"]
+        pieces = [_json_object(p, "map piece", *keys) for p in pieces]
+        return cls(tuple(AffinePiece(*(p[k] for k in keys)) for p in pieces))
 
 
 def shuffle_map_from_measure(measure: QuasiUniformMeasure) -> ShuffleMap:
@@ -498,7 +497,9 @@ def kernel_matrix(
 # -- serialization ---------------------------------------------------------
 
 
-def _measure_argument(obj) -> QuasiUniformMeasure:
+def _measure_argument(spec: dict) -> QuasiUniformMeasure:
+    """The plain measure under a sampler spec's "measure" key."""
+    obj = _json_object(spec, f"{spec['type']} sampler", "measure")["measure"]
     m = resolve_source(obj) if isinstance(obj, str) else source_from_json(obj)
     if not isinstance(m, QuasiUniformMeasure):
         raise ValueError("coupling samplers take a plain measure, not a candidate or mixture")
@@ -511,22 +512,23 @@ def sampler_from_json(obj: dict) -> CouplingSampler:
     Types: nu_mu (forward conjugate coupling), nu_mu_star (its coordinate
     swap), deterministic (a map, from "pieces" or a purely atomic
     "measure"), grid (copula matrix), mixture (weighted "components").
+    A ValueError names an entry that is not a JSON object or a key it lacks.
     """
-    kind = obj.get("type")
+    kind = _json_object(obj, "sampler spec").get("type")
     if kind == "nu_mu":
-        return ConjugateCoupling(_measure_argument(obj["measure"]))
+        return ConjugateCoupling(_measure_argument(obj))
     if kind == "nu_mu_star":
-        return InverseConjugateCoupling(_measure_argument(obj["measure"]))
+        return InverseConjugateCoupling(_measure_argument(obj))
     if kind == "deterministic":
         if "pieces" in obj:
             return DeterministicCoupling(ShuffleMap.from_json(obj))
-        return DeterministicCoupling(shuffle_map_from_measure(_measure_argument(obj["measure"])))
+        return DeterministicCoupling(shuffle_map_from_measure(_measure_argument(obj)))
     if kind == "grid":
-        return GridCopulaCoupling(obj["grid"])
+        return GridCopulaCoupling(_json_object(obj, "grid sampler", "grid")["grid"])
     if kind == "mixture":
-        return MixtureCoupling(
-            [(c["weight"], sampler_from_json(c["sampler"])) for c in obj["components"]]
-        )
+        comps = _json_object(obj, "mixture sampler", "components")["components"]
+        comps = [_json_object(c, "sampler component", "weight", "sampler") for c in comps]
+        return MixtureCoupling([(c["weight"], sampler_from_json(c["sampler"])) for c in comps])
     raise ValueError(f"unknown sampler type {kind!r}")
 
 

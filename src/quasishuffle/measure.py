@@ -139,9 +139,12 @@ class QuasiUniformMeasure:
     gaps: tuple[GapInterval, ...]
 
     def __post_init__(self):
-        gaps = tuple(
-            g if isinstance(g, GapInterval) else GapInterval(*g) for g in self.gaps
-        )
+        gaps = []
+        for g in self.gaps:
+            if not isinstance(g, GapInterval):
+                lo, hi, side = g  # a malformed entry raises ValueError
+                g = GapInterval(lo, hi, side)
+            gaps.append(g)
         object.__setattr__(self, "gaps", _checked_gaps(gaps))
 
     def __hash__(self):
@@ -228,14 +231,7 @@ def validate(spec: Union[Sequence, QuasiUniformMeasure]) -> QuasiUniformMeasure:
     """
     if isinstance(spec, QuasiUniformMeasure):
         return spec
-    gaps = []
-    for entry in spec:
-        if isinstance(entry, GapInterval):
-            gaps.append(entry)
-        else:
-            lo, hi, side = entry
-            gaps.append(GapInterval(as_fraction(lo, "gap lo"), as_fraction(hi, "gap hi"), side))
-    return QuasiUniformMeasure(tuple(gaps))
+    return QuasiUniformMeasure(tuple(spec))
 
 
 # -- conjugate-pair sampling ----------------------------------------------
@@ -369,7 +365,7 @@ class _BatchTables:
     cell_span: np.ndarray  # x - y (atoms) / 0 (diffuse)
     cell_diffuse: np.ndarray  # 0.0 (atoms) / 1.0 (diffuse)
     cell_inv_len: np.ndarray  # 1 / (hi - lo)
-    cell_sign: np.ndarray  # +1 right atom, -1 left atom, 0 diffuse
+    cell_side: np.ndarray  # 0 diffuse, 1 right atom, 2 left atom
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -386,16 +382,16 @@ def _batch_tables(measure: QuasiUniformMeasure) -> _BatchTables:
     cell_x = np.array([float(c.x) if c.kind == "atom" else 0.0 for c in cells])
     cell_y = np.array([float(c.y) if c.kind == "atom" else 0.0 for c in cells])
     cell_inv_len = np.array([1.0 / float(c.hi - c.lo) for c in cells])
-    sign = np.array(
-        [0 if c.kind == "diffuse" else 1 if c.atom_side == RIGHT else -1 for c in cells],
-        dtype=np.int64,
+    side = np.array(
+        [0 if c.kind == "diffuse" else 1 if c.atom_side == RIGHT else 2 for c in cells],
+        dtype=np.intp,
     )
     # float x - y, as a draw's x - y rounds, so y + s * span is bit-identical
     # to y + s * (x - y); a diffuse draw has x = y
     span = cell_x - cell_y
-    diffuse = (sign == 0).astype(np.float64)
+    diffuse = (side == 0).astype(np.float64)
     return _BatchTables(
-        edges, guide, guide_steps, cell_y, span, diffuse, cell_inv_len, sign
+        edges, guide, guide_steps, cell_y, span, diffuse, cell_inv_len, side
     )
 
 
@@ -745,24 +741,39 @@ def parse_measure(text: str) -> QuasiUniformMeasure:
 MeasureSource = Union[QuasiUniformMeasure, MeasureMixture, CandidateMeasure]
 
 
+def _json_object(obj, what: str, *keys: str) -> dict:
+    """A decoded JSON object that holds `keys`; a ValueError names an entry
+    that is not an object or a key it lacks."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} {obj!r} has no {key!r}")
+    return obj
+
+
 def source_from_json(obj: dict) -> MeasureSource:
-    """Decode a measure, mixture, or candidate from its JSON object form."""
-    if "mixture" in obj:
+    """Decode a measure, mixture, or candidate from its JSON object form.
+
+    A ValueError names an entry that is not a JSON object or a key it lacks.
+    """
+    if "mixture" in _json_object(obj, "measure"):
         comps = []
         for item in obj["mixture"]:
-            m = item["measure"]
+            m = _json_object(item, "mixture entry", "weight", "measure")["measure"]
             measure = parse_measure(m) if isinstance(m, str) else source_from_json(m)
             if not isinstance(measure, QuasiUniformMeasure):
                 raise InvalidMixture("mixture components must be plain measures")
             comps.append((as_fraction(item["weight"], "mixture weight"), measure))
         return MeasureMixture(tuple(comps))
-    gaps = obj.get("gaps", [])
+    gaps = [_json_object(g, "gap", "lo", "hi") for g in obj.get("gaps", [])]
     if "atoms" in obj or any("atom_side" not in g for g in gaps):
+        atoms = [_json_object(a, "atom", "pos", "mass") for a in obj.get("atoms", [])]
         return CandidateMeasure(
             tuple((g["lo"], g["hi"]) for g in gaps),
-            tuple((a["pos"], a["mass"]) for a in obj.get("atoms", [])),
+            tuple((a["pos"], a["mass"]) for a in atoms),
         )
-    return validate([(g["lo"], g["hi"], g["atom_side"]) for g in gaps])
+    return QuasiUniformMeasure(tuple((g["lo"], g["hi"], g["atom_side"]) for g in gaps))
 
 
 def _is_builtin_form(key: str) -> bool:

@@ -30,7 +30,6 @@ from .measure import (
     ConjugateSample,
     MeasureMixture,
     QuasiUniformMeasure,
-    _batch_tables,
     _component_draws,
     _row_blocks,
     cell_decomposition,
@@ -112,9 +111,7 @@ def sample_ordering_batch(
     return out
 
 
-def _ordering_keys(
-    measure: QuasiUniformMeasure, batch: ConjugateBatch
-) -> tuple[np.ndarray, bool]:
+def _ordering_keys(batch: ConjugateBatch) -> tuple[np.ndarray, bool]:
     """The ordering comparator in batch form, for a (..., n) conjugate batch.
 
     Returns (key, diffuse_hit): label i sits below label j exactly when
@@ -124,14 +121,13 @@ def _ordering_keys(
     a draw fell in a diffuse cell; without one, keys in a row are pairwise
     distinct.
     """
-    t = _batch_tables(measure)
+    t = batch.tables
     n = batch.cell.shape[-1]
     asc = (np.arange(n) + 1.0) / (n + 2.0)
-    # position inside the cell per (side, label), each cell's side given by
-    # its offset into `within`
+    # position inside the cell per (side, label): a cell's side picks its
+    # block of n entries of `within`
     within = np.concatenate([np.zeros(n), asc, 1.0 - asc])
-    offset = np.where(t.cell_sign > 0, n, np.where(t.cell_sign < 0, 2 * n, 0))
-    key = within[offset[batch.cell] + np.arange(n)]
+    key = within[(t.cell_side * n)[batch.cell] + np.arange(n)]
     key += batch.cell
     # atom keys in a row are pairwise distinct: 1/(n + 2) apart inside a
     # cell and strictly between cell ranks, far above the float spacing
@@ -166,7 +162,7 @@ def _key_orders(source: OrderingSource, n: int, size: int, rng: np.random.Genera
 
 def _key_order(measure: QuasiUniformMeasure, shape, rng: np.random.Generator) -> np.ndarray:
     """Per-row argsort of the ordering keys of one conjugate batch of `shape`."""
-    key, diffuse_hit = _ordering_keys(measure, sample_conjugate_batch(measure, shape, rng))
+    key, diffuse_hit = _ordering_keys(sample_conjugate_batch(measure, shape, rng))
     # distinct keys sort alike under any sort, so the fast one is used
     # unless a diffuse draw was hit
     return np.argsort(key, axis=1, kind="stable" if diffuse_hit else None)
@@ -222,7 +218,7 @@ def empirical_positions(
     labels = np.arange(-n_half, n_half + 1)
     batch = sample_conjugate_batch(measure, labels.shape, rng)
     t = target_label + n_half
-    key, _ = _ordering_keys(measure, batch)
+    key, _ = _ordering_keys(batch)
     lower = labels < target_label
     upper = labels > target_label
     below = (key < key[t]) | ((key == key[t]) & lower)

@@ -1,13 +1,17 @@
 """End-to-end command-line checks: formats, determinism, exit codes."""
 
+import argparse
+import ast
 import json
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quasishuffle.cli import _rows_and_histogram, main
+from quasishuffle import cli
+from quasishuffle.cli import _rows_and_histogram, build_parser, main
 from quasishuffle.permutations import perm_to_str
 
 from conftest import make_rng
@@ -543,5 +547,122 @@ def test_step_rejects_zero_cards(capsys):
 )
 def test_negative_counts_name_the_option(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def options_read(source: str, function: str) -> set:
+    """The `args.<dest>` that `function` of `source` reads, directly or in a
+    module function it passes `args` to."""
+    functions = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    read, todo, seen = set(), [function], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+                read.add(node.attr)
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in functions
+                and any(getattr(a, "id", None) == "args" for a in node.args)
+            ):
+                todo.append(node.func.id)
+    return read
+
+
+def subcommand_options() -> dict:
+    """Per subcommand: its command function's name and the dests of its options."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: (p.get_default("func").__name__, {a.dest for a in p._actions if a.option_strings} - {"help"})
+        for name, p in sub.choices.items()
+    }
+
+
+@pytest.mark.parametrize("subcommand", sorted(subcommand_options()))
+def test_every_option_is_read_by_its_command(subcommand):
+    function, options = subcommand_options()[subcommand]
+    assert options - options_read(Path(cli.__file__).read_text(), function) == set()
+
+
+def test_the_scan_follows_args_into_helpers():
+    source = (
+        "def helper(args, x):\n    return args.out\n"
+        "def other(args):\n    return args.never\n"
+        "def cmd(args):\n    helper(args, 1)\n    return args.seed, lambda: args.n\n"
+    )
+    assert options_read(source, "cmd") == {"out", "seed", "n"}
+
+
+def test_settable_options_per_subcommand():
+    assert {name: len(options) for name, (_, options) in subcommand_options().items()} == {
+        "sample-order": 7, "step": 8, "walk": 9, "verify": 5,
+        "mixing": 9, "shuffle-map": 4, "oracle": 4,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("step", "--sampler", "nu_mu:gsr", "--type", "one", "--n", "3", "--samples", "2"),
+         "--sampler excludes --measure and --type"),
+        (("step", "--sampler", "nu_mu:gsr", "--measure", "gsr", "--n", "3", "--samples", "2"),
+         "--sampler excludes --measure and --type"),
+        (("walk", "--sampler", "nu_mu:gsr", "--type", "two", "--n", "3", "--steps", "2"),
+         "--sampler excludes --measure and --type"),
+        (("walk", "--measure", "gsr", "--sampler", "nu_mu:gsr", "--n", "3", "--steps", "2"),
+         "--sampler excludes --measure and --type"),
+        # --n 3 equals its old default and is still refused
+        (("sample-order", "--measure", "gsr", "--labels", "1,2", "--n", "3", "--samples", "2"),
+         "--labels excludes --n"),
+    ],
+    ids=["step-type", "step-measure", "walk-type", "walk-measure", "sample-order"],
+)
+def test_exclusive_options_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("verify", "--measure", "gsr", "--seed", "1", "--format", "csv"), "--format csv"),
+        (("oracle", "--measure", "gsr", "--n", "2", "--format", "csv"), "--format csv"),
+        (("oracle", "--measure", "gsr", "--n", "2", "--seed", "9"), "--seed 9"),
+        (("shuffle-map", "--measure", "gsr", "--seed", "4"), "--seed 4"),
+    ],
+    ids=["verify-format", "oracle-format", "oracle-seed", "shuffle-map-seed"],
+)
+def test_options_a_command_never_read_are_refused(capsys, argv, option):
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert stop.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: unrecognized arguments: {option}\n")
+
+
+@pytest.mark.parametrize(
+    "option, spec, message",
+    [
+        ("--sampler", {"type": "nu_mu"}, "nu_mu sampler {'type': 'nu_mu'} has no 'measure'"),
+        ("--sampler", {"type": "grid"}, "grid sampler {'type': 'grid'} has no 'grid'"),
+        ("--measure", {"gaps": [{"lo": "0", "atom_side": "right"}]},
+         "gap {'lo': '0', 'atom_side': 'right'} has no 'hi'"),
+        ("--measure", {"mixture": [{"weight": "1"}]},
+         "mixture entry {'weight': '1'} has no 'measure'"),
+        ("--measure", {"gaps": [["0", "1", "right"]]},
+         "gap must be a JSON object, got ['0', '1', 'right']"),
+    ],
+    ids=["nu_mu-measure", "grid", "gap-hi", "mixture-measure", "gap-list"],
+)
+def test_malformed_json_specs_are_one_line_errors(capsys, option, spec, message):
+    code, out, err = run(
+        capsys, "step", option, json.dumps(spec), "--n", "3", "--samples", "2", "--seed", "1"
+    )
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"

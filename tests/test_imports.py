@@ -1,5 +1,6 @@
-"""Every name a module imports is read somewhere in that module, and every
-parameter of a library function is read in its body.
+"""Every name a module imports is read somewhere in that module, every
+parameter of a library function is read in its body, and every private
+helper of the library is named somewhere outside its own definition.
 
 The scans use the stdlib `ast` over the library's and the tests' own files.
 `__init__.py` is skipped: its imports are the package's re-exports.  A name
@@ -91,4 +92,49 @@ def test_the_scan_finds_an_unread_parameter():
     )
     assert unread_parameters(source) == [
         "f(b) (line 1)", "f(c) (line 1)", "g(self) (line 7)", "<lambda>(y) (line 8)"
+    ]
+
+
+def unreferenced_private(sources: list[str]) -> list[str]:
+    """Private functions and classes (`_name`, not dunder) that no source
+    names outside their own definition, as a `Name` or an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+
+    def references(nodes, name):
+        return sum(
+            (isinstance(n, ast.Name) and n.id == name)
+            or (isinstance(n, ast.Attribute) and n.attr == name)
+            for n in nodes
+        )
+
+    defined = [
+        n
+        for n in nodes
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and n.name.startswith("_")
+        and not n.name.endswith("__")
+    ]
+    return sorted(
+        f"{d.name} (line {d.lineno})"
+        for d in defined
+        if references(nodes, d.name) == references(list(ast.walk(d)), d.name)
+    )
+
+
+def test_every_private_helper_is_referenced():
+    sources = [p.read_text() for p in (ROOT / "src" / "quasishuffle").glob("*.py")]
+    assert unreferenced_private(sources) == []
+
+
+def test_the_scan_finds_an_unreferenced_helper():
+    sources = [
+        "def _used():\n    pass\ndef _recursive(k):\n    return _recursive(k - 1)\n"
+        "class _Left:\n    def _method(self):\n        return self._method()\n"
+        "def __dunder__():\n    pass\n",
+        "from a import _used\nclass C:\n    def _hash(self):\n        pass\n"
+        "    def f(self):\n        return _used(), self._hash()\n",
+    ]
+    assert unreferenced_private(sources) == [
+        "_Left (line 5)", "_method (line 6)", "_recursive (line 3)"
     ]

@@ -76,6 +76,12 @@ def test_validate_accepts_tuples_and_sorts():
     assert validate(m) is m
 
 
+@pytest.mark.parametrize("build", [validate, lambda gaps: QuasiUniformMeasure(tuple(gaps))])
+def test_a_gap_entry_without_three_fields_is_a_value_error(build):
+    with pytest.raises(ValueError, match="not enough values to unpack"):
+        build([(0, F(1, 2))])
+
+
 def test_cdf_frozen_values_gsr():
     m = gsr()
     grid = [
