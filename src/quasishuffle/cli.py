@@ -31,12 +31,7 @@ from .kernels import (
     ConjugateCoupling,
     InverseConjugateCoupling,
 )
-from .measure import (
-    CandidateMeasure,
-    MeasureMixture,
-    QuasiUniformMeasure,
-    resolve_source,
-)
+from .measure import CandidateMeasure, MeasureMixture, _plain_measure, resolve_source
 from .oracle import (
     exact_ordering_distribution,
     exact_step_distribution,
@@ -76,10 +71,7 @@ def _sampler_from_args(args) -> object:
             raise ValueError("--sampler excludes --measure and --type")
         return resolve_sampler(args.sampler)
     if args.measure is not None:
-        source = _measure_only(args.measure)
-        if isinstance(source, MeasureMixture):
-            raise ValueError("build mixture samplers with --sampler JSON")
-        return _COUPLINGS[args.type or "one"](source)
+        return _COUPLINGS[args.type or "one"](_plain_measure(args.measure, f"{args.command} --measure"))
     raise ValueError("need --sampler or --measure")
 
 
@@ -200,11 +192,9 @@ def cmd_mixing(args) -> int:
 
 
 def cmd_shuffle_map(args) -> int:
-    source = _measure_only(args.measure)
-    if not isinstance(source, QuasiUniformMeasure):
-        raise ValueError("shuffle-map needs a plain measure")
+    measure = _plain_measure(args.measure, "shuffle-map")
     grid = _count(args.grid or 0, "grid")  # 0: no table
-    smap = shuffle_map_from_measure(source)
+    smap = shuffle_map_from_measure(measure)
     table = [(x, smap(x)) for x in (Fraction(k, grid) for k in range(grid + 1))] if grid else []
     obj = smap.to_json()
     if table:
@@ -306,7 +296,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QuasiShuffleError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (QuasiShuffleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

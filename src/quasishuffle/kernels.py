@@ -45,12 +45,13 @@ from .measure import (
     RationalLike,
     _checked_weights,
     _component_draws,
+    _json_list,
     _json_object,
+    _plain_measure,
+    _resolve_spec,
     _row_blocks,
     as_fraction,
-    resolve_source,
     sample_conjugate_batch,
-    source_from_json,
 )
 from . import oracle as _oracle
 from .ordering import _key_orders
@@ -172,7 +173,7 @@ class ShuffleMap:
     @classmethod
     def from_json(cls, obj: dict) -> "ShuffleMap":
         keys = ("lo", "hi", "slope", "intercept")
-        pieces = _json_object(obj, "shuffle map", "pieces")["pieces"]
+        pieces = _json_list(_json_object(obj, "shuffle map", "pieces")["pieces"], "pieces")
         pieces = [_json_object(p, "map piece", *keys) for p in pieces]
         return cls(tuple(AffinePiece(*(p[k] for k in keys)) for p in pieces))
 
@@ -497,13 +498,12 @@ def kernel_matrix(
 # -- serialization ---------------------------------------------------------
 
 
-def _measure_argument(spec: dict) -> QuasiUniformMeasure:
-    """The plain measure under a sampler spec's "measure" key."""
-    obj = _json_object(spec, f"{spec['type']} sampler", "measure")["measure"]
-    m = resolve_source(obj) if isinstance(obj, str) else source_from_json(obj)
-    if not isinstance(m, QuasiUniformMeasure):
-        raise ValueError("coupling samplers take a plain measure, not a candidate or mixture")
-    return m
+# the sampler types built from a plain measure under "measure"
+_MEASURE_SAMPLERS = {
+    "nu_mu": ConjugateCoupling,
+    "nu_mu_star": InverseConjugateCoupling,
+    "deterministic": lambda m: DeterministicCoupling(shuffle_map_from_measure(m)),
+}
 
 
 def sampler_from_json(obj: dict) -> CouplingSampler:
@@ -511,47 +511,37 @@ def sampler_from_json(obj: dict) -> CouplingSampler:
 
     Types: nu_mu (forward conjugate coupling), nu_mu_star (its coordinate
     swap), deterministic (a map, from "pieces" or a purely atomic
-    "measure"), grid (copula matrix), mixture (weighted "components").
-    A ValueError names an entry that is not a JSON object or a key it lacks.
+    "measure"), grid (copula matrix), mixture (weighted "components").  A
+    measure is a JSON object or text read as `resolve_source` reads it.  A
+    ValueError names an entry that is not a JSON object, a list field that
+    is not a list, or a key an entry lacks.
     """
     kind = _json_object(obj, "sampler spec").get("type")
-    if kind == "nu_mu":
-        return ConjugateCoupling(_measure_argument(obj))
-    if kind == "nu_mu_star":
-        return InverseConjugateCoupling(_measure_argument(obj))
-    if kind == "deterministic":
-        if "pieces" in obj:
-            return DeterministicCoupling(ShuffleMap.from_json(obj))
-        return DeterministicCoupling(shuffle_map_from_measure(_measure_argument(obj)))
+    if kind == "deterministic" and "pieces" in obj:
+        return DeterministicCoupling(ShuffleMap.from_json(obj))
+    if isinstance(kind, str) and kind in _MEASURE_SAMPLERS:
+        what = f"{kind} sampler"
+        measure = _plain_measure(_json_object(obj, what, "measure")["measure"], what)
+        return _MEASURE_SAMPLERS[kind](measure)
     if kind == "grid":
-        return GridCopulaCoupling(_json_object(obj, "grid sampler", "grid")["grid"])
+        rows = _json_list(_json_object(obj, "grid sampler", "grid")["grid"], "grid")
+        return GridCopulaCoupling([_json_list(row, "grid row") for row in rows])
     if kind == "mixture":
-        comps = _json_object(obj, "mixture sampler", "components")["components"]
+        comps = _json_list(_json_object(obj, "mixture sampler", "components")["components"], "components")
         comps = [_json_object(c, "sampler component", "weight", "sampler") for c in comps]
         return MixtureCoupling([(c["weight"], sampler_from_json(c["sampler"])) for c in comps])
     raise ValueError(f"unknown sampler type {kind!r}")
 
 
-_MEASURE_SAMPLER_TYPES = ("nu_mu", "nu_mu_star", "deterministic")
-
-
 def resolve_sampler(text: str) -> CouplingSampler:
-    """Resolve CLI-style sampler input: inline JSON, "type:measure", or file.
+    """Resolve CLI-style sampler input: inline JSON, "type:measure" for a
+    type built from a measure, or a JSON file.  The shorthand wins over a
+    file of the same name."""
 
-    The "type:measure" shorthand of a sampler type that takes a measure wins
-    over a file of the same name.
-    """
-    import json
-    import os
+    def shorthand(stripped: str):
+        kind, colon, rest = stripped.partition(":")
+        if colon and kind.strip() in _MEASURE_SAMPLERS:
+            return sampler_from_json({"type": kind.strip(), "measure": rest.strip()})
+        return None
 
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        return sampler_from_json(json.loads(stripped))
-    kind, colon, rest = stripped.partition(":")
-    shorthand = bool(colon) and kind.strip() in _MEASURE_SAMPLER_TYPES
-    if not shorthand and os.path.exists(stripped):
-        with open(stripped) as fh:
-            return sampler_from_json(json.load(fh))
-    if colon:
-        return sampler_from_json({"type": kind.strip(), "measure": rest.strip()})
-    raise ValueError(f"cannot resolve sampler {text!r}")
+    return _resolve_spec(text, shorthand, sampler_from_json, "cannot resolve sampler")

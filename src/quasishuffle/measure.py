@@ -51,15 +51,17 @@ _LOOKUP_BLOCK = 1 << 14
 
 
 def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
-    """Coerce to an exact Fraction.  Floats convert by their exact binary value."""
+    """Coerce to an exact Fraction.  Floats convert by their exact binary
+    value; any other value that is no finite rational (a bool, a JSON null,
+    list or object, an infinite float) raises a ValueError naming `what`."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str, float)):
+    if isinstance(value, (int, str, float)) and not isinstance(value, bool):
         try:
-            return Fraction(str(value).strip() if isinstance(value, str) else value)
-        except (ValueError, ZeroDivisionError) as exc:
+            return Fraction(value.strip() if isinstance(value, str) else value)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"cannot parse {what} {value!r} as a rational") from exc
-    raise TypeError(f"{what} must be rational-like, got {type(value).__name__}")
+    raise ValueError(f"{what} must be rational-like, got {type(value).__name__}")
 
 
 def _check_unit(x: Fraction, what: str) -> Fraction:
@@ -485,17 +487,9 @@ class CandidateMeasure:
     atoms: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        gaps = []
-        for lo, hi in self.gaps:
-            lo = _check_unit(as_fraction(lo, "gap lo"), "gap lo")
-            hi = _check_unit(as_fraction(hi, "gap hi"), "gap hi")
-            if hi <= lo:
-                raise DegenerateGap(f"gap ({lo}, {hi}) has no interior")
-            gaps.append((lo, hi))
-        gaps.sort()
-        for (alo, ahi), (blo, bhi) in zip(gaps, gaps[1:]):
-            if blo < ahi:
-                raise OverlappingGaps(f"gaps ({alo},{ahi}) and ({blo},{bhi}) overlap")
+        # a measure's gap checks; the atom side is a placeholder
+        gaps = _checked_gaps([GapInterval(lo, hi, RIGHT) for lo, hi in self.gaps])
+        gaps = [(g.lo, g.hi) for g in gaps]
         atoms = []
         for pos, mass in self.atoms:
             pos = _check_unit(as_fraction(pos, "atom position"), "atom position")
@@ -721,8 +715,9 @@ _BUILTINS = {
 }
 
 
-def parse_measure(text: str) -> QuasiUniformMeasure:
-    """Parse a built-in name, "a-shuffle:K", or "gap(lo,hi,side)"."""
+def _builtin_measure(text: str) -> Optional[QuasiUniformMeasure]:
+    """A built-in name, "a-shuffle:K" or "gap(lo,hi,side)"; None for text of
+    none of these forms."""
     text = text.strip()
     key = text.lower()
     if key in _BUILTINS:
@@ -730,12 +725,19 @@ def parse_measure(text: str) -> QuasiUniformMeasure:
     if key.startswith("a-shuffle:"):
         return a_shuffle(int(key.split(":", 1)[1]))
     if key.startswith("gap(") and key.endswith(")"):
-        inner = key[4:-1]
-        parts = [p.strip() for p in inner.split(",")]
+        parts = [p.strip() for p in key[4:-1].split(",")]
         if len(parts) != 3:
             raise ValueError(f"gap(...) takes lo,hi,side: {text!r}")
         return QuasiUniformMeasure((GapInterval(as_fraction(parts[0]), as_fraction(parts[1]), parts[2]),))
-    raise ValueError(f"unknown measure {text!r}")
+    return None
+
+
+def parse_measure(text: str) -> QuasiUniformMeasure:
+    """Parse a built-in name, "a-shuffle:K", or "gap(lo,hi,side)"."""
+    measure = _builtin_measure(text)
+    if measure is None:
+        raise ValueError(f"unknown measure {text.strip()!r}")
+    return measure
 
 
 MeasureSource = Union[QuasiUniformMeasure, MeasureMixture, CandidateMeasure]
@@ -752,23 +754,30 @@ def _json_object(obj, what: str, *keys: str) -> dict:
     return obj
 
 
+def _json_list(value, what: str) -> list:
+    """A decoded JSON list; a ValueError names a field that is not one."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
 def source_from_json(obj: dict) -> MeasureSource:
     """Decode a measure, mixture, or candidate from its JSON object form.
 
-    A ValueError names an entry that is not a JSON object or a key it lacks.
+    A mixture entry's measure is a JSON object or text read as
+    `resolve_source` reads it.  A ValueError names an entry that is not a
+    JSON object, a list field that is not a list, or a key an entry lacks.
     """
     if "mixture" in _json_object(obj, "measure"):
-        comps = []
-        for item in obj["mixture"]:
-            m = _json_object(item, "mixture entry", "weight", "measure")["measure"]
-            measure = parse_measure(m) if isinstance(m, str) else source_from_json(m)
-            if not isinstance(measure, QuasiUniformMeasure):
-                raise InvalidMixture("mixture components must be plain measures")
-            comps.append((as_fraction(item["weight"], "mixture weight"), measure))
-        return MeasureMixture(tuple(comps))
-    gaps = [_json_object(g, "gap", "lo", "hi") for g in obj.get("gaps", [])]
+        items = _json_list(obj["mixture"], "mixture")
+        items = [_json_object(i, "mixture entry", "weight", "measure") for i in items]
+        return MeasureMixture(
+            tuple((i["weight"], _plain_measure(i["measure"], "mixture entry")) for i in items)
+        )
+    gaps = [_json_object(g, "gap", "lo", "hi") for g in _json_list(obj.get("gaps", []), "gaps")]
     if "atoms" in obj or any("atom_side" not in g for g in gaps):
-        atoms = [_json_object(a, "atom", "pos", "mass") for a in obj.get("atoms", [])]
+        atoms = _json_list(obj.get("atoms", []), "atoms")
+        atoms = [_json_object(a, "atom", "pos", "mass") for a in atoms]
         return CandidateMeasure(
             tuple((g["lo"], g["hi"]) for g in gaps),
             tuple((a["pos"], a["mass"]) for a in atoms),
@@ -776,27 +785,37 @@ def source_from_json(obj: dict) -> MeasureSource:
     return QuasiUniformMeasure(tuple((g["lo"], g["hi"], g["atom_side"]) for g in gaps))
 
 
-def _is_builtin_form(key: str) -> bool:
-    """Whether lower-cased text has the syntax `parse_measure` accepts."""
-    return (
-        key in _BUILTINS
-        or key.startswith("a-shuffle:")
-        or (key.startswith("gap(") and key.endswith(")"))
-    )
+def _plain_measure(value, what: str) -> QuasiUniformMeasure:
+    """The plain measure that text, read as `resolve_source` reads it, or a
+    JSON object describes; a ValueError names `what` for any other source."""
+    source = resolve_source(value) if isinstance(value, str) else source_from_json(value)
+    if not isinstance(source, QuasiUniformMeasure):
+        raise ValueError(f"{what} takes a plain measure, not a {type(source).__name__}")
+    return source
+
+
+def _resolve_spec(text: str, shorthand, from_json, unknown: str):
+    """Decode spec text: inline JSON first, then `shorthand(text)` unless it
+    returns None, then the JSON file of that name.  A shorthand wins over a
+    file of the same name; other text raises a ValueError `unknown TEXT`."""
+    stripped = text.strip()
+    if stripped.startswith("{"):
+        return from_json(json.loads(stripped))
+    spec = shorthand(stripped)
+    if spec is not None:
+        return spec
+    if os.path.exists(stripped):
+        with open(stripped) as fh:
+            return from_json(json.load(fh))
+    raise ValueError(f"{unknown} {stripped!r}")
 
 
 def resolve_source(text: str) -> MeasureSource:
-    """Resolve CLI-style measure input: inline JSON, name, gap(...), or file.
-
-    Built-in names and forms win over a file of the same name.
-    """
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        return source_from_json(json.loads(stripped))
-    key = stripped.lower()
-    if key == "interior-atom":
-        return interior_atom_fixture()
-    if not _is_builtin_form(key) and os.path.exists(stripped):
-        with open(stripped) as fh:
-            return source_from_json(json.load(fh))
-    return parse_measure(stripped)
+    """Resolve CLI-style measure input: inline JSON, a built-in name or form
+    (`interior-atom` too), or a JSON file."""
+    return _resolve_spec(
+        text,
+        lambda s: interior_atom_fixture() if s.lower() == "interior-atom" else _builtin_measure(s),
+        source_from_json,
+        "unknown measure",
+    )

@@ -666,3 +666,35 @@ def test_malformed_json_specs_are_one_line_errors(capsys, option, spec, message)
     )
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "option, spec",
+    [
+        ("--measure", '{"gaps":[{"lo":Infinity,"hi":"1","atom_side":"right"}]}'),
+        ("--measure", '{"gaps":[{"lo":null,"hi":"1","atom_side":"right"}]}'),
+        ("--measure", '{"gaps":[{"lo":["0"],"hi":"1","atom_side":"right"}]}'),
+        ("--measure", '{"gaps":[{"lo":{},"hi":"1","atom_side":"right"}]}'),
+        ("--sampler", '{"type":"grid","grid":[[Infinity]]}'),
+        ("--sampler", '{"type":"grid","grid":[[null]]}'),
+        ("--measure", '{"gaps":{}}'),
+        ("--measure", '{"gaps":""}'),
+        ("--measure", '{"gaps":5}'),
+        ("--measure", '{"mixture":5}'),
+        ("--sampler", '{"type":"grid","grid":5}'),
+        ("--sampler", '{"type":"grid","grid":[5,5]}'),
+        ("--sampler", '{"type":"mixture","components":5}'),
+        ("--sampler", '{"type":"deterministic","pieces":5}'),
+    ],
+    ids=[
+        "lo-infinity", "lo-null", "lo-list", "lo-object", "grid-infinity", "grid-null",
+        "gaps-object", "gaps-string", "gaps-number", "mixture-number", "grid-number",
+        "grid-rows-numbers", "components-number", "pieces-number",
+    ],
+)
+def test_mistyped_json_fields_are_one_line_errors(capsys, option, spec):
+    """A field of the wrong JSON type (a rational that is no number, a list
+    that is no list) exits 2 with one `error:` line."""
+    code, out, err = run(capsys, "step", option, spec, "--n", "3", "--samples", "2", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
