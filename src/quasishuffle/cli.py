@@ -9,6 +9,10 @@ excludes `--measure` and `--type`; `--labels` excludes `--n`.  Output is
 byte-stable for a fixed command line and seed.  Exit codes: 0 success, 1
 property failure, 2 usage or configuration error, a malformed JSON spec
 included.
+
+Each command imports the library modules it calls when it runs, so a
+process loads only those: `--version`, `oracle` and `mixing --mode exact`
+start without numpy.
 """
 
 from __future__ import annotations
@@ -16,30 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import QuasiShuffleError
-from .kernels import (
-    empirical_mixing_curve,
-    resolve_sampler,
-    shuffle_map_from_measure,
-    step_batch,
-    walk,
-    ConjugateCoupling,
-    InverseConjugateCoupling,
-)
-from .measure import CandidateMeasure, MeasureMixture, _plain_measure, resolve_source
-from .oracle import (
-    exact_ordering_distribution,
-    exact_step_distribution,
-    mixing_curve,
-)
-from .ordering import check_labels, sample_ordering_batch
-from .permutations import count_rows, perm_from_str, perm_to_str
-from .verify import run_property_suite
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _write(path: str, text: str) -> None:
@@ -55,23 +42,31 @@ def _json_text(obj) -> str:
 
 
 def _measure_only(text: str):
+    from .measure import CandidateMeasure, resolve_source
+
     source = resolve_source(text)
     if isinstance(source, CandidateMeasure):
         raise ValueError("candidate measures are only accepted by `verify`")
     return source
 
 
-# the coupling of a plain measure that `--type one|two` selects
-_COUPLINGS = {"one": ConjugateCoupling, "two": InverseConjugateCoupling}
+def _coupling(kind: str, measure):
+    """The coupling of a plain measure that `--type one|two` selects."""
+    from .kernels import ConjugateCoupling, InverseConjugateCoupling
+
+    return (ConjugateCoupling if kind == "one" else InverseConjugateCoupling)(measure)
 
 
 def _sampler_from_args(args) -> object:
+    from .kernels import resolve_sampler
+    from .measure import _plain_measure
+
     if args.sampler is not None:
         if args.measure is not None or args.type is not None:
             raise ValueError("--sampler excludes --measure and --type")
         return resolve_sampler(args.sampler)
     if args.measure is not None:
-        return _COUPLINGS[args.type or "one"](_plain_measure(args.measure, f"{args.command} --measure"))
+        return _coupling(args.type or "one", _plain_measure(args.measure, f"{args.command} --measure"))
     raise ValueError("need --sampler or --measure")
 
 
@@ -89,6 +84,10 @@ def _rows_and_histogram(rows: np.ndarray) -> tuple[list[str], dict[str, int]]:
     digits for n <= 9 and comma-separated otherwise, so the whole batch is
     formatted at once.
     """
+    import numpy as np
+
+    from .permutations import count_rows
+
     size, n = rows.shape
     keys, counts = count_rows([rows])
     if n <= 9:
@@ -127,6 +126,10 @@ def _write_rows(args, head: dict, name: str, rows: np.ndarray) -> None:
 
 
 def cmd_sample_order(args) -> int:
+    import numpy as np
+
+    from .ordering import check_labels, sample_ordering_batch
+
     if args.labels is not None and args.n is not None:
         raise ValueError("--labels excludes --n")
     source = _measure_only(args.measure)
@@ -142,6 +145,10 @@ def cmd_sample_order(args) -> int:
 
 
 def cmd_step(args) -> int:
+    import numpy as np
+
+    from .kernels import step_batch
+
     sampler = _sampler_from_args(args)
     rng = np.random.default_rng(args.seed)
     rows = step_batch(args.n, sampler, _count(args.samples, "samples"), rng)
@@ -150,6 +157,11 @@ def cmd_step(args) -> int:
 
 
 def cmd_walk(args) -> int:
+    import numpy as np
+
+    from .kernels import walk
+    from .permutations import perm_from_str, perm_to_str
+
     sampler = _sampler_from_args(args)
     rng = np.random.default_rng(args.seed)
     start = perm_from_str(args.start) if args.start else None
@@ -160,6 +172,9 @@ def cmd_walk(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .measure import resolve_source
+    from .verify import run_property_suite
+
     source = resolve_source(args.measure)
     samples = _count(args.samples, "samples")
     report = run_property_suite(source, args.seed, n=args.n, samples=samples, label=args.measure)
@@ -168,6 +183,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mixing(args) -> int:
+    from .measure import MeasureMixture
+
     source = _measure_only(args.measure)
     mc = args.mode in ("mc", "both")
     # the mc preconditions fail before any work on the exact curve
@@ -177,13 +194,17 @@ def cmd_mixing(args) -> int:
         raise ValueError("mc mixing runs on a plain measure")
     curves = []  # (name, JSON values, CSV values) per curve
     if args.mode in ("exact", "both"):
+        from .oracle import mixing_curve
+
         exact = mixing_curve(source, args.n, args.type, args.steps)
         curves.append(("tv_exact", [str(v) for v in exact], [f"{float(v):.12g}" for v in exact]))
     if mc:
+        import numpy as np
+
+        from .kernels import empirical_mixing_curve
+
         rng = np.random.default_rng(args.seed)
-        tv = empirical_mixing_curve(
-            args.n, _COUPLINGS[args.type](source), args.steps, args.samples, rng
-        )
+        tv = empirical_mixing_curve(args.n, _coupling(args.type, source), args.steps, args.samples, rng)
         curves.append(("tv_empirical", [f"{v:.6f}" for v in tv], [f"{v:.12g}" for v in tv]))
     columns = [["h", *map(str, range(args.steps + 1))]] + [[name, *col] for name, _, col in curves]
     obj = {"n": args.n, "type": args.type, **{name: values for name, values, _ in curves}}
@@ -192,6 +213,11 @@ def cmd_mixing(args) -> int:
 
 
 def cmd_shuffle_map(args) -> int:
+    from fractions import Fraction
+
+    from .kernels import shuffle_map_from_measure
+    from .measure import _plain_measure
+
     measure = _plain_measure(args.measure, "shuffle-map")
     grid = _count(args.grid or 0, "grid")  # 0: no table
     smap = shuffle_map_from_measure(measure)
@@ -213,6 +239,8 @@ def cmd_shuffle_map(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import exact_ordering_distribution, exact_step_distribution
+
     source = _measure_only(args.measure)
     if args.kind == "order":
         dist = exact_ordering_distribution(source, args.n)

@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from .measure import (
     as_fraction,
     sample_conjugate_batch,
 )
-from . import oracle as _oracle
 from .ordering import _key_orders
 from .permutations import (
     Perm,
@@ -64,6 +63,9 @@ from .permutations import (
     is_permutation,
     row_histogram,
 )
+
+if TYPE_CHECKING:
+    from .oracle import PermutationDistribution
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -470,7 +472,7 @@ def kernel_matrix(
     mode: str = "exact",
     samples: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
-) -> _oracle.PermutationDistribution:
+) -> PermutationDistribution:
     """Step law of the sampler's kernel as a distribution over S_n.
 
     mode "exact" dispatches to the matching exact route (conjugate
@@ -479,19 +481,21 @@ def kernel_matrix(
     card, have no exact route and raise ExactUnavailable.  mode "mc"
     estimates from `samples` dealt steps.
     """
+    from . import oracle
+
     if mode == "mc":
         if samples is None or rng is None:
             raise ValueError("mc mode needs samples and rng")
         counts = empirical_step_counts(n, sampler, samples, rng)
-        return _oracle.PermutationDistribution.from_counts(n, counts)
+        return oracle.PermutationDistribution.from_counts(n, counts)
     if mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     if isinstance(sampler, ConjugateCoupling):
-        return _oracle.exact_step_distribution(sampler.measure, n, "one")
+        return oracle.exact_step_distribution(sampler.measure, n, "one")
     if isinstance(sampler, InverseConjugateCoupling):
-        return _oracle.exact_step_distribution(sampler.measure, n, "two")
+        return oracle.exact_step_distribution(sampler.measure, n, "two")
     if isinstance(sampler, DeterministicCoupling):
-        return _oracle.exact_map_step_distribution(sampler.map, n)
+        return oracle.exact_map_step_distribution(sampler.map, n)
     raise ExactUnavailable(f"no exact route for {type(sampler).__name__}")
 
 

@@ -21,9 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import (
     DegenerateGap,
@@ -32,6 +30,11 @@ from .errors import (
     OverlappingGaps,
     QuasiShuffleError,
 )
+
+# the array functions import numpy when they run, so that the exact routes
+# load without it
+if TYPE_CHECKING:
+    import numpy as np
 
 LEFT = "left"
 RIGHT = "right"
@@ -372,6 +375,8 @@ class _BatchTables:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _batch_tables(measure: QuasiUniformMeasure) -> _BatchTables:
+    import numpy as np
+
     # The cells tile [0,1] in rank order, so a draw's cell is the boundary
     # interval it falls in.
     cells = cell_decomposition(measure).cells
@@ -383,7 +388,10 @@ def _batch_tables(measure: QuasiUniformMeasure) -> _BatchTables:
     guide_steps = int(np.max(np.searchsorted(edges, grid[1:], side="left") - 1 - guide))
     cell_x = np.array([float(c.x) if c.kind == "atom" else 0.0 for c in cells])
     cell_y = np.array([float(c.y) if c.kind == "atom" else 0.0 for c in cells])
-    cell_inv_len = np.array([1.0 / float(c.hi - c.lo) for c in cells])
+    # a cell of float width 0 is narrower than any float step, so its edges
+    # round alike and no draw lands in it: its inverse width is 0, not 1 / 0
+    widths = [float(c.hi - c.lo) for c in cells]
+    cell_inv_len = np.array([1.0 / w if w else 0.0 for w in widths])
     side = np.array(
         [0 if c.kind == "diffuse" else 1 if c.atom_side == RIGHT else 2 for c in cells],
         dtype=np.intp,
@@ -459,6 +467,8 @@ def sample_conjugate_batch(
     runs on the whole shape at once; the samplers call it one row block at
     a time (`_row_blocks`).
     """
+    import numpy as np
+
     t = _batch_tables(measure)
     u = rng.random(shape)
     # u * B is exact for a power of two B, so the bucket is too; u < 1 =
@@ -601,6 +611,8 @@ def _component_draws(components, shape, rng: np.random.Generator):
     Yields (component, mask) for each component drawn, in component order;
     the caller draws that component's entries before taking the next.
     """
+    import numpy as np
+
     weights = np.array([float(w) for w, _ in components])
     which = rng.choice(len(weights), size=shape, p=weights / weights.sum())
     for ci, (_, component) in enumerate(components):

@@ -32,9 +32,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial, lcm, prod
 from operator import itemgetter, mul
-from typing import Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Union
 
 from .errors import (
     CapExceeded,
@@ -67,6 +65,11 @@ from .permutations import (
     perm_to_str,
     row_histogram,
 )
+
+# the array functions import numpy when they run, so that the exact routes
+# load without it
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_N = 6
 DEFAULT_MAX_CELLS = 8
@@ -468,6 +471,8 @@ def exact_coupling_step_distribution(
     integer array, and each gap multiset's exact weight is applied once to
     the histogram of its assignments' steps.
     """
+    import numpy as np
+
     _check_kind(kind)
     if not measure.is_purely_atomic:
         raise NotPurelyAtomic("coupling route needs a purely atomic measure")
@@ -509,6 +514,8 @@ def exact_coupling_step_distribution(
 
 def _coupling_steps(assigns, u_ranks, sign, span: int, kind: str) -> np.ndarray:
     """Step of every (gap assignment, u-rank vector) pair, one row each."""
+    import numpy as np
+
     shape = (len(assigns) * len(u_ranks), u_ranks.shape[1])
     keys = ((assigns * span)[:, None, :] + sign[assigns][:, None, :] * u_ranks).reshape(shape)
     rows = np.arange(len(keys))[:, None]

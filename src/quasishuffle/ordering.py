@@ -36,7 +36,6 @@ from .measure import (
     sample_conjugate_batch,
 )
 from .permutations import Perm, _ranks_of_order, row_histogram
-from . import stats as _stats
 
 OrderingSource = Union[QuasiUniformMeasure, MeasureMixture]
 
@@ -242,10 +241,12 @@ def exchangeability_test(
     alpha: float = 0.001,
 ):
     """Two-sample test that order-isomorphic label sets order identically."""
+    from .stats import chi_square_two_sample
+
     labels_a = check_labels(labels_a)
     labels_b = check_labels(labels_b)
     if len(labels_a) != len(labels_b):
         raise ValueError("label sets must have equal size")
     counts_a = ordering_counts(source, labels_a, samples, rng)
     counts_b = ordering_counts(source, labels_b, samples, rng)
-    return _stats.chi_square_two_sample(counts_a, counts_b, alpha=alpha)
+    return chi_square_two_sample(counts_a, counts_b, alpha=alpha)

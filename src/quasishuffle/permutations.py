@@ -8,9 +8,12 @@ ordering, p[i] is the rank (1 = lowest) of the i-th label.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
-import numpy as np
+# the array functions import numpy when they run, so that the exact routes
+# load without it
+if TYPE_CHECKING:
+    import numpy as np
 
 Perm = Tuple[int, ...]
 
@@ -70,6 +73,8 @@ def _ranks_of_order(order: np.ndarray, out: Optional[np.ndarray] = None) -> np.n
     `order` is used up: it is overwritten with the flat scatter indices, so
     that no index array as large as the batch is allocated.
     """
+    import numpy as np
+
     rows, n = order.shape
     if out is None:
         out = np.empty_like(order, order="C")
@@ -93,6 +98,8 @@ def count_rows(batches: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     parts in the largest base, or as rows when one part is too wide to
     encode.
     """
+    import numpy as np
+
     n = None
     parts: list = []  # (keys, counts, base), the running part first
     held = waiting = 0
@@ -116,6 +123,8 @@ def count_rows(batches: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 def _fold(parts: list, n: int) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
     """Merge (keys, counts, base) parts of n-wide rows into one such part."""
+    import numpy as np
+
     if len(parts) == 1:
         return parts[0]
     bases = {base for _, _, base in parts}
@@ -138,6 +147,8 @@ def _recoded(keys: np.ndarray, base: Optional[int], to: Optional[int], n: int) -
 
 
 def _digit_weights(base: int, n: int) -> np.ndarray:
+    import numpy as np
+
     return base ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
@@ -151,6 +162,8 @@ def _encoded_counts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[
     permutations of more than 15 cards, fall back to `np.unique(axis=0)`:
     the keys are the rows themselves and the base is None.
     """
+    import numpy as np
+
     rows = np.asarray(rows)
     n = rows.shape[1]
     base = int(rows.max(initial=0)) + 1

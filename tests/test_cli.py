@@ -698,3 +698,24 @@ def test_mistyped_json_fields_are_one_line_errors(capsys, option, spec):
     code, out, err = run(capsys, "step", option, spec, "--n", "3", "--samples", "2", "--seed", "1")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("measure", ["gap(0,1e-400,left)", "gap(1e-400,1,right)"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample-order", "--n", "3", "--samples", "2", "--seed", "1"),
+        ("step", "--n", "3", "--samples", "2", "--seed", "1"),
+        ("walk", "--n", "3", "--steps", "2", "--seed", "1"),
+        ("mixing", "--mode", "mc", "--n", "3", "--steps", "2", "--samples", "200", "--seed", "1"),
+        ("verify", "--n", "4", "--seed", "3"),
+    ],
+    ids=["sample-order", "step", "walk", "mixing-mc", "verify"],
+)
+def test_cell_narrower_than_any_float_is_sampled(capsys, argv, measure):
+    """A cell of float width 0 gets no draw; its measure samples, and
+    verifies, like the measure without it."""
+    code, out, err = run(capsys, argv[0], "--measure", measure, *argv[1:])
+    assert (code, err) == (0, "")
+    if argv[0] == "verify":
+        assert all(check["passed"] for check in json.loads(out)["checks"])

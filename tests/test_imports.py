@@ -138,3 +138,78 @@ def test_the_scan_finds_an_unreferenced_helper():
     assert unreferenced_private(sources) == [
         "_Left (line 5)", "_method (line 6)", "_recursive (line 3)"
     ]
+
+
+# -- the lazy package namespace -------------------------------------------
+
+EXPORTS = {
+    "errors": (
+        "CapExceeded", "DegenerateGap", "DimensionMismatch", "EmptyCounts", "ExactUnavailable",
+        "IncomparableSamples", "InvalidGridMatrix", "InvalidMixture", "InvalidShuffleMap",
+        "NotPurelyAtomic", "OutOfRange", "OverlappingGaps", "QuasiShuffleError",
+        "WindowTooSmall",
+    ),
+    "measure": (
+        "CandidateMeasure", "Cell", "CellDecomposition", "ConjugateSample", "GapInterval",
+        "MeasureMixture", "QuasiUniformMeasure", "a_shuffle", "as_fraction",
+        "cell_decomposition", "compose", "gsr", "interior_atom_fixture", "is_quasi_uniform",
+        "lebesgue", "mixed_fixture", "parse_measure", "power", "resolve_source",
+        "sample_conjugate_batch", "sample_conjugate_pair", "source_from_json", "validate",
+    ),
+    "ordering": (
+        "EmpiricalPosition", "compare", "empirical_positions", "exchangeability_test",
+        "ordering_counts", "sample_ordering_batch",
+    ),
+    "kernels": (
+        "AffinePiece", "ConjugateCoupling", "CouplingSampler", "DeterministicCoupling",
+        "GridCopulaCoupling", "InverseConjugateCoupling", "MixtureCoupling", "ShuffleMap",
+        "empirical_mixing_curve", "empirical_step_counts", "kernel_matrix", "resolve_sampler",
+        "sampler_from_json", "shuffle_map_from_measure", "step_batch", "walk",
+    ),
+    "oracle": (
+        "PermutationDistribution", "combine_distributions", "convolve",
+        "exact_coupling_step_distribution", "exact_map_step_distribution",
+        "exact_ordering_distribution", "exact_step_distribution", "invert_distribution",
+        "mixing_curve", "ranking_probability", "restrict_distribution", "transition_matrix",
+        "tv_distance",
+    ),
+    "stats": (
+        "TestReport", "chi_square_goodness", "chi_square_two_sample", "empirical_tv",
+        "ks_measure_marginal", "ks_uniform",
+    ),
+    "verify": ("CheckResult", "VerifyReport", "run_property_suite"),
+}
+
+
+def test_package_exports_its_public_names():
+    import importlib
+    import importlib.util
+    import os
+    import subprocess
+    import sys
+
+    import quasishuffle
+
+    assert sorted(quasishuffle.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    assert len(quasishuffle.__all__) == 81
+    for module, names in EXPORTS.items():
+        defining = importlib.import_module(f"quasishuffle.{module}")
+        for name in names:
+            assert getattr(quasishuffle, name) is getattr(defining, name), name
+    # the benchmark's span recorder reads each traced module off the package
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module in {module for module, _, _ in tracing.TRACED}:
+        assert getattr(quasishuffle, module) is importlib.import_module(f"quasishuffle.{module}")
+    with pytest.raises(AttributeError):
+        quasishuffle.no_such_name
+    # in a fresh process, a first read imports the submodule
+    code = (
+        "import sys, quasishuffle as q; "
+        "assert 'quasishuffle.oracle' not in sys.modules; "
+        "assert q.oracle is sys.modules['quasishuffle.oracle']; "
+        "assert q.walk is sys.modules['quasishuffle.kernels'].walk"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -218,10 +218,12 @@ def test_report_json_serializable():
     assert parsed["passed"] is True
 
 
-# -- scipy stays out of the import; p-values stay scipy.stats' ------------
+# -- scipy stays out of every process; tails within a bound of scipy's ------
 
 
-def test_import_loads_no_scipy():
+def loaded_modules(*argv):
+    """Top-level names of the modules a `python -X importtime ARGV` process
+    imports, with `src` on the path; the process must exit 0."""
     import os
     import subprocess
     import sys
@@ -229,38 +231,116 @@ def test_import_loads_no_scipy():
     import quasishuffle
 
     src = os.path.dirname(os.path.dirname(quasishuffle.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import sys, quasishuffle, quasishuffle.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    assert run.returncode == 0, (argv, run.stderr[-500:])
+    lines = [line for line in run.stderr.splitlines() if line.startswith("import time:")]
+    return {line.split("|")[2].strip().split(".")[0] for line in lines[1:]}
 
 
-def test_chi_square_pvalues_equal_scipy_stats():
+def test_import_loads_no_scipy(monkeypatch):
+    """The benchmark's CLI command lines, one process each: none imports
+    scipy, and `--version`, `oracle` and exact `mixing` import no numpy.
+    Sample counts are cut to 200; a command's imports do not depend on it."""
+    import sys
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    monkeypatch.delitem(sys.modules, "cli_load", raising=False)
+    import cli_load
+
+    commands = cli_load.commands(7)
+    assert len(commands) == 12
+    without_numpy = {"version", "oracle", "mixing/exact"}
+    assert without_numpy <= {c.name for c in commands}
+    for command in commands:
+        argv = list(command.argv)
+        if "--samples" in argv:
+            argv[argv.index("--samples") + 1] = "200"
+        loaded = loaded_modules("-m", "quasishuffle.cli", *argv)
+        assert "scipy" not in loaded, command.name
+        assert ("numpy" in loaded) == (command.name not in without_numpy), command.name
+    assert {"quasishuffle", "scipy", "numpy"} & loaded_modules("-c", "import quasishuffle") == {
+        "quasishuffle"
+    }
+
+
+def test_chi_square_tail_within_1e_11_of_scipy():
     from scipy.stats import chi2
 
+    from quasishuffle.stats import _chi2_sf
+
+    for df in [*range(1, 201), 719, 5039]:
+        xs = [*np.linspace(0.0, df + 40 * np.sqrt(df), 101).tolist(), 1e-9, 0.5]
+        for x, ref in zip(xs, chi2.sf(xs, df).tolist()):
+            got = _chi2_sf(x, df)
+            assert type(got) is float
+            if ref >= 1e-300:
+                assert abs(got - ref) <= 1e-11 * ref, (df, x, got, ref)
     rng = make_rng(8)
     support = {k: F(1, 24) for k in range(24)}
     for draws in (50, 300, 5000):
         counts = dict(zip(*np.unique(rng.integers(0, 24, draws), return_counts=True)))
-        rep = chi_square_goodness(counts, support)
-        assert rep.p_value == float(chi2.sf(rep.statistic, rep.detail["df"]))
         other = dict(zip(*np.unique(rng.integers(0, 20, draws), return_counts=True)))
-        rep = chi_square_two_sample(counts, other)
-        assert rep.p_value == float(chi2.sf(rep.statistic, rep.detail["df"]))
-    rep = chi_square_goodness({"h": 2520, "t": 2480}, FAIR)
-    assert rep.p_value == float(chi2.sf(rep.statistic, 1))
+        for rep in (chi_square_goodness(counts, support), chi_square_two_sample(counts, other)):
+            ref = float(chi2.sf(rep.statistic, rep.detail["df"]))
+            assert abs(rep.p_value - ref) <= 1e-11 * ref
+            assert type(rep.p_value) is float and type(rep.passed) is bool
 
 
-def test_ks_pvalues_equal_scipy_kolmogorov():
+def test_kolmogorov_tail_within_1e_13_of_scipy():
     from scipy.special import kolmogorov
 
+    from quasishuffle.stats import _kolmogorov_sf
+
+    for x in np.linspace(0.05, 8.0, 2000).tolist():
+        ref = float(kolmogorov(x))
+        got = _kolmogorov_sf(x)
+        assert type(got) is float
+        assert abs(got - ref) <= 1e-13 * ref, (x, got, ref)
     rng = make_rng(9)
     for size in (20, 400, 5000):
         u = rng.random(size) ** 1.1
         for rep in (ks_uniform(u), ks_measure_marginal(u, mixed_fixture())):
-            assert rep.p_value == float(kolmogorov(rep.statistic * np.sqrt(rep.samples)))
+            ref = float(kolmogorov(rep.statistic * np.sqrt(rep.samples)))
+            assert abs(rep.p_value - ref) <= 1e-13 * ref
+            assert type(rep.p_value) is float and type(rep.passed) is bool
+
+
+def test_tails_at_closed_forms():
+    import math
+
+    from quasishuffle.stats import _chi2_sf, _kolmogorov_sf
+
+    # a float tail at x carries a relative error of about x ulps from the
+    # rounding of x alone, so the bound is 1e-13 up to x = 80
+    for x in (0.01, 0.7, 1.0, 2.0, 3.5, 10.0, 80.0):
+        y = x / 2
+        close = {
+            1: math.erfc(math.sqrt(y)),
+            2: math.exp(-y),
+            3: math.erfc(math.sqrt(y)) + 2 * math.sqrt(y / math.pi) * math.exp(-y),
+            4: math.exp(-y) * (1 + y),
+            6: math.exp(-y) * (1 + y + y * y / 2),
+        }
+        for df, want in close.items():
+            assert math.isclose(_chi2_sf(x, df), want, rel_tol=1e-13), (df, x)
+    # past its mean, the df = 2 tail is its one term exp(-x/2), bit for bit
+    assert all(_chi2_sf(x, 2) == math.exp(-x / 2) for x in (2.5, 9.0, 123.25))
+    assert _chi2_sf(0.0, 5) == 1.0 and _kolmogorov_sf(0.0) == 1.0
+    # K(x) to 20 digits (the alternating series in 50-digit arithmetic);
+    # 1.3580986... is the 5 % critical value, the series' first term rules at x = 3
+    for x, want in (
+        (0.3, 0.99999069419866543337),
+        (0.5, 0.96394524366487509439),
+        (1.0, 0.2699996716773545212),
+        (1.3580986393225505, 0.050000000000000028325),
+        (2.0, 0.00067092525577969534654),
+        (3.0, 2 * math.exp(-18)),
+    ):
+        assert math.isclose(_kolmogorov_sf(x), want, rel_tol=1e-14), x
