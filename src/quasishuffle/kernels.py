@@ -11,7 +11,9 @@ drawn independently of u, and inside an atom cell v follows the u order
 (reversed at a left atom).  So order inside atom cells is exact, and only
 two draws in one diffuse cell can tie in floating point.  Every other
 coupling ranks its float pairs; ties there (probability ~2^-52 each)
-resolve by card order.
+resolve by card order.  Both kinds rank with `permutations._row_ranks`,
+which counts pairwise comparisons in rows of up to `_COUNT_WIDTH` cards
+and argsorts wider ones.
 
 Steps are dealt in row blocks of about 2^14 draws (`measure._row_blocks`),
 each written straight into one preallocated output, so no temporary grows
@@ -32,8 +34,6 @@ from fractions import Fraction
 from math import factorial
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     ExactUnavailable,
     InvalidGridMatrix,
@@ -53,18 +53,21 @@ from .measure import (
     as_fraction,
     sample_conjugate_batch,
 )
-from .ordering import _key_orders
 from .permutations import (
     Perm,
     _encoded_counts,
-    _ranks_of_order,
+    _row_ranks,
     compose,
     identity,
     is_permutation,
     row_histogram,
 )
 
+# the array functions import numpy (and `ordering`, which deals conjugate
+# steps) when they run, so that `shuffle-map` loads without numpy
 if TYPE_CHECKING:
+    import numpy as np
+
     from .oracle import PermutationDistribution
 
 _ZERO = Fraction(0)
@@ -153,6 +156,8 @@ class ShuffleMap:
         return self.piece_at(x).value(x)
 
     def eval_batch(self, u: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         los = np.array([float(p.lo) for p in self.pieces])
         slopes = np.array([float(p.slope) for p in self.pieces])
         intercepts = np.array([float(p.intercept) for p in self.pieces])
@@ -262,6 +267,8 @@ class GridCopulaCoupling(CouplingSampler):
     """
 
     def __init__(self, matrix: Sequence[Sequence[RationalLike]]):
+        import numpy as np
+
         rows = [tuple(as_fraction(v, "grid entry") for v in row) for row in matrix]
         m = len(rows)
         if m == 0 or any(len(r) != m for r in rows):
@@ -283,6 +290,8 @@ class GridCopulaCoupling(CouplingSampler):
         self._cum = np.cumsum(flat / flat.sum())
 
     def draw_batch(self, shape, rng: np.random.Generator):
+        import numpy as np
+
         idx = np.minimum(
             np.searchsorted(self._cum, rng.random(shape), side="right"),
             self.m * self.m - 1,
@@ -300,10 +309,13 @@ class MixtureCoupling(CouplingSampler):
         self.components = _checked_weights(components)
 
     def draw_batch(self, shape, rng: np.random.Generator):
+        import numpy as np
+
         u = np.empty(shape)
         v = np.empty(shape)
-        for sampler, mask in _component_draws(self.components, shape, rng):
-            u[mask], v[mask] = sampler.draw_batch(int(mask.sum()), rng)
+        # flat views of the new arrays take each component's draws in place
+        for sampler, at in _component_draws(self.components, shape, rng):
+            u.reshape(-1)[at], v.reshape(-1)[at] = sampler.draw_batch(len(at), rng)
         return u, v
 
 
@@ -317,12 +329,14 @@ def step_batch(
 
     Row r maps each card's u-rank to its v-rank (1-based).  A conjugate
     coupling's rows are orderings of the measure, drawn with one uniform and
-    one sort per card (type two is the row inverse of type one); other
+    one rank per card (type two is the row inverse of type one); other
     couplings rank their (u, v) draws.  Rows are dealt in cache-sized
     blocks straight into the output; a pair-drawing coupling draws its
     pairs block by block, so beyond one block its rows differ at a fixed
     seed from one whole-batch draw, with the same law.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("need at least one card")
     if size < 0:
@@ -346,14 +360,11 @@ def _step_blocks(
     given, else a block-sized array of its own.
     """
     if isinstance(sampler, (ConjugateCoupling, InverseConjugateCoupling)):
-        for start, stop, order in _key_orders(sampler.measure, n, size, rng):
-            rows = None if out is None else out[start:stop]
-            if isinstance(sampler, ConjugateCoupling):
-                rows = _ranks_of_order(order, rows)
-            else:
-                # the row inverse of the ranks is the key order itself
-                rows = np.add(order, 1, out=rows)
-            yield start, stop, rows
+        from .ordering import _key_ranks
+
+        # type one is the measure's ordering, type two its row inverse
+        inverse = isinstance(sampler, InverseConjugateCoupling)
+        yield from _key_ranks(sampler.measure, n, size, rng, out, inverse)
         return
     for start, stop, rows in _pair_step_blocks(n, sampler, size, rng):
         if out is not None:
@@ -377,10 +388,15 @@ def _rank_pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Floating-point ties (probability ~2^-52 each) resolve by card order.
     """
-    order_u = np.argsort(u, axis=1, kind="stable")
-    # invert the v order by one scatter, then read the v-ranks in u order
-    ranks_v = _ranks_of_order(np.argsort(v, axis=1, kind="stable"))
-    return np.take_along_axis(ranks_v, order_u, axis=1)
+    import numpy as np
+
+    rows, n = u.shape
+    # the v-ranks, scattered to their u-rank positions: one flat scatter
+    at = _row_ranks(u)
+    at += np.arange(-1, rows * n - 1, n)[:, None]
+    out = np.empty((rows, n), dtype=np.int64)
+    out.reshape(-1)[at] = _row_ranks(v)
+    return out
 
 
 def empirical_step_counts(
@@ -429,6 +445,8 @@ def empirical_mixing_curve(
     rng: np.random.Generator,
 ) -> list[float]:
     """Empirical TV to uniform along `trials` parallel walks."""
+    import numpy as np
+
     if n < 1:
         raise ValueError("need at least one card")
     if steps < 0:

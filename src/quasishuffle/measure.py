@@ -608,17 +608,24 @@ def _checked_weights(components) -> tuple:
 def _component_draws(components, shape, rng: np.random.Generator):
     """Draw one component per entry of `shape` from (weight, component) pairs.
 
-    Yields (component, mask) for each component drawn, in component order;
-    the caller draws that component's entries before taking the next.
+    Yields (component, at) for each component drawn, in component order,
+    `at` being the flat indices of its entries; the caller draws that
+    component's entries before taking the next.  The draw is the arithmetic
+    of `rng.choice(len(components), shape, p=weights / weights.sum())`
+    without its checks: one uniform per entry, which counts the cumulative
+    weights, rescaled to end at 1, that it reaches.  So the components are
+    those `choice` draws.
     """
     import numpy as np
 
     weights = np.array([float(w) for w, _ in components])
-    which = rng.choice(len(weights), size=shape, p=weights / weights.sum())
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    which = np.searchsorted(cdf, rng.random(shape), side="right")
     for ci, (_, component) in enumerate(components):
-        mask = which == ci
-        if mask.any():
-            yield component, mask
+        at = np.flatnonzero(which == ci)
+        if len(at):
+            yield component, at
 
 
 @dataclass(frozen=True)

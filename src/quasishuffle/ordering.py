@@ -9,8 +9,10 @@ window recovers its pair: lower-window ranks converge to x, upper-window
 ranks to y.
 
 Orderings are dealt in row blocks of about 2^14 draws
-(`measure._row_blocks`), each sorted and scattered straight into one
-preallocated output, or counted one by one (`ordering_counts`).  The
+(`measure._row_blocks`), each ranked straight into one preallocated
+output, or counted one by one (`ordering_counts`).  The ranks come from
+`permutations._row_ranks`: rows of up to `_COUNT_WIDTH` labels count
+their pairwise key comparisons, wider ones are argsorted.  The
 blocks draw their uniforms in row order, so the rows of a measure are
 those of one whole-batch draw.  A mixture draws the components of each
 block's rows before their uniforms, so beyond one block its rows differ
@@ -20,9 +22,7 @@ from those of a whole-batch component draw, with the same law.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import IncomparableSamples, WindowTooSmall
 from .measure import (
@@ -35,7 +35,12 @@ from .measure import (
     cell_decomposition,
     sample_conjugate_batch,
 )
-from .permutations import Perm, _ranks_of_order, row_histogram
+from .permutations import Perm, _row_ranks, row_histogram
+
+# the array functions import numpy when they run, so that `kernels`, which
+# imports this module, loads without it
+if TYPE_CHECKING:
+    import numpy as np
 
 OrderingSource = Union[QuasiUniformMeasure, MeasureMixture]
 
@@ -100,13 +105,14 @@ def sample_ordering_batch(
     instead of raising.  Rows are dealt in cache-sized blocks straight
     into the output.
     """
+    import numpy as np
+
     labels = check_labels(labels)
     if size < 0:
         raise ValueError(f"size = {size} is negative")
     out = np.empty((size, len(labels)), dtype=np.int64)
-    for start, stop, order in _key_orders(source, len(labels), size, rng):
-        # a label's rank is its position in the key order
-        _ranks_of_order(order, out[start:stop])
+    for _ in _key_ranks(source, len(labels), size, rng, out):
+        pass  # each block is written into out
     return out
 
 
@@ -120,6 +126,8 @@ def _ordering_keys(batch: ConjugateBatch) -> tuple[np.ndarray, bool]:
     a draw fell in a diffuse cell; without one, keys in a row are pairwise
     distinct.
     """
+    import numpy as np
+
     t = batch.tables
     n = batch.cell.shape[-1]
     asc = (np.arange(n) + 1.0) / (n + 2.0)
@@ -141,30 +149,47 @@ def _ordering_keys(batch: ConjugateBatch) -> tuple[np.ndarray, bool]:
     return key, False
 
 
-def _key_orders(source: OrderingSource, n: int, size: int, rng: np.random.Generator):
-    """Per-row argsort of the ordering keys of n labels, in row blocks.
+def _key_ranks(
+    source: OrderingSource,
+    n: int,
+    size: int,
+    rng: np.random.Generator,
+    out: Optional[np.ndarray] = None,
+    inverse: bool = False,
+):
+    """Ranks of the ordering keys of n labels, in row blocks.
 
-    Yields (start, stop, order) for each block of `_row_blocks`: order is
-    the (stop - start, n) argsort of rows start..stop-1, listing the label
-    indices 0..n-1 from the lowest label up.  A mixture draws the
-    components of a block's rows, then deals each component's rows.
+    Yields (start, stop, rows) for each block of `_row_blocks`: rows holds
+    the rankings start..stop-1, or with `inverse` their row inverses (the
+    labels from the lowest up), as `out[start:stop]` when `out` is given,
+    else as a block-sized array of its own.  A mixture draws the components
+    of a block's rows, then deals each component's rows.
     """
+    import numpy as np
+
     for start, stop in _row_blocks(size, n):
+        rows = None if out is None else out[start:stop]
         if not isinstance(source, MeasureMixture):
-            yield start, stop, _key_order(source, (stop - start, n), rng)
+            yield start, stop, _key_rank(source, (stop - start, n), rng, rows, inverse)
             continue
-        order = np.empty((stop - start, n), dtype=np.intp)
-        for measure, mask in _component_draws(source.components, stop - start, rng):
-            order[mask] = _key_order(measure, (int(mask.sum()), n), rng)
-        yield start, stop, order
+        if rows is None:
+            rows = np.empty((stop - start, n), dtype=np.int64)
+        for measure, at in _component_draws(source.components, stop - start, rng):
+            rows[at] = _key_rank(measure, (len(at), n), rng, None, inverse)
+        yield start, stop, rows
 
 
-def _key_order(measure: QuasiUniformMeasure, shape, rng: np.random.Generator) -> np.ndarray:
-    """Per-row argsort of the ordering keys of one conjugate batch of `shape`."""
+def _key_rank(
+    measure: QuasiUniformMeasure,
+    shape,
+    rng: np.random.Generator,
+    out: Optional[np.ndarray],
+    inverse: bool,
+) -> np.ndarray:
+    """`_row_ranks` of the ordering keys of one conjugate batch of `shape`."""
     key, diffuse_hit = _ordering_keys(sample_conjugate_batch(measure, shape, rng))
-    # distinct keys sort alike under any sort, so the fast one is used
-    # unless a diffuse draw was hit
-    return np.argsort(key, axis=1, kind="stable" if diffuse_hit else None)
+    # keys without a diffuse draw are pairwise distinct in each row
+    return _row_ranks(key, out, inverse, distinct=not diffuse_hit)
 
 
 def ordering_counts(
@@ -178,8 +203,8 @@ def ordering_counts(
     labels = check_labels(labels)
     if size < 0:
         raise ValueError(f"size = {size} is negative")
-    blocks = _key_orders(source, len(labels), size, rng)
-    return row_histogram(_ranks_of_order(order) for _, _, order in blocks)
+    blocks = _key_ranks(source, len(labels), size, rng)
+    return row_histogram(rows for _, _, rows in blocks)
 
 
 @dataclass(frozen=True)
@@ -205,6 +230,8 @@ def empirical_positions(
     rng: np.random.Generator,
 ) -> EmpiricalPosition:
     """Estimate the target's pair from one ordering of labels -N..N."""
+    import numpy as np
+
     target_label = int(target_label)
     n_half = int(window)
     if n_half < 1 or abs(target_label) > n_half:

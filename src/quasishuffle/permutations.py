@@ -21,6 +21,19 @@ Perm = Tuple[int, ...]
 # that rows of a small support are not merged block by block.
 _FOLD_AT = 1 << 14
 
+# `_row_ranks` counts comparisons in rows up to this width and argsorts
+# wider ones; it must stay below 128, the int8 bound of `_counted_ranks`.
+# Per card, on one block of 2^14 draws (2-core shared host, numpy 2.4):
+# counting takes 4.5 ns at width 4, 6.1 at 8 and 10.3 at 16, numpy's
+# default argsort plus a scatter 21.0, 12.1 and 9.9 ns, a stable one 17.1,
+# 19.4 and 21.9 ns.
+_COUNT_WIDTH = 16
+# A row inverse of distinct keys is counted, and scattered, only up to
+# this width; beyond it the default argsort wins: 7.1 against 15.6 ns per
+# card at width 4, 9.0 against 10.7 at 6, 9.3 against 9.1 at 7 and 10.0
+# against 8.1 at 8.
+_COUNT_INVERSE_WIDTH = 6
+
 
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
@@ -66,23 +79,75 @@ def perm_from_str(text: str) -> Perm:
     return p
 
 
-def _ranks_of_order(order: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """1-based rank of each column from a per-row argsort, by one flat
-    scatter into `out`: a new array when None, else a C-contiguous one.
+def _row_ranks(
+    keys: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    inverse: bool = False,
+    distinct: bool = False,
+) -> np.ndarray:
+    """1-based rank of each entry of a 2-D array within its row, ties broken
+    by column order: the ranks a stable argsort gives.  With `inverse`, the
+    row inverse instead: each row's 1-based columns from its lowest entry up.
 
-    `order` is used up: it is overwritten with the flat scatter indices, so
-    that no index array as large as the batch is allocated.
+    The result is a C-contiguous int64 array: `out` when given, which must
+    be one.  `distinct` says that no row holds two equal keys, so a sort
+    need not be stable.  Rows up to `_COUNT_WIDTH` wide are ranked by
+    counting comparisons (`_counted_ranks`) and inverted by one scatter;
+    wider rows are argsorted, and their ranks scattered from the order.  A
+    row inverse of distinct keys is argsorted beyond `_COUNT_INVERSE_WIDTH`,
+    where numpy's default sort beats a count and a scatter.
     """
     import numpy as np
 
-    rows, n = order.shape
+    rows, n = keys.shape
     if out is None:
-        out = np.empty_like(order, order="C")
-    if not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous, so its flat view is a view")
-    order += np.arange(0, rows * n, n)[:, None]
-    out.reshape(-1)[order] = np.arange(1, n + 1)
+        out = np.empty((rows, n), dtype=np.int64)
+    elif out.dtype != np.int64 or not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous int64, so its flat view is a view")
+    counted = n <= (_COUNT_INVERSE_WIDTH if inverse and distinct else _COUNT_WIDTH)
+    if counted:
+        ranks = _counted_ranks(keys)
+        if not inverse:
+            out[...] = ranks.T
+            return out
+        # the inverse holds k + 1 at column rank_k - 1 of each row
+        cols = ranks.T.astype(np.intp)
+        cols += np.arange(-1, rows * n - 1, n)[:, None]
+    else:
+        order = np.argsort(keys, axis=1, kind=None if distinct else "stable")
+        if inverse:
+            return np.add(order, 1, out=out)
+        # the ranks hold k + 1 at column order_k of each row
+        cols = order
+        cols += np.arange(0, rows * n, n)[:, None]
+    # cols holds flat positions: one scatter writes k + 1 at cols[:, k]
+    out.reshape(-1)[cols] = np.arange(1, n + 1)
     return out
+
+
+def _counted_ranks(keys: np.ndarray) -> np.ndarray:
+    """1-based ranks of the (rows, n) keys as an (n, rows) int8 array, from
+    the n(n - 1)/2 comparisons of each row's columns.
+
+    Column j starts at rank j + 1, as if every earlier column sat below it;
+    for each pair i < j whose key_j < key_i, column i moves up one and
+    column j down one.  Equal keys keep column order.  The keys are
+    compared on a transposed copy, column i against all later columns at
+    once, so every operation runs over contiguous rows of the block.
+    """
+    import numpy as np
+
+    rows, n = keys.shape
+    kt = keys.T.copy()
+    ranks = np.empty((n, rows), dtype=np.int8)
+    ranks[...] = np.arange(1, n + 1, dtype=np.int8)[:, None]
+    below = np.empty((max(n - 1, 0), rows), dtype=np.bool_)
+    moves = below.view(np.int8)
+    for i in range(n - 1):
+        np.less(kt[i + 1 :], kt[i], out=below[i:])
+        ranks[i] += moves[i:].sum(axis=0, dtype=np.int8)
+        ranks[i + 1 :] -= moves[i:]
+    return ranks
 
 
 def count_rows(batches: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -32,6 +32,7 @@ from quasishuffle.measure import (
     sample_conjugate_batch,
 )
 from quasishuffle.ordering import sample_ordering_batch
+from quasishuffle.permutations import _COUNT_WIDTH
 
 from conftest import make_rng
 
@@ -43,7 +44,8 @@ MEASURES = {
     "lebesgue": lebesgue(),
     "left-gap": parse_measure("gap(1/4,1/2,left)"),
 }
-SIZES = (1, 2, 8, 52)
+# both sides of the width up to which rows are ranked by counting
+SIZES = (1, 2, 8, _COUNT_WIDTH, _COUNT_WIDTH + 1, 52)
 FIELDS = ("cell", "rel")
 
 

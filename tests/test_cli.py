@@ -719,3 +719,39 @@ def test_cell_narrower_than_any_float_is_sampled(capsys, argv, measure):
     assert (code, err) == (0, "")
     if argv[0] == "verify":
         assert all(check["passed"] for check in json.loads(out)["checks"])
+
+
+def test_exact_commands_run_without_numpy():
+    """`--version`, `oracle`, exact `mixing` and `shuffle-map` run through
+    `cli.main` in one fresh process, and none of them imports numpy."""
+    import os
+    import subprocess
+    import sys
+
+    commands = [
+        ["--version"],
+        ["oracle", "--measure", "a-shuffle:3", "--n", "3"],
+        ["mixing", "--measure", "gsr", "--type", "two", "--n", "4", "--steps", "3"],
+        ["shuffle-map", "--measure", "a-shuffle:3", "--grid", "4"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from quasishuffle.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        try:\n"
+        "            assert main(argv) == 0, argv\n"
+        "        except SystemExit as stop:\n"
+        "            assert stop.code == 0, argv\n"
+        "    assert out.getvalue(), argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr[-800:]

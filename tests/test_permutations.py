@@ -1,4 +1,4 @@
-"""The shared row counter and the histograms built on it."""
+"""The rank kernel, the shared row counter and the histograms built on it."""
 
 import tracemalloc
 from collections import Counter
@@ -18,7 +18,13 @@ from quasishuffle.kernels import (
 )
 from quasishuffle.measure import _LOOKUP_BLOCK, MeasureMixture, gsr, mixed_fixture
 from quasishuffle.ordering import ordering_counts, sample_ordering_batch
-from quasishuffle.permutations import count_rows, row_histogram
+from quasishuffle.permutations import (
+    _COUNT_INVERSE_WIDTH,
+    _COUNT_WIDTH,
+    _row_ranks,
+    count_rows,
+    row_histogram,
+)
 
 from conftest import make_rng
 
@@ -27,6 +33,58 @@ def _random_perm_rows(rng, size, n, distinct):
     """`size` rows drawn from `distinct` random permutations of 1..n."""
     pool = np.argsort(rng.random((distinct, n)), axis=1) + 1
     return pool[rng.integers(0, distinct, size)]
+
+
+# -- the rank kernel ------------------------------------------------------
+
+
+def _stable_ranks(keys):
+    """1-based stable-argsort ranks and row inverses of 2-D keys."""
+    order = np.argsort(keys, axis=1, kind="stable")
+    return np.argsort(order, axis=1, kind="stable") + 1, order + 1
+
+
+def _checked(got):
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    return got
+
+
+@pytest.mark.parametrize("n", range(1, _COUNT_WIDTH + 2))
+def test_row_ranks_equal_stable_argsort_with_ties(n):
+    """Every width on both sides of `_COUNT_WIDTH`: keys drawn from three
+    values tie in most rows, and ties must keep column order."""
+    rng = make_rng(n)
+    for keys in (np.floor(rng.random((700, n)) * 3) / 4, rng.random((700, n))):
+        ranks, inverse = _stable_ranks(keys)
+        assert np.array_equal(_checked(_row_ranks(keys)), ranks)
+        assert np.array_equal(_checked(_row_ranks(keys, inverse=True)), inverse)
+        # a view of another layout ranks alike
+        assert np.array_equal(_row_ranks(np.asfortranarray(keys)), ranks)
+
+
+# both sides of both widths, and a deck
+EDGES = sorted(
+    {1, _COUNT_INVERSE_WIDTH, _COUNT_INVERSE_WIDTH + 1, _COUNT_WIDTH, _COUNT_WIDTH + 1, 52}
+)
+
+
+@pytest.mark.parametrize("n", EDGES)
+def test_row_ranks_of_distinct_keys_on_every_path(n):
+    """Distinct keys may take numpy's default sort: ranks and inverses on
+    both sides of both widths, written into a given output."""
+    keys = make_rng(n).random((500, n))
+    ranks, inverse = _stable_ranks(keys)
+    for want, inv in ((ranks, False), (inverse, True)):
+        out = np.zeros((500, n), dtype=np.int64)
+        got = _row_ranks(keys, out, inverse=inv, distinct=True)
+        assert got is out and np.array_equal(out, want)
+
+
+def test_row_ranks_refuse_an_output_without_a_flat_view():
+    keys = make_rng(3).random((10, 4))
+    for out in (np.zeros((4, 10), dtype=np.int64).T, np.zeros((10, 4), dtype=np.int32)):
+        with pytest.raises(ValueError, match="C-contiguous int64"):
+            _row_ranks(keys, out)
 
 
 @pytest.mark.parametrize("n", [1, 4, 9, 15, 16, 20])

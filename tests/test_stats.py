@@ -245,7 +245,8 @@ def loaded_modules(*argv):
 
 def test_import_loads_no_scipy(monkeypatch):
     """The benchmark's CLI command lines, one process each: none imports
-    scipy, and `--version`, `oracle` and exact `mixing` import no numpy.
+    scipy, and `--version`, `oracle`, exact `mixing` and `shuffle-map`
+    import no numpy.
     Sample counts are cut to 200; a command's imports do not depend on it."""
     import sys
     from pathlib import Path
@@ -256,7 +257,7 @@ def test_import_loads_no_scipy(monkeypatch):
 
     commands = cli_load.commands(7)
     assert len(commands) == 12
-    without_numpy = {"version", "oracle", "mixing/exact"}
+    without_numpy = {"version", "oracle", "mixing/exact", "shuffle-map"}
     assert without_numpy <= {c.name for c in commands}
     for command in commands:
         argv = list(command.argv)
