@@ -13,7 +13,9 @@ two draws in one diffuse cell can tie in floating point.  Every other
 coupling ranks its float pairs; ties there (probability ~2^-52 each)
 resolve by card order.  Both kinds rank with `permutations._row_ranks`,
 which counts pairwise comparisons in rows of up to `_COUNT_WIDTH` cards
-and argsorts wider ones.
+and argsorts wider ones.  A grid-copula cell, a shuffle-map piece and a
+mixture's component are found by the guide-table lookup that finds a
+measure's cells (`measure._Guide`).
 
 Steps are dealt in row blocks of about 2^14 draws (`measure._row_blocks`),
 each written straight into one preallocated output, so no temporary grows
@@ -31,6 +33,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -44,12 +47,13 @@ from .measure import (
     QuasiUniformMeasure,
     RationalLike,
     _checked_weights,
-    _component_draws,
+    _Guide,
     _json_list,
     _json_object,
     _plain_measure,
     _resolve_spec,
     _row_blocks,
+    _weight_guide,
     as_fraction,
     sample_conjugate_batch,
 )
@@ -155,14 +159,27 @@ class ShuffleMap:
     def __call__(self, x: RationalLike) -> Fraction:
         return self.piece_at(x).value(x)
 
-    def eval_batch(self, u: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _piece_tables(self):
+        """The guide over the pieces, and each piece's slope and intercept."""
         import numpy as np
 
-        los = np.array([float(p.lo) for p in self.pieces])
+        guide = _Guide.build([[*(float(p.lo) for p in self.pieces), 1.0]])
         slopes = np.array([float(p.slope) for p in self.pieces])
-        intercepts = np.array([float(p.intercept) for p in self.pieces])
-        idx = np.clip(np.searchsorted(los, u, side="right") - 1, 0, len(los) - 1)
-        return slopes[idx] * u + intercepts[idx]
+        return guide, slopes, np.array([float(p.intercept) for p in self.pieces])
+
+    def eval_batch(self, u: np.ndarray) -> np.ndarray:
+        """The map at each u, in floats; a u outside [0,1] or NaN raises
+        ValueError, as in `piece_at`."""
+        import numpy as np
+
+        u = np.asarray(u, dtype=np.float64)
+        inside = (u >= 0.0) & (u <= 1.0)
+        if not inside.all():
+            raise ValueError(f"x = {u[~inside][0]} outside [0,1]")
+        guide, slopes, intercepts = self._piece_tables
+        at = guide.lookup(u)
+        return slopes[at] * u + intercepts[at]
 
     def to_json(self) -> dict:
         return {
@@ -287,16 +304,14 @@ class GridCopulaCoupling(CouplingSampler):
         self.matrix = tuple(rows)
         self.m = m
         flat = np.array([float(v) for r in rows for v in r])
-        self._cum = np.cumsum(flat / flat.sum())
+        cum = np.cumsum(flat / flat.sum())
+        # the last cell runs to 1 wherever the float sum ends; no edge passes 1
+        self._cells = _Guide.build([np.concatenate([[0.0], np.minimum(cum[:-1], 1.0), [1.0]])])
 
     def draw_batch(self, shape, rng: np.random.Generator):
         import numpy as np
 
-        idx = np.minimum(
-            np.searchsorted(self._cum, rng.random(shape), side="right"),
-            self.m * self.m - 1,
-        )
-        i, j = np.divmod(idx, self.m)
+        i, j = np.divmod(self._cells.lookup(rng.random(shape)), self.m)
         u = (i + rng.random(shape)) / self.m
         v = (j + rng.random(shape)) / self.m
         return u, v
@@ -307,15 +322,21 @@ class MixtureCoupling(CouplingSampler):
 
     def __init__(self, components: Sequence[tuple[RationalLike, CouplingSampler]]):
         self.components = _checked_weights(components)
+        self._guide = _weight_guide(self.components)
 
     def draw_batch(self, shape, rng: np.random.Generator):
+        """One uniform per pair draws its component, as `rng.choice` does;
+        then each component drawn, in component order, draws its pairs."""
         import numpy as np
 
+        which = self._guide.lookup(rng.random(shape))
         u = np.empty(shape)
         v = np.empty(shape)
         # flat views of the new arrays take each component's draws in place
-        for sampler, at in _component_draws(self.components, shape, rng):
-            u.reshape(-1)[at], v.reshape(-1)[at] = sampler.draw_batch(len(at), rng)
+        for k, (_, sampler) in enumerate(self.components):
+            at = np.flatnonzero(which == k)
+            if len(at):
+                u.reshape(-1)[at], v.reshape(-1)[at] = sampler.draw_batch(len(at), rng)
         return u, v
 
 

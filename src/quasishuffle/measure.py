@@ -353,19 +353,89 @@ def cell_decomposition(measure: QuasiUniformMeasure) -> CellDecomposition:
 
 
 @dataclass(frozen=True, eq=False)
-class _BatchTables:
-    """Per-cell tables of a measure, for vectorized draws.
+class _Guide:
+    """Chen & Asau's indexed search: the one lookup of every piecewise draw.
 
-    A draw u finds its cell through a guide table (Chen & Asau's indexed
-    search): `guide[b]` is the cell holding b/B for B = len(guide) buckets,
-    and at most `guide_steps` comparisons u >= edges[cell + 1] step it
-    forward.  They are the comparisons a binary search over `edges` makes,
-    so the cell is the one that search finds.
+    Each list of edges, nondecreasing from 0 to 1, cuts [0,1] into cells,
+    and the lists are stacked: list k's cells follow list k-1's.  The guide
+    runs over each list's distinct lower edges, one piece per edge, which
+    stands for the last cell with that edge: `guide[k * (B + 1) + b]` is
+    list k's piece holding b/B, and at most `steps` comparisons u >=
+    hi[piece] step a draw forward from it.  They are the comparisons a
+    binary search over the edges makes, so u finds the cell
+    `searchsorted(edges, u, side="right") - 1`.  A list's last piece ends
+    at inf, so u = 1 finds its last cell.
     """
 
-    edges: np.ndarray  # cell boundaries, float64: each cell's lo, then 1.0
-    guide: np.ndarray  # cell holding b/B, per bucket b; B a power of two
-    guide_steps: int  # most edges strictly inside one bucket
+    hi: np.ndarray  # each piece's upper edge; inf for a list's last piece
+    guide: np.ndarray  # piece holding b/B, per list and bucket b = 0..B
+    buckets: int  # B, a power of two
+    steps: int  # most edges strictly inside one bucket
+    cell: Optional[np.ndarray]  # each piece's cell; None if each cell is one
+
+    @classmethod
+    def build(cls, edge_lists) -> _Guide:
+        import numpy as np
+
+        lists = [np.asarray(edges, dtype=np.float64) for edges in edge_lists]
+        # the last of the cells sharing a lower edge: a run of zero-width
+        # cells costs no step
+        last = [np.flatnonzero(np.append(e[1:-1] != e[:-2], True)) for e in lists]
+        pieces = [np.append(e[i], 1.0) for e, i in zip(lists, last)]
+        # B >= 2 * pieces buckets leave most of them without an edge inside
+        buckets = 1 << (2 * max(len(p) - 1 for p in pieces) - 1).bit_length()
+        grid = np.arange(buckets + 1) / buckets
+        at = [np.minimum(np.searchsorted(p, grid, "right"), len(p) - 1) - 1 for p in pieces]
+        # the piece of the last u below each bucket's end
+        top = [np.searchsorted(p, grid[1:], "left") - 1 for p in pieces]
+        first = np.cumsum([0] + [len(p) - 1 for p in pieces])
+        cells = np.cumsum([0] + [len(e) - 1 for e in lists])
+        cell = np.concatenate([i + c for i, c in zip(last, cells)])
+        return cls(
+            np.concatenate([np.append(p[1:-1], np.inf) for p in pieces]),
+            np.concatenate([g + f for g, f in zip(at, first)]),
+            buckets,
+            max(int(np.max(t - g[:-1])) for g, t in zip(at, top)),
+            None if len(cell) == cells[-1] else cell,
+        )
+
+    def lookup(self, u: np.ndarray, k: Optional[np.ndarray] = None) -> np.ndarray:
+        """The cell of each u in [0,1]: in list 0, or in list k, k broadcast
+        against u."""
+        import numpy as np
+
+        # u * B is exact for a power of two B, so the bucket is too
+        bucket = (u * self.buckets).astype(np.intp)
+        if k is not None:
+            bucket += k * (self.buckets + 1)
+        piece = self.guide[bucket.reshape(-1)]
+        if self.steps:
+            u = np.reshape(u, -1)
+            moved = u >= self.hi[piece]
+            piece += moved
+        if self.steps > 1:
+            # a draw that did not step has found its piece, so only the few
+            # that did take the later steps
+            at = np.flatnonzero(moved)
+            part, u = piece[at], u[at]
+            for _ in range(self.steps - 1):
+                part += u >= self.hi[part]
+            piece[at] = part
+        piece = piece.reshape(np.shape(bucket))
+        return piece if self.cell is None else self.cell[piece]
+
+
+@dataclass(frozen=True, eq=False)
+class _BatchTables:
+    """A measure's cells, or a mixture's, for vectorized draws: `guide`
+    finds a draw's cell, and the per-cell tables serve `ConjugateBatch`.
+    A mixture's component k has the guide's list k, so its cells follow
+    those of component k-1."""
+
+    guide: _Guide
+    cells: tuple[Cell, ...]
+    cell_lo: np.ndarray  # lower edge
+    cell_rank: np.ndarray  # the cell's rank in its measure
     cell_y: np.ndarray  # conjugate position (atoms) / 0 (diffuse)
     cell_span: np.ndarray  # x - y (atoms) / 0 (diffuse)
     cell_diffuse: np.ndarray  # 0.0 (atoms) / 1.0 (diffuse)
@@ -374,18 +444,30 @@ class _BatchTables:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _batch_tables(measure: QuasiUniformMeasure) -> _BatchTables:
+def _weight_guide(components) -> _Guide:
+    """The guide over the cumulative weights of (weight, component) pairs,
+    rescaled to end at 1: the arithmetic of `rng.choice(k, p=weights /
+    weights.sum())` without its checks, so a uniform finds the component
+    `choice` draws from it."""
     import numpy as np
 
+    p = np.array([float(w) for w, _ in components])
+    cdf = np.cumsum(p / p.sum())
+    return _Guide.build([np.append(0.0, cdf / cdf[-1])])
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _batch_tables(source: OrderingSource) -> _BatchTables:
+    import numpy as np
+
+    measures = [source]
+    if isinstance(source, MeasureMixture):
+        measures = [m for _, m in source.components]
     # The cells tile [0,1] in rank order, so a draw's cell is the boundary
     # interval it falls in.
-    cells = cell_decomposition(measure).cells
-    edges = np.append([float(c.lo) for c in cells], 1.0)
-    # B >= 2 * cells buckets leave most of them without an edge inside
-    buckets = 1 << (2 * len(cells) - 1).bit_length()
-    grid = np.arange(buckets + 1) / buckets
-    guide = np.searchsorted(edges, grid[:-1], side="right") - 1
-    guide_steps = int(np.max(np.searchsorted(edges, grid[1:], side="left") - 1 - guide))
+    lists = [cell_decomposition(m).cells for m in measures]
+    cells = tuple(c for cl in lists for c in cl)
+    cell_lo = np.array([float(c.lo) for c in cells])
     cell_x = np.array([float(c.x) if c.kind == "atom" else 0.0 for c in cells])
     cell_y = np.array([float(c.y) if c.kind == "atom" else 0.0 for c in cells])
     # a cell of float width 0 is narrower than any float step, so its edges
@@ -400,16 +482,18 @@ def _batch_tables(measure: QuasiUniformMeasure) -> _BatchTables:
     # to y + s * (x - y); a diffuse draw has x = y
     span = cell_x - cell_y
     diffuse = (side == 0).astype(np.float64)
+    rank = np.concatenate([np.arange(len(cl)) for cl in lists])
+    guide = _Guide.build([[*(float(c.lo) for c in cl), 1.0] for cl in lists])
     return _BatchTables(
-        edges, guide, guide_steps, cell_y, span, diffuse, cell_inv_len, side
+        guide, cells, cell_lo, rank, cell_y, span, diffuse, cell_inv_len, side
     )
 
 
 @dataclass(frozen=True, eq=False)
 class ConjugateBatch:
-    """Vectorized conjugate-pair draws: each draw's uniform seed `u` and its
-    cell rank `cell`, found through the measure's guide table plus at most
-    `guide_steps` comparisons per draw.
+    """Vectorized conjugate-pair draws: each draw's uniform seed `u`, its
+    cell's row `cell` in `tables`, found through their guide, and the
+    cell's `rank` in its measure (for a measure, the same array).
 
     A draw's pair is its cell's: (atom end, far end) in an atom cell, (u, u)
     in a diffuse one.  `rel` gives each draw's position inside its cell and
@@ -422,14 +506,15 @@ class ConjugateBatch:
     """
 
     u: np.ndarray  # uniform seed per draw
-    cell: np.ndarray  # cell rank per draw
+    cell: np.ndarray  # row of the draw's cell in `tables`
+    rank: np.ndarray  # the cell's rank in its measure
     tables: _BatchTables = field(repr=False)
 
     @property
     def rel(self) -> np.ndarray:
         """Relative position inside the cell, [0, 1)."""
         t = self.tables
-        rel = self.u - t.edges[self.cell]  # the cell's lo edge
+        rel = self.u - t.cell_lo[self.cell]
         rel *= t.cell_inv_len[self.cell]  # in place: one temporary fewer
         return rel
 
@@ -458,26 +543,35 @@ def _row_blocks(size: int, n: int):
 
 
 def sample_conjugate_batch(
-    measure: QuasiUniformMeasure, shape, rng: np.random.Generator
+    source: OrderingSource, shape, rng: np.random.Generator
 ) -> ConjugateBatch:
-    """Conjugate-pair draws of `measure`, one per entry of `shape`.
+    """Conjugate-pair draws, one per entry of `shape`; a mixture draws one
+    component per row (the last axis of `shape`).
 
     Each draw takes one uniform u from `rng` and finds its cell through the
-    guide table, so the draws are those of `rng.random(shape)`.  The lookup
-    runs on the whole shape at once; the samplers call it one row block at
-    a time (`_row_blocks`).
+    guide, so a measure's draws are those of `rng.random(shape)`.  A
+    mixture first draws one uniform per row for its component, then the
+    rows' uniforms, component by component in component order, and finds
+    each draw's cell among its component's.  The lookup runs on the whole
+    shape at once; the samplers call it one row block at a time
+    (`_row_blocks`).
     """
     import numpy as np
 
-    t = _batch_tables(measure)
-    u = rng.random(shape)
-    # u * B is exact for a power of two B, so the bucket is too; u < 1 =
-    # edges[-1] keeps every step inside 0..cells-1
-    cell = t.guide[(u * len(t.guide)).astype(np.intp)]
-    hi = t.edges[1:]
-    for _ in range(t.guide_steps):
-        cell += u >= hi[cell]
-    return ConjugateBatch(u, cell, t)
+    t = _batch_tables(source)
+    if not isinstance(source, MeasureMixture):
+        u = rng.random(shape)
+        cell = t.guide.lookup(u)
+        return ConjugateBatch(u, cell, cell, t)
+    *rows, n = np.broadcast_shapes(shape)
+    which = _weight_guide(source.components).lookup(rng.random(rows))
+    u = np.empty((*rows, n))
+    # a stable sort lists the rows component by component; numpy
+    # radix-sorts component numbers of at most 16 bits
+    small = which.astype(np.min_scalar_type(len(source.components)))
+    u.reshape(-1, n)[np.argsort(small, axis=None, kind="stable")] = rng.random((which.size, n))
+    cell = t.guide.lookup(u, which[..., None])
+    return ConjugateBatch(u, cell, t.cell_rank[cell], t)
 
 
 # -- candidate measures and the quasi-uniform predicate --------------------
@@ -603,29 +697,6 @@ def _checked_weights(components) -> tuple:
     if total != 1:
         raise InvalidMixture(f"weights sum to {total}, expected 1")
     return tuple(comps)
-
-
-def _component_draws(components, shape, rng: np.random.Generator):
-    """Draw one component per entry of `shape` from (weight, component) pairs.
-
-    Yields (component, at) for each component drawn, in component order,
-    `at` being the flat indices of its entries; the caller draws that
-    component's entries before taking the next.  The draw is the arithmetic
-    of `rng.choice(len(components), shape, p=weights / weights.sum())`
-    without its checks: one uniform per entry, which counts the cumulative
-    weights, rescaled to end at 1, that it reaches.  So the components are
-    those `choice` draws.
-    """
-    import numpy as np
-
-    weights = np.array([float(w) for w, _ in components])
-    cdf = np.cumsum(weights / weights.sum())
-    cdf /= cdf[-1]
-    which = np.searchsorted(cdf, rng.random(shape), side="right")
-    for ci, (_, component) in enumerate(components):
-        at = np.flatnonzero(which == ci)
-        if len(at):
-            yield component, at
 
 
 @dataclass(frozen=True)
@@ -759,7 +830,8 @@ def parse_measure(text: str) -> QuasiUniformMeasure:
     return measure
 
 
-MeasureSource = Union[QuasiUniformMeasure, MeasureMixture, CandidateMeasure]
+OrderingSource = Union[QuasiUniformMeasure, MeasureMixture]
+MeasureSource = Union[OrderingSource, CandidateMeasure]
 
 
 def _json_object(obj, what: str, *keys: str) -> dict:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial, lcm, prod
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import (
     CapExceeded,
@@ -47,6 +47,7 @@ from .measure import (
     RIGHT,
     GapInterval,
     MeasureMixture,
+    OrderingSource,
     QuasiUniformMeasure,
     Cell,
     CellDecomposition,
@@ -94,8 +95,6 @@ __all__ = [
     "convolve",
     "mixing_curve",
 ]
-
-OrderingSource = Union[QuasiUniformMeasure, MeasureMixture]
 
 
 @dataclass(frozen=True)

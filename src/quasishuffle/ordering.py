@@ -14,9 +14,11 @@ output, or counted one by one (`ordering_counts`).  The ranks come from
 `permutations._row_ranks`: rows of up to `_COUNT_WIDTH` labels count
 their pairwise key comparisons, wider ones are argsorted.  The
 blocks draw their uniforms in row order, so the rows of a measure are
-those of one whole-batch draw.  A mixture draws the components of each
-block's rows before their uniforms, so beyond one block its rows differ
-from those of a whole-batch component draw, with the same law.
+those of one whole-batch draw.  A mixture takes the same path:
+`sample_conjugate_batch` draws one component per row and looks the row up
+in that component's cells.  It draws each block's components before its
+uniforms, so beyond one block the rows differ from those of a whole-batch
+component draw, with the same law.
 """
 
 from __future__ import annotations
@@ -29,10 +31,8 @@ from .measure import (
     ConjugateBatch,
     ConjugateSample,
     MeasureMixture,
-    QuasiUniformMeasure,
-    _component_draws,
+    OrderingSource,
     _row_blocks,
-    cell_decomposition,
     sample_conjugate_batch,
 )
 from .permutations import Perm, _row_ranks, row_histogram
@@ -41,8 +41,6 @@ from .permutations import Perm, _row_ranks, row_histogram
 # imports this module, loads without it
 if TYPE_CHECKING:
     import numpy as np
-
-OrderingSource = Union[QuasiUniformMeasure, MeasureMixture]
 
 __all__ = [
     "EmpiricalPosition",
@@ -116,15 +114,15 @@ def sample_ordering_batch(
     return out
 
 
-def _ordering_keys(batch: ConjugateBatch) -> tuple[np.ndarray, bool]:
+def _ordering_keys(batch: ConjugateBatch) -> tuple[np.ndarray, Union[bool, np.ndarray]]:
     """The ordering comparator in batch form, for a (..., n) conjugate batch.
 
-    Returns (key, diffuse_hit): label i sits below label j exactly when
+    Returns (key, distinct): label i sits below label j exactly when
     key_i < key_j, or the keys tie and i < j.  key = cell rank + position
     inside the cell: label order at a right atom, reversed at a left one,
-    and the relative position in a diffuse cell.  diffuse_hit says whether
-    a draw fell in a diffuse cell; without one, keys in a row are pairwise
-    distinct.
+    and the relative position in a diffuse cell.  distinct says, for all
+    rows or per row, that no draw fell in a diffuse cell, so the row's
+    keys are pairwise distinct.
     """
     import numpy as np
 
@@ -135,18 +133,21 @@ def _ordering_keys(batch: ConjugateBatch) -> tuple[np.ndarray, bool]:
     # block of n entries of `within`
     within = np.concatenate([np.zeros(n), asc, 1.0 - asc])
     key = within[(t.cell_side * n)[batch.cell] + np.arange(n)]
-    key += batch.cell
+    key += batch.rank
     # atom keys in a row are pairwise distinct: 1/(n + 2) apart inside a
     # cell and strictly between cell ranks, far above the float spacing
     # while (n + 2) * cells < 2^50
     if t.cell_diffuse.any():
         diffuse = t.cell_diffuse[batch.cell]
-        if diffuse.any():
+        # a product with ones sums each row's 0/1 flags many times faster
+        # than any(axis=-1) on rows of a few cards
+        hit = diffuse @ np.ones(n) > 0
+        if hit.any():
             # rel * 0.0 adds +0.0 to an atom key; a diffuse key is rel + cell
             diffuse *= batch.rel
             key += diffuse
-            return key, True
-    return key, False
+            return key, ~hit
+    return key, True
 
 
 def _key_ranks(
@@ -162,34 +163,13 @@ def _key_ranks(
     Yields (start, stop, rows) for each block of `_row_blocks`: rows holds
     the rankings start..stop-1, or with `inverse` their row inverses (the
     labels from the lowest up), as `out[start:stop]` when `out` is given,
-    else as a block-sized array of its own.  A mixture draws the components
-    of a block's rows, then deals each component's rows.
+    else as a block-sized array of its own.
     """
-    import numpy as np
-
     for start, stop in _row_blocks(size, n):
         rows = None if out is None else out[start:stop]
-        if not isinstance(source, MeasureMixture):
-            yield start, stop, _key_rank(source, (stop - start, n), rng, rows, inverse)
-            continue
-        if rows is None:
-            rows = np.empty((stop - start, n), dtype=np.int64)
-        for measure, at in _component_draws(source.components, stop - start, rng):
-            rows[at] = _key_rank(measure, (len(at), n), rng, None, inverse)
-        yield start, stop, rows
-
-
-def _key_rank(
-    measure: QuasiUniformMeasure,
-    shape,
-    rng: np.random.Generator,
-    out: Optional[np.ndarray],
-    inverse: bool,
-) -> np.ndarray:
-    """`_row_ranks` of the ordering keys of one conjugate batch of `shape`."""
-    key, diffuse_hit = _ordering_keys(sample_conjugate_batch(measure, shape, rng))
-    # keys without a diffuse draw are pairwise distinct in each row
-    return _row_ranks(key, out, inverse, distinct=not diffuse_hit)
+        batch = sample_conjugate_batch(source, (stop - start, n), rng)
+        key, distinct = _ordering_keys(batch)
+        yield start, stop, _row_ranks(key, rows, inverse, distinct)
 
 
 def ordering_counts(
@@ -238,17 +218,15 @@ def empirical_positions(
         raise WindowTooSmall(
             f"window [-{n_half}, {n_half}] does not contain label {target_label}"
         )
-    measure = source
-    if isinstance(source, MeasureMixture):
-        measure, _ = next(_component_draws(source.components, 1, rng))
     labels = np.arange(-n_half, n_half + 1)
-    batch = sample_conjugate_batch(measure, labels.shape, rng)
+    # the window is one row: one component of a mixture
+    batch = sample_conjugate_batch(source, labels.shape, rng)
     t = target_label + n_half
     key, _ = _ordering_keys(batch)
     lower = labels < target_label
     upper = labels > target_label
     below = (key < key[t]) | ((key == key[t]) & lower)
-    cell = cell_decomposition(measure).cells[batch.cell[t]]
+    cell = batch.tables.cells[batch.cell[t]]
     if cell.kind == "diffuse":
         u_t = float(batch.u[t])
         target = ConjugateSample(u_t, u_t)

@@ -8,7 +8,7 @@ ordering, p[i] is the rank (1 = lowest) of the i-th label.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple, Union
 
 # the array functions import numpy when they run, so that the exact routes
 # load without it
@@ -83,15 +83,15 @@ def _row_ranks(
     keys: np.ndarray,
     out: Optional[np.ndarray] = None,
     inverse: bool = False,
-    distinct: bool = False,
+    distinct: Union[bool, np.ndarray] = False,
 ) -> np.ndarray:
     """1-based rank of each entry of a 2-D array within its row, ties broken
     by column order: the ranks a stable argsort gives.  With `inverse`, the
     row inverse instead: each row's 1-based columns from its lowest entry up.
 
     The result is a C-contiguous int64 array: `out` when given, which must
-    be one.  `distinct` says that no row holds two equal keys, so a sort
-    need not be stable.  Rows up to `_COUNT_WIDTH` wide are ranked by
+    be one.  `distinct`, for all rows or one flag per row, says that a row
+    holds no two equal keys, so its sort need not be stable.  Rows up to `_COUNT_WIDTH` wide are ranked by
     counting comparisons (`_counted_ranks`) and inverted by one scatter;
     wider rows are argsorted, and their ranks scattered from the order.  A
     row inverse of distinct keys is argsorted beyond `_COUNT_INVERSE_WIDTH`,
@@ -104,7 +104,8 @@ def _row_ranks(
         out = np.empty((rows, n), dtype=np.int64)
     elif out.dtype != np.int64 or not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous int64, so its flat view is a view")
-    counted = n <= (_COUNT_INVERSE_WIDTH if inverse and distinct else _COUNT_WIDTH)
+    tied = ~np.asarray(distinct)
+    counted = n <= (_COUNT_INVERSE_WIDTH if inverse and not tied.any() else _COUNT_WIDTH)
     if counted:
         ranks = _counted_ranks(keys)
         if not inverse:
@@ -114,7 +115,13 @@ def _row_ranks(
         cols = ranks.T.astype(np.intp)
         cols += np.arange(-1, rows * n - 1, n)[:, None]
     else:
-        order = np.argsort(keys, axis=1, kind=None if distinct else "stable")
+        if tied.all() or not tied.any():
+            order = np.argsort(keys, axis=1, kind="stable" if tied.all() else None)
+        else:
+            # only the rows that may hold ties need the stable sort
+            order = np.empty((rows, n), dtype=np.intp)
+            order[~tied] = np.argsort(keys[~tied], axis=1)
+            order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
         if inverse:
             return np.add(order, 1, out=out)
         # the ranks hold k + 1 at column order_k of each row

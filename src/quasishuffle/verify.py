@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import CapExceeded
 from .measure import (
     CandidateMeasure,
     MeasureMixture,
+    MeasureSource,
     QuasiUniformMeasure,
     is_quasi_uniform,
 )
@@ -58,9 +59,6 @@ class VerifyReport:
         }
 
 
-Source = Union[QuasiUniformMeasure, MeasureMixture, CandidateMeasure]
-
-
 def _tv_check(name: str, counts, law, samples: int, unit: str) -> CheckResult:
     """Empirical TV of `samples` sampled `unit` against the exact law.
 
@@ -91,7 +89,7 @@ def _pair_step_counts(
 
 
 def run_property_suite(
-    source: Source,
+    source: MeasureSource,
     seed: int,
     n: int = 4,
     samples: int = 100_000,

@@ -31,7 +31,7 @@ from quasishuffle.measure import (
     parse_measure,
     sample_conjugate_batch,
 )
-from quasishuffle.ordering import sample_ordering_batch
+from quasishuffle.ordering import empirical_positions, sample_ordering_batch
 from quasishuffle.permutations import _COUNT_WIDTH
 
 from conftest import make_rng
@@ -132,6 +132,24 @@ def mixture_ordering(source, n, size, rng):
     return out
 
 
+def positions_reference(source, target, window, rng):
+    """`empirical_positions` from an eager batch: a mixture draws the
+    window's one component as `rng.choice` does, then its measure's batch."""
+    measure = source
+    if isinstance(source, MeasureMixture):
+        weights = np.array([float(w) for w, _ in source.components])
+        measure = source.components[rng.choice(len(weights), p=weights / weights.sum())][1]
+    labels = np.arange(-window, window + 1)
+    b = eager_batch(measure, labels.shape, rng)
+    asc = (np.arange(len(labels)) + 1.0) / (len(labels) + 2.0)
+    key = b["cell"] + np.where(b["sign"] == 0, b["rel"], np.where(b["sign"] > 0, asc, 1.0 - asc))
+    t = target + window
+    below = (key < key[t]) | ((key == key[t]) & (labels < target))
+    x_hat = np.count_nonzero(below & (labels < target)) / window
+    y_hat = np.count_nonzero(below & (labels > target)) / window
+    return x_hat, y_hat, b["x"][t], b["y"][t]
+
+
 def step_reference(n, sampler, size, rng):
     """`step_batch` rows: the ordering for a conjugate coupling, its row
     inverse for the coordinate swap, ranked pairs for a mixture.
@@ -160,6 +178,12 @@ def samplers():
         [(F(1, 3), ConjugateCoupling(gsr())), (F(2, 3), InverseConjugateCoupling(mixed_fixture()))]
     )
     return out
+
+
+# three components whose guides differ in size and in steps
+MIXTURE3 = MeasureMixture(
+    ((F(1, 5), a_shuffle(3)), (F(1, 2), mixed_fixture()), (F(3, 10), a_shuffle(48)))
+)
 
 
 def sources():
@@ -206,3 +230,29 @@ def test_lazy_batch_fields_equal_eager(name, n):
         assert identical(getattr(batch, field), want[field]), field
     s = make_rng(n + 1).random(shape)
     assert identical(batch.interpolate(s), want["y"] + s * (want["x"] - want["y"]))
+
+
+@pytest.mark.parametrize("n", (3, 8, 17, 52))
+def test_mixture_ordering_spans_blocks(n):
+    # three whole row blocks and a part of a fourth, each dealing its rows'
+    # components before their uniforms
+    size = 3 * max(1, _LOOKUP_BLOCK // n) + 7
+    got = sample_ordering_batch(MIXTURE3, range(1, n + 1), size, make_rng(n))
+    assert identical(got, double_argsort_ordering(MIXTURE3, n, size, make_rng(n)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("target, window", [(0, 5), (3, 40), (-7, 200)])
+def test_mixture_positions_equal_reference(target, window, seed):
+    est = empirical_positions(MIXTURE3, target, window, make_rng(seed))
+    want = positions_reference(MIXTURE3, target, window, make_rng(seed))
+    assert (est.x_hat, est.y_hat, float(est.target.x), float(est.target.y)) == want
+
+
+def test_mixture_of_many_components_equals_reference():
+    # 300 components: the row components take 16 bits
+    many = MeasureMixture(
+        tuple((F(1, 300), [gsr(), mixed_fixture(), a_shuffle(3)][k % 3]) for k in range(300))
+    )
+    got = sample_ordering_batch(many, range(1, 9), 5000, make_rng(3))
+    assert identical(got, double_argsort_ordering(many, 8, 5000, make_rng(3)))

@@ -1,10 +1,12 @@
-"""The guide-table cell lookup, the gather-only `interpolate` and the key sort.
+"""The guide-table lookup, the gather-only `interpolate` and the key sort.
 
-`sample_conjugate_batch` finds each draw's cell through a guide table and a
-few comparisons.  It must give the cell a binary search over the cell
-edges gives, at every edge and one ulp either side of it, with the same
-dtype; the samplers built on it must stay byte-identical to the eager
-references in `test_batch_reference`.  The ordering keys of a batch with
+Every piecewise draw finds its piece through one guide table and a few
+comparisons: the cells of a measure or of a mixture's components, a
+mixture's component, a grid-copula cell and a shuffle-map piece.  Each
+must give the piece a binary search over its edges gives, at every edge
+and one ulp either side of it, with the same dtype; the samplers built on
+it must stay byte-identical to the eager references in
+`test_batch_reference`.  The ordering keys of a batch with
 no diffuse draw cannot tie, so it is sorted with the fast unstable sort;
 it must still give the stable order.
 """
@@ -18,18 +20,24 @@ from hypothesis import strategies as st
 
 from quasishuffle.kernels import (
     ConjugateCoupling,
+    GridCopulaCoupling,
     InverseConjugateCoupling,
     _rank_pairs,
+    shuffle_map_from_measure,
     step_batch,
 )
 from quasishuffle.measure import (
     LEFT,
     RIGHT,
     GapInterval,
+    MeasureMixture,
     QuasiUniformMeasure,
     _batch_tables,
+    _Guide,
+    _weight_guide,
     a_shuffle,
     cell_decomposition,
+    gsr,
     lebesgue,
     mixed_fixture,
     parse_measure,
@@ -45,6 +53,7 @@ from test_batch_reference import (
     identical,
     step_reference,
 )
+from test_permutations import GRID
 
 TINY = F(1, 2**40)
 
@@ -83,12 +92,20 @@ class FixedDraws:
         return np.broadcast_to(rows, shape).copy()
 
 
-def boundary_draws(measure, seed=0):
+def edge_draws(edges, seed=0):
     """u = 0, every edge below 1, one ulp either side of each, and random u."""
-    edges = np.array([float(c.lo) for c in cell_decomposition(measure).cells])
+    edges = np.asarray(edges, dtype=np.float64)
     near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
     u = np.concatenate([[0.0], near, make_rng(seed).random(200)])
     return u[(u >= 0.0) & (u < 1.0)]
+
+
+def cell_edges(measure):
+    return np.array([float(c.lo) for c in cell_decomposition(measure).cells] + [1.0])
+
+
+def boundary_draws(measure, seed=0):
+    return edge_draws(cell_edges(measure), seed)
 
 
 @st.composite
@@ -114,7 +131,7 @@ def gap_lists(draw):
 
 
 def test_clustered_measure_needs_several_steps():
-    assert _batch_tables(clustered_measure()).guide_steps >= 2
+    assert _batch_tables(clustered_measure()).guide.steps >= 2
 
 
 @given(gap_lists(), st.integers(0, 2**32 - 1))
@@ -124,10 +141,154 @@ def test_clustered_measure_needs_several_steps():
 def test_lookup_equals_binary_search(measure, seed):
     u = boundary_draws(measure, seed)
     got = sample_conjugate_batch(measure, u.shape, FixedDraws(u)).cell
-    edges = np.array([float(c.lo) for c in cell_decomposition(measure).cells] + [1.0])
-    want = np.searchsorted(edges, u, side="right") - 1
+    want = np.searchsorted(cell_edges(measure), u, side="right") - 1
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def edge_lists(draw):
+    """1-3 lists of 1-40 cells with nondecreasing edges from 0 to 1: on a
+    grid, where repeated edges (0 and 1 included) leave empty cells, in a
+    run 2^-40 apart, or random floats."""
+    lists = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, 39))
+        kind = draw(st.sampled_from(("grid", "run", "random")))
+        if kind == "grid":
+            den = draw(st.sampled_from((2, 64, 3, 7, 1000)))
+            inner = [float(F(draw(st.integers(0, den)), den)) for _ in range(k)]
+        elif kind == "run":
+            inner = [float(F(1, 3) + j * TINY) for j in range(k)]
+        else:
+            inner = make_rng(draw(st.integers(0, 2**32 - 1))).random(k)
+        lists.append(np.array([0.0, *sorted(inner), 1.0]))
+    return lists
+
+
+@given(edge_lists(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_stacked_lookup_equals_binary_search(lists, seed):
+    guide = _Guide.build(lists)
+    first = 0
+    for k, edges in enumerate(lists):
+        u = np.append(edge_draws(edges, seed), 1.0)
+        want = np.searchsorted(edges, u, side="right") - 1
+        # u = 1 falls in the last cell, however many edges sit at 1
+        want[-1] = len(edges) - 2
+        got = guide.lookup(u, k) - first
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        first += len(edges) - 1
+
+
+def test_mixture_cells_are_each_components():
+    mixture = MeasureMixture(
+        ((F(1, 5), a_shuffle(3)), (F(1, 2), clustered_measure()), (F(3, 10), a_shuffle(48)))
+    )
+    t = _batch_tables(mixture)
+    first = 0
+    for k, (_, measure) in enumerate(mixture.components):
+        u = boundary_draws(measure)
+        want = np.searchsorted(cell_edges(measure), u, side="right") - 1
+        np.testing.assert_array_equal(t.guide.lookup(u, k) - first, want)
+        cells = cell_decomposition(measure).cells
+        assert t.cells[first : first + len(cells)] == cells
+        np.testing.assert_array_equal(t.cell_rank[first : first + len(cells)], range(len(cells)))
+        first += len(cells)
+
+
+def permutation_grid(m):
+    """The m x m grid of a permutation: one cell of mass 1/m per row."""
+    return [[F(1, m) if j == (7 * i + 3) % m else 0 for j in range(m)] for i in range(m)]
+
+
+@pytest.mark.parametrize("m", [3, 10, 100])
+def test_zero_mass_cells_cost_no_steps(m):
+    """A run of zero-mass cells shares one lower edge, which the guide
+    holds once: an m x m permutation grid has runs of up to 2m - 1 such
+    cells, yet its m evenly spread edges need at most one step."""
+    assert GridCopulaCoupling(permutation_grid(m))._cells.steps <= 1
+
+
+# weights of 2, 3 and 5 components; the last two sum below 1 in floats
+WEIGHTS = [
+    (F(1, 3), F(2, 3)),
+    (F(1, 3), F(1, 3), F(1, 3)),
+    (F(1, 7), F(2, 7), F(1, 7), F(2, 7), F(1, 7)),
+    (F(9, 28), F(18, 28), F(1, 28)),
+    (F(1, 13), F(3, 13), F(3, 13), F(3, 13), F(3, 13)),
+]
+
+
+def float_cdf(weights):
+    p = np.array([float(w) for w in weights])
+    return np.cumsum(p / p.sum())
+
+
+def test_some_weights_sum_below_one_in_floats():
+    assert [float_cdf(w)[-1] < 1.0 for w in WEIGHTS[-2:]] == [True, True]
+
+
+@pytest.mark.parametrize("weights", WEIGHTS)
+def test_weight_lookup_equals_binary_search(weights):
+    """A mixture's component is `rng.choice`'s: a search over the
+    cumulative weights, rescaled to end at 1."""
+    cdf = float_cdf(weights)
+    edges = np.append(0.0, cdf / cdf[-1])
+    u = np.concatenate([edge_draws(edges), edge_draws(cdf)])
+    want = np.searchsorted(edges, u, side="right") - 1
+    got = _weight_guide(tuple((w, None) for w in weights)).lookup(u)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GRID,
+        GridCopulaCoupling([[0, F(1, 2)], [F(1, 2), 0]]),
+        GridCopulaCoupling([[0.01] * 10] * 10),
+        GridCopulaCoupling(permutation_grid(100)),
+    ],
+    ids=["zero-mass-cells", "zero-mass-last-cell", "float-entries", "permutation-100"],
+)
+def test_grid_lookup_equals_binary_search(grid):
+    """A grid cell is the one a search over the cumulative masses finds,
+    clipped to the last cell; each grid's float sum ends above 1."""
+    flat = np.array([float(v) for row in grid.matrix for v in row])
+    cum = np.cumsum(flat / flat.sum())
+    u = edge_draws(cum)
+    want = np.minimum(np.searchsorted(cum, u, side="right"), grid.m**2 - 1)
+    np.testing.assert_array_equal(grid._cells.lookup(u), want)
+    # the draws take their cells from the lookup
+    got_u, got_v = grid.draw_batch(u.shape, FixedDraws(np.append(u, np.full(2 * len(u), 0.5))))
+    assert np.array_equal(np.floor(got_u * grid.m), want // grid.m)
+    assert np.array_equal(np.floor(got_v * grid.m), want % grid.m)
+
+
+def clustered_atoms():
+    """A purely atomic measure whose edges 1/3, 1/3 + 2^-40, 1/3 + 2^-39 share a bucket."""
+    cuts = (F(0), F(1, 3), F(1, 3) + TINY, F(1, 3) + 2 * TINY, F(1))
+    sides = (RIGHT, LEFT, RIGHT, LEFT)
+    return QuasiUniformMeasure(
+        tuple(GapInterval(lo, hi, s) for lo, hi, s in zip(cuts, cuts[1:], sides))
+    )
+
+
+@pytest.mark.parametrize(
+    "measure", [gsr(), a_shuffle(3), a_shuffle(48), clustered_atoms()],
+    ids=["gsr", "a3", "a48", "clustered"],
+)
+def test_map_lookup_equals_binary_search(measure):
+    """A map piece is the one a search over the pieces' lower ends finds,
+    u = 1 on the last piece."""
+    smap = shuffle_map_from_measure(measure)
+    los = np.array([float(p.lo) for p in smap.pieces])
+    u = np.append(edge_draws(los), 1.0)
+    at = np.clip(np.searchsorted(los, u, side="right") - 1, 0, len(los) - 1)
+    slopes = np.array([float(p.slope) for p in smap.pieces])
+    intercepts = np.array([float(p.intercept) for p in smap.pieces])
+    assert identical(smap.eval_batch(u), slopes[at] * u + intercepts[at])
 
 
 @pytest.mark.parametrize("measure", [a_shuffle(48), clustered_measure()], ids=["a48", "clustered"])
@@ -136,8 +297,7 @@ def test_lookup_spans_blocks(measure):
     shape = (700, 52)
     u = make_rng(7).random(shape)
     got = sample_conjugate_batch(measure, shape, make_rng(7)).cell
-    edges = np.array([float(c.lo) for c in cell_decomposition(measure).cells] + [1.0])
-    want = np.searchsorted(edges, u, side="right") - 1
+    want = np.searchsorted(cell_edges(measure), u, side="right") - 1
     assert got.shape == shape and got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
 

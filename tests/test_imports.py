@@ -140,6 +140,59 @@ def test_the_scan_finds_an_unreferenced_helper():
     ]
 
 
+# -- one lookup, one ordering path -----------------------------------------
+
+SEARCHES = {"measure.py": {"_Guide.build"}, "stats.py": {"ks_measure_marginal"}}
+
+
+def searchsorted_callers(source: str) -> set[str]:
+    """Qualified names of the functions that call a `searchsorted`."""
+    out = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        func = node.func if isinstance(node, ast.Call) else None
+        if getattr(func, "attr", getattr(func, "id", None)) == "searchsorted":
+            out.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return out
+
+
+def test_the_scan_finds_searchsorted_callers():
+    source = (
+        "import numpy as np\nfrom numpy import searchsorted\nnp.searchsorted([0], 1)\n"
+        "class G:\n    def build(self):\n        return np.searchsorted(self.e, 0.5)\n"
+        "def f(u):\n    return searchsorted([0], u)\n"
+    )
+    assert searchsorted_callers(source) == {"", "G.build", "f"}
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[p.relative_to(ROOT).as_posix() for p in LIBRARY])
+def test_draws_search_only_through_the_guide(path):
+    """Draws find their pieces through `measure._Guide`; only its builder
+    and the KS test's CDF breakpoints call a binary search."""
+    assert searchsorted_callers(path.read_text()) <= SEARCHES.get(path.name, set())
+
+
+def test_ordering_has_one_path_for_measures_and_mixtures():
+    """`ordering` deals a mixture's rows as a measure's: it imports no
+    per-component draw or cell table and branches on no `MeasureMixture`."""
+    tree = ast.parse((ROOT / "src" / "quasishuffle" / "ordering.py").read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert imported.isdisjoint({"_component_draws", "cell_decomposition"})
+    branches = [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance"
+        and any(getattr(a, "id", None) == "MeasureMixture" for a in n.args)
+    ]
+    assert branches == []
+
+
 # -- the lazy package namespace -------------------------------------------
 
 EXPORTS = {

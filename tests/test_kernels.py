@@ -148,6 +148,15 @@ def test_map_batch_matches_scalar():
         assert abs(float(smap(F(x).limit_denominator(10**9))) - v) < 1e-9
 
 
+@pytest.mark.parametrize("x", [-0.1, 1.1, np.nan])
+def test_map_batch_rejects_points_outside_unit_interval(x):
+    smap = shuffle_map_from_measure(gsr())
+    with pytest.raises(ValueError, match="outside"):
+        smap.eval_batch(np.array([0.0, x, 1.0]))
+    with pytest.raises(ValueError):
+        smap.piece_at(x)
+
+
 def test_map_json_round_trip():
     smap = shuffle_map_from_measure(a_shuffle(3))
     assert ShuffleMap.from_json(smap.to_json()).pieces == smap.pieces

@@ -22,7 +22,7 @@ from quasishuffle.measure import (
     GapInterval,
     MeasureMixture,
     QuasiUniformMeasure,
-    _component_draws,
+    _weight_guide,
     a_shuffle,
     cell_decomposition,
     gsr,
@@ -49,21 +49,22 @@ from conftest import builtin_measures, eager_pairs, make_rng, measure_params, me
         (F(1, 2), F(1, 2)),
         (F(1, 7), F(5, 7), F(1, 7)),
         (F(1, 3), F(1, 3), F(1, 3)),
+        # cumulative weights whose float sum ends below 1
+        (F(9, 28), F(18, 28), F(1, 28)),
+        (F(1, 13), F(3, 13), F(3, 13), F(3, 13), F(3, 13)),
     ],
 )
 @pytest.mark.parametrize("shape", [1, 5000, (700, 9)])
 def test_component_draws_are_those_of_rng_choice(weights, shape):
-    """The components drawn are `rng.choice`'s with p = weights / sum, and
-    the draw uses the generator as it does: the next draws agree too."""
-    comps = [(w, f"c{k}") for k, w in enumerate(weights)]
+    """The components a mixture draws, one uniform each through its weight
+    guide, are `rng.choice`'s with p = weights / sum, and the draw uses the
+    generator as it does: the next draws agree too."""
+    comps = tuple((w, f"c{k}") for k, w in enumerate(weights))
     rng, ref = make_rng(11), make_rng(11)
     p = np.array([float(w) for w in weights])
     want = ref.choice(len(weights), size=shape, p=p / p.sum())
-    got = np.full(want.shape, -1)
-    for component, at in _component_draws(comps, shape, rng):
-        assert at.size and got.reshape(-1)[at].max() == -1
-        got.reshape(-1)[at] = int(component[1:])
-    assert np.array_equal(got, want)
+    got = _weight_guide(comps).lookup(rng.random(shape))
+    assert got.shape == want.shape and np.array_equal(got, want)
     assert rng.random() == ref.random()
 
 

@@ -80,6 +80,20 @@ def test_row_ranks_of_distinct_keys_on_every_path(n):
         assert got is out and np.array_equal(out, want)
 
 
+@pytest.mark.parametrize("n", EDGES)
+def test_row_ranks_with_a_distinct_flag_per_row(n):
+    """Rows flagged distinct may take the default sort while tied rows in
+    the same block keep the stable order."""
+    rng = make_rng(n + 1)
+    keys = rng.random((500, n))
+    tied = rng.random(500) < 0.5
+    keys[tied] = np.floor(keys[tied] * 3)
+    ranks, inverse = _stable_ranks(keys)
+    for distinct in (~tied, np.zeros(500, bool), False):
+        for want, inv in ((ranks, False), (inverse, True)):
+            assert np.array_equal(_row_ranks(keys, None, inv, distinct), want)
+
+
 def test_row_ranks_refuse_an_output_without_a_flat_view():
     keys = make_rng(3).random((10, 4))
     for out in (np.zeros((4, 10), dtype=np.int64).T, np.zeros((10, 4), dtype=np.int32)):
