@@ -8,14 +8,12 @@ maps initial to final positions (left composition onto the walk state).
 A conjugate coupling's step is dealt as the measure's random ordering of
 labels 1..n, the card with the k-th smallest u being label k: its cell is
 drawn independently of u, and inside an atom cell v follows the u order
-(reversed at a left atom).  So order inside atom cells is exact, and only
-two draws in one diffuse cell can tie in floating point.  Every other
-coupling ranks its float pairs; ties there (probability ~2^-52 each)
-resolve by card order.  Both kinds rank with `permutations._row_ranks`,
-which counts pairwise comparisons in rows of up to `_COUNT_WIDTH` cards
-and argsorts wider ones.  A grid-copula cell, a shuffle-map piece and a
-mixture's component are found by the guide-table lookup that finds a
-measure's cells (`measure._Guide`).
+(reversed at a left atom), ranked from one exact integer key per card
+(`ordering._ordering_keys`), so no two cards tie.  Every other coupling
+ranks its float pairs (`permutations._row_ranks`); ties there
+(probability ~2^-52 each) resolve by card order.  A grid-copula cell, a
+shuffle-map piece and a mixture's component are found by the guide-table
+lookup that finds a measure's cells (`measure._Guide`).
 
 Steps are dealt in row blocks of about 2^14 draws (`measure._row_blocks`),
 each written straight into one preallocated output, so no temporary grows

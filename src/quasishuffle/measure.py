@@ -435,12 +435,9 @@ class _BatchTables:
     guide: _Guide
     cells: tuple[Cell, ...]
     cell_lo: np.ndarray  # lower edge
-    cell_rank: np.ndarray  # the cell's rank in its measure
     cell_y: np.ndarray  # conjugate position (atoms) / 0 (diffuse)
     cell_span: np.ndarray  # x - y (atoms) / 0 (diffuse)
     cell_diffuse: np.ndarray  # 0.0 (atoms) / 1.0 (diffuse)
-    cell_inv_len: np.ndarray  # 1 / (hi - lo)
-    cell_side: np.ndarray  # 0 diffuse, 1 right atom, 2 left atom
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -470,53 +467,31 @@ def _batch_tables(source: OrderingSource) -> _BatchTables:
     cell_lo = np.array([float(c.lo) for c in cells])
     cell_x = np.array([float(c.x) if c.kind == "atom" else 0.0 for c in cells])
     cell_y = np.array([float(c.y) if c.kind == "atom" else 0.0 for c in cells])
-    # a cell of float width 0 is narrower than any float step, so its edges
-    # round alike and no draw lands in it: its inverse width is 0, not 1 / 0
-    widths = [float(c.hi - c.lo) for c in cells]
-    cell_inv_len = np.array([1.0 / w if w else 0.0 for w in widths])
-    side = np.array(
-        [0 if c.kind == "diffuse" else 1 if c.atom_side == RIGHT else 2 for c in cells],
-        dtype=np.intp,
-    )
     # float x - y, as a draw's x - y rounds, so y + s * span is bit-identical
     # to y + s * (x - y); a diffuse draw has x = y
     span = cell_x - cell_y
-    diffuse = (side == 0).astype(np.float64)
-    rank = np.concatenate([np.arange(len(cl)) for cl in lists])
+    diffuse = np.array([c.kind == "diffuse" for c in cells], dtype=np.float64)
     guide = _Guide.build([[*(float(c.lo) for c in cl), 1.0] for cl in lists])
-    return _BatchTables(
-        guide, cells, cell_lo, rank, cell_y, span, diffuse, cell_inv_len, side
-    )
+    return _BatchTables(guide, cells, cell_lo, cell_y, span, diffuse)
 
 
 @dataclass(frozen=True, eq=False)
 class ConjugateBatch:
-    """Vectorized conjugate-pair draws: each draw's uniform seed `u`, its
-    cell's row `cell` in `tables`, found through their guide, and the
-    cell's `rank` in its measure (for a measure, the same array).
+    """Vectorized conjugate-pair draws: each draw's uniform seed `u` and its
+    cell's row `cell` in `tables`, found through their guide.
 
     A draw's pair is its cell's: (atom end, far end) in an atom cell, (u, u)
-    in a diffuse one.  `rel` gives each draw's position inside its cell and
-    `interpolate` gives y + s * (x - y), both gathered from per-cell tables
-    when called; the ordering comparator is `ordering._ordering_keys`.
+    in a diffuse one.  `interpolate` gives y + s * (x - y) from per-cell
+    tables; `ordering._ordering_keys` orders draws on the 2^-53 grid exactly.
 
-    The float cell lookup may misclassify a draw within one ulp of a cell
-    boundary (probability ~2^-52 per draw); `sample_conjugate_pair` draws
-    one pair with exact gap endpoints.
+    The cells' edges are floats, so a draw within one float step of a cell
+    boundary may land in the neighbouring cell (probability ~2^-52 per
+    draw); `sample_conjugate_pair` draws one pair with exact gap endpoints.
     """
 
     u: np.ndarray  # uniform seed per draw
     cell: np.ndarray  # row of the draw's cell in `tables`
-    rank: np.ndarray  # the cell's rank in its measure
     tables: _BatchTables = field(repr=False)
-
-    @property
-    def rel(self) -> np.ndarray:
-        """Relative position inside the cell, [0, 1)."""
-        t = self.tables
-        rel = self.u - t.cell_lo[self.cell]
-        rel *= t.cell_inv_len[self.cell]  # in place: one temporary fewer
-        return rel
 
     def interpolate(self, s: np.ndarray) -> np.ndarray:
         """y + s * (x - y) per draw, through the per-cell x - y table."""
@@ -555,6 +530,9 @@ def sample_conjugate_batch(
     each draw's cell among its component's.  The lookup runs on the whole
     shape at once; the samplers call it one row block at a time
     (`_row_blocks`).
+
+    `rng` must hand out `Generator.random` draws, which lie on the grid of
+    multiples of 2^-53: the ordering keys read u's 53 bits (`ordering`).
     """
     import numpy as np
 
@@ -562,16 +540,16 @@ def sample_conjugate_batch(
     if not isinstance(source, MeasureMixture):
         u = rng.random(shape)
         cell = t.guide.lookup(u)
-        return ConjugateBatch(u, cell, cell, t)
+        return ConjugateBatch(u, cell, t)
     *rows, n = np.broadcast_shapes(shape)
     which = _weight_guide(source.components).lookup(rng.random(rows))
     u = np.empty((*rows, n))
-    # a stable sort lists the rows component by component; numpy
-    # radix-sorts component numbers of at most 16 bits
-    small = which.astype(np.min_scalar_type(len(source.components)))
-    u.reshape(-1, n)[np.argsort(small, axis=None, kind="stable")] = rng.random((which.size, n))
+    # row r of component c sorts at c * rows + r: the keys are distinct, so
+    # any sort lists the rows component by component, each in row order
+    at = which.reshape(-1) * which.size + np.arange(which.size)
+    u.reshape(-1, n)[np.argsort(at)] = rng.random((which.size, n))
     cell = t.guide.lookup(u, which[..., None])
-    return ConjugateBatch(u, cell, t.cell_rank[cell], t)
+    return ConjugateBatch(u, cell, t)
 
 
 # -- candidate measures and the quasi-uniform predicate --------------------

@@ -10,9 +10,12 @@ ranks to y.
 
 Orderings are dealt in row blocks of about 2^14 draws
 (`measure._row_blocks`), each ranked straight into one preallocated
-output, or counted one by one (`ordering_counts`).  The ranks come from
-`permutations._row_ranks`: rows of up to `_COUNT_WIDTH` labels count
-their pairwise key comparisons, wider ones are argsorted.  The
+output, or counted one by one (`ordering_counts`).  Each draw has one
+exact int64 key (`_ordering_keys`): its uniform's 53 bits in a diffuse
+cell, its cell's lower edge at an atom, and the label below them, so the
+keys of a row are pairwise distinct.  `_rank_keys` ranks them: rows of up
+to `_KEY_COUNT_WIDTH` labels count their pairwise key comparisons, wider
+ones sort the keys and read the labels off the low bits.  The
 blocks draw their uniforms in row order, so the rows of a measure are
 those of one whole-batch draw.  A mixture takes the same path:
 `sample_conjugate_batch` draws one component per row and looks the row up
@@ -24,23 +27,37 @@ component draw, with the same law.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from functools import lru_cache
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import IncomparableSamples, WindowTooSmall
 from .measure import (
+    _CACHE_SIZE,
+    LEFT,
     ConjugateBatch,
     ConjugateSample,
     MeasureMixture,
     OrderingSource,
+    _BatchTables,
     _row_blocks,
     sample_conjugate_batch,
 )
-from .permutations import Perm, _row_ranks, row_histogram
+from .permutations import Perm, _counted_ranks, row_histogram
 
 # the array functions import numpy when they run, so that `kernels`, which
 # imports this module, loads without it
 if TYPE_CHECKING:
     import numpy as np
+
+# An ordering key packs 53 bits of u, a left-atom flag and up to 9 label
+# bits below bit 63.
+_LABEL_BITS = 9
+# `_rank_keys` counts comparisons in rows up to this width, and in row
+# inverses up to the next, and sorts wider ones: per card on one block of
+# 2^14 keys (2-core shared host, numpy 2.4), sorting took 8.0 / 7.7 ns
+# against 7.7 / 8.1 at widths 11 / 12, inverses 7.8 / 6.8 at 4 / 5.
+_KEY_COUNT_WIDTH = 11
+_KEY_INVERSE_WIDTH = 4
 
 __all__ = [
     "EmpiricalPosition",
@@ -94,14 +111,12 @@ def sample_ordering_batch(
 ) -> np.ndarray:
     """Ordering draws; returns a (size, n) array of rankings.
 
-    Each label sorts by its conjugate pair's cell rank, then inside the
-    cell by its relative position (diffuse cell) or by label order, kept
-    at a right atom and reversed at a left atom: the order `compare`
-    defines.  For a mixture, one component is drawn per ordering.
-    Only two draws in one diffuse cell can coincide in floating point
-    (probability ~2^-52 per pair); they fall back to natural label order
-    instead of raising.  Rows are dealt in cache-sized blocks straight
-    into the output.
+    Each label sorts by its conjugate pair's cell, then inside the cell by
+    its uniform (diffuse cell) or by label order, kept at a right atom and
+    reversed at a left atom: the order `compare` defines, read exactly off
+    one integer key per draw (`_ordering_keys`); diffuse draws that share a
+    uniform keep label order.  For a mixture, one component is drawn per
+    ordering.  Rows are dealt in cache-sized blocks straight into the output.
     """
     import numpy as np
 
@@ -114,40 +129,47 @@ def sample_ordering_batch(
     return out
 
 
-def _ordering_keys(batch: ConjugateBatch) -> tuple[np.ndarray, Union[bool, np.ndarray]]:
-    """The ordering comparator in batch form, for a (..., n) conjugate batch.
+def _ordering_keys(batch: ConjugateBatch) -> np.ndarray:
+    """The ordering comparator in batch form: one int64 key per draw of a
+    (..., n) conjugate batch, pairwise distinct in a row, with label i
+    below label j exactly when key_i < key_j.
 
-    Returns (key, distinct): label i sits below label j exactly when
-    key_i < key_j, or the keys tie and i < j.  key = cell rank + position
-    inside the cell: label order at a right atom, reversed at a left one,
-    and the relative position in a diffuse cell.  distinct says, for all
-    rows or per row, that no draw fell in a diffuse cell, so the row's
-    keys are pairwise distinct.
+    A `Generator.random` draw u = k * 2^-53 lands in the cell [lo, hi),
+    whose edges are the guide's floats, exactly when ceil(lo * 2^53) <= k
+    < ceil(hi * 2^53).  So the key's high 53 bits hold k in a diffuse cell
+    and ceil(lo * 2^53) in an atom cell; then a left-atom flag; then, in
+    rows of up to 2^_LABEL_BITS labels, the label's column, or n - 1 -
+    column at a left atom.  A u off the grid is truncated.
     """
     import numpy as np
 
-    t = batch.tables
     n = batch.cell.shape[-1]
-    asc = (np.arange(n) + 1.0) / (n + 2.0)
-    # position inside the cell per (side, label): a cell's side picks its
-    # block of n entries of `within`
-    within = np.concatenate([np.zeros(n), asc, 1.0 - asc])
-    key = within[(t.cell_side * n)[batch.cell] + np.arange(n)]
-    key += batch.rank
-    # atom keys in a row are pairwise distinct: 1/(n + 2) apart inside a
-    # cell and strictly between cell ranks, far above the float spacing
-    # while (n + 2) * cells < 2^50
-    if t.cell_diffuse.any():
-        diffuse = t.cell_diffuse[batch.cell]
-        # a product with ones sums each row's 0/1 flags many times faster
-        # than any(axis=-1) on rows of a few cards
-        hit = diffuse @ np.ones(n) > 0
-        if hit.any():
-            # rel * 0.0 adds +0.0 to an atom key; a diffuse key is rel + cell
-            diffuse *= batch.rel
-            key += diffuse
-            return key, ~hit
-    return key, True
+    table, scale, bits = _key_table(batch.tables, n)
+    # one gather: per (cell, column) where the label fits, else per cell
+    key = table[batch.cell * n + np.arange(n) if bits else batch.cell]
+    if scale is not None:
+        # k in a diffuse cell, 0 in an atom cell
+        key += (batch.u * scale[batch.cell]).astype(np.int64) << (bits + 1)
+    return key
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _key_table(tables: _BatchTables, n: int) -> tuple:
+    """The key of each cell but a diffuse draw's k, flat per (cell, column),
+    or per cell where the label does not fit; each cell's scale of u to k,
+    None without a diffuse cell; and the label's bits."""
+    import numpy as np
+
+    bits = _LABEL_BITS if n <= 1 << _LABEL_BITS else 0
+    left = np.array([c.atom_side == LEFT for c in tables.cells], dtype=np.int64)
+    # lo * 2^53 and its ceiling are exact
+    high = np.ceil(tables.cell_lo * 2.0**53).astype(np.int64) * (tables.cell_diffuse == 0)
+    table = (high << 1 | left) << bits
+    if bits:
+        col = np.arange(n)
+        table = (table[:, None] | np.where(left[:, None] == 1, n - 1 - col, col)).ravel()
+    scale = tables.cell_diffuse * 2.0**53 if tables.cell_diffuse.any() else None
+    return table, scale, bits
 
 
 def _key_ranks(
@@ -158,18 +180,60 @@ def _key_ranks(
     out: Optional[np.ndarray] = None,
     inverse: bool = False,
 ):
-    """Ranks of the ordering keys of n labels, in row blocks.
-
-    Yields (start, stop, rows) for each block of `_row_blocks`: rows holds
-    the rankings start..stop-1, or with `inverse` their row inverses (the
-    labels from the lowest up), as `out[start:stop]` when `out` is given,
-    else as a block-sized array of its own.
+    """Ranks of the ordering keys of n labels, in row blocks: yields
+    (start, stop, rows) for each block of `_row_blocks`, where rows holds
+    the rankings start..stop-1, or with `inverse` their row inverses, as
+    `out[start:stop]` when `out` is given, else as an array of its own.
     """
     for start, stop in _row_blocks(size, n):
         rows = None if out is None else out[start:stop]
         batch = sample_conjugate_batch(source, (stop - start, n), rng)
-        key, distinct = _ordering_keys(batch)
-        yield start, stop, _row_ranks(key, rows, inverse, distinct)
+        yield start, stop, _rank_keys(_ordering_keys(batch), rows, inverse)
+
+
+def _rank_keys(
+    keys: np.ndarray, out: Optional[np.ndarray] = None, inverse: bool = False
+) -> np.ndarray:
+    """1-based rank of each `_ordering_keys` key within its row, or with
+    `inverse` the row inverse (each row's 1-based columns from its lowest
+    key up), as a C-contiguous int64 array: `out` when given.
+
+    Rows up to `_KEY_COUNT_WIDTH` wide, and inverses up to
+    `_KEY_INVERSE_WIDTH`, count their comparisons (`_counted_ranks`).  Wider
+    rows are sorted, and the sorted keys' low bits name the columns, whose
+    scatter gives the ranks; `np.lexsort` adds the label where it does not fit.
+    """
+    import numpy as np
+
+    rows, n = keys.shape
+    if out is None:
+        out = np.empty((rows, n), dtype=np.int64)
+    elif out.dtype != np.int64 or not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous int64, so its flat view is a view")
+    if n <= (_KEY_INVERSE_WIDTH if inverse else _KEY_COUNT_WIDTH):
+        ranks = _counted_ranks(keys)
+        if not inverse:
+            out[...] = ranks.T
+            return out
+        # the inverse holds k + 1 at column rank_k - 1 of each row
+        cols = ranks.T.astype(np.intp)
+        cols += np.arange(-1, rows * n - 1, n)[:, None]
+    else:
+        if n <= 1 << _LABEL_BITS:
+            low = np.sort(keys, axis=1)
+            low &= (2 << _LABEL_BITS) - 1
+            # a left atom's flag and label read 2^_LABEL_BITS + n - 1 - column
+            cols = np.minimum(low, (1 << _LABEL_BITS) + n - 1 - low, out=low)
+        else:
+            col = np.arange(n)
+            cols = np.lexsort((np.where(keys & 1, n - 1 - col, col), keys), axis=1)
+        if inverse:
+            return np.add(cols, 1, out=out)
+        # the ranks hold k + 1 at column cols_k of each row
+        cols += np.arange(0, rows * n, n)[:, None]
+    # cols holds flat positions: one scatter writes k + 1 at cols[:, k]
+    out.reshape(-1)[cols] = np.arange(1, n + 1)
+    return out
 
 
 def ordering_counts(
@@ -218,22 +282,18 @@ def empirical_positions(
         raise WindowTooSmall(
             f"window [-{n_half}, {n_half}] does not contain label {target_label}"
         )
-    labels = np.arange(-n_half, n_half + 1)
     # the window is one row: one component of a mixture
-    batch = sample_conjugate_batch(source, labels.shape, rng)
+    batch = sample_conjugate_batch(source, (2 * n_half + 1,), rng)
     t = target_label + n_half
-    key, _ = _ordering_keys(batch)
-    lower = labels < target_label
-    upper = labels > target_label
-    below = (key < key[t]) | ((key == key[t]) & lower)
+    rank = _rank_keys(_ordering_keys(batch)[None, :])[0]
     cell = batch.tables.cells[batch.cell[t]]
     if cell.kind == "diffuse":
         u_t = float(batch.u[t])
         target = ConjugateSample(u_t, u_t)
     else:
         target = ConjugateSample(cell.x, cell.y, cell.gap_index)
-    x_hat = float(np.count_nonzero(below & lower)) / n_half
-    y_hat = float(np.count_nonzero(below & upper)) / n_half
+    x_hat = float(np.count_nonzero(rank[:t] < rank[t])) / n_half
+    y_hat = float(np.count_nonzero(rank[t + 1 :] < rank[t])) / n_half
     return EmpiricalPosition(target_label, n_half, x_hat, y_hat, target)
 
 

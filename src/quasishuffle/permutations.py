@@ -8,7 +8,7 @@ ordering, p[i] is the rank (1 = lowest) of the i-th label.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 # the array functions import numpy when they run, so that the exact routes
 # load without it
@@ -21,18 +21,11 @@ Perm = Tuple[int, ...]
 # that rows of a small support are not merged block by block.
 _FOLD_AT = 1 << 14
 
-# `_row_ranks` counts comparisons in rows up to this width and argsorts
-# wider ones; it must stay below 128, the int8 bound of `_counted_ranks`.
-# Per card, on one block of 2^14 draws (2-core shared host, numpy 2.4):
-# counting takes 4.5 ns at width 4, 6.1 at 8 and 10.3 at 16, numpy's
-# default argsort plus a scatter 21.0, 12.1 and 9.9 ns, a stable one 17.1,
-# 19.4 and 21.9 ns.
-_COUNT_WIDTH = 16
-# A row inverse of distinct keys is counted, and scattered, only up to
-# this width; beyond it the default argsort wins: 7.1 against 15.6 ns per
-# card at width 4, 9.0 against 10.7 at 6, 9.3 against 9.1 at 7 and 10.0
-# against 8.1 at 8.
-_COUNT_INVERSE_WIDTH = 6
+# `_row_ranks` counts comparisons in rows up to this width, below the int8
+# bound 128 of `_counted_ranks`, and argsorts wider ones stably: per card
+# on one block of 2^14 floats (2-core shared host, numpy 2.4), counting
+# took 24.3 ns at width 44, the sort 27.0, and two runs crossed at 45-51.
+_COUNT_WIDTH = 44
 
 
 def identity(n: int) -> Perm:
@@ -79,56 +72,26 @@ def perm_from_str(text: str) -> Perm:
     return p
 
 
-def _row_ranks(
-    keys: np.ndarray,
-    out: Optional[np.ndarray] = None,
-    inverse: bool = False,
-    distinct: Union[bool, np.ndarray] = False,
-) -> np.ndarray:
+def _row_ranks(keys: np.ndarray) -> np.ndarray:
     """1-based rank of each entry of a 2-D array within its row, ties broken
-    by column order: the ranks a stable argsort gives.  With `inverse`, the
-    row inverse instead: each row's 1-based columns from its lowest entry up.
+    by column order as a stable argsort breaks them, as a C-contiguous int64
+    array: the ranks of `kernels._rank_pairs`' float pairs, which may tie.
 
-    The result is a C-contiguous int64 array: `out` when given, which must
-    be one.  `distinct`, for all rows or one flag per row, says that a row
-    holds no two equal keys, so its sort need not be stable.  Rows up to `_COUNT_WIDTH` wide are ranked by
-    counting comparisons (`_counted_ranks`) and inverted by one scatter;
-    wider rows are argsorted, and their ranks scattered from the order.  A
-    row inverse of distinct keys is argsorted beyond `_COUNT_INVERSE_WIDTH`,
-    where numpy's default sort beats a count and a scatter.
+    Rows up to `_COUNT_WIDTH` wide count their comparisons
+    (`_counted_ranks`); wider rows are argsorted stably, and their ranks
+    scattered from the order.
     """
     import numpy as np
 
     rows, n = keys.shape
-    if out is None:
-        out = np.empty((rows, n), dtype=np.int64)
-    elif out.dtype != np.int64 or not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous int64, so its flat view is a view")
-    tied = ~np.asarray(distinct)
-    counted = n <= (_COUNT_INVERSE_WIDTH if inverse and not tied.any() else _COUNT_WIDTH)
-    if counted:
-        ranks = _counted_ranks(keys)
-        if not inverse:
-            out[...] = ranks.T
-            return out
-        # the inverse holds k + 1 at column rank_k - 1 of each row
-        cols = ranks.T.astype(np.intp)
-        cols += np.arange(-1, rows * n - 1, n)[:, None]
-    else:
-        if tied.all() or not tied.any():
-            order = np.argsort(keys, axis=1, kind="stable" if tied.all() else None)
-        else:
-            # only the rows that may hold ties need the stable sort
-            order = np.empty((rows, n), dtype=np.intp)
-            order[~tied] = np.argsort(keys[~tied], axis=1)
-            order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
-        if inverse:
-            return np.add(order, 1, out=out)
-        # the ranks hold k + 1 at column order_k of each row
-        cols = order
-        cols += np.arange(0, rows * n, n)[:, None]
-    # cols holds flat positions: one scatter writes k + 1 at cols[:, k]
-    out.reshape(-1)[cols] = np.arange(1, n + 1)
+    out = np.empty((rows, n), dtype=np.int64)
+    if n <= _COUNT_WIDTH:
+        out[...] = _counted_ranks(keys).T
+        return out
+    order = np.argsort(keys, axis=1, kind="stable")
+    # the ranks hold k + 1 at column order_k of each row: one flat scatter
+    order += np.arange(0, rows * n, n)[:, None]
+    out.reshape(-1)[order] = np.arange(1, n + 1)
     return out
 
 

@@ -31,7 +31,13 @@ from quasishuffle.measure import (
     parse_measure,
     sample_conjugate_batch,
 )
-from quasishuffle.ordering import empirical_positions, sample_ordering_batch
+from quasishuffle.ordering import (
+    _KEY_COUNT_WIDTH,
+    _KEY_INVERSE_WIDTH,
+    _LABEL_BITS,
+    empirical_positions,
+    sample_ordering_batch,
+)
 from quasishuffle.permutations import _COUNT_WIDTH
 
 from conftest import make_rng
@@ -44,9 +50,11 @@ MEASURES = {
     "lebesgue": lebesgue(),
     "left-gap": parse_measure("gap(1/4,1/2,left)"),
 }
-# both sides of the width up to which rows are ranked by counting
-SIZES = (1, 2, 8, _COUNT_WIDTH, _COUNT_WIDTH + 1, 52)
-FIELDS = ("cell", "rel")
+# both sides of each width up to which rows are ranked by counting and of
+# the widest row whose keys hold the label, and a deck
+WIDTHS = (_COUNT_WIDTH, _KEY_COUNT_WIDTH, _KEY_INVERSE_WIDTH, 1 << _LABEL_BITS)
+SIZES = tuple(sorted({1, 2, 8, 16, 17, 52, 511, *WIDTHS, *(w + 1 for w in WIDTHS)}))
+FIELDS = ("cell", "u")
 
 
 def eager_batch(measure, shape, rng):
@@ -65,6 +73,7 @@ def eager_batch(measure, shape, rng):
     sign = side[cell]
     atom = sign != 0
     return {
+        "u": u,
         "cell": cell,
         "x": np.where(atom, cx[cell], u),
         "y": np.where(atom, cy[cell], u),
@@ -256,3 +265,13 @@ def test_mixture_of_many_components_equals_reference():
     )
     got = sample_ordering_batch(many, range(1, 9), 5000, make_rng(3))
     assert identical(got, double_argsort_ordering(many, 8, 5000, make_rng(3)))
+
+
+@pytest.mark.parametrize("window", (255, 256))
+@pytest.mark.parametrize("name", sorted(sources()))
+def test_positions_equal_reference_on_both_sides_of_the_label_width(name, window):
+    # 511 labels hold the label in their keys, 513 need a second key word
+    for target in (0, 17 - window, window):
+        est = empirical_positions(sources()[name], target, window, make_rng(window))
+        want = positions_reference(sources()[name], target, window, make_rng(window))
+        assert (est.x_hat, est.y_hat, float(est.target.x), float(est.target.y)) == want

@@ -6,9 +6,10 @@ mixture's component, a grid-copula cell and a shuffle-map piece.  Each
 must give the piece a binary search over its edges gives, at every edge
 and one ulp either side of it, with the same dtype; the samplers built on
 it must stay byte-identical to the eager references in
-`test_batch_reference`.  The ordering keys of a batch with
-no diffuse draw cannot tie, so it is sorted with the fast unstable sort;
-it must still give the stable order.
+`test_batch_reference`.  The lookup takes any float, so its tests
+draw one ulp either side of each edge; a generator only returns multiples
+of 2^-53, which the exact ordering keys rely on, so the ordering tests
+draw the grid points either side of each edge instead.
 """
 
 from fractions import Fraction as F
@@ -30,6 +31,7 @@ from quasishuffle.measure import (
     LEFT,
     RIGHT,
     GapInterval,
+    ConjugateSample,
     MeasureMixture,
     QuasiUniformMeasure,
     _batch_tables,
@@ -43,9 +45,10 @@ from quasishuffle.measure import (
     parse_measure,
     sample_conjugate_batch,
 )
-from quasishuffle.ordering import sample_ordering_batch
+from quasishuffle.errors import IncomparableSamples
+from quasishuffle.ordering import _ordering_keys, compare, sample_ordering_batch
 
-from conftest import cell_sides, make_rng
+from conftest import builtin_measures, cell_sides, make_rng
 from test_batch_reference import (
     double_argsort_ordering,
     double_argsort_step,
@@ -77,7 +80,9 @@ class FixedDraws:
     shape[0] rows of the given u, as a generator hands out its next draws,
     so a sampler that draws in row blocks reads u in order.
 
-    A 1-D u holds one value per row, repeated across the row.
+    A 1-D u holds one value per row, repeated across the row.  Any float
+    in [0, 1] passes, but `Generator.random` returns only multiples of
+    2^-53, and only such u give the exact ordering (`grid_draws`).
     """
 
     def __init__(self, u):
@@ -96,6 +101,16 @@ def edge_draws(edges, seed=0):
     """u = 0, every edge below 1, one ulp either side of each, and random u."""
     edges = np.asarray(edges, dtype=np.float64)
     near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    u = np.concatenate([[0.0], near, make_rng(seed).random(200)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def grid_draws(edges, seed=0):
+    """u = 0, at each edge e below 1 the two draws a generator can return
+    around it, ceil(e * 2^53) * 2^-53 and the grid point below it, and
+    random u."""
+    above = np.ceil(np.asarray(edges, dtype=np.float64) * 2.0**53)
+    near = np.concatenate([above, above - 1.0]) / 2.0**53
     u = np.concatenate([[0.0], near, make_rng(seed).random(200)])
     return u[(u >= 0.0) & (u < 1.0)]
 
@@ -194,7 +209,6 @@ def test_mixture_cells_are_each_components():
         np.testing.assert_array_equal(t.guide.lookup(u, k) - first, want)
         cells = cell_decomposition(measure).cells
         assert t.cells[first : first + len(cells)] == cells
-        np.testing.assert_array_equal(t.cell_rank[first : first + len(cells)], range(len(cells)))
         first += len(cells)
 
 
@@ -369,12 +383,110 @@ def test_atom_only_ordering_equals_stable_sort(measure, n, seed):
 
 @pytest.mark.parametrize("measure", [lebesgue(), mixed_fixture()], ids=["lebesgue", "mixed"])
 def test_equal_diffuse_keys_keep_label_order(measure):
-    # 52 labels draw from a dozen u values: diffuse draws that share a u
-    # share a rel, and every such tie must resolve by label order
-    u = make_rng(5).choice(boundary_draws(measure)[:12], size=(200, 52))
+    # 52 labels draw from a dozen grid points around the edges: diffuse
+    # draws that share a u share their key's high part, and every such tie
+    # must resolve by label order
+    u = make_rng(5).choice(grid_draws(cell_edges(measure))[:12], size=(200, 52))
     got = sample_ordering_batch(measure, range(1, 53), 200, FixedDraws(u))
     assert identical(got, double_argsort_ordering(measure, 52, 200, FixedDraws(u)))
     diffuse = cell_sides(measure, sample_conjugate_batch(measure, u.shape, FixedDraws(u)).cell) == 0
     tied = (u[:, :, None] == u[:, None, :]) & diffuse[:, :, None] & np.triu(np.ones((52, 52), bool), 1)
     assert tied.any()
     assert (got[:, :, None] < got[:, None, :])[tied].all()
+
+
+def with_sides(measure, side):
+    """The measure with every atom moved to one side of its gap."""
+    return QuasiUniformMeasure(tuple(GapInterval(g.lo, g.hi, side) for g in measure.gaps))
+
+
+def zero_width_measure():
+    """Gaps narrower than a float step at 1/3 and 1/2: their cells have
+    float width 0, and no draw lands in them."""
+    tiny = F(1, 2**60)
+    cuts = ((F(1, 3), F(1, 3) + tiny), (F(1, 2), F(1, 2) + tiny), (F(3, 4), F(1)))
+    return QuasiUniformMeasure(
+        tuple(GapInterval(lo, hi, s) for (lo, hi), s in zip(cuts, (LEFT, RIGHT, LEFT)))
+    )
+
+
+FIXTURES = {
+    **builtin_measures(),
+    "a-shuffle-48": a_shuffle(48),
+    "clustered": clustered_measure(),
+    "clustered-atoms": clustered_atoms(),
+    "zero-width": zero_width_measure(),
+}
+
+
+@pytest.mark.parametrize("side", (LEFT, RIGHT))
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_grid_draws_around_each_edge_key_as_their_cells(name, side):
+    """The two grid points around an edge sort by the guide's cells: the
+    lower one's key is below exactly when its cell is, or, in one cell, by
+    u in a diffuse cell and by label order at an atom, reversed at a left
+    one.  Each pair is dealt as a row in both column orders."""
+    measure = with_sides(FIXTURES[name], side)
+    above = np.ceil(cell_edges(measure)[1:-1] * 2.0**53)
+    pairs = np.stack([above - 1.0, above], axis=1) / 2.0**53
+    u = np.concatenate([pairs, pairs[:, ::-1]])
+    batch = sample_conjugate_batch(measure, u.shape, FixedDraws(u))
+    key = _ordering_keys(batch)
+    cell, sign = batch.cell, cell_sides(measure, batch.cell)
+    inside = np.where(sign[:, 0] == 0, u[:, 0] < u[:, 1], sign[:, 0] > 0)
+    want = np.where(cell[:, 0] != cell[:, 1], cell[:, 0] < cell[:, 1], inside)
+    np.testing.assert_array_equal(key[:, 0] < key[:, 1], want)
+    # the grid points straddle the edge, so the guide splits most pairs
+    assert len(u) == 0 or (cell[:, 0] != cell[:, 1]).any()
+
+
+@st.composite
+def key_sources(draw):
+    """An atom-only, clustered, zero-float-width or random measure with
+    atoms on either side, or a mixture of two of them."""
+    def measure():
+        return draw(st.one_of(
+            gap_lists(), atom_only_measures(),
+            st.sampled_from([clustered_measure(), clustered_atoms(), zero_width_measure()]),
+        ))
+
+    if draw(st.booleans()):
+        return measure()
+    return MeasureMixture(((F(1, 3), measure()), (F(2, 3), measure())))
+
+
+def below(sample_i, sample_j, i, j):
+    """`compare`, with identical diffuse draws in label order."""
+    try:
+        return compare(sample_i, sample_j, i, j)
+    except IncomparableSamples:
+        return i < j
+
+
+@given(key_sources(), st.integers(1, 10), st.integers(0, 2**32 - 1), st.booleans())
+@example(zero_width_measure(), 8, 0, True)
+@example(clustered_measure(), 10, 1, True)
+@settings(max_examples=150, deadline=None)
+def test_ordering_keys_are_distinct_and_order_as_compare(source, n, seed, at_edges):
+    """In every row the keys are pairwise distinct, and key_i < key_j
+    exactly when `compare` puts label i below label j on the batch's float
+    pairs, whose cells the guide found from float edges.  A measure may
+    draw its u from the grid points around its edges, so that rows share
+    cells and u values."""
+    rng = make_rng(seed)
+    if at_edges and isinstance(source, QuasiUniformMeasure):
+        rng = FixedDraws(rng.choice(grid_draws(cell_edges(source), seed), (30, n)))
+    batch = sample_conjugate_batch(source, (30, n), rng)
+    key = _ordering_keys(batch)
+    assert key.dtype == np.int64
+    assert (np.diff(np.sort(key, axis=1), axis=1) > 0).all()
+    cells = batch.tables.cells
+    for row_u, row_cell, row_key in zip(batch.u.tolist(), batch.cell.tolist(), key.tolist()):
+        pairs = [
+            ConjugateSample(u, u) if cells[c].kind == "diffuse"
+            else ConjugateSample(float(cells[c].x), float(cells[c].y), cells[c].gap_index)
+            for u, c in zip(row_u, row_cell)
+        ]
+        for i in range(n):
+            for j in range(i + 1, n):
+                assert (row_key[i] < row_key[j]) == below(pairs[i], pairs[j], i, j)

@@ -193,6 +193,67 @@ def test_ordering_has_one_path_for_measures_and_mixtures():
     assert branches == []
 
 
+# -- exact ordering keys --------------------------------------------------
+
+# the one stable sort left ranks float pairs, which may tie
+STABLE_SORTS = {"permutations.py": {"_row_ranks"}}
+
+
+def float_key_remnants(name: str, source: str) -> list[str]:
+    """What the float ordering key needed, left in the module `name`: a
+    `distinct` parameter or keyword, a `kind="stable"` sort outside
+    `STABLE_SORTS`, a `rank` or `rel` on `ConjugateBatch`, and in
+    `ordering.py` a `within` table."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        if isinstance(node, (ast.arg, ast.keyword)) and node.arg == "distinct":
+            out.append(f"distinct (line {node.lineno})")
+        if (
+            isinstance(node, ast.keyword) and node.arg == "kind"
+            and getattr(node.value, "value", None) == "stable"
+            and ".".join(scope) not in STABLE_SORTS.get(name, set())
+        ):
+            out.append(f"stable sort in {'.'.join(scope)} (line {node.lineno})")
+        if isinstance(node, ast.ClassDef) and node.name == "ConjugateBatch":
+            for stmt in node.body:
+                field = getattr(getattr(stmt, "target", None), "id", getattr(stmt, "name", None))
+                if field in ("rank", "rel"):
+                    out.append(f"ConjugateBatch.{field} (line {stmt.lineno})")
+        if name == "ordering.py" and isinstance(node, ast.Name) and node.id == "within":
+            out.append(f"within (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return out
+
+
+def test_the_scan_finds_float_key_remnants():
+    source = (
+        "import numpy as np\n"
+        "def _row_ranks(keys, distinct=False):\n    return np.argsort(keys, kind='stable')\n"
+        "def f(keys):\n    return _row_ranks(keys, distinct=True), np.sort(keys, kind='stable')\n"
+        "class ConjugateBatch:\n    u: float\n    rank: int\n"
+        "    @property\n    def rel(self):\n        return self.u\n"
+        "within = [0.5]\n"
+    )
+    assert float_key_remnants("permutations.py", source) == [
+        "distinct (line 2)", "distinct (line 5)", "stable sort in f (line 5)",
+        "ConjugateBatch.rank (line 8)", "ConjugateBatch.rel (line 10)",
+    ]
+    assert float_key_remnants("ordering.py", source)[-1] == "within (line 12)"
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[p.relative_to(ROOT).as_posix() for p in LIBRARY])
+def test_ordering_keys_leave_no_float_key_remnant(path):
+    """Orderings rank one exact integer key per draw, which cannot tie, so
+    nothing is left of the float key's tie handling."""
+    assert float_key_remnants(path.name, path.read_text()) == []
+
+
 # -- the lazy package namespace -------------------------------------------
 
 EXPORTS = {

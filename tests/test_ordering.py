@@ -248,18 +248,19 @@ def test_exchangeability_gsr(rng):
 
 
 def _pairwise_below(measure, batch, n):
-    """below[i, j] says card i sits under card j, from batch arrays."""
+    """below[i, j] says card i sits under card j, from batch arrays: by
+    cell, then inside a diffuse cell by u, which orders its draws exactly."""
     ci = batch.cell[:, None]
     cj = batch.cell[None, :]
     same = ci == cj
     lt = ci < cj
     sign = cell_sides(measure, ci)
-    rel_i = batch.rel[:, None]
-    rel_j = batch.rel[None, :]
+    u_i = batch.u[:, None]
+    u_j = batch.u[None, :]
     nat = np.arange(n)
     nat_lt = nat[:, None] < nat[None, :]
     within = np.where(
-        sign == 0, rel_i < rel_j, np.where(sign > 0, nat_lt, nat_lt.T)
+        sign == 0, u_i < u_j, np.where(sign > 0, nat_lt, nat_lt.T)
     )
     return lt | (same & within)
 

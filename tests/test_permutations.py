@@ -17,14 +17,15 @@ from quasishuffle.kernels import (
     step_batch,
 )
 from quasishuffle.measure import _LOOKUP_BLOCK, MeasureMixture, gsr, mixed_fixture
-from quasishuffle.ordering import ordering_counts, sample_ordering_batch
-from quasishuffle.permutations import (
-    _COUNT_INVERSE_WIDTH,
-    _COUNT_WIDTH,
-    _row_ranks,
-    count_rows,
-    row_histogram,
+from quasishuffle.ordering import (
+    _KEY_COUNT_WIDTH,
+    _KEY_INVERSE_WIDTH,
+    _LABEL_BITS,
+    _rank_keys,
+    ordering_counts,
+    sample_ordering_batch,
 )
+from quasishuffle.permutations import _COUNT_WIDTH, _row_ranks, count_rows, row_histogram
 
 from conftest import make_rng
 
@@ -35,7 +36,7 @@ def _random_perm_rows(rng, size, n, distinct):
     return pool[rng.integers(0, distinct, size)]
 
 
-# -- the rank kernel ------------------------------------------------------
+# -- the rank kernels -----------------------------------------------------
 
 
 def _stable_ranks(keys):
@@ -55,50 +56,73 @@ def test_row_ranks_equal_stable_argsort_with_ties(n):
     values tie in most rows, and ties must keep column order."""
     rng = make_rng(n)
     for keys in (np.floor(rng.random((700, n)) * 3) / 4, rng.random((700, n))):
-        ranks, inverse = _stable_ranks(keys)
+        ranks, _ = _stable_ranks(keys)
         assert np.array_equal(_checked(_row_ranks(keys)), ranks)
-        assert np.array_equal(_checked(_row_ranks(keys, inverse=True)), inverse)
         # a view of another layout ranks alike
         assert np.array_equal(_row_ranks(np.asfortranarray(keys)), ranks)
 
 
-# both sides of both widths, and a deck
+def _packed_keys(rng, rows, n, cells):
+    """Keys in the layout of `ordering._ordering_keys`, with each row's
+    stable ranks and inverse in their exact order.
+
+    Each key's high part is one of `cells` values, so columns share it as
+    the draws of one atom cell do; an odd high part is a left atom, whose
+    flag is set and whose label is reversed.  The label sits below the flag
+    where it fits, and is left out beyond 2^_LABEL_BITS columns.
+    """
+    high = rng.integers(0, cells, (rows, n)) * 2**40
+    left = high >> 40 & 1
+    col = np.arange(n)
+    label = np.where(left == 1, n - 1 - col, col)
+    keys = high << 1 | left
+    if n <= 1 << _LABEL_BITS:
+        keys = keys << _LABEL_BITS | label
+    order = np.lexsort((label, high), axis=1)
+    return keys, np.argsort(order, axis=1) + 1, order + 1
+
+
+# both sides of each width of both kernels, a deck, and both sides of the
+# widest row whose keys hold the label
 EDGES = sorted(
-    {1, _COUNT_INVERSE_WIDTH, _COUNT_INVERSE_WIDTH + 1, _COUNT_WIDTH, _COUNT_WIDTH + 1, 52}
+    {1, 6, 7, 16, 17, 52, 511, 512, 513}
+    | {w + d for w in (_KEY_INVERSE_WIDTH, _KEY_COUNT_WIDTH) for d in (0, 1)}
 )
 
 
 @pytest.mark.parametrize("n", EDGES)
 def test_row_ranks_of_distinct_keys_on_every_path(n):
-    """Distinct keys may take numpy's default sort: ranks and inverses on
-    both sides of both widths, written into a given output."""
-    keys = make_rng(n).random((500, n))
-    ranks, inverse = _stable_ranks(keys)
-    for want, inv in ((ranks, False), (inverse, True)):
-        out = np.zeros((500, n), dtype=np.int64)
-        got = _row_ranks(keys, out, inverse=inv, distinct=True)
-        assert got is out and np.array_equal(out, want)
+    """`_rank_keys` ranks packed keys, and inverts them, on both sides of
+    both widths, written into a given output: keys of a few shared cells
+    and keys that all differ."""
+    rng = make_rng(n)
+    for cells in (5, 2**12):
+        keys, ranks, inverse = _packed_keys(rng, 300, n, cells)
+        for want, inv in ((ranks, False), (inverse, True)):
+            out = np.zeros((300, n), dtype=np.int64)
+            got = _rank_keys(keys, out, inverse=inv)
+            assert got is out and np.array_equal(out, want)
+            assert np.array_equal(_checked(_rank_keys(keys, inverse=inv)), want)
 
 
 @pytest.mark.parametrize("n", EDGES)
-def test_row_ranks_with_a_distinct_flag_per_row(n):
-    """Rows flagged distinct may take the default sort while tied rows in
-    the same block keep the stable order."""
+def test_rank_keys_of_rows_with_and_without_shared_cells(n):
+    """Rows whose keys share high parts, as atom draws do, and rows whose
+    keys all differ, as diffuse draws do, rank alike in one block."""
     rng = make_rng(n + 1)
-    keys = rng.random((500, n))
-    tied = rng.random(500) < 0.5
-    keys[tied] = np.floor(keys[tied] * 3)
-    ranks, inverse = _stable_ranks(keys)
-    for distinct in (~tied, np.zeros(500, bool), False):
-        for want, inv in ((ranks, False), (inverse, True)):
-            assert np.array_equal(_row_ranks(keys, None, inv, distinct), want)
+    shared, ranks, inverse = _packed_keys(rng, 300, n, 5)
+    spread, ranks_s, inverse_s = _packed_keys(rng, 300, n, 2**12)
+    mixed = rng.random(300) < 0.5
+    shared[mixed], ranks[mixed], inverse[mixed] = spread[mixed], ranks_s[mixed], inverse_s[mixed]
+    assert np.array_equal(_rank_keys(shared), ranks)
+    assert np.array_equal(_rank_keys(shared, inverse=True), inverse)
 
 
 def test_row_ranks_refuse_an_output_without_a_flat_view():
-    keys = make_rng(3).random((10, 4))
+    keys = make_rng(3).integers(0, 2**40, (10, 4))
     for out in (np.zeros((4, 10), dtype=np.int64).T, np.zeros((10, 4), dtype=np.int32)):
         with pytest.raises(ValueError, match="C-contiguous int64"):
-            _row_ranks(keys, out)
+            _rank_keys(keys, out)
 
 
 @pytest.mark.parametrize("n", [1, 4, 9, 15, 16, 20])
