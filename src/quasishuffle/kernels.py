@@ -17,12 +17,15 @@ lookup that finds a measure's cells (`measure._Guide`).
 
 Steps are dealt in row blocks of about 2^14 draws (`measure._row_blocks`),
 each written straight into one preallocated output, so no temporary grows
-with the batch; `empirical_step_counts` counts the blocks one by one, and
+with the batch; `empirical_step_counts` counts the blocks one by one, by
+their index in S_n up to `permutations._INDEX_WIDTH` cards, and
 `empirical_mixing_curve` composes its one state array in place, block by
-block.  Blocks draw their uniforms in row order, so
-conjugate steps are those of one whole-batch draw; a coupling that draws
-(u, v) pairs draws them block by block, which keeps its law but not its
-rows at a fixed seed once a batch spans more than one block.
+block, straight from a purely atomic measure's word table
+(`ordering._word_tables`) where it has one.  Blocks draw their uniforms
+in row order, so conjugate steps are those of one whole-batch draw; a
+coupling that draws (u, v) pairs draws them block by block, which keeps
+its law but not its rows at a fixed seed once a batch spans more than one
+block.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .errors import (
 from .measure import (
     QuasiUniformMeasure,
     RationalLike,
+    _batch_tables,
     _checked_weights,
     _Guide,
     _json_list,
@@ -56,8 +60,11 @@ from .measure import (
     sample_conjugate_batch,
 )
 from .permutations import (
+    _INDEX_WIDTH,
     Perm,
     _encoded_counts,
+    _index_histogram,
+    _lex_index,
     _row_ranks,
     compose,
     identity,
@@ -425,12 +432,22 @@ def empirical_step_counts(
     rng: np.random.Generator,
 ) -> dict[Perm, int]:
     """Histogram of `size` sampled steps, counted block by block from the
-    rows `step_batch` deals, with no whole-batch array."""
+    rows `step_batch` deals, with no whole-batch array: by their index in
+    S_n up to `_INDEX_WIDTH` cards, as rows beyond."""
     if n < 1:
         raise ValueError("need at least one card")
     if size < 0:
         raise ValueError(f"size = {size} is negative")
-    return row_histogram(rows for _, _, rows in _step_blocks(n, sampler, size, rng))
+    if n > _INDEX_WIDTH:
+        return row_histogram(rows for _, _, rows in _step_blocks(n, sampler, size, rng))
+    if isinstance(sampler, (ConjugateCoupling, InverseConjugateCoupling)):
+        from .ordering import _key_indices
+
+        # type one is the measure's ordering, type two its row inverse
+        inverse = isinstance(sampler, InverseConjugateCoupling)
+        return _index_histogram(_key_indices(sampler.measure, n, size, rng), n, inverse)
+    blocks = _pair_step_blocks(n, sampler, size, rng)
+    return _index_histogram((_lex_index(rows) for _, _, rows in blocks), n)
 
 
 def walk(
@@ -488,14 +505,29 @@ def empirical_mixing_curve(
         l1 = float(np.abs(emp - uniform_mass).sum()) + (n_perms - len(counts)) * uniform_mass
         return l1 / 2.0
 
+    words = table = None
+    if isinstance(sampler, (ConjugateCoupling, InverseConjugateCoupling)):
+        from .ordering import _key_blocks, _word_tables
+
+        words = _word_tables(_batch_tables(sampler.measure), n)
+        inverse = isinstance(sampler, InverseConjugateCoupling)
+        if words is not None:
+            table = (words.inverse if inverse else words.ranks).reshape(-1)
     curve = [tv_now()]
     for _ in range(steps):
         # compose each block of the state with its block of steps, in place:
-        # row r of sigma . state reads sigma's flat entry r * n + state - 1
-        for start, stop, sigma in _step_blocks(n, sampler, trials, rng):
-            block = state[start:stop]
-            block += np.arange(-1, (stop - start) * n - 1, n)[:, None]
-            block[...] = sigma.reshape(-1)[block]
+        # row r of sigma . state reads sigma's flat entry r * n + state - 1,
+        # or, from a word table, the flat entry code_r * n + state - 1
+        if table is not None:
+            for start, stop, batch in _key_blocks(sampler.measure, n, trials, rng):
+                block = state[start:stop]
+                block += (words.code(batch) * n - 1)[:, None]
+                block[...] = np.take(table, block)
+        else:
+            for start, stop, sigma in _step_blocks(n, sampler, trials, rng):
+                block = state[start:stop]
+                block += np.arange(-1, (stop - start) * n - 1, n)[:, None]
+                block[...] = sigma.reshape(-1)[block]
         curve.append(tv_now())
     return curve
 

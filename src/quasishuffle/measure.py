@@ -543,11 +543,14 @@ def sample_conjugate_batch(
         return ConjugateBatch(u, cell, t)
     *rows, n = np.broadcast_shapes(shape)
     which = _weight_guide(source.components).lookup(rng.random(rows))
-    u = np.empty((*rows, n))
-    # row r of component c sorts at c * rows + r: the keys are distinct, so
-    # any sort lists the rows component by component, each in row order
+    # row r of component c takes draw row (rows of earlier components) +
+    # (earlier rows of component c): the running count of a (components,
+    # rows) table of hits, read in C order, at c * rows + r, less one
     at = which.reshape(-1) * which.size + np.arange(which.size)
-    u.reshape(-1, n)[np.argsort(at)] = rng.random((which.size, n))
+    hit = np.zeros(len(source.components) * which.size, dtype=np.intp)
+    hit[at] = 1
+    drawn = np.cumsum(hit, out=hit)[at] - 1
+    u = np.take(rng.random((which.size, n)), drawn, axis=0).reshape(*rows, n)
     cell = t.guide.lookup(u, which[..., None])
     return ConjugateBatch(u, cell, t)
 

@@ -491,9 +491,13 @@ def exact_coupling_step_distribution(
     assigns = np.indices((k,) * n).reshape(n, k**n).T
     # the assignments of one gap multiset share one exact weight: tag each
     # step with its multiset, and weigh each multiset's histogram once
-    multisets, group = np.unique(np.sort(assigns, axis=1), axis=0, return_inverse=True)
+    # (a multiset's code in base k orders the multisets as their rows do)
+    sorted_assigns = np.sort(assigns, axis=1)
+    _, first, group = np.unique(
+        sorted_assigns @ k ** np.arange(n - 1, -1, -1), return_index=True, return_inverse=True
+    )
+    multisets = sorted_assigns[first]
     weights = [prod(mass_num[g] for g in gs) for gs in multisets.tolist()]
-    group = group.reshape(-1)
     blocks = (
         np.column_stack(
             [

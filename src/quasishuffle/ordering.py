@@ -11,17 +11,23 @@ ranks to y.
 Orderings are dealt in row blocks of about 2^14 draws
 (`measure._row_blocks`), each ranked straight into one preallocated
 output, or counted one by one (`ordering_counts`).  Each draw has one
-exact int64 key (`_ordering_keys`): its uniform's 53 bits in a diffuse
-cell, its cell's lower edge at an atom, and the label below them, so the
-keys of a row are pairwise distinct.  `_rank_keys` ranks them: rows of up
-to `_KEY_COUNT_WIDTH` labels count their pairwise key comparisons, wider
-ones sort the keys and read the labels off the low bits.  The
-blocks draw their uniforms in row order, so the rows of a measure are
-those of one whole-batch draw.  A mixture takes the same path:
-`sample_conjugate_batch` draws one component per row and looks the row up
-in that component's cells.  It draws each block's components before its
-uniforms, so beyond one block the rows differ from those of a whole-batch
-component draw, with the same law.
+exact integer key (`_ordering_keys`): its cell's position (its rank
+without a diffuse cell, int32 where the key fits; else its uniform's 53
+bits in a diffuse cell and its lower edge at an atom, int64) and the
+label below it, so the keys of a row are pairwise distinct.
+`_rank_keys` ranks them: rows of up to `_KEY_COUNT_WIDTH` labels count
+their pairwise key comparisons, wider ones sort the keys and read the
+labels off the low bits.  A purely atomic source's row is a function of
+its cell word, so up to `_WORD_LIMIT` words its rows, row inverses and
+S_n indices are ranked once (`_word_tables`) and dealt by one row gather.
+Histograms of up to `permutations._INDEX_WIDTH` labels count each row by
+its index in S_n (`permutations._index_histogram`).  The blocks draw
+their uniforms in row order, so the rows of a measure are those of one
+whole-batch draw.  A mixture takes the same path: `sample_conjugate_batch`
+draws one component per row and looks the row up in that component's
+cells.  It draws each block's components before its uniforms, so beyond
+one block the rows differ from those of a whole-batch component draw,
+with the same law.
 """
 
 from __future__ import annotations
@@ -32,26 +38,41 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import IncomparableSamples, WindowTooSmall
 from .measure import (
-    _CACHE_SIZE,
+    _LOOKUP_BLOCK,
     LEFT,
     ConjugateBatch,
     ConjugateSample,
     MeasureMixture,
     OrderingSource,
+    _batch_tables,
     _BatchTables,
     _row_blocks,
     sample_conjugate_batch,
 )
-from .permutations import Perm, _counted_ranks, row_histogram
+from .permutations import (
+    _INDEX_WIDTH,
+    Perm,
+    _counted_ranks,
+    _index_histogram,
+    _lex_index,
+    row_histogram,
+)
 
 # the array functions import numpy when they run, so that `kernels`, which
 # imports this module, loads without it
 if TYPE_CHECKING:
     import numpy as np
 
-# An ordering key packs 53 bits of u, a left-atom flag and up to 9 label
-# bits below bit 63.
+# An ordering key packs a cell position (53 bits of u with a diffuse cell),
+# a left-atom flag and up to 9 label bits below bit 63.
 _LABEL_BITS = 9
+# A purely atomic source deals rows from a table of its cell words while it
+# has at most this many: gsr up to 13 labels, a 3-shuffle up to 8.
+_WORD_LIMIT = 1 << 13
+# Each of the `_key_table` and `_word_tables` caches holds this many tables:
+# at most 16 x 256 KiB flat key tables, and 16 x 208 KiB word tables (2^13
+# words of 13 labels, two int8 rows each).
+_TABLE_CACHE = 16
 # `_rank_keys` counts comparisons in rows up to this width, and in row
 # inverses up to the next, and sorts wider ones: per card on one block of
 # 2^14 keys (2-core shared host, numpy 2.4), sorting took 8.0 / 7.7 ns
@@ -130,46 +151,114 @@ def sample_ordering_batch(
 
 
 def _ordering_keys(batch: ConjugateBatch) -> np.ndarray:
-    """The ordering comparator in batch form: one int64 key per draw of a
+    """The ordering comparator in batch form: one integer key per draw of a
     (..., n) conjugate batch, pairwise distinct in a row, with label i
     below label j exactly when key_i < key_j.
 
-    A `Generator.random` draw u = k * 2^-53 lands in the cell [lo, hi),
-    whose edges are the guide's floats, exactly when ceil(lo * 2^53) <= k
-    < ceil(hi * 2^53).  So the key's high 53 bits hold k in a diffuse cell
-    and ceil(lo * 2^53) in an atom cell; then a left-atom flag; then, in
-    rows of up to 2^_LABEL_BITS labels, the label's column, or n - 1 -
-    column at a left atom.  A u off the grid is truncated.
+    The key's high bits hold the draw's cell position, then a left-atom
+    flag, then, in rows of up to 2^_LABEL_BITS labels, the label's column,
+    or n - 1 - column at a left atom.  Without a diffuse cell the position
+    is the cell's rank, and the key is int32 where it fits.  With one it is
+    53 bits: a `Generator.random` draw u = k * 2^-53 lands in the cell [lo,
+    hi), whose edges are the guide's floats, exactly when ceil(lo * 2^53)
+    <= k < ceil(hi * 2^53), so the position is k in a diffuse cell and
+    ceil(lo * 2^53) in an atom cell.  A u off the grid is truncated.
     """
     import numpy as np
 
     n = batch.cell.shape[-1]
-    table, scale, bits = _key_table(batch.tables, n)
-    # one gather: per (cell, column) where the label fits, else per cell
-    key = table[batch.cell * n + np.arange(n) if bits else batch.cell]
+    table, scale, bits, flat = _key_table(batch.tables, n)
+    col = np.arange(n)
+    # gathers by `np.take`, on temporaries updated in place
+    if flat:
+        at = batch.cell * n
+        at += col
+        key = np.take(table, at)
+    else:
+        key = np.take(table, batch.cell)
+        if bits:
+            key |= np.where(key >> bits & 1, n - 1 - col, col)
     if scale is not None:
         # k in a diffuse cell, 0 in an atom cell
-        key += (batch.u * scale[batch.cell]).astype(np.int64) << (bits + 1)
+        k = np.take(scale, batch.cell)
+        k *= batch.u
+        k = k.astype(np.int64)
+        k <<= bits + 1
+        key += k
     return key
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_TABLE_CACHE)
 def _key_table(tables: _BatchTables, n: int) -> tuple:
-    """The key of each cell but a diffuse draw's k, flat per (cell, column),
-    or per cell where the label does not fit; each cell's scale of u to k,
-    None without a diffuse cell; and the label's bits."""
+    """The key of each cell but a diffuse draw's k and, where it fits, the
+    label; each cell's scale of u to k, None without a diffuse cell; the
+    label's bits; and whether the keys are laid out flat per (cell,
+    column), label included, which they are while the table holds no more
+    entries than one block of draws (`_LOOKUP_BLOCK`).  Otherwise they are
+    per cell, no larger than the source's own `_batch_tables`."""
     import numpy as np
 
     bits = _LABEL_BITS if n <= 1 << _LABEL_BITS else 0
     left = np.array([c.atom_side == LEFT for c in tables.cells], dtype=np.int64)
-    # lo * 2^53 and its ceiling are exact
-    high = np.ceil(tables.cell_lo * 2.0**53).astype(np.int64) * (tables.cell_diffuse == 0)
+    if tables.cell_diffuse.any():
+        # lo * 2^53 and its ceiling are exact
+        high = np.ceil(tables.cell_lo * 2.0**53).astype(np.int64) * (tables.cell_diffuse == 0)
+        scale = tables.cell_diffuse * 2.0**53
+    else:
+        # a row's cells are one component's, which are listed in rank order
+        high, scale = np.arange(len(tables.cells)), None
     table = (high << 1 | left) << bits
-    if bits:
+    flat = bits > 0 and table.size * n <= _LOOKUP_BLOCK
+    if flat:
         col = np.arange(n)
         table = (table[:, None] | np.where(left[:, None] == 1, n - 1 - col, col)).ravel()
-    scale = tables.cell_diffuse * 2.0**53 if tables.cell_diffuse.any() else None
-    return table, scale, bits
+    if scale is None and table.max(initial=0) | (1 << bits) - 1 < 2**31:
+        table = table.astype(np.int32)
+    return table, scale, bits, flat
+
+
+@dataclass(frozen=True, eq=False)
+class _Words:
+    """A purely atomic source's rows of n labels per cell word: a row's
+    cells, read as base-C digits for C cells, are its word's code."""
+
+    weights: np.ndarray  # C^(n-1-i), so that cells @ weights is the code
+    ranks: np.ndarray  # (C^n, n) int8: each word's ranking
+    inverse: np.ndarray  # (C^n, n) int8: each ranking's row inverse
+    index: Optional[np.ndarray]  # each ranking's index in S_n, n <= _INDEX_WIDTH
+
+    def code(self, batch: ConjugateBatch) -> np.ndarray:
+        return batch.cell @ self.weights
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _word_tables(tables: _BatchTables, n: int) -> Optional[_Words]:
+    """The word table of a source with no diffuse cell and at most
+    `_WORD_LIMIT` words of n labels, else None; a one-cell source counts
+    as two, so n stays below 14 and a rank fits int8.  Its rows are
+    `_rank_keys` of the words' keys, so they are the rows those keys deal.
+    """
+    import numpy as np
+
+    cells = len(tables.cells)
+    if tables.cell_diffuse.any() or max(cells, 2) ** n > _WORD_LIMIT:
+        return None
+    weights = cells ** np.arange(n - 1, -1, -1)
+    words = np.arange(cells**n)[:, None] // weights % cells
+    keys = _ordering_keys(ConjugateBatch(np.zeros(words.shape), words, tables))
+    return _Words(
+        weights,
+        _rank_keys(keys).astype(np.int8),
+        _rank_keys(keys, inverse=True).astype(np.int8),
+        _lex_index(keys) if n <= _INDEX_WIDTH else None,
+    )
+
+
+def _key_blocks(source: OrderingSource, n: int, size: int, rng: np.random.Generator):
+    """The conjugate draws of `size` rows of n labels, one row block at a
+    time: yields (start, stop, batch) for each block of `_row_blocks`."""
+    for start, stop in _row_blocks(size, n):
+        yield start, stop, sample_conjugate_batch(source, (stop - start, n), rng)
 
 
 def _key_ranks(
@@ -183,12 +272,35 @@ def _key_ranks(
     """Ranks of the ordering keys of n labels, in row blocks: yields
     (start, stop, rows) for each block of `_row_blocks`, where rows holds
     the rankings start..stop-1, or with `inverse` their row inverses, as
-    `out[start:stop]` when `out` is given, else as an array of its own.
+    `out[start:stop]` when `out` is given, else as an int64 array of its
+    own.  A source with word tables deals its rows from them.
     """
-    for start, stop in _row_blocks(size, n):
-        rows = None if out is None else out[start:stop]
-        batch = sample_conjugate_batch(source, (stop - start, n), rng)
-        yield start, stop, _rank_keys(_ordering_keys(batch), rows, inverse)
+    import numpy as np
+
+    words = _word_tables(_batch_tables(source), n)
+    for start, stop, batch in _key_blocks(source, n, size, rng):
+        rows = np.empty((stop - start, n), dtype=np.int64) if out is None else out[start:stop]
+        if words is None:
+            _rank_keys(_ordering_keys(batch), rows, inverse)
+        else:
+            # a row gather by `np.take` is several times faster than indexing
+            table = words.inverse if inverse else words.ranks
+            rows[...] = np.take(table, words.code(batch), axis=0)
+        yield start, stop, rows
+
+
+def _key_indices(source: OrderingSource, n: int, size: int, rng: np.random.Generator):
+    """The S_n index (`_lex_index`) of each of `size` rankings of n labels,
+    one array per row block: read off the word table where the source has
+    one, else counted from the keys."""
+    import numpy as np
+
+    words = _word_tables(_batch_tables(source), n)
+    for _, _, batch in _key_blocks(source, n, size, rng):
+        if words is None:
+            yield _lex_index(_ordering_keys(batch))
+        else:
+            yield np.take(words.index, words.code(batch))
 
 
 def _rank_keys(
@@ -216,8 +328,7 @@ def _rank_keys(
             out[...] = ranks.T
             return out
         # the inverse holds k + 1 at column rank_k - 1 of each row
-        cols = ranks.T.astype(np.intp)
-        cols += np.arange(-1, rows * n - 1, n)[:, None]
+        cols = ranks.T + np.arange(-1, rows * n - 1, n)[:, None]
     else:
         if n <= 1 << _LABEL_BITS:
             low = np.sort(keys, axis=1)
@@ -229,8 +340,9 @@ def _rank_keys(
             cols = np.lexsort((np.where(keys & 1, n - 1 - col, col), keys), axis=1)
         if inverse:
             return np.add(cols, 1, out=out)
-        # the ranks hold k + 1 at column cols_k of each row
-        cols += np.arange(0, rows * n, n)[:, None]
+        # the ranks hold k + 1 at column cols_k of each row; the sum is an
+        # intp array, which indexes without a cast, also for int32 keys
+        cols = cols + np.arange(0, rows * n, n)[:, None]
     # cols holds flat positions: one scatter writes k + 1 at cols[:, k]
     out.reshape(-1)[cols] = np.arange(1, n + 1)
     return out
@@ -243,12 +355,15 @@ def ordering_counts(
     rng: np.random.Generator,
 ) -> dict[Perm, int]:
     """Histogram of `size` sampled rankings, counted block by block from the
-    rows `sample_ordering_batch` deals, with no whole-batch array."""
+    rows `sample_ordering_batch` deals, with no whole-batch array: by their
+    index in S_n up to `_INDEX_WIDTH` labels, as rows beyond."""
     labels = check_labels(labels)
+    n = len(labels)
     if size < 0:
         raise ValueError(f"size = {size} is negative")
-    blocks = _key_ranks(source, len(labels), size, rng)
-    return row_histogram(rows for _, _, rows in blocks)
+    if n <= _INDEX_WIDTH:
+        return _index_histogram(_key_indices(source, n, size, rng), n)
+    return row_histogram(rows for _, _, rows in _key_ranks(source, n, size, rng))
 
 
 @dataclass(frozen=True)

@@ -254,6 +254,34 @@ def test_ordering_keys_leave_no_float_key_remnant(path):
     assert float_key_remnants(path.name, path.read_text()) == []
 
 
+# -- row counts ---------------------------------------------------------
+
+
+def unique_row_calls(source: str) -> list[int]:
+    """Lines of `unique(..., axis=0)` calls: a row-wise unique sorts rows
+    as structured records, several times slower than one `np.lexsort`."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "unique"
+        and any(k.arg == "axis" and getattr(k.value, "value", None) == 0 for k in node.keywords)
+    ]
+
+
+def test_the_scan_finds_row_wise_unique_calls():
+    source = (
+        "import numpy as np\nfrom numpy import unique\nnp.unique(a)\n"
+        "np.unique(a, axis=0, return_counts=True)\nunique(a, axis=0)\nnp.unique(a, axis=1)\n"
+    )
+    assert unique_row_calls(source) == [4, 5]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[p.relative_to(ROOT).as_posix() for p in LIBRARY])
+def test_rows_are_counted_without_a_row_wise_unique(path):
+    assert unique_row_calls(path.read_text()) == []
+
+
 # -- the lazy package namespace -------------------------------------------
 
 EXPORTS = {
