@@ -7,12 +7,12 @@ a ranking is a sum over such cuts and depends only on where that list
 descends.  Each cell acts on the cuts as an upper-triangular matrix, and h
 walk steps are one step of ``measure.power(mu, h)``, so the product for h
 steps nests the product for h - 1 in each atom cell: linear in h, in Python
-integers over one common denominator (``ranking_probability``).  The same
-kernel gives ``exact_ordering_distribution`` once per descent class, and
-``mixing_curve`` of a plain measure class by class, weighted by the number
-of permutations in each class, with no n!-entry law.  The map route reads a
-piecewise-affine map back as a purely atomic measure and runs on the same
-engine.  Two brute-force references check the engine:
+integers over one common denominator.  Every exact route of a plain measure
+folds one loop of the kernel over descent classes: ``ranking_probability``
+reads one class, ``exact_ordering_distribution`` scatters each class to its
+rankings, and ``mixing_curve`` sums the classes against uniform, weighted by
+size, with no n!-entry law.  The map route reads a piecewise-affine map as a
+purely atomic measure on that engine.  Two brute-force references check it:
 
 * the cell route (private, ``_cell_enumeration``): enumerate assignments of
   labels to cells, then arrangements within diffuse cells;
@@ -248,6 +248,8 @@ def _over_common_denominator(masses) -> tuple[list[int], int]:
 # Entries stay integers: G[a][b] = F[a][b] * (b-a)! * den^(h(b-a)), den the
 # common denominator of mu's masses.  In that scaling the product of two
 # matrices carries the binomial C(b-a, m-a).
+# `_class_values` is the one loop over descent classes: a reduction changes
+# which classes it is given, a fold what is done with each class's values.
 
 
 def _transfer_parts(measure: QuasiUniformMeasure) -> tuple[list, int]:
@@ -258,7 +260,7 @@ def _transfer_parts(measure: QuasiUniformMeasure) -> tuple[list, int]:
     return [(c.atom_side if c.kind == "atom" else None, p) for c, p in zip(cells, masses)], den
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _binomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(comb(k, j) for j in range(k + 1)) for k in range(n + 1))
 
@@ -322,11 +324,12 @@ def _transfer_powers(parts, den: int, n: int, desc: int, steps: int):
         yield up
 
 
-def _class_probability(parts, den: int, n: int, desc: int, steps: int = 1) -> Fraction:
-    """Probability, after `steps` steps, of each ranking whose rank-order
-    list has descent set `desc`."""
-    *_, g = _transfer_powers(parts, den, n, desc, steps)
-    return Fraction(g[0][n], factorial(n) * den ** (steps * n))
+def _class_values(parts, den: int, n: int, steps: int, classes):
+    """Yield (mask, weight, [g_0 .. g_steps]) for each (descent mask, weight)
+    in `classes`: g_h / (n! * den^(hn)) is the probability after h steps of
+    each ranking whose rank-order list has that descent set."""
+    for desc, weight in classes:
+        yield desc, weight, [g[0][n] for g in _transfer_powers(parts, den, n, desc, steps)]
 
 
 def _descent_class_sizes(n: int) -> list[int]:
@@ -360,7 +363,9 @@ def ranking_probability(measure: QuasiUniformMeasure, ranking: Perm, steps: int 
     if steps < 0:
         raise ValueError(f"steps = {steps} is negative")
     parts, den = _transfer_parts(measure)
-    return _class_probability(parts, den, len(ranking), _descent_set(ranking), steps)
+    n = len(ranking)
+    [(_, _, values)] = _class_values(parts, den, n, steps, [(_descent_set(ranking), 1)])
+    return Fraction(values[steps], factorial(n) * den ** (steps * n))
 
 
 def exact_ordering_distribution(
@@ -379,16 +384,9 @@ def exact_ordering_distribution(
         )
     parts, den = _transfer_parts(source)
     _check_n(n, max_n)
-    by_class: dict[int, Fraction] = {}
-    probs: dict[Perm, Fraction] = {}
-    for ranking in all_permutations(n):
-        desc = _descent_set(ranking)
-        mass = by_class.get(desc)
-        if mass is None:
-            mass = by_class[desc] = _class_probability(parts, den, n, desc)
-        if mass:
-            probs[ranking] = mass
-    return PermutationDistribution(n, probs)
+    classes = _class_values(parts, den, n, 1, enumerate(_descent_class_sizes(n)))
+    by_class = {desc: Fraction(g, factorial(n) * den**n) for desc, _, (_, g) in classes}
+    return PermutationDistribution(n, {r: by_class[_descent_set(r)] for r in all_permutations(n)})
 
 
 def _cell_enumeration(
@@ -626,12 +624,13 @@ def _transfer_curve(measure: QuasiUniformMeasure, n: int, steps: int) -> list[Fr
     if n < 0:
         raise ValueError(f"n = {n} is negative")
     parts, den = _transfer_parts(measure)
+    # the work counts the classes the fold visits, here all 2^(n-1)
     work = (1 << max(n - 1, 0)) * steps * len(parts) * n**3
     if work > _TRANSFER_WORK_CAP:
         raise CapExceeded(f"mixing curve work {work} above cap {_TRANSFER_WORK_CAP}")
     # n! * P_h(D) * den^(hn) against den^(hn), summed with the class sizes
     sums = [0] * (steps + 1)
-    for desc, size in enumerate(_descent_class_sizes(n)):
-        for h, g in enumerate(_transfer_powers(parts, den, n, desc, steps)):
-            sums[h] += size * abs(g[0][n] - den ** (h * n))
+    for _, size, values in _class_values(parts, den, n, steps, enumerate(_descent_class_sizes(n))):
+        for h, g in enumerate(values):
+            sums[h] += size * abs(g - den ** (h * n))
     return [Fraction(total, 2 * factorial(n) * den ** (h * n)) for h, total in enumerate(sums)]

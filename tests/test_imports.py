@@ -145,15 +145,15 @@ def test_the_scan_finds_an_unreferenced_helper():
 SEARCHES = {"measure.py": {"_Guide.build"}, "stats.py": {"ks_measure_marginal"}}
 
 
-def searchsorted_callers(source: str) -> set[str]:
-    """Qualified names of the functions that call a `searchsorted`."""
+def callers(source: str, name: str) -> set[str]:
+    """Qualified names of the functions that call `name`."""
     out = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = [*scope, node.name]
         func = node.func if isinstance(node, ast.Call) else None
-        if getattr(func, "attr", getattr(func, "id", None)) == "searchsorted":
+        if getattr(func, "attr", getattr(func, "id", None)) == name:
             out.add(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -168,14 +168,21 @@ def test_the_scan_finds_searchsorted_callers():
         "class G:\n    def build(self):\n        return np.searchsorted(self.e, 0.5)\n"
         "def f(u):\n    return searchsorted([0], u)\n"
     )
-    assert searchsorted_callers(source) == {"", "G.build", "f"}
+    assert callers(source, "searchsorted") == {"", "G.build", "f"}
 
 
 @pytest.mark.parametrize("path", LIBRARY, ids=[p.relative_to(ROOT).as_posix() for p in LIBRARY])
 def test_draws_search_only_through_the_guide(path):
     """Draws find their pieces through `measure._Guide`; only its builder
     and the KS test's CDF breakpoints call a binary search."""
-    assert searchsorted_callers(path.read_text()) <= SEARCHES.get(path.name, set())
+    assert callers(path.read_text(), "searchsorted") <= SEARCHES.get(path.name, set())
+
+
+def test_one_class_loop_runs_the_transfer_kernel():
+    """Every exact route of a plain measure is a fold over
+    `oracle._class_values`, the only caller of `_transfer_powers`."""
+    found = set().union(*(callers(p.read_text(), "_transfer_powers") for p in LIBRARY))
+    assert found == {"_class_values"}
 
 
 def test_ordering_has_one_path_for_measures_and_mixtures():
@@ -252,6 +259,46 @@ def test_ordering_keys_leave_no_float_key_remnant(path):
     """Orderings rank one exact integer key per draw, which cannot tie, so
     nothing is left of the float key's tie handling."""
     assert float_key_remnants(path.name, path.read_text()) == []
+
+
+# -- bounded caches -------------------------------------------------------
+
+
+def unbounded_caches(source: str) -> list[int]:
+    """Lines of `lru_cache(maxsize=None)`, `lru_cache(None)` and `cache`
+    decorators: caches that keep every key they are given."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        for dec in getattr(node, "decorator_list", []):
+            func = dec.func if isinstance(dec, ast.Call) else dec
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if isinstance(dec, ast.Call):
+                sizes = [*dec.args[:1], *(k.value for k in dec.keywords if k.arg == "maxsize")]
+                unbounded = name == "lru_cache" and any(
+                    isinstance(v, ast.Constant) and v.value is None for v in sizes
+                )
+            else:
+                unbounded = name == "cache"
+            if unbounded:
+                out.append(dec.lineno)
+    return out
+
+
+def test_the_scan_finds_unbounded_caches():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a(n):\n    pass\n"
+        "@functools.lru_cache(None)\ndef b(n):\n    pass\n"
+        "@cache\ndef c(n):\n    pass\n"
+        "@lru_cache(maxsize=16)\ndef d(n):\n    pass\n"
+        "@lru_cache\ndef e(n):\n    pass\n"
+    )
+    assert unbounded_caches(source) == [3, 6, 9]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[p.relative_to(ROOT).as_posix() for p in LIBRARY])
+def test_library_caches_are_bounded(path):
+    assert unbounded_caches(path.read_text()) == []
 
 
 # -- row counts ---------------------------------------------------------

@@ -19,6 +19,7 @@ from quasishuffle.measure import (
     cell_decomposition,
     compose,
     gsr,
+    mixed_fixture,
     power,
 )
 from quasishuffle.oracle import (
@@ -78,10 +79,10 @@ def _eulerian(n: int) -> list[int]:
     return row
 
 
-def bayer_diaconis_tv(n: int, h: int) -> F:
-    """TV to uniform after h riffles: one 2^h-shuffle, whose law depends on
-    the descent count alone (Bayer-Diaconis 1992)."""
-    a = 2**h
+def bayer_diaconis_tv(n: int, h: int, parts: int = 2) -> F:
+    """TV to uniform after h a-shuffles with a = parts: one a^h-shuffle,
+    whose law depends on the descent count alone (Bayer-Diaconis 1992)."""
+    a = parts**h
     return sum(
         e * abs(F(comb(a + n - 1 - d, n), a**n) - F(1, factorial(n)))
         for d, e in enumerate(_eulerian(n))
@@ -161,6 +162,33 @@ def test_descent_class_sizes(n):
     assert oracle._descent_class_sizes(n) == want
 
 
+@pytest.mark.parametrize("n", range(0, 13))
+def test_descent_classes_by_count_are_eulerian(n):
+    """The class sizes of the masks with d descents sum to A(n, d)."""
+    sizes = oracle._descent_class_sizes(n)
+    by_count = [0] * max(n, 1)
+    for mask, size in enumerate(sizes):
+        by_count[bin(mask).count("1")] += size
+    assert by_count == _eulerian(n)
+    assert sum(sizes) == factorial(n)
+
+
+@measure_params()
+def test_class_values_on_a_reduced_list(measure):
+    """The loop yields each listed class's values as the full list does, so
+    a reduction only has to choose the classes and their weights."""
+    n, steps = 7, 3
+    parts, den = oracle._transfer_parts(measure)
+    full = list(oracle._class_values(parts, den, n, steps, enumerate(oracle._descent_class_sizes(n))))
+    assert [d for d, _, _ in full] == list(range(1 << (n - 1)))
+    # every ranking's probability, summed with the class sizes, is one
+    for h in range(steps + 1):
+        assert sum(size * values[h] for _, size, values in full) == factorial(n) * den ** (h * n)
+    chosen = [(63, 1), (0, 7), (21, 2), (63, 3)]
+    reduced = list(oracle._class_values(parts, den, n, steps, chosen))
+    assert reduced == [(d, w, full[d][2]) for d, w in chosen]
+
+
 # -- mixing curves ----------------------------------------------------------
 
 
@@ -195,6 +223,19 @@ def test_mixing_curve_caps():
     # a plain measure's curve is capped as work, not by n
     with pytest.raises(CapExceeded, match="mixing curve work"):
         mixing_curve(gsr(), 16, "one", steps=10)
+    # the boundaries: work = 2^(n-1) classes * steps * cells * n^3
+    assert mixing_curve(gsr(), 10, "one", steps=10) == [bayer_diaconis_tv(10, h) for h in range(11)]
+    three = [bayer_diaconis_tv(10, h, parts=3) for h in range(11)]
+    assert mixing_curve(a_shuffle(3), 10, "one", steps=10) == three
+    with pytest.raises(CapExceeded, match="^mixing curve work 27258880 above cap 20000000$"):
+        mixing_curve(gsr(), 11, "one", steps=10)
+    with pytest.raises(CapExceeded, match="^mixing curve work 20480000 above cap 20000000$"):
+        mixing_curve(mixed_fixture(), 10, "one", steps=10)
+    # one ranking has no cap: cells * steps * n^3 = 20,247,552 here
+    ranking = tuple(int(v) for v in make_rng(48).permutation(52) + 1)
+    a = 48**3
+    want = F(comb(a + 52 - _rising_sequences(ranking), 52), a**52)
+    assert ranking_probability(a_shuffle(48), ranking, steps=3) == want
     with pytest.raises(ValueError, match="n = -1 is negative"):
         mixing_curve(gsr(), -1, "one", steps=1)
     with pytest.raises(ValueError, match="kind must be"):
