@@ -19,13 +19,14 @@ Steps are dealt in row blocks of about 2^14 draws (`measure._row_blocks`),
 each written straight into one preallocated output, so no temporary grows
 with the batch; `empirical_step_counts` counts the blocks one by one, by
 their index in S_n up to `permutations._INDEX_WIDTH` cards, and
-`empirical_mixing_curve` composes its one state array in place, block by
-block, straight from a purely atomic measure's word table
-(`ordering._word_tables`) where it has one.  Blocks draw their uniforms
-in row order, so conjugate steps are those of one whole-batch draw; a
-coupling that draws (u, v) pairs draws them block by block, which keeps
-its law but not its rows at a fixed seed once a batch spans more than one
-block.
+`empirical_mixing_curve` composes its one state array (int8 below 128
+cards) in place, block by block, straight from a purely atomic measure's
+word table (`ordering._word_tables`) where it has one, with one uniform
+per walk and step, and counts its TV by S_n index up to `_INDEX_WIDTH`
+cards.  Blocks draw their uniforms in row order, so conjugate steps are
+those of one whole-batch draw; a coupling that draws (u, v) pairs draws
+them block by block, which keeps its law but not its rows at a fixed seed
+once a batch spans more than one block.
 """
 
 from __future__ import annotations
@@ -355,8 +356,9 @@ def step_batch(
 
     Row r maps each card's u-rank to its v-rank (1-based).  A conjugate
     coupling's rows are orderings of the measure, drawn with one uniform and
-    one rank per card (type two is the row inverse of type one); other
-    couplings rank their (u, v) draws.  Rows are dealt in cache-sized
+    one rank per card, or one uniform per row from a word table (type two
+    is the row inverse of type one); other couplings rank their (u, v)
+    draws.  Rows are dealt in cache-sized
     blocks straight into the output; a pair-drawing coupling draws its
     pairs block by block, so beyond one block its rows differ at a fixed
     seed from one whole-batch draw, with the same law.
@@ -493,10 +495,17 @@ def empirical_mixing_curve(
     # n! beyond floats (n >= 171) is far above any number of trials
     beyond_floats = n_perms > sys.float_info.max
     uniform_mass = 0.0 if beyond_floats else 1.0 / n_perms
-    state = np.tile(np.arange(1, n + 1, dtype=np.int64), (trials, 1))
+    # rows of fewer than 128 cards are held as int8 and composed through an
+    # intp temporary per block
+    state = np.tile(np.arange(1, n + 1, dtype=np.int8 if n < 128 else np.int64), (trials, 1))
 
     def tv_now() -> float:
-        _, counts, _ = _encoded_counts(state)  # counts only: no decoding
+        if n <= _INDEX_WIDTH:
+            # the bins hit, in lexicographic order, as `_encoded_counts` has them
+            counts = np.bincount(_lex_index(state), minlength=n_perms)
+            counts = counts[counts > 0]
+        else:
+            _, counts, _ = _encoded_counts(state)  # counts only: no decoding
         if beyond_floats:
             # every seen row is over-represented: TV = 1 - distinct / n!
             return 1.0 - len(counts) / n_perms
@@ -505,9 +514,9 @@ def empirical_mixing_curve(
         l1 = float(np.abs(emp - uniform_mass).sum()) + (n_perms - len(counts)) * uniform_mass
         return l1 / 2.0
 
-    words = table = None
+    words = None
     if isinstance(sampler, (ConjugateCoupling, InverseConjugateCoupling)):
-        from .ordering import _key_blocks, _word_tables
+        from .ordering import _word_blocks, _word_tables
 
         words = _word_tables(_batch_tables(sampler.measure), n)
         inverse = isinstance(sampler, InverseConjugateCoupling)
@@ -518,16 +527,15 @@ def empirical_mixing_curve(
         # compose each block of the state with its block of steps, in place:
         # row r of sigma . state reads sigma's flat entry r * n + state - 1,
         # or, from a word table, the flat entry code_r * n + state - 1
-        if table is not None:
-            for start, stop, batch in _key_blocks(sampler.measure, n, trials, rng):
+        if words is not None:
+            for start, stop, code in _word_blocks(words, n, trials, rng):
                 block = state[start:stop]
-                block += (words.code(batch) * n - 1)[:, None]
-                block[...] = np.take(table, block)
+                block[...] = np.take(table, (code * n - 1)[:, None] + block)
         else:
             for start, stop, sigma in _step_blocks(n, sampler, trials, rng):
                 block = state[start:stop]
-                block += np.arange(-1, (stop - start) * n - 1, n)[:, None]
-                block[...] = sigma.reshape(-1)[block]
+                at = np.arange(-1, (stop - start) * n - 1, n)[:, None] + block
+                block[...] = sigma.reshape(-1)[at]
         curve.append(tv_now())
     return curve
 

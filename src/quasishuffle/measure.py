@@ -21,6 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import (
@@ -65,6 +66,13 @@ def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"cannot parse {what} {value!r} as a rational") from exc
     raise ValueError(f"{what} must be rational-like, got {type(value).__name__}")
+
+
+def _over_common_denominator(masses) -> tuple[list[int], int]:
+    """Integer numerators of the masses over their least common denominator."""
+    masses = list(masses)
+    den = lcm(*(m.denominator for m in masses))
+    return [m.numerator * (den // m.denominator) for m in masses], den
 
 
 def _check_unit(x: Fraction, what: str) -> Fraction:
@@ -361,8 +369,10 @@ class _Guide:
     runs over each list's distinct lower edges, one piece per edge, which
     stands for the last cell with that edge: `guide[k * (B + 1) + b]` is
     list k's piece holding b/B, and at most `steps` comparisons u >=
-    hi[piece] step a draw forward from it.  They are the comparisons a
-    binary search over the edges makes, so u finds the cell
+    hi[piece] step a draw forward from it; in list 0 a draw that steps
+    once is found by a binary search over the list's pieces, so that a
+    skewed law with many edges in one bucket costs no long loop.  Both
+    find the piece a binary search over the edges finds, so u finds the cell
     `searchsorted(edges, u, side="right") - 1`.  A list's last piece ends
     at inf, so u = 1 finds its last cell.
     """
@@ -417,10 +427,17 @@ class _Guide:
             # a draw that did not step has found its piece, so only the few
             # that did take the later steps
             at = np.flatnonzero(moved)
-            part, u = piece[at], u[at]
-            for _ in range(self.steps - 1):
-                part += u >= self.hi[part]
-            piece[at] = part
+            if k is None:
+                # list 0 ends at the piece holding 1, and its pieces before
+                # the bucket's hold no u in it: a binary search over the list
+                # finds the first hi above u, in log2(pieces) comparisons
+                # however skewed the cells and however many steps
+                piece[at] = np.searchsorted(self.hi[: self.guide[self.buckets] + 1], u[at], "right")
+            else:
+                part, u = piece[at], u[at]
+                for _ in range(self.steps - 1):
+                    part += u >= self.hi[part]
+                piece[at] = part
         piece = piece.reshape(np.shape(bucket))
         return piece if self.cell is None else self.cell[piece]
 
@@ -434,6 +451,7 @@ class _BatchTables:
 
     guide: _Guide
     cells: tuple[Cell, ...]
+    lists: tuple[tuple[Fraction, int], ...]  # each component's weight and cell count
     cell_lo: np.ndarray  # lower edge
     cell_y: np.ndarray  # conjugate position (atoms) / 0 (diffuse)
     cell_span: np.ndarray  # x - y (atoms) / 0 (diffuse)
@@ -457,12 +475,10 @@ def _weight_guide(components) -> _Guide:
 def _batch_tables(source: OrderingSource) -> _BatchTables:
     import numpy as np
 
-    measures = [source]
-    if isinstance(source, MeasureMixture):
-        measures = [m for _, m in source.components]
+    components = source.components if isinstance(source, MeasureMixture) else ((_ONE, source),)
     # The cells tile [0,1] in rank order, so a draw's cell is the boundary
     # interval it falls in.
-    lists = [cell_decomposition(m).cells for m in measures]
+    lists = [cell_decomposition(m).cells for _, m in components]
     cells = tuple(c for cl in lists for c in cl)
     cell_lo = np.array([float(c.lo) for c in cells])
     cell_x = np.array([float(c.x) if c.kind == "atom" else 0.0 for c in cells])
@@ -472,7 +488,8 @@ def _batch_tables(source: OrderingSource) -> _BatchTables:
     span = cell_x - cell_y
     diffuse = np.array([c.kind == "diffuse" for c in cells], dtype=np.float64)
     guide = _Guide.build([[*(float(c.lo) for c in cl), 1.0] for cl in lists])
-    return _BatchTables(guide, cells, cell_lo, cell_y, span, diffuse)
+    counts = tuple((w, len(cl)) for (w, _), cl in zip(components, lists))
+    return _BatchTables(guide, cells, counts, cell_lo, cell_y, span, diffuse)
 
 
 @dataclass(frozen=True, eq=False)

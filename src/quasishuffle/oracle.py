@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Mapping
 
@@ -51,6 +51,7 @@ from .measure import (
     QuasiUniformMeasure,
     Cell,
     CellDecomposition,
+    _over_common_denominator,
     _row_blocks,
     cell_decomposition,
     as_fraction,
@@ -216,13 +217,6 @@ def _descent_set(ranking: Perm) -> int:
     position i + 1."""
     order = invert(ranking)
     return sum(1 << i for i, (a, b) in enumerate(zip(order, order[1:])) if a > b)
-
-
-def _over_common_denominator(masses) -> tuple[list[int], int]:
-    """Integer numerators of the masses over their least common denominator."""
-    masses = list(masses)
-    den = lcm(*(m.denominator for m in masses))
-    return [m.numerator * (den // m.denominator) for m in masses], den
 
 
 # -- the transfer kernel ----------------------------------------------------

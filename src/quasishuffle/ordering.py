@@ -19,15 +19,19 @@ label below it, so the keys of a row are pairwise distinct.
 their pairwise key comparisons, wider ones sort the keys and read the
 labels off the low bits.  A purely atomic source's row is a function of
 its cell word, so up to `_WORD_LIMIT` words its rows, row inverses and
-S_n indices are ranked once (`_word_tables`) and dealt by one row gather.
-Histograms of up to `permutations._INDEX_WIDTH` labels count each row by
-its index in S_n (`permutations._index_histogram`).  The blocks draw
-their uniforms in row order, so the rows of a measure are those of one
-whole-batch draw.  A mixture takes the same path: `sample_conjugate_batch`
-draws one component per row and looks the row up in that component's
-cells.  It draws each block's components before its uniforms, so beyond
-one block the rows differ from those of a whole-batch component draw,
-with the same law.
+S_n indices are ranked once (`_word_tables`), and each row is dealt by
+one uniform: a guide over the exact word law (`_word_edges`) finds its
+word, within 2^-53 of the word's mass, and one row gather deals the
+block.  A source with a word of positive mass that no uniform would find
+takes the key route.  Histograms of up to `permutations._INDEX_WIDTH`
+labels count each row by its index in S_n
+(`permutations._index_histogram`).  The blocks draw their uniforms in
+row order, so the rows of a measure, and of a word-table source, are
+those of one whole-batch draw.  A mixture with a diffuse cell takes the
+key route: `sample_conjugate_batch` draws one component per row and looks
+the row up in that component's cells.  It draws each block's components
+before its uniforms, so beyond one block the rows differ from those of a
+whole-batch component draw, with the same law.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ from .measure import (
     OrderingSource,
     _batch_tables,
     _BatchTables,
+    _Guide,
+    _over_common_denominator,
     _row_blocks,
     sample_conjugate_batch,
 )
@@ -69,14 +75,19 @@ _LABEL_BITS = 9
 # A purely atomic source deals rows from a table of its cell words while it
 # has at most this many: gsr up to 13 labels, a 3-shuffle up to 8.
 _WORD_LIMIT = 1 << 13
-# Each of the `_key_table` and `_word_tables` caches holds this many tables:
-# at most 16 x 256 KiB flat key tables, and 16 x 208 KiB word tables (2^13
-# words of 13 labels, two int8 rows each).
+# The `_key_table` cache holds this many tables, at most 16 x 256 KiB flat
+# key tables; the word table cache (`_built_words`) holds fewer, larger
+# ones: at most 8 x 400 KiB, 2^13 words of 13 labels, each with two int8
+# rows, one float64 guide edge and two intp guide buckets.
 _TABLE_CACHE = 16
+_WORD_CACHE = 8
 # `_rank_keys` counts comparisons in rows up to this width, and in row
-# inverses up to the next, and sorts wider ones: per card on one block of
-# 2^14 keys (2-core shared host, numpy 2.4), sorting took 8.0 / 7.7 ns
-# against 7.7 / 8.1 at widths 11 / 12, inverses 7.8 / 6.8 at 4 / 5.
+# inverses up to the next, and sorts wider ones.  Per card on one block of
+# 2^14 keys (2-core shared host, numpy 2.4), on int32 keys of a-shuffle:48
+# and int64 keys of mixed, counting took 11.5 and 13.2 ns against 11.9 and
+# 12.2 for the sort at width 11, 11.8 and 14.3 against 12.0 and 12.2 at 12;
+# inverses 10.8 and 11.5 against 12.6 and 13.7 at 4, 12.5 and 12.9 against
+# 10.9 and 11.7 at 5.
 _KEY_COUNT_WIDTH = 11
 _KEY_INVERSE_WIDTH = 4
 
@@ -136,8 +147,10 @@ def sample_ordering_batch(
     its uniform (diffuse cell) or by label order, kept at a right atom and
     reversed at a left atom: the order `compare` defines, read exactly off
     one integer key per draw (`_ordering_keys`); diffuse draws that share a
-    uniform keep label order.  For a mixture, one component is drawn per
-    ordering.  Rows are dealt in cache-sized blocks straight into the output.
+    uniform keep label order.  A source with word tables draws one uniform
+    per row for its cell word instead (`_word_edges`).  For a mixture, one
+    component is drawn per ordering.  Rows are dealt in cache-sized blocks
+    straight into the output.
     """
     import numpy as np
 
@@ -219,46 +232,106 @@ def _key_table(tables: _BatchTables, n: int) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class _Words:
-    """A purely atomic source's rows of n labels per cell word: a row's
-    cells, read as base-C digits for C cells, are its word's code."""
+    """A purely atomic source's rows of n labels per cell word, listed by
+    word code (a word's cells read as base-C digits for C cells), and the
+    guide that deals a word code from one uniform."""
 
-    weights: np.ndarray  # C^(n-1-i), so that cells @ weights is the code
+    guide: _Guide  # over the word law, in code order (`_word_edges`)
     ranks: np.ndarray  # (C^n, n) int8: each word's ranking
     inverse: np.ndarray  # (C^n, n) int8: each ranking's row inverse
     index: Optional[np.ndarray]  # each ranking's index in S_n, n <= _INDEX_WIDTH
 
-    def code(self, batch: ConjugateBatch) -> np.ndarray:
-        return batch.cell @ self.weights
 
-
-@lru_cache(maxsize=_TABLE_CACHE)
 def _word_tables(tables: _BatchTables, n: int) -> Optional[_Words]:
     """The word table of a source with no diffuse cell and at most
     `_WORD_LIMIT` words of n labels, else None; a one-cell source counts
-    as two, so n stays below 14 and a rank fits int8.  Its rows are
-    `_rank_keys` of the words' keys, so they are the rows those keys deal.
-    """
+    as two, so n stays below 14 and a rank fits int8.  A source with a
+    word that no draw would deal (`_word_edges`) has none either."""
+    if tables.cell_diffuse.any() or max(len(tables.cells), 2) ** n > _WORD_LIMIT:
+        return None
+    return _built_words(tables, n)
+
+
+@lru_cache(maxsize=_WORD_CACHE)
+def _built_words(tables: _BatchTables, n: int) -> Optional[_Words]:
+    """`_word_tables` past its cheap checks, so that the sources without a
+    table take no cache entry.  Its rows are `_rank_keys` of the words'
+    keys, so they are the rows those keys deal."""
     import numpy as np
 
-    cells = len(tables.cells)
-    if tables.cell_diffuse.any() or max(cells, 2) ** n > _WORD_LIMIT:
+    edges = _word_edges(tables, n)
+    if edges is None:
         return None
-    weights = cells ** np.arange(n - 1, -1, -1)
-    words = np.arange(cells**n)[:, None] // weights % cells
+    cells = len(tables.cells)
+    words = np.arange(cells**n)[:, None] // cells ** np.arange(n - 1, -1, -1) % cells
     keys = _ordering_keys(ConjugateBatch(np.zeros(words.shape), words, tables))
     return _Words(
-        weights,
+        _Guide.build([edges * 2.0**-53]),
         _rank_keys(keys).astype(np.int8),
         _rank_keys(keys, inverse=True).astype(np.int8),
         _lex_index(keys) if n <= _INDEX_WIDTH else None,
     )
 
 
+def _word_edges(tables: _BatchTables, n: int) -> Optional[np.ndarray]:
+    """E_w = ceil(F_w * 2^53) for w = 0..C^n, as int64, F_w the exact mass
+    of the words of n labels below code w; None when a word of positive
+    mass owns no grid point (E_w = E_{w+1}).
+
+    A word's mass is the product of its cells' masses, times the weight of
+    the mixture component that holds all of them, and 0 when no component
+    does: an integer numerator over one common denominator, in int64 where
+    every product fits, else in Python ints.  A `Generator.random` draw u =
+    k * 2^-53 finds word w through a guide over the edges E_w * 2^-53
+    exactly when E_w <= k < E_{w+1}, so each word is dealt within 2^-53 of
+    its mass, and the dealt law is within total variation 2^-41 of the
+    exact one (at most 2^13 words).
+    """
+    import numpy as np
+
+    masses, cell_den = _over_common_denominator(c.mass for c in tables.cells)
+    weights, weight_den = _over_common_denominator(w for w, _ in tables.lists)
+    total = weight_den * cell_den**n
+    # with total < 2^31 every product below fits int64, F * r under 2^62
+    dtype = np.int64 if total < 2**31 else object
+    cells = len(masses)
+    mass = np.zeros(cells**n, dtype)
+    first = 0
+    for weight, (_, count) in zip(weights, tables.lists):
+        # this component's words, by iterated outer products of its cells
+        digits = np.arange(first, first + count)
+        nums = np.array(masses[first : first + count], dtype)
+        codes, prods = np.zeros(1, np.intp), np.array([weight], dtype)
+        for _ in range(n):
+            codes = np.add.outer(codes * cells, digits).ravel()
+            prods = np.multiply.outer(prods, nums).ravel()
+        mass[codes] = prods
+        first += count
+    below = np.concatenate([np.zeros(1, dtype), np.cumsum(mass)])
+    # F * 2^53 = F * q * total + F * r for 2^53 = q * total + r, and
+    # ceil(F * r / total) = -(-F * r // total)
+    q, r = divmod(1 << 53, total)
+    edges = below * q - below * -r // total
+    if np.count_nonzero(np.diff(edges)) < np.count_nonzero(mass):
+        return None
+    return edges.astype(np.int64)
+
+
 def _key_blocks(source: OrderingSource, n: int, size: int, rng: np.random.Generator):
     """The conjugate draws of `size` rows of n labels, one row block at a
-    time: yields (start, stop, batch) for each block of `_row_blocks`."""
+    time: yields (start, stop, batch) for each block of `_row_blocks`.
+    This is the key route, of every source without word tables."""
     for start, stop in _row_blocks(size, n):
         yield start, stop, sample_conjugate_batch(source, (stop - start, n), rng)
+
+
+def _word_blocks(words: _Words, n: int, size: int, rng: np.random.Generator):
+    """The word codes of `size` rows of n labels, one row block at a time,
+    each row's from one uniform: yields (start, stop, code) for each block
+    of `_row_blocks`.  The blocks draw in row order, so the codes are those
+    of one whole-batch `rng.random(size)`."""
+    for start, stop in _row_blocks(size, n):
+        yield start, stop, words.guide.lookup(rng.random(stop - start))
 
 
 def _key_ranks(
@@ -278,14 +351,18 @@ def _key_ranks(
     import numpy as np
 
     words = _word_tables(_batch_tables(source), n)
-    for start, stop, batch in _key_blocks(source, n, size, rng):
+    if words is None:
+        blocks = _key_blocks(source, n, size, rng)
+    else:
+        blocks = _word_blocks(words, n, size, rng)
+        table = words.inverse if inverse else words.ranks
+    for start, stop, drawn in blocks:
         rows = np.empty((stop - start, n), dtype=np.int64) if out is None else out[start:stop]
         if words is None:
-            _rank_keys(_ordering_keys(batch), rows, inverse)
+            _rank_keys(_ordering_keys(drawn), rows, inverse)
         else:
             # a row gather by `np.take` is several times faster than indexing
-            table = words.inverse if inverse else words.ranks
-            rows[...] = np.take(table, words.code(batch), axis=0)
+            rows[...] = np.take(table, drawn, axis=0)
         yield start, stop, rows
 
 
@@ -296,11 +373,12 @@ def _key_indices(source: OrderingSource, n: int, size: int, rng: np.random.Gener
     import numpy as np
 
     words = _word_tables(_batch_tables(source), n)
-    for _, _, batch in _key_blocks(source, n, size, rng):
-        if words is None:
+    if words is None:
+        for _, _, batch in _key_blocks(source, n, size, rng):
             yield _lex_index(_ordering_keys(batch))
-        else:
-            yield np.take(words.index, words.code(batch))
+    else:
+        for _, _, code in _word_blocks(words, n, size, rng):
+            yield np.take(words.index, code)
 
 
 def _rank_keys(
@@ -324,27 +402,29 @@ def _rank_keys(
         raise ValueError("out must be C-contiguous int64, so its flat view is a view")
     if n <= (_KEY_INVERSE_WIDTH if inverse else _KEY_COUNT_WIDTH):
         ranks = _counted_ranks(keys)
-        if not inverse:
-            out[...] = ranks.T
-            return out
-        # the inverse holds k + 1 at column rank_k - 1 of each row
-        cols = ranks.T + np.arange(-1, rows * n - 1, n)[:, None]
-    else:
-        if n <= 1 << _LABEL_BITS:
-            low = np.sort(keys, axis=1)
-            low &= (2 << _LABEL_BITS) - 1
-            # a left atom's flag and label read 2^_LABEL_BITS + n - 1 - column
-            cols = np.minimum(low, (1 << _LABEL_BITS) + n - 1 - low, out=low)
-        else:
-            col = np.arange(n)
-            cols = np.lexsort((np.where(keys & 1, n - 1 - col, col), keys), axis=1)
         if inverse:
-            return np.add(cols, 1, out=out)
-        # the ranks hold k + 1 at column cols_k of each row; the sum is an
-        # intp array, which indexes without a cast, also for int32 keys
-        cols = cols + np.arange(0, rows * n, n)[:, None]
-    # cols holds flat positions: one scatter writes k + 1 at cols[:, k]
-    out.reshape(-1)[cols] = np.arange(1, n + 1)
+            # the inverse holds k + 1 at column rank_k - 1 of each row: one
+            # scatter to the flat positions
+            out.reshape(-1)[ranks.T + np.arange(-1, rows * n - 1, n)[:, None]] = np.arange(1, n + 1)
+        else:
+            out[...] = ranks.T
+        return out
+    if n <= 1 << _LABEL_BITS:
+        low = np.sort(keys, axis=1)
+        low &= (2 << _LABEL_BITS) - 1
+        # a left atom's flag and label read 2^_LABEL_BITS + n - 1 - column
+        cols = np.minimum(low, (1 << _LABEL_BITS) + n - 1 - low, out=low)
+    else:
+        col = np.arange(n)
+        cols = np.lexsort((np.where(keys & 1, n - 1 - col, col), keys), axis=1)
+    if inverse:
+        return np.add(cols, 1, out=out)
+    # the ranks hold k + 1 at column cols_k of each row; the sum is an intp
+    # array, which indexes without a cast, also for int32 keys.  One scatter
+    # by its flat view, with the values tiled to its size, is faster at
+    # wide rows than one that broadcasts a value row over it
+    cols = cols + np.arange(0, rows * n, n)[:, None]
+    out.reshape(-1)[cols.reshape(-1)] = np.tile(np.arange(1, n + 1), rows)
     return out
 
 

@@ -100,9 +100,10 @@ def _row_ranks(keys: np.ndarray) -> np.ndarray:
         out[...] = _counted_ranks(keys).T
         return out
     order = np.argsort(keys, axis=1, kind="stable")
-    # the ranks hold k + 1 at column order_k of each row: one flat scatter
+    # the ranks hold k + 1 at column order_k of each row: one flat scatter,
+    # by the flat view of the intp order, of the values tiled to its size
     order += np.arange(0, rows * n, n)[:, None]
-    out.reshape(-1)[order] = np.arange(1, n + 1)
+    out.reshape(-1)[order.reshape(-1)] = np.tile(np.arange(1, n + 1), rows)
     return out
 
 

@@ -2,13 +2,19 @@
 
 The references build every conjugate-pair field at draw time and rank by
 argsorting each argsort, as the samplers once did.  The samplers must give
-the same arrays, bit for bit, from the same seed.  A conjugate coupling's
-step is dealt as the measure's ordering (type two as its row inverse), so
-its reference is the ordering one; the coupling's own (u, v) draws, which
-mixture steps and `verify` rank, keep the pair reference.
+the same arrays, bit for bit, from the same seed.  A purely atomic source
+with few enough words draws one uniform per row for its cell word, found
+among the word law's exact edges, computed here from `itertools.product`
+and Fractions.  A conjugate coupling's step is dealt as the measure's
+ordering (type two as its row inverse), so its reference is the ordering
+one; the coupling's own (u, v) draws, which mixture steps and `verify`
+rank, keep the pair reference.
 """
 
 from fractions import Fraction as F
+from functools import lru_cache
+from itertools import product
+from math import ceil, prod
 
 import numpy as np
 import pytest
@@ -35,6 +41,7 @@ from quasishuffle.ordering import (
     _KEY_COUNT_WIDTH,
     _KEY_INVERSE_WIDTH,
     _LABEL_BITS,
+    _WORD_LIMIT,
     empirical_positions,
     sample_ordering_batch,
 )
@@ -110,22 +117,72 @@ def double_argsort_step(n, sampler, size, rng):
     return sigma
 
 
+@lru_cache(maxsize=None)
+def exact_word_edges(source, n):
+    """(ceil(F_w * 2^53) for w = 0..C^n, each cell's side) of a source
+    with no diffuse cell and at most `_WORD_LIMIT` words of n labels, else
+    None.  The words are listed by `itertools.product` of the C cells,
+    component after component, and F_w is the exact mass of the words
+    before w: a word's component weight times its cells' masses when one
+    component holds all its cells, else 0.  A word of positive mass that
+    owns no grid point also means None."""
+    comps = source.components if isinstance(source, MeasureMixture) else ((F(1), source),)
+    cells = [(k, w, c) for k, (w, m) in enumerate(comps) for c in cell_decomposition(m).cells]
+    if any(c.kind == "diffuse" for *_, c in cells) or max(len(cells), 2) ** n > _WORD_LIMIT:
+        return None
+    edges, below = [0], F(0)
+    for word in product(cells, repeat=n):
+        one = len({k for k, _, _ in word}) == 1
+        mass = word[0][1] * prod(c.mass for *_, c in word) if one else F(0)
+        below += mass
+        edges.append(ceil(below * 2**53))
+        if mass and edges[-1] == edges[-2]:
+            return None
+    return edges, np.array([1 if c.atom_side == "right" else -1 for *_, c in cells])
+
+
+def word_cells(source, n, size, rng):
+    """The cells of `size` rows of a word source from one whole-batch
+    `rng.random(size)`: each u = k * 2^-53 finds its word among the exact
+    edges by `np.searchsorted`, and the word's base-C digits are its cells."""
+    edges, sign = exact_word_edges(source, n)
+    k = (rng.random(size) * 2.0**53).astype(np.int64)
+    word = np.searchsorted(np.array(edges), k, side="right") - 1
+    return word[:, None] // len(sign) ** np.arange(n - 1, -1, -1) % len(sign)
+
+
 def double_argsort_ordering(source, n, size, rng):
     """`sample_ordering_batch` rows.
 
-    A mixture draws its rows' components one row block of `_LOOKUP_BLOCK`
-    draws at a time, as `sample_ordering_batch` does; a measure draws the
-    whole batch at once.
+    A word source (`exact_word_edges`) draws one uniform per row for its
+    word.  Else a mixture draws its rows' components one row block of
+    `_LOOKUP_BLOCK` draws at a time, as `sample_ordering_batch` does, and
+    a measure draws the whole batch at once.
     """
+    words = exact_word_edges(source, n)
+    if words is not None:
+        cell = word_cells(source, n, size, rng)
+        return ranked_cells(cell, words[1][cell], np.zeros(cell.shape))
     if isinstance(source, MeasureMixture):
         rows = max(1, _LOOKUP_BLOCK // n)
         return np.concatenate(
             [mixture_ordering(source, n, min(rows, size - s), rng) for s in range(0, size, rows)]
         )
-    b = eager_batch(source, (size, n), rng)
-    asc = (np.arange(n) + 1.0) / (n + 2.0)
-    within = np.where(b["sign"] == 0, b["rel"], np.where(b["sign"] > 0, asc, 1.0 - asc))
-    order = np.argsort(b["cell"] + within, axis=1, kind="stable")
+    return eager_ordering(source, n, size, rng)
+
+
+def eager_ordering(measure, n, size, rng):
+    """Rows of a measure from one eager batch of per-card draws."""
+    b = eager_batch(measure, (size, n), rng)
+    return ranked_cells(b["cell"], b["sign"], b["rel"])
+
+
+def ranked_cells(cell, sign, rel):
+    """Rankings by cell rank, then inside a cell by `rel` (diffuse, sign
+    0), by column (right atom, +1) or by reversed column (left atom, -1)."""
+    asc = (np.arange(cell.shape[1]) + 1.0) / (cell.shape[1] + 2.0)
+    within = np.where(sign == 0, rel, np.where(sign > 0, asc, 1.0 - asc))
+    order = np.argsort(cell + within, axis=1, kind="stable")
     return np.argsort(order, axis=1, kind="stable") + 1
 
 
@@ -137,7 +194,7 @@ def mixture_ordering(source, n, size, rng):
     for ci, (_, m) in enumerate(source.components):
         mask = which == ci
         if mask.any():
-            out[mask] = double_argsort_ordering(m, n, int(mask.sum()), rng)
+            out[mask] = eager_ordering(m, n, int(mask.sum()), rng)
     return out
 
 

@@ -41,12 +41,14 @@ def test_traced_caches_exist():
 
 
 def test_step_batch_trace_keeps_the_sampling_layer():
-    """One traced step_batch call counts its draws and nests the batch draw."""
+    """One traced step_batch call counts its draws and nests the batch draw.
+    The measure has a diffuse cell, so its steps take the per-card key
+    route; a purely atomic one would draw one uniform per row instead."""
     tracing = load_tracing()
     recorder = tracing.Recorder(quasishuffle)
     recorder.install()
     try:
-        sampler = quasishuffle.kernels.ConjugateCoupling(quasishuffle.measure.gsr())
+        sampler = quasishuffle.kernels.ConjugateCoupling(quasishuffle.measure.mixed_fixture())
         quasishuffle.kernels.step_batch(8, sampler, 100, np.random.default_rng(1))
     finally:
         recorder.uninstall()

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from functools import cmp_to_key
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from quasishuffle.oracle import exact_ordering_distribution
 from quasishuffle.stats import chi_square_goodness, empirical_tv
 
 from conftest import cell_sides, eager_pairs, make_rng, measure_params, measure_strategy
+from test_batch_reference import exact_word_edges, word_cells
 
 IDENTITY = QuasiUniformMeasure((GapInterval(F(0), F(1), RIGHT),))
 REVERSAL = QuasiUniformMeasure((GapInterval(F(0), F(1), LEFT),))
@@ -94,7 +96,12 @@ def _assert_ranks_follow_comparator(measure, labels, rows, seed):
     """With equal seeds, the batch ranks order every pair of labels as
     `compare` orders their conjugate pairs."""
     ranks = sample_ordering_batch(measure, labels, rows, make_rng(seed))
-    batch = sample_conjugate_batch(measure, (rows, len(labels)), make_rng(seed))
+    if exact_word_edges(measure, len(labels)) is None:
+        batch = sample_conjugate_batch(measure, (rows, len(labels)), make_rng(seed))
+    else:
+        # one uniform per row draws the row's cell word
+        cell = word_cells(measure, len(labels), rows, make_rng(seed))
+        batch = SimpleNamespace(cell=cell, u=np.zeros(cell.shape))
     xs, ys = eager_pairs(measure, batch)
     for r in range(rows):
         samples = [ConjugateSample(x, y) for x, y in zip(xs[r], ys[r])]

@@ -1,5 +1,6 @@
-"""Purely atomic rows dealt from cell-word tables, histograms counted by
-their index in S_n, and the byte bounds of the ordering caches."""
+"""Purely atomic rows dealt from cell-word tables, one uniform per row
+through a guide over the exact word law, histograms counted by their index
+in S_n, and the byte bounds of the ordering caches."""
 
 from fractions import Fraction as F
 from functools import cmp_to_key
@@ -29,12 +30,16 @@ from quasishuffle.measure import (
     gsr,
     mixed_fixture,
 )
+from quasishuffle.oracle import exact_ordering_distribution, exact_step_distribution
 from quasishuffle.ordering import (
     _TABLE_CACHE,
+    _WORD_CACHE,
     _WORD_LIMIT,
+    _built_words,
     _key_table,
     _ordering_keys,
     _rank_keys,
+    _word_edges,
     _word_tables,
     compare,
     ordering_counts,
@@ -47,9 +52,15 @@ from quasishuffle.permutations import (
     all_permutations,
     row_histogram,
 )
+from quasishuffle.stats import chi_square_goodness
 
 from conftest import make_rng
-from test_batch_reference import double_argsort_ordering, identical
+from test_batch_reference import (
+    double_argsort_ordering,
+    eager_ordering,
+    exact_word_edges,
+    identical,
+)
 from test_permutations import GRID
 
 ATOMIC = {
@@ -94,7 +105,6 @@ def test_word_rows_are_the_rank_keys_of_their_words(name, n):
     ranks = _rank_keys(keys)
     assert np.array_equal(words.ranks, ranks)
     assert np.array_equal(words.inverse, _rank_keys(keys, inverse=True))
-    assert np.array_equal(cells @ words.weights, np.arange(len(cells)))
     if n <= _INDEX_WIDTH:
         at = {p: i for i, p in enumerate(all_permutations(n))}
         assert words.index.tolist() == [at[p] for p in map(tuple, ranks.tolist())]
@@ -104,6 +114,110 @@ def test_word_rows_are_the_rank_keys_of_their_words(name, n):
         # a mixture's words that mix components are never dealt
         for code in make_rng(n).choice(len(cells), min(len(cells), 40), replace=False):
             assert ranks[code].tolist() == compared_ranking(tables, cells[code].tolist())
+
+
+# unequal masses on a non-dyadic grid, so the edges are true ceilings; and
+# denominators of about 10^7 per label, so the word masses take Python ints
+EDGE_SOURCES = {
+    **ATOMIC,
+    "left-atom": QuasiUniformMeasure((GapInterval(0, F(1, 3), LEFT), GapInterval(F(1, 3), 1, RIGHT))),
+    "wide-denominator": QuasiUniformMeasure(
+        (
+            GapInterval(0, F(1, 10**6 + 3), RIGHT),
+            GapInterval(F(1, 10**6 + 3), F(7, 10), LEFT),
+            GapInterval(F(7, 10), 1, LEFT),
+        )
+    ),
+}
+
+
+def word_pairs(sources, sizes):
+    """(name, n) of each source with at most `_WORD_LIMIT` words of n labels."""
+    return [
+        (name, n)
+        for name in sorted(sources)
+        for n in sizes
+        if len(_batch_tables(sources[name]).cells) ** n <= _WORD_LIMIT
+    ]
+
+
+@pytest.mark.parametrize(("name", "n"), word_pairs(EDGE_SOURCES, range(1, 9)))
+def test_word_guide_edges_are_the_exact_ceilings(name, n):
+    """The word guide's edges are ceil(F_w * 2^53) * 2^-53 of the exact
+    word law, F_w summed in Fractions over `itertools.product`; u = E_w *
+    2^-53 finds word w, and one grid step below it the word of positive
+    mass before w, which is w - 1 in a measure.  Where a word of positive
+    mass owns no grid point, there is no word table."""
+    source = EDGE_SOURCES[name]
+    tables = _batch_tables(source)
+    want = exact_word_edges(source, n)
+    if want is None:
+        assert _word_edges(tables, n) is None and _word_tables(tables, n) is None
+        return
+    edges = want[0]
+    assert _word_edges(tables, n).tolist() == edges
+    guide = _word_tables(tables, n).guide
+    # one piece per distinct lower edge, each ending at the next one
+    lower = sorted(set(edges[:-1]))
+    assert guide.hi.tolist() == [e * 2.0**-53 for e in lower[1:]] + [np.inf]
+    positive = [w for w in range(len(edges) - 1) if edges[w + 1] > edges[w]]
+    at = np.array(edges)[positive]
+    assert guide.lookup(at * 2.0**-53).tolist() == positive
+    assert guide.lookup((at[1:] - 1) * 2.0**-53).tolist() == positive[:-1]
+    if not isinstance(source, MeasureMixture):
+        assert positive == list(range(len(edges) - 1))
+
+
+def test_the_wide_denominator_measure_meets_the_gate_at_four_labels():
+    # its words own grid points at 2 labels and not from 4 on, so the
+    # edge test above covers both sides of the gate
+    wide = EDGE_SOURCES["wide-denominator"]
+    assert exact_word_edges(wide, 2) is not None
+    assert exact_word_edges(wide, 4) is None
+
+
+@pytest.mark.parametrize(("name", "n"), word_pairs(EDGE_SOURCES, (4, 5, 6)))
+def test_word_draws_keep_the_exact_law(name, n):
+    """Dealt rows, `ordering_counts` and type-two steps against the exact
+    law, by chi-square at alpha = 0.01, on fixed seeds."""
+    source, size, labels = EDGE_SOURCES[name], 40_000, range(1, n + 1)
+    if _word_tables(_batch_tables(source), n) is None:
+        assert exact_word_edges(source, n) is None
+        return
+    law = exact_ordering_distribution(source, n).probs
+    rows = sample_ordering_batch(source, labels, size, make_rng(10 + n))
+    assert chi_square_goodness(row_histogram([rows]), law, alpha=0.01).passed
+    counts = ordering_counts(source, labels, size, make_rng(20 + n))
+    assert chi_square_goodness(counts, law, alpha=0.01).passed
+    if isinstance(source, MeasureMixture):
+        return
+    steps = step_batch(n, InverseConjugateCoupling(source), size, make_rng(30 + n))
+    two = exact_step_distribution(source, n, "two").probs
+    assert chi_square_goodness(row_histogram([steps]), two, alpha=0.01).passed
+
+
+def test_a_word_without_a_grid_point_takes_the_key_route():
+    """Masses 17/18 then 1/18: the last word of 13 labels has mass 18^-13,
+    below 2^-53, at the top of the law, where ceil(F_w * 2^53) = 2^53 =
+    E_{w+1}.  It owns no grid point, so the source has no word table at 13
+    labels, and its rows are the per-card key route's; at 12 it has one."""
+    source = QuasiUniformMeasure(
+        (GapInterval(0, F(17, 18), RIGHT), GapInterval(F(17, 18), 1, LEFT))
+    )
+    tables = _batch_tables(source)
+    assert _word_edges(tables, 13) is None and _word_tables(tables, 13) is None
+    assert exact_word_edges(source, 13) is None
+    assert _word_tables(tables, 12) is not None
+    got = sample_ordering_batch(source, range(1, 14), 2000, make_rng(4))
+    assert identical(got, eager_ordering(source, 13, 2000, make_rng(4)))
+
+
+def test_each_word_row_takes_one_uniform():
+    size = 3 * (_LOOKUP_BLOCK // 8) + 5
+    rng, advanced = make_rng(3), make_rng(3)
+    sample_ordering_batch(gsr(), range(1, 9), size, rng)
+    advanced.random(size)
+    assert rng.bit_generator.state == advanced.bit_generator.state
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -179,22 +293,26 @@ def test_keys_of_many_cells_are_laid_out_per_cell():
 
 def test_caches_hold_at_most_4_mib():
     """Each cache filled to its limit with its largest tables: words of
-    `_WORD_LIMIT` codes of 13 labels, and flat key tables of one block of
-    entries with a diffuse cell, so int64."""
+    `_WORD_LIMIT` codes of 13 labels, each of positive mass, so the guide
+    has one float64 edge and two intp buckets per word; and flat key tables
+    of one block of entries with a diffuse cell, so int64."""
     held = []
     try:
-        for cache in (_word_tables, _key_table):
+        for cache in (_built_words, _key_table):
             cache.cache_clear()
-        for i in range(_TABLE_CACHE + 2):
-            # two cells each: 2^13 words of 13 labels
+        for i in range(_WORD_CACHE + 2):
+            # two cells each: 2^13 words of 13 labels, the least of mass
+            # 12^-13 > 2^-53, so every word owns grid points
             two = QuasiUniformMeasure(
                 (GapInterval(0, F(1, i + 3), RIGHT), GapInterval(F(1, i + 3), 1, LEFT))
             )
             words = _word_tables(_batch_tables(two), 13)
-            assert len(words.ranks) == _WORD_LIMIT
-            held.append(words.weights.nbytes + words.ranks.nbytes + words.inverse.nbytes)
-        assert _word_tables.cache_info().currsize == _TABLE_CACHE
-        assert sum(held[-_TABLE_CACHE:]) <= 4 * 2**20
+            assert len(words.ranks) == len(words.guide.hi) == _WORD_LIMIT
+            guide = words.guide
+            parts = (words.ranks, words.inverse, guide.hi, guide.guide, guide.cell, words.index)
+            held.append(sum(a.nbytes for a in parts if a is not None))
+        assert _built_words.cache_info().currsize == _WORD_CACHE
+        assert sum(held[-_WORD_CACHE:]) <= 4 * 2**20
         held = []
         for i in range(_TABLE_CACHE + 2):
             # 128 gaps and 128 diffuse segments, at 64 labels: 2^14 keys
@@ -205,6 +323,6 @@ def test_caches_hold_at_most_4_mib():
         assert _key_table.cache_info().currsize == _TABLE_CACHE
         assert sum(held[-_TABLE_CACHE:]) <= 4 * 2**20
     finally:
-        for cache in (_word_tables, _key_table):
+        for cache in (_built_words, _key_table):
             cache.cache_clear()
 
