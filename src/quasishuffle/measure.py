@@ -369,10 +369,8 @@ class _Guide:
     runs over each list's distinct lower edges, one piece per edge, which
     stands for the last cell with that edge: `guide[k * (B + 1) + b]` is
     list k's piece holding b/B, and at most `steps` comparisons u >=
-    hi[piece] step a draw forward from it; in list 0 a draw that steps
-    once is found by a binary search over the list's pieces, so that a
-    skewed law with many edges in one bucket costs no long loop.  Both
-    find the piece a binary search over the edges finds, so u finds the cell
+    hi[piece] step a draw forward from it.  They are the comparisons a
+    binary search over the edges makes, so u finds the cell
     `searchsorted(edges, u, side="right") - 1`.  A list's last piece ends
     at inf, so u = 1 finds its last cell.
     """
@@ -427,17 +425,10 @@ class _Guide:
             # a draw that did not step has found its piece, so only the few
             # that did take the later steps
             at = np.flatnonzero(moved)
-            if k is None:
-                # list 0 ends at the piece holding 1, and its pieces before
-                # the bucket's hold no u in it: a binary search over the list
-                # finds the first hi above u, in log2(pieces) comparisons
-                # however skewed the cells and however many steps
-                piece[at] = np.searchsorted(self.hi[: self.guide[self.buckets] + 1], u[at], "right")
-            else:
-                part, u = piece[at], u[at]
-                for _ in range(self.steps - 1):
-                    part += u >= self.hi[part]
-                piece[at] = part
+            part, u = piece[at], u[at]
+            for _ in range(self.steps - 1):
+                part += u >= self.hi[part]
+            piece[at] = part
         piece = piece.reshape(np.shape(bucket))
         return piece if self.cell is None else self.cell[piece]
 

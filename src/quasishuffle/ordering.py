@@ -23,15 +23,16 @@ S_n indices are ranked once (`_word_tables`), and each row is dealt by
 one uniform: a guide over the exact word law (`_word_edges`) finds its
 word, within 2^-53 of the word's mass, and one row gather deals the
 block.  A source with a word of positive mass that no uniform would find
-takes the key route.  Histograms of up to `permutations._INDEX_WIDTH`
-labels count each row by its index in S_n
-(`permutations._index_histogram`).  The blocks draw their uniforms in
-row order, so the rows of a measure, and of a word-table source, are
-those of one whole-batch draw.  A mixture with a diffuse cell takes the
-key route: `sample_conjugate_batch` draws one component per row and looks
-the row up in that component's cells.  It draws each block's components
-before its uniforms, so beyond one block the rows differ from those of a
-whole-batch component draw, with the same law.
+takes the key route, and so does one whose guide takes more than one
+step.  Histograms of up to `permutations._INDEX_WIDTH` labels count each
+row by its index in S_n (`permutations._index_histogram`).  The blocks
+draw their uniforms in row order, so the rows of a measure, and of a
+word-table source, are those of one whole-batch draw.  A mixture with a
+diffuse cell takes the key route: `sample_conjugate_batch` draws one
+component per row and looks the row up in that component's cells.  It
+draws each block's components before its uniforms, so beyond one block
+the rows differ from those of a whole-batch component draw, with the
+same law.
 """
 
 from __future__ import annotations
@@ -246,7 +247,9 @@ def _word_tables(tables: _BatchTables, n: int) -> Optional[_Words]:
     """The word table of a source with no diffuse cell and at most
     `_WORD_LIMIT` words of n labels, else None; a one-cell source counts
     as two, so n stays below 14 and a rank fits int8.  A source with a
-    word that no draw would deal (`_word_edges`) has none either."""
+    word that no draw would deal (`_word_edges`) has none either, nor one
+    whose word guide takes more than one step past a bucket's first piece:
+    a law that skewed keeps the per-label draw."""
     if tables.cell_diffuse.any() or max(len(tables.cells), 2) ** n > _WORD_LIMIT:
         return None
     return _built_words(tables, n)
@@ -262,11 +265,15 @@ def _built_words(tables: _BatchTables, n: int) -> Optional[_Words]:
     edges = _word_edges(tables, n)
     if edges is None:
         return None
+    guide = _Guide.build([edges * 2.0**-53])
+    if guide.steps > 1:
+        return None
     cells = len(tables.cells)
-    words = np.arange(cells**n)[:, None] // cells ** np.arange(n - 1, -1, -1) % cells
+    # each code's base-C digits, most significant first, as C-contiguous rows
+    words = np.indices((cells,) * n).reshape(n, -1).T.copy()
     keys = _ordering_keys(ConjugateBatch(np.zeros(words.shape), words, tables))
     return _Words(
-        _Guide.build([edges * 2.0**-53]),
+        guide,
         _rank_keys(keys).astype(np.int8),
         _rank_keys(keys, inverse=True).astype(np.int8),
         _lex_index(keys) if n <= _INDEX_WIDTH else None,
@@ -280,8 +287,8 @@ def _word_edges(tables: _BatchTables, n: int) -> Optional[np.ndarray]:
 
     A word's mass is the product of its cells' masses, times the weight of
     the mixture component that holds all of them, and 0 when no component
-    does: an integer numerator over one common denominator, in int64 where
-    every product fits, else in Python ints.  A `Generator.random` draw u =
+    does: an integer numerator over one common denominator, in Python ints,
+    so the edges are exact at any denominator.  A `Generator.random` draw u =
     k * 2^-53 finds word w through a guide over the edges E_w * 2^-53
     exactly when E_w <= k < E_{w+1}, so each word is dealt within 2^-53 of
     its mass, and the dealt law is within total variation 2^-41 of the
@@ -292,29 +299,27 @@ def _word_edges(tables: _BatchTables, n: int) -> Optional[np.ndarray]:
     masses, cell_den = _over_common_denominator(c.mass for c in tables.cells)
     weights, weight_den = _over_common_denominator(w for w, _ in tables.lists)
     total = weight_den * cell_den**n
-    # with total < 2^31 every product below fits int64, F * r under 2^62
-    dtype = np.int64 if total < 2**31 else object
     cells = len(masses)
-    mass = np.zeros(cells**n, dtype)
+    mass = np.zeros(cells**n, object)
     first = 0
     for weight, (_, count) in zip(weights, tables.lists):
         # this component's words, by iterated outer products of its cells
         digits = np.arange(first, first + count)
-        nums = np.array(masses[first : first + count], dtype)
-        codes, prods = np.zeros(1, np.intp), np.array([weight], dtype)
+        nums = np.array(masses[first : first + count], object)
+        codes, prods = np.zeros(1, np.intp), np.array([weight], object)
         for _ in range(n):
             codes = np.add.outer(codes * cells, digits).ravel()
             prods = np.multiply.outer(prods, nums).ravel()
         mass[codes] = prods
         first += count
-    below = np.concatenate([np.zeros(1, dtype), np.cumsum(mass)])
+    below = np.concatenate([np.zeros(1, object), np.cumsum(mass)])
     # F * 2^53 = F * q * total + F * r for 2^53 = q * total + r, and
     # ceil(F * r / total) = -(-F * r // total)
     q, r = divmod(1 << 53, total)
-    edges = below * q - below * -r // total
+    edges = (below * q - below * -r // total).astype(np.int64)
     if np.count_nonzero(np.diff(edges)) < np.count_nonzero(mass):
         return None
-    return edges.astype(np.int64)
+    return edges
 
 
 def _key_blocks(source: OrderingSource, n: int, size: int, rng: np.random.Generator):

@@ -3,14 +3,15 @@
 The references build every conjugate-pair field at draw time and rank by
 argsorting each argsort, as the samplers once did.  The samplers must give
 the same arrays, bit for bit, from the same seed.  A purely atomic source
-with few enough words draws one uniform per row for its cell word, found
-among the word law's exact edges, computed here from `itertools.product`
-and Fractions.  A conjugate coupling's step is dealt as the measure's
-ordering (type two as its row inverse), so its reference is the ordering
-one; the coupling's own (u, v) draws, which mixture steps and `verify`
-rank, keep the pair reference.
+with few enough words, and a word law not too skewed, draws one uniform
+per row for its cell word, found among the word law's exact edges,
+computed here from `itertools.product` and Fractions.  A conjugate
+coupling's step is dealt as the measure's ordering (type two as its row
+inverse), so its reference is the ordering one; the coupling's own (u, v)
+draws, which mixture steps and `verify` rank, keep the pair reference.
 """
 
+from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import product
@@ -141,11 +142,31 @@ def exact_word_edges(source, n):
     return edges, np.array([1 if c.atom_side == "right" else -1 for *_, c in cells])
 
 
+def one_step(edges):
+    """Whether a guide over the edges E * 2^-53 takes at most one step past
+    a bucket's first piece: of B buckets, B the least power of two at least
+    twice the number of distinct lower edges, none holds two distinct
+    edges strictly inside it."""
+    lower = sorted(set(edges[:-1]))
+    buckets = 1 << (2 * len(lower) - 1).bit_length()
+    inside = Counter(e * buckets >> 53 for e in lower if e * buckets % 2**53)
+    return max(inside.values(), default=0) <= 1
+
+
+def word_route(source, n):
+    """`exact_word_edges` of a source whose rows are dealt by word, else
+    None: a word law whose guide takes more than one step keeps the
+    per-label draw."""
+    words = exact_word_edges(source, n)
+    return words if words is not None and one_step(words[0]) else None
+
+
 def word_cells(source, n, size, rng):
-    """The cells of `size` rows of a word source from one whole-batch
-    `rng.random(size)`: each u = k * 2^-53 finds its word among the exact
-    edges by `np.searchsorted`, and the word's base-C digits are its cells."""
-    edges, sign = exact_word_edges(source, n)
+    """The cells of `size` rows of a word source (`word_route`) from one
+    whole-batch `rng.random(size)`: each u = k * 2^-53 finds its word among
+    the exact edges by `np.searchsorted`, and the word's base-C digits are
+    its cells."""
+    edges, sign = word_route(source, n)
     k = (rng.random(size) * 2.0**53).astype(np.int64)
     word = np.searchsorted(np.array(edges), k, side="right") - 1
     return word[:, None] // len(sign) ** np.arange(n - 1, -1, -1) % len(sign)
@@ -154,12 +175,11 @@ def word_cells(source, n, size, rng):
 def double_argsort_ordering(source, n, size, rng):
     """`sample_ordering_batch` rows.
 
-    A word source (`exact_word_edges`) draws one uniform per row for its
-    word.  Else a mixture draws its rows' components one row block of
+    A word source (`word_route`) draws one uniform per row for its word.  Else a mixture draws its rows' components one row block of
     `_LOOKUP_BLOCK` draws at a time, as `sample_ordering_batch` does, and
     a measure draws the whole batch at once.
     """
-    words = exact_word_edges(source, n)
+    words = word_route(source, n)
     if words is not None:
         cell = word_cells(source, n, size, rng)
         return ranked_cells(cell, words[1][cell], np.zeros(cell.shape))

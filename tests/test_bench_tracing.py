@@ -56,3 +56,20 @@ def test_step_batch_trace_keeps_the_sampling_layer():
     names = [name for name, _, _, _ in recorder.spans]
     assert names == ["kernels.step_batch", "measure.sample_conjugate_batch"]
     assert recorder.spans[1][3] == 0  # its parent is the step_batch span
+
+
+def test_word_table_steps_record_no_sampling_layer():
+    """A purely atomic measure's steps draw one uniform per row in
+    `ordering._word_blocks`, which the trace neither counts nor times: the
+    one span is `kernels.step_batch`, and no draw is counted.  This pins
+    the gap until the tracer counts word draws."""
+    tracing = load_tracing()
+    recorder = tracing.Recorder(quasishuffle)
+    recorder.install()
+    try:
+        sampler = quasishuffle.kernels.ConjugateCoupling(quasishuffle.measure.gsr())
+        quasishuffle.kernels.step_batch(8, sampler, 100, np.random.default_rng(1))
+    finally:
+        recorder.uninstall()
+    assert recorder.counts.get("measure.draws", 0) == 0
+    assert [name for name, _, _, _ in recorder.spans] == ["kernels.step_batch"]

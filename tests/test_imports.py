@@ -142,7 +142,7 @@ def test_the_scan_finds_an_unreferenced_helper():
 
 # -- one lookup, one ordering path -----------------------------------------
 
-SEARCHES = {"measure.py": {"_Guide.build", "_Guide.lookup"}, "stats.py": {"ks_measure_marginal"}}
+SEARCHES = {"measure.py": {"_Guide.build"}, "stats.py": {"ks_measure_marginal"}}
 
 
 def callers(source: str, name: str) -> set[str]:
@@ -173,9 +173,8 @@ def test_the_scan_finds_searchsorted_callers():
 
 @pytest.mark.parametrize("path", LIBRARY, ids=[p.relative_to(ROOT).as_posix() for p in LIBRARY])
 def test_draws_search_only_through_the_guide(path):
-    """Draws find their pieces through `measure._Guide`; only the guide
-    (its builder, and its lookup for draws past a bucket's first edge) and
-    the KS test's CDF breakpoints call a binary search."""
+    """Draws find their pieces through `measure._Guide`; only its builder
+    and the KS test's CDF breakpoints call a binary search."""
     assert callers(path.read_text(), "searchsorted") <= SEARCHES.get(path.name, set())
 
 

@@ -34,7 +34,7 @@ from quasishuffle.oracle import exact_ordering_distribution
 from quasishuffle.stats import chi_square_goodness, empirical_tv
 
 from conftest import cell_sides, eager_pairs, make_rng, measure_params, measure_strategy
-from test_batch_reference import exact_word_edges, word_cells
+from test_batch_reference import word_cells, word_route
 
 IDENTITY = QuasiUniformMeasure((GapInterval(F(0), F(1), RIGHT),))
 REVERSAL = QuasiUniformMeasure((GapInterval(F(0), F(1), LEFT),))
@@ -96,7 +96,7 @@ def _assert_ranks_follow_comparator(measure, labels, rows, seed):
     """With equal seeds, the batch ranks order every pair of labels as
     `compare` orders their conjugate pairs."""
     ranks = sample_ordering_batch(measure, labels, rows, make_rng(seed))
-    if exact_word_edges(measure, len(labels)) is None:
+    if word_route(measure, len(labels)) is None:
         batch = sample_conjugate_batch(measure, (rows, len(labels)), make_rng(seed))
     else:
         # one uniform per row draws the row's cell word

@@ -26,6 +26,7 @@ from quasishuffle.measure import (
     MeasureMixture,
     QuasiUniformMeasure,
     _batch_tables,
+    _Guide,
     a_shuffle,
     gsr,
     mixed_fixture,
@@ -60,6 +61,8 @@ from test_batch_reference import (
     eager_ordering,
     exact_word_edges,
     identical,
+    one_step,
+    word_route,
 )
 from test_permutations import GRID
 
@@ -116,11 +119,16 @@ def test_word_rows_are_the_rank_keys_of_their_words(name, n):
             assert ranks[code].tolist() == compared_ranking(tables, cells[code].tolist())
 
 
-# unequal masses on a non-dyadic grid, so the edges are true ceilings; and
-# denominators of about 10^7 per label, so the word masses take Python ints
+# unequal masses on a non-dyadic grid, so the edges are true ceilings: a
+# left atom of 4/9, whose word guides take one step up to 8 labels, and one
+# of 1/3, whose guides take more from 4 labels on; and denominators of
+# about 10^7 per label, so the exact sums pass 2^63
 EDGE_SOURCES = {
     **ATOMIC,
     "left-atom": QuasiUniformMeasure((GapInterval(0, F(1, 3), LEFT), GapInterval(F(1, 3), 1, RIGHT))),
+    "near-half-left-atom": QuasiUniformMeasure(
+        (GapInterval(0, F(4, 9), LEFT), GapInterval(F(4, 9), 1, RIGHT))
+    ),
     "wide-denominator": QuasiUniformMeasure(
         (
             GapInterval(0, F(1, 10**6 + 3), RIGHT),
@@ -143,11 +151,13 @@ def word_pairs(sources, sizes):
 
 @pytest.mark.parametrize(("name", "n"), word_pairs(EDGE_SOURCES, range(1, 9)))
 def test_word_guide_edges_are_the_exact_ceilings(name, n):
-    """The word guide's edges are ceil(F_w * 2^53) * 2^-53 of the exact
-    word law, F_w summed in Fractions over `itertools.product`; u = E_w *
-    2^-53 finds word w, and one grid step below it the word of positive
-    mass before w, which is w - 1 in a measure.  Where a word of positive
-    mass owns no grid point, there is no word table."""
+    """The word edges are ceil(F_w * 2^53) of the exact word law, F_w
+    summed in Fractions over `itertools.product`; in a guide over E_w *
+    2^-53, u = E_w * 2^-53 finds word w, and one grid step below it the
+    word of positive mass before w, which is w - 1 in a measure.  Where a
+    word of positive mass owns no grid point there is no word table, nor
+    where the guide takes more than one step, and else the table holds
+    that guide."""
     source = EDGE_SOURCES[name]
     tables = _batch_tables(source)
     want = exact_word_edges(source, n)
@@ -156,7 +166,12 @@ def test_word_guide_edges_are_the_exact_ceilings(name, n):
         return
     edges = want[0]
     assert _word_edges(tables, n).tolist() == edges
-    guide = _word_tables(tables, n).guide
+    guide = _Guide.build([np.array(edges) * 2.0**-53])
+    words = _word_tables(tables, n)
+    assert (words is not None) == one_step(edges) == (guide.steps <= 1)
+    if words is not None:
+        assert np.array_equal(words.guide.hi, guide.hi)
+        assert np.array_equal(words.guide.guide, guide.guide)
     # one piece per distinct lower edge, each ending at the next one
     lower = sorted(set(edges[:-1]))
     assert guide.hi.tolist() == [e * 2.0**-53 for e in lower[1:]] + [np.inf]
@@ -182,7 +197,7 @@ def test_word_draws_keep_the_exact_law(name, n):
     law, by chi-square at alpha = 0.01, on fixed seeds."""
     source, size, labels = EDGE_SOURCES[name], 40_000, range(1, n + 1)
     if _word_tables(_batch_tables(source), n) is None:
-        assert exact_word_edges(source, n) is None
+        assert word_route(source, n) is None
         return
     law = exact_ordering_distribution(source, n).probs
     rows = sample_ordering_batch(source, labels, size, make_rng(10 + n))
@@ -196,20 +211,26 @@ def test_word_draws_keep_the_exact_law(name, n):
     assert chi_square_goodness(row_histogram([steps]), two, alpha=0.01).passed
 
 
-def test_a_word_without_a_grid_point_takes_the_key_route():
-    """Masses 17/18 then 1/18: the last word of 13 labels has mass 18^-13,
+@pytest.mark.parametrize("n", (12, 13))
+def test_a_skewed_word_law_takes_the_key_route(n):
+    """Masses 17/18 then 1/18.  At 13 labels the last word has mass 18^-13,
     below 2^-53, at the top of the law, where ceil(F_w * 2^53) = 2^53 =
-    E_{w+1}.  It owns no grid point, so the source has no word table at 13
-    labels, and its rows are the per-card key route's; at 12 it has one."""
+    E_{w+1}: it owns no grid point.  At 12 every word owns one, but the
+    guide over the edges takes 511 steps.  Either way the source has no
+    word table, and its rows are the per-card key route's."""
     source = QuasiUniformMeasure(
         (GapInterval(0, F(17, 18), RIGHT), GapInterval(F(17, 18), 1, LEFT))
     )
     tables = _batch_tables(source)
-    assert _word_edges(tables, 13) is None and _word_tables(tables, 13) is None
-    assert exact_word_edges(source, 13) is None
-    assert _word_tables(tables, 12) is not None
-    got = sample_ordering_batch(source, range(1, 14), 2000, make_rng(4))
-    assert identical(got, eager_ordering(source, 13, 2000, make_rng(4)))
+    edges = _word_edges(tables, n)
+    if n == 13:
+        assert edges is None and exact_word_edges(source, n) is None
+    else:
+        assert _Guide.build([edges * 2.0**-53]).steps == 511
+        assert not one_step(exact_word_edges(source, n)[0])
+    assert _word_tables(tables, n) is None
+    got = sample_ordering_batch(source, range(1, n + 1), 2000, make_rng(4))
+    assert identical(got, eager_ordering(source, n, 2000, make_rng(4)))
 
 
 def test_each_word_row_takes_one_uniform():
@@ -294,7 +315,9 @@ def test_keys_of_many_cells_are_laid_out_per_cell():
 def test_caches_hold_at_most_4_mib():
     """Each cache filled to its limit with its largest tables: words of
     `_WORD_LIMIT` codes of 13 labels, each of positive mass, so the guide
-    has one float64 edge and two intp buckets per word; and flat key tables
+    has one float64 edge and two intp buckets per word, and of masses
+    near 1/2, so the guide takes one step and the table is built; and flat
+    key tables
     of one block of entries with a diffuse cell, so int64."""
     held = []
     try:
@@ -302,10 +325,9 @@ def test_caches_hold_at_most_4_mib():
             cache.cache_clear()
         for i in range(_WORD_CACHE + 2):
             # two cells each: 2^13 words of 13 labels, the least of mass
-            # 12^-13 > 2^-53, so every word owns grid points
-            two = QuasiUniformMeasure(
-                (GapInterval(0, F(1, i + 3), RIGHT), GapInterval(F(1, i + 3), 1, LEFT))
-            )
+            # about 0.47^13 > 2^-53, so every word owns grid points
+            p = F(1, 2) - F(1, 40 + i)
+            two = QuasiUniformMeasure((GapInterval(0, p, RIGHT), GapInterval(p, 1, LEFT)))
             words = _word_tables(_batch_tables(two), 13)
             assert len(words.ranks) == len(words.guide.hi) == _WORD_LIMIT
             guide = words.guide
