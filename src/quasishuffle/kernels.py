@@ -17,16 +17,16 @@ lookup that finds a measure's cells (`measure._Guide`).
 
 Steps are dealt in row blocks of about 2^14 draws (`measure._row_blocks`),
 each written straight into one preallocated output, so no temporary grows
-with the batch; `empirical_step_counts` counts the blocks one by one, by
-their index in S_n up to `permutations._INDEX_WIDTH` cards, and
-`empirical_mixing_curve` composes its one state array (int8 below 128
-cards) in place, block by block, straight from a purely atomic measure's
-word table (`ordering._word_tables`) where it has one, with one uniform
-per walk and step, and counts its TV by S_n index up to `_INDEX_WIDTH`
-cards.  Blocks draw their uniforms in row order, so conjugate steps are
-those of one whole-batch draw; a coupling that draws (u, v) pairs draws
-them block by block, which keeps its law but not its rows at a fixed seed
-once a batch spans more than one block.
+with the batch; a conjugate coupling's blocks are those of
+`ordering._deal`, which chooses between a word table and the keys.
+`empirical_step_counts` counts the blocks one by one, by their index in S_n
+up to `permutations._INDEX_WIDTH` cards, and `empirical_mixing_curve`
+composes its one state array (int8 below 128 cards) in place with each
+block of steps, and counts its TV by S_n index up to `_INDEX_WIDTH` cards.
+Blocks draw their uniforms in row order, so conjugate steps are those of
+one whole-batch draw; a coupling that draws (u, v) pairs draws them block
+by block, which keeps its law but not its rows at a fixed seed once a batch
+spans more than one block.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .errors import (
 from .measure import (
     QuasiUniformMeasure,
     RationalLike,
-    _batch_tables,
     _checked_weights,
     _Guide,
     _json_list,
@@ -388,11 +387,11 @@ def _step_blocks(
     given, else a block-sized array of its own.
     """
     if isinstance(sampler, (ConjugateCoupling, InverseConjugateCoupling)):
-        from .ordering import _key_ranks
+        from .ordering import _deal
 
         # type one is the measure's ordering, type two its row inverse
-        inverse = isinstance(sampler, InverseConjugateCoupling)
-        yield from _key_ranks(sampler.measure, n, size, rng, out, inverse)
+        form = "inverse" if isinstance(sampler, InverseConjugateCoupling) else "ranks"
+        yield from _deal(sampler.measure, n, size, rng, form, out)
         return
     for start, stop, rows in _pair_step_blocks(n, sampler, size, rng):
         if out is not None:
@@ -443,11 +442,12 @@ def empirical_step_counts(
     if n > _INDEX_WIDTH:
         return row_histogram(rows for _, _, rows in _step_blocks(n, sampler, size, rng))
     if isinstance(sampler, (ConjugateCoupling, InverseConjugateCoupling)):
-        from .ordering import _key_indices
+        from .ordering import _deal
 
         # type one is the measure's ordering, type two its row inverse
         inverse = isinstance(sampler, InverseConjugateCoupling)
-        return _index_histogram(_key_indices(sampler.measure, n, size, rng), n, inverse)
+        indices = (index for _, _, index in _deal(sampler.measure, n, size, rng, "index"))
+        return _index_histogram(indices, n, inverse)
     blocks = _pair_step_blocks(n, sampler, size, rng)
     return _index_histogram((_lex_index(rows) for _, _, rows in blocks), n)
 
@@ -514,28 +514,14 @@ def empirical_mixing_curve(
         l1 = float(np.abs(emp - uniform_mass).sum()) + (n_perms - len(counts)) * uniform_mass
         return l1 / 2.0
 
-    words = None
-    if isinstance(sampler, (ConjugateCoupling, InverseConjugateCoupling)):
-        from .ordering import _word_blocks, _word_tables
-
-        words = _word_tables(_batch_tables(sampler.measure), n)
-        inverse = isinstance(sampler, InverseConjugateCoupling)
-        if words is not None:
-            table = (words.inverse if inverse else words.ranks).reshape(-1)
     curve = [tv_now()]
     for _ in range(steps):
         # compose each block of the state with its block of steps, in place:
-        # row r of sigma . state reads sigma's flat entry r * n + state - 1,
-        # or, from a word table, the flat entry code_r * n + state - 1
-        if words is not None:
-            for start, stop, code in _word_blocks(words, n, trials, rng):
-                block = state[start:stop]
-                block[...] = np.take(table, (code * n - 1)[:, None] + block)
-        else:
-            for start, stop, sigma in _step_blocks(n, sampler, trials, rng):
-                block = state[start:stop]
-                at = np.arange(-1, (stop - start) * n - 1, n)[:, None] + block
-                block[...] = sigma.reshape(-1)[at]
+        # row r of sigma . state reads sigma's flat entry r * n + state - 1
+        for start, stop, sigma in _step_blocks(n, sampler, trials, rng):
+            block = state[start:stop]
+            at = np.arange(-1, (stop - start) * n - 1, n)[:, None] + block
+            block[...] = sigma.reshape(-1)[at]
         curve.append(tv_now())
     return curve
 

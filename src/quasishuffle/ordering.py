@@ -9,30 +9,32 @@ window recovers its pair: lower-window ranks converge to x, upper-window
 ranks to y.
 
 Orderings are dealt in row blocks of about 2^14 draws
-(`measure._row_blocks`), each ranked straight into one preallocated
-output, or counted one by one (`ordering_counts`).  Each draw has one
-exact integer key (`_ordering_keys`): its cell's position (its rank
-without a diffuse cell, int32 where the key fits; else its uniform's 53
-bits in a diffuse cell and its lower edge at an atom, int64) and the
-label below it, so the keys of a row are pairwise distinct.
+(`measure._row_blocks`) by one loop, `_deal`, which chooses a source's
+route once and yields each block's rankings, row inverses or S_n indices:
+into one preallocated output for `sample_ordering_batch`, counted one by
+one for `ordering_counts`, and as every conjugate step of `kernels`.  On
+the key route each draw has one exact integer key (`_ordering_keys`): its
+cell's position (its rank without a diffuse cell, int32 where the key fits;
+else its uniform's 53 bits in a diffuse cell and its lower edge at an atom,
+int64) and the label below it, so the keys of a row are pairwise distinct.
 `_rank_keys` ranks them: rows of up to `_KEY_COUNT_WIDTH` labels count
 their pairwise key comparisons, wider ones sort the keys and read the
-labels off the low bits.  A purely atomic source's row is a function of
-its cell word, so up to `_WORD_LIMIT` words its rows, row inverses and
-S_n indices are ranked once (`_word_tables`), and each row is dealt by
-one uniform: a guide over the exact word law (`_word_edges`) finds its
-word, within 2^-53 of the word's mass, and one row gather deals the
-block.  A source with a word of positive mass that no uniform would find
-takes the key route, and so does one whose guide takes more than one
-step.  Histograms of up to `permutations._INDEX_WIDTH` labels count each
-row by its index in S_n (`permutations._index_histogram`).  The blocks
-draw their uniforms in row order, so the rows of a measure, and of a
-word-table source, are those of one whole-batch draw.  A mixture with a
-diffuse cell takes the key route: `sample_conjugate_batch` draws one
-component per row and looks the row up in that component's cells.  It
-draws each block's components before its uniforms, so beyond one block
-the rows differ from those of a whole-batch component draw, with the
-same law.
+labels off the low bits.  A purely atomic source's row is a function of its
+cell word, so up to `_WORD_LIMIT` words its rows, row inverses and S_n
+indices are ranked once (`_word_tables`), and each row is dealt by one
+uniform: a guide over the exact word law (`_word_edges`) finds its word,
+within 2^-53 of the word's mass, and one row gather deals the block, as the
+table's own int8 rows where no output is given.  A source with a word of
+positive mass that no uniform would find takes the key route, and so does
+one whose guide takes more than one step.  Histograms of up to
+`permutations._INDEX_WIDTH` labels count each row by its index in S_n
+(`permutations._index_histogram`).  The blocks draw their uniforms in row
+order, so the rows of a measure, and of a word-table source, are those of
+one whole-batch draw.  A mixture with a diffuse cell takes the key route:
+`sample_conjugate_batch` draws one component per row and looks the row up
+in that component's cells.  It draws each block's components before its
+uniforms, so beyond one block the rows differ from those of a whole-batch
+component draw, with the same law.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def sample_ordering_batch(
     if size < 0:
         raise ValueError(f"size = {size} is negative")
     out = np.empty((size, len(labels)), dtype=np.int64)
-    for _ in _key_ranks(source, len(labels), size, rng, out):
+    for _ in _deal(source, len(labels), size, rng, out=out):
         pass  # each block is written into out
     return out
 
@@ -322,68 +324,43 @@ def _word_edges(tables: _BatchTables, n: int) -> Optional[np.ndarray]:
     return edges
 
 
-def _key_blocks(source: OrderingSource, n: int, size: int, rng: np.random.Generator):
-    """The conjugate draws of `size` rows of n labels, one row block at a
-    time: yields (start, stop, batch) for each block of `_row_blocks`.
-    This is the key route, of every source without word tables."""
-    for start, stop in _row_blocks(size, n):
-        yield start, stop, sample_conjugate_batch(source, (stop - start, n), rng)
-
-
-def _word_blocks(words: _Words, n: int, size: int, rng: np.random.Generator):
-    """The word codes of `size` rows of n labels, one row block at a time,
-    each row's from one uniform: yields (start, stop, code) for each block
-    of `_row_blocks`.  The blocks draw in row order, so the codes are those
-    of one whole-batch `rng.random(size)`."""
-    for start, stop in _row_blocks(size, n):
-        yield start, stop, words.guide.lookup(rng.random(stop - start))
-
-
-def _key_ranks(
+def _deal(
     source: OrderingSource,
     n: int,
     size: int,
     rng: np.random.Generator,
+    form: str = "ranks",
     out: Optional[np.ndarray] = None,
-    inverse: bool = False,
 ):
-    """Ranks of the ordering keys of n labels, in row blocks: yields
-    (start, stop, rows) for each block of `_row_blocks`, where rows holds
-    the rankings start..stop-1, or with `inverse` their row inverses, as
-    `out[start:stop]` when `out` is given, else as an int64 array of its
-    own.  A source with word tables deals its rows from them.
+    """The rows of `size` orderings of n labels, one row block at a time:
+    yields (start, stop, rows) for each block of `_row_blocks`, rows being
+    `out[start:stop]` when `out` is given.  `form` names the rows, as the
+    `_Words` field that holds them: "ranks", the rankings; "inverse", their
+    row inverses; "index", their S_n indices, for n <= `_INDEX_WIDTH`.
+
+    Only here is a source's route chosen.  A source with word tables
+    (`_word_tables`) deals each row from one uniform, as the table's own
+    int8 rows without `out`; its blocks draw in row order, so its rows are
+    those of one whole-batch `rng.random(size)`.  Every other source ranks
+    the keys of its conjugate draws.
     """
     import numpy as np
 
     words = _word_tables(_batch_tables(source), n)
-    if words is None:
-        blocks = _key_blocks(source, n, size, rng)
-    else:
-        blocks = _word_blocks(words, n, size, rng)
-        table = words.inverse if inverse else words.ranks
-    for start, stop, drawn in blocks:
-        rows = np.empty((stop - start, n), dtype=np.int64) if out is None else out[start:stop]
-        if words is None:
-            _rank_keys(_ordering_keys(drawn), rows, inverse)
-        else:
+    for start, stop in _row_blocks(size, n):
+        rows = None if out is None else out[start:stop]
+        if words is not None:
+            code = words.guide.lookup(rng.random(stop - start))
             # a row gather by `np.take` is several times faster than indexing
-            rows[...] = np.take(table, drawn, axis=0)
+            dealt = np.take(getattr(words, form), code, axis=0)
+            if rows is None:
+                rows = dealt
+            else:
+                rows[...] = dealt
+        else:
+            keys = _ordering_keys(sample_conjugate_batch(source, (stop - start, n), rng))
+            rows = _lex_index(keys) if form == "index" else _rank_keys(keys, rows, form == "inverse")
         yield start, stop, rows
-
-
-def _key_indices(source: OrderingSource, n: int, size: int, rng: np.random.Generator):
-    """The S_n index (`_lex_index`) of each of `size` rankings of n labels,
-    one array per row block: read off the word table where the source has
-    one, else counted from the keys."""
-    import numpy as np
-
-    words = _word_tables(_batch_tables(source), n)
-    if words is None:
-        for _, _, batch in _key_blocks(source, n, size, rng):
-            yield _lex_index(_ordering_keys(batch))
-    else:
-        for _, _, code in _word_blocks(words, n, size, rng):
-            yield np.take(words.index, code)
 
 
 def _rank_keys(
@@ -447,8 +424,8 @@ def ordering_counts(
     if size < 0:
         raise ValueError(f"size = {size} is negative")
     if n <= _INDEX_WIDTH:
-        return _index_histogram(_key_indices(source, n, size, rng), n)
-    return row_histogram(rows for _, _, rows in _key_ranks(source, n, size, rng))
+        return _index_histogram((index for _, _, index in _deal(source, n, size, rng, "index")), n)
+    return row_histogram(rows for _, _, rows in _deal(source, n, size, rng))
 
 
 @dataclass(frozen=True)

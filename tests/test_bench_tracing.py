@@ -60,7 +60,7 @@ def test_step_batch_trace_keeps_the_sampling_layer():
 
 def test_word_table_steps_record_no_sampling_layer():
     """A purely atomic measure's steps draw one uniform per row in
-    `ordering._word_blocks`, which the trace neither counts nor times: the
+    `ordering._deal`, which the trace neither counts nor times: the
     one span is `kernels.step_batch`, and no draw is counted.  This pins
     the gap until the tracer counts word draws."""
     tracing = load_tracing()

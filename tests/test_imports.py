@@ -185,6 +185,19 @@ def test_one_class_loop_runs_the_transfer_kernel():
     assert found == {"_class_values"}
 
 
+def test_one_dealing_loop_chooses_the_row_route():
+    """Every conjugate row is dealt by `ordering._deal`, the only caller of
+    `_word_tables`; `kernels` imports `_deal` alone from `ordering`, and no
+    word table or batch table of its own."""
+    found = set().union(*(callers(p.read_text(), "_word_tables") for p in LIBRARY))
+    assert found == {"_deal"}
+    tree = ast.parse((ROOT / "src" / "quasishuffle" / "kernels.py").read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert {a.name for n in imports if n.module == "ordering" for a in n.names} == {"_deal"}
+    names = {a.name for n in imports for a in n.names}
+    assert not {n for n in names if n.startswith("_word_") or n == "_batch_tables"}
+
+
 def test_ordering_has_one_path_for_measures_and_mixtures():
     """`ordering` deals a mixture's rows as a measure's: it imports no
     per-component draw or cell table and branches on no `MeasureMixture`."""

@@ -84,12 +84,16 @@ def test_walk_spans_blocks(kind, n, steps):
     assert np.array_equal(np.array(states), want)
 
 
+# the curve needs 1/n! as a float, so its rows stay narrow; gsr at 13 cards
+# composes the word table's own int8 rows
+CURVES = {**{name: (m, SHAPES[0][0]) for name, m in MEASURES.items()}, "gsr-n13": (gsr(), 13)}
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
-@pytest.mark.parametrize("name", sorted(MEASURES))
+@pytest.mark.parametrize("name", sorted(CURVES))
 def test_mixing_curve_spans_blocks(name, kind):
-    # the curve needs 1/n! as a float, so its rows stay narrow
-    n, steps, trials = SHAPES[0][0], 3, SHAPES[0][1]
-    sampler = KINDS[kind](MEASURES[name])
+    (measure, n), steps, trials = CURVES[name], 3, SHAPES[0][1]
+    sampler = KINDS[kind](measure)
     curve = empirical_mixing_curve(n, sampler, steps, trials, make_rng(n + 3))
     rng = make_rng(n + 3)
     state = np.tile(np.arange(1, n + 1, dtype=np.int64), (trials, 1))
