@@ -86,10 +86,11 @@ def _rows_and_histogram(rows: np.ndarray) -> tuple[list[str], dict[str, int]]:
     """
     import numpy as np
 
-    from .permutations import count_rows
+    from .permutations import count_perms, perm_rows
 
     size, n = rows.shape
-    keys, counts = count_rows([rows])
+    keys, counts = count_perms([rows], n)
+    keys = perm_rows(keys, n)
     if n <= 9:
         text = np.full((size + len(keys), n + 1), ord("\n"), dtype=np.uint8)
         text[:size, :n] = rows

@@ -19,10 +19,11 @@ Steps are dealt in row blocks of about 2^14 draws (`measure._row_blocks`),
 each written straight into one preallocated output, so no temporary grows
 with the batch; a conjugate coupling's blocks are those of
 `ordering._deal`, which chooses between a word table and the keys.
-`empirical_step_counts` counts the blocks one by one, by their index in S_n
-up to `permutations._INDEX_WIDTH` cards, and `empirical_mixing_curve`
-composes its one state array (int8 below 128 cards) in place with each
-block of steps, and counts its TV by S_n index up to `_INDEX_WIDTH` cards.
+`empirical_step_counts` counts the blocks one by one, and
+`empirical_mixing_curve` composes its one state array (int8 below 128
+cards) in place with each block of steps; both count through
+`permutations.count_perms`, by S_n index up to `_CODE_WIDTH` cards, and a
+conjugate step is counted by its ordering's S_n index as `_deal` deals it.
 Blocks draw their uniforms in row order, so conjugate steps are those of
 one whole-batch draw; a coupling that draws (u, v) pairs draws them block
 by block, which keeps its law but not its rows at a fixed seed once a batch
@@ -60,16 +61,14 @@ from .measure import (
     sample_conjugate_batch,
 )
 from .permutations import (
-    _INDEX_WIDTH,
+    _CODE_WIDTH,
     Perm,
-    _encoded_counts,
-    _index_histogram,
-    _lex_index,
     _row_ranks,
     compose,
+    count_perms,
     identity,
     is_permutation,
-    row_histogram,
+    perm_histogram,
 )
 
 # the array functions import numpy (and `ordering`, which deals conjugate
@@ -433,23 +432,20 @@ def empirical_step_counts(
     rng: np.random.Generator,
 ) -> dict[Perm, int]:
     """Histogram of `size` sampled steps, counted block by block from the
-    rows `step_batch` deals, with no whole-batch array: by their index in
-    S_n up to `_INDEX_WIDTH` cards, as rows beyond."""
+    rows `step_batch` deals, with no whole-batch array.  Up to `_CODE_WIDTH`
+    cards a conjugate step is counted by the S_n index of the measure's
+    ordering that `_deal` deals, and type two, the row inverse of that
+    ordering, by inverting the histogram."""
     if n < 1:
         raise ValueError("need at least one card")
     if size < 0:
         raise ValueError(f"size = {size} is negative")
-    if n > _INDEX_WIDTH:
-        return row_histogram(rows for _, _, rows in _step_blocks(n, sampler, size, rng))
-    if isinstance(sampler, (ConjugateCoupling, InverseConjugateCoupling)):
+    if n <= _CODE_WIDTH and isinstance(sampler, (ConjugateCoupling, InverseConjugateCoupling)):
         from .ordering import _deal
 
-        # type one is the measure's ordering, type two its row inverse
-        inverse = isinstance(sampler, InverseConjugateCoupling)
         indices = (index for _, _, index in _deal(sampler.measure, n, size, rng, "index"))
-        return _index_histogram(indices, n, inverse)
-    blocks = _pair_step_blocks(n, sampler, size, rng)
-    return _index_histogram((_lex_index(rows) for _, _, rows in blocks), n)
+        return perm_histogram(indices, n, isinstance(sampler, InverseConjugateCoupling))
+    return perm_histogram((rows for _, _, rows in _step_blocks(n, sampler, size, rng)), n)
 
 
 def walk(
@@ -500,12 +496,7 @@ def empirical_mixing_curve(
     state = np.tile(np.arange(1, n + 1, dtype=np.int8 if n < 128 else np.int64), (trials, 1))
 
     def tv_now() -> float:
-        if n <= _INDEX_WIDTH:
-            # the bins hit, in lexicographic order, as `_encoded_counts` has them
-            counts = np.bincount(_lex_index(state), minlength=n_perms)
-            counts = counts[counts > 0]
-        else:
-            _, counts, _ = _encoded_counts(state)  # counts only: no decoding
+        _, counts = count_perms([state], n)  # counts only: no decoding
         if beyond_floats:
             # every seen row is over-represented: TV = 1 - distinct / n!
             return 1.0 - len(counts) / n_perms

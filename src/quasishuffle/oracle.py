@@ -58,6 +58,8 @@ from .measure import (
 )
 from .permutations import (
     Perm,
+    _lex_index,
+    _lex_rows,
     all_permutations,
     compose,
     identity,
@@ -65,7 +67,6 @@ from .permutations import (
     is_permutation,
     perm_from_str,
     perm_to_str,
-    row_histogram,
 )
 
 # the array functions import numpy when they run, so that the exact routes
@@ -459,8 +460,9 @@ def exact_coupling_step_distribution(
     Enumerates the gap hit by each card and the uniform rank vector of the
     initial coordinates; final ranks follow from gap order and atom side.
     The n! rank vectors of a block of gap assignments are ranked as one
-    integer array, and each gap multiset's exact weight is applied once to
-    the histogram of its assignments' steps.
+    integer array.  Each step is coded by its gap multiset and its S_n
+    index, and each multiset's exact weight is applied once to the counts
+    of its codes.
     """
     import numpy as np
 
@@ -481,8 +483,8 @@ def exact_coupling_step_distribution(
     span = 2 * n + 1
     sign = np.array([1 if g.atom_side == RIGHT else -1 for g in gaps], dtype=np.int64)
     assigns = np.indices((k,) * n).reshape(n, k**n).T
-    # the assignments of one gap multiset share one exact weight: tag each
-    # step with its multiset, and weigh each multiset's histogram once
+    # the assignments of one gap multiset share one exact weight: code each
+    # step as multiset * n! + its S_n index, and weigh each code's count once
     # (a multiset's code in base k orders the multisets as their rows do)
     sorted_assigns = np.sort(assigns, axis=1)
     _, first, group = np.unique(
@@ -490,21 +492,17 @@ def exact_coupling_step_distribution(
     )
     multisets = sorted_assigns[first]
     weights = [prod(mass_num[g] for g in gs) for gs in multisets.tolist()]
-    blocks = (
-        np.column_stack(
-            [
-                np.repeat(group[start:stop], len(u_ranks)),
-                _coupling_steps(assigns[start:stop], u_ranks, sign, span, kind),
-            ]
-        )
-        for start, stop in _row_blocks(len(assigns), u_ranks.size or 1)
-    )
-    counts: dict[Perm, int] = {}
-    for (g, *perm), count in row_histogram(blocks).items():
-        key = tuple(perm)
-        counts[key] = counts.get(key, 0) + weights[g] * count
-    total = den**n * factorial(n)
-    return PermutationDistribution(n, {p: Fraction(c, total) for p, c in counts.items()})
+    n_perms = len(u_ranks)
+    blocks = _row_blocks(len(assigns), u_ranks.size or 1)
+    steps = [_lex_index(_coupling_steps(assigns[a:b], u_ranks, sign, span, kind)) for a, b in blocks]
+    codes = np.repeat(group, n_perms) * n_perms + np.concatenate(steps)
+    counts: dict[int, int] = {}
+    for code, count in zip(*(a.tolist() for a in np.unique(codes, return_counts=True))):
+        g, index = divmod(code, n_perms)
+        counts[index] = counts.get(index, 0) + weights[g] * count
+    perms = map(tuple, _lex_rows(np.array(list(counts)), n).tolist())
+    total = den**n * n_perms
+    return PermutationDistribution(n, {p: Fraction(c, total) for p, c in zip(perms, counts.values())})
 
 
 def _coupling_steps(assigns, u_ranks, sign, span: int, kind: str) -> np.ndarray:

@@ -27,14 +27,15 @@ within 2^-53 of the word's mass, and one row gather deals the block, as the
 table's own int8 rows where no output is given.  A source with a word of
 positive mass that no uniform would find takes the key route, and so does
 one whose guide takes more than one step.  Histograms of up to
-`permutations._INDEX_WIDTH` labels count each row by its index in S_n
-(`permutations._index_histogram`).  The blocks draw their uniforms in row
-order, so the rows of a measure, and of a word-table source, are those of
-one whole-batch draw.  A mixture with a diffuse cell takes the key route:
-`sample_conjugate_batch` draws one component per row and looks the row up
-in that component's cells.  It draws each block's components before its
-uniforms, so beyond one block the rows differ from those of a whole-batch
-component draw, with the same law.
+`permutations._CODE_WIDTH` labels count each row by its index in S_n
+(`permutations.count_perms`), read off the word table or the keys' Lehmer
+code.  The blocks draw their uniforms in row order, so the rows of a
+measure, and of a word-table source, are those of one whole-batch draw.  A
+mixture with a diffuse cell takes the key route: `sample_conjugate_batch`
+draws one component per row and looks the row up in that component's
+cells.  It draws each block's components before its uniforms, so beyond
+one block the rows differ from those of a whole-batch component draw,
+with the same law.
 """
 
 from __future__ import annotations
@@ -58,14 +59,7 @@ from .measure import (
     _row_blocks,
     sample_conjugate_batch,
 )
-from .permutations import (
-    _INDEX_WIDTH,
-    Perm,
-    _counted_ranks,
-    _index_histogram,
-    _lex_index,
-    row_histogram,
-)
+from .permutations import _CODE_WIDTH, Perm, _counted_ranks, _lex_index, perm_histogram
 
 # the array functions import numpy when they run, so that `kernels`, which
 # imports this module, loads without it
@@ -80,8 +74,9 @@ _LABEL_BITS = 9
 _WORD_LIMIT = 1 << 13
 # The `_key_table` cache holds this many tables, at most 16 x 256 KiB flat
 # key tables; the word table cache (`_built_words`) holds fewer, larger
-# ones: at most 8 x 400 KiB, 2^13 words of 13 labels, each with two int8
-# rows, one float64 guide edge and two intp guide buckets.
+# ones: at most 8 x 464 KiB, 2^13 words of 13 labels, each with two int8
+# rows, one int64 S_n index, one float64 guide edge and two intp guide
+# buckets.
 _TABLE_CACHE = 16
 _WORD_CACHE = 8
 # `_rank_keys` counts comparisons in rows up to this width, and in row
@@ -242,7 +237,7 @@ class _Words:
     guide: _Guide  # over the word law, in code order (`_word_edges`)
     ranks: np.ndarray  # (C^n, n) int8: each word's ranking
     inverse: np.ndarray  # (C^n, n) int8: each ranking's row inverse
-    index: Optional[np.ndarray]  # each ranking's index in S_n, n <= _INDEX_WIDTH
+    index: np.ndarray  # (C^n,) int64: each ranking's index in S_n
 
 
 def _word_tables(tables: _BatchTables, n: int) -> Optional[_Words]:
@@ -278,7 +273,7 @@ def _built_words(tables: _BatchTables, n: int) -> Optional[_Words]:
         guide,
         _rank_keys(keys).astype(np.int8),
         _rank_keys(keys, inverse=True).astype(np.int8),
-        _lex_index(keys) if n <= _INDEX_WIDTH else None,
+        _lex_index(keys),
     )
 
 
@@ -336,7 +331,7 @@ def _deal(
     yields (start, stop, rows) for each block of `_row_blocks`, rows being
     `out[start:stop]` when `out` is given.  `form` names the rows, as the
     `_Words` field that holds them: "ranks", the rankings; "inverse", their
-    row inverses; "index", their S_n indices, for n <= `_INDEX_WIDTH`.
+    row inverses; "index", their S_n indices, for n <= `_CODE_WIDTH`.
 
     Only here is a source's route chosen.  A source with word tables
     (`_word_tables`) deals each row from one uniform, as the table's own
@@ -418,14 +413,13 @@ def ordering_counts(
 ) -> dict[Perm, int]:
     """Histogram of `size` sampled rankings, counted block by block from the
     rows `sample_ordering_batch` deals, with no whole-batch array: by their
-    index in S_n up to `_INDEX_WIDTH` labels, as rows beyond."""
+    index in S_n up to `_CODE_WIDTH` labels, as rows beyond."""
     labels = check_labels(labels)
     n = len(labels)
     if size < 0:
         raise ValueError(f"size = {size} is negative")
-    if n <= _INDEX_WIDTH:
-        return _index_histogram((index for _, _, index in _deal(source, n, size, rng, "index")), n)
-    return row_histogram(rows for _, _, rows in _deal(source, n, size, rng))
+    form = "index" if n <= _CODE_WIDTH else "ranks"
+    return perm_histogram((keys for _, _, keys in _deal(source, n, size, rng, form)), n)
 
 
 @dataclass(frozen=True)

@@ -4,18 +4,19 @@ A permutation of size n is a tuple p of length n with p[i] = image of i+1,
 so values are a rearrangement of 1..n.  When a permutation records an
 ordering, p[i] is the rank (1 = lowest) of the i-th label.
 
-The array helpers rank rows of keys (`_row_ranks`, `_counted_ranks`),
-count row batches (`count_rows`: int64 codes where the rows fit one,
-else the rows merged by `np.lexsort`), and count permutations of up to
-`_INDEX_WIDTH` cards by their lexicographic index in S_n, their Lehmer
-code in the factorial base (`_lex_index`, `_index_histogram`).
+The array helpers rank rows of keys (`_row_ranks`, `_counted_ranks`) and
+count permutations (`count_perms`, the one counter of every histogram on
+S_n).  Up to `_CODE_WIDTH` = 20 cards a permutation is keyed by its
+lexicographic index in S_n, its Lehmer code read in the factorial base
+(`_lex_index`, decoded by `_lex_rows`), which fits int64 since 20! < 2^63;
+wider rows are merged as rows by `np.lexsort`.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import factorial
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Sequence, Tuple
 
 # the array functions import numpy when they run, so that the exact routes
 # load without it
@@ -24,8 +25,8 @@ if TYPE_CHECKING:
 
 Perm = Tuple[int, ...]
 
-# `count_rows` lets at least this many counted keys wait before a fold, so
-# that rows of a small support are not merged block by block.
+# `count_perms` lets at least this many counted keys wait before a fold, so
+# that permutations of a small support are not merged block by block.
 _FOLD_AT = 1 << 14
 
 # `_row_ranks` counts comparisons in rows up to this width, below the int8
@@ -34,9 +35,13 @@ _FOLD_AT = 1 << 14
 # took 24.3 ns at width 44, the sort 27.0, and two runs crossed at 45-51.
 _COUNT_WIDTH = 44
 
-# `_index_histogram` counts rows of up to this many labels in n! dense bins,
-# 40,320 at n = 8; wider rows are counted as rows (`count_rows`).
+# `count_perms` counts permutations of up to this many cards in n! dense
+# bins, 40,320 at n = 8, and sorts the keys of wider ones.
 _INDEX_WIDTH = 8
+
+# The S_n index of a permutation of up to this many cards fits int64:
+# 20! < 2^63 < 21!.
+_CODE_WIDTH = 20
 
 
 def identity(n: int) -> Perm:
@@ -163,145 +168,93 @@ def _lex_rows(index: np.ndarray, n: int) -> np.ndarray:
     """The rows of S_n at the lexicographic indices: `_lex_index` undone.
 
     The factorial digits come off least significant first, L_{n-1} first;
-    each step puts L_i + 1 in front of the suffix's ranks and moves up
-    the suffix entries at or above it.
+    each step puts L_i + 1 in front of the suffix's ranks and moves up the
+    suffix entries at or above it, in int8 columns held as contiguous rows.
     """
     import numpy as np
 
-    rows = np.empty((len(index), n), dtype=np.int64)
+    cols = np.empty((n, len(index)), dtype=np.int8)
     for i in range(n - 1, -1, -1):
         index, digit = np.divmod(index, n - i)
-        rows[:, i] = digit + 1
-        rows[:, i + 1 :] += rows[:, i + 1 :] >= rows[:, i, None]
-    return rows
+        cols[i] = digit + 1
+        cols[i + 1 :] += cols[i + 1 :] >= cols[i]
+    return cols.T.astype(np.int64, order="C")
 
 
-def _index_histogram(
-    indices: Iterable[np.ndarray], n: int, inverse: bool = False
-) -> dict[Perm, int]:
-    """Histogram of rankings of n <= `_INDEX_WIDTH` labels given by their
-    lexicographic indices in S_n (`_lex_index`), one array per batch; with
-    `inverse`, of their row inverses.
+def count_perms(blocks: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct permutations of n cards counted over blocks, in
+    lexicographic order: their keys and counts.  A key is the S_n index
+    (`_lex_index`) up to `_CODE_WIDTH` cards, where it fits int64, and the
+    row itself beyond; `perm_rows` decodes the keys.
 
-    The indices are counted in n! dense bins, and only the bins hit are
-    decoded, so the dict equals `row_histogram` of the rows, in keys,
-    counts and order.  An inverse histogram moves each bin to its row
-    inverse's and sorts the bins again.
+    A block is 2-D rows of width n or, up to `_CODE_WIDTH` cards, 1-D S_n
+    indices.  Up to `_INDEX_WIDTH` cards the indices are counted in n!
+    dense bins.  Beyond, each block's distinct keys wait until they
+    outnumber both the running ones and `_FOLD_AT`; then all are merged
+    into one running part (`_distinct`).  So memory stays bounded by the
+    number of distinct permutations, however many blocks come.
     """
     import numpy as np
 
-    counts = np.zeros(factorial(n), dtype=np.int64)
-    for index in indices:
-        counts += np.bincount(index, minlength=len(counts))
-    seen = np.flatnonzero(counts)
-    rows, counts = _lex_rows(seen, n), counts[seen]
-    if inverse:
-        inv = np.empty_like(rows)
-        # row r of the inverse holds k + 1 at column rows[r, k] - 1
-        inv[np.arange(len(rows))[:, None], rows - 1] = np.arange(1, n + 1)
-        order = np.argsort(_lex_index(inv))
-        rows, counts = inv[order], counts[order]
-    return dict(zip(map(tuple, rows.tolist()), counts.tolist()))
-
-
-def count_rows(batches: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of 2-D integer row batches of one width, in
-    lexicographic order, with their counts summed over the batches.
-
-    Each batch is counted on its own (`_encoded_counts`).  Its distinct keys
-    wait until the waiting keys outnumber both the running ones and
-    `_FOLD_AT`; then all are folded into one running (keys, counts) part.
-    So memory stays bounded by the number of distinct rows, however many
-    batches come, and rows are decoded once, at the end.  Batches may have
-    different maxima, and so different code bases: a fold re-encodes its
-    parts in the largest base, or as rows when one part is too wide to
-    encode.
-    """
-    import numpy as np
-
-    n = None
-    parts: list = []  # (keys, counts, base), the running part first
+    coded, dense = n <= _CODE_WIDTH, n <= _INDEX_WIDTH
+    bins = np.zeros(factorial(n) if dense else 0, dtype=np.int64)
+    parts: list = []  # (keys, counts), the running part first
     held = waiting = 0
-    for rows in batches:
-        rows = np.asarray(rows)
-        if rows.ndim != 2 or n not in (None, rows.shape[1]):
-            raise ValueError(f"row batches must be 2-D of one width, got shape {rows.shape}")
-        n = rows.shape[1]
-        if len(rows) == 0:
-            continue
-        parts.append(_encoded_counts(rows))
-        waiting += len(parts[-1][0])
-        if waiting > max(held, _FOLD_AT):
-            parts = [_fold(parts, n)]
-            held, waiting = len(parts[0][0]), 0
+
+    def merged():
+        return parts[0] if len(parts) == 1 else _distinct(*map(np.concatenate, zip(*parts)))
+
+    for keys in blocks:
+        keys = np.asarray(keys)
+        if keys.ndim == 2 and keys.shape[1] == n:
+            if coded:
+                # the entries of rows this narrow fit int8, which compares fastest
+                keys = _lex_index(keys.astype(np.int8, copy=False))
+        elif keys.ndim != 1 or not coded:
+            raise ValueError(f"blocks of {n} cards are rows of width {n} or S_n indices: {keys.shape}")
+        if dense:
+            bins += np.bincount(keys, minlength=len(bins))
+        elif len(keys):
+            ones = np.ones(len(keys), dtype=np.int64)
+            parts.append(np.unique(keys, return_counts=True) if coded else _distinct(keys, ones))
+            waiting += len(parts[-1][0])
+            if waiting > max(held, _FOLD_AT):
+                parts = [merged()]
+                held, waiting = len(parts[0][0]), 0
+    if dense:
+        keys = np.flatnonzero(bins)
+        return keys, bins[keys]
     if not parts:
-        return np.zeros((0, n or 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    keys, counts, base = _fold(parts, n)
-    return _recoded(keys, base, None, n), counts
+        return np.zeros((0,) if coded else (0, n), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return merged()
 
 
-def _fold(parts: list, n: int) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
-    """Merge (keys, counts, base) parts of n-wide rows into one such part."""
+def _distinct(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys, S_n indices or rows, sorted into distinct keys, with the
+    counts of equal keys summed: rows sort by one `np.lexsort`."""
     import numpy as np
 
-    if len(parts) == 1:
-        return parts[0]
-    bases = {base for _, _, base in parts}
-    base = None if None in bases else max(bases)
-    keys = np.concatenate([_recoded(k, b, base, n) for k, _, b in parts])
-    return _merged(keys, np.concatenate([c for _, c, _ in parts]), base)
-
-
-def _merged(
-    keys: np.ndarray, counts: np.ndarray, base: Optional[int]
-) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
-    """Keys coded in `base` (rows when None) sorted into distinct keys, with
-    the counts of equal keys summed: rows sort by one `np.lexsort`."""
-    import numpy as np
-
-    order = np.lexsort(keys.T[::-1]) if base is None else np.argsort(keys)
+    order = np.lexsort(keys.T[::-1]) if keys.ndim == 2 else np.argsort(keys)
     keys, counts = keys[order], counts[order]
     new = keys[1:] != keys[:-1]
-    first = np.flatnonzero(np.concatenate([[True], new.any(axis=1) if base is None else new]))
-    return keys[first], np.add.reduceat(counts, first), base
+    first = np.flatnonzero(np.concatenate([[True], new.any(axis=1) if keys.ndim == 2 else new]))
+    return keys[first], np.add.reduceat(counts, first)
 
 
-def _recoded(keys: np.ndarray, base: Optional[int], to: Optional[int], n: int) -> np.ndarray:
-    """Keys of n-wide rows coded in `base` (rows when None), coded in `to`."""
-    if base == to:
-        return keys
-    rows = keys if base is None else keys[:, None] // _digit_weights(base, n) % base
-    return rows if to is None else rows @ _digit_weights(to, n)
+def perm_rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """The rows of n cards that `count_perms` keys name."""
+    return _lex_rows(keys, n) if n <= _CODE_WIDTH else keys
 
 
-def _digit_weights(base: int, n: int) -> np.ndarray:
+def perm_histogram(blocks: Iterable[np.ndarray], n: int, inverse: bool = False) -> dict[Perm, int]:
+    """`count_perms` of the blocks as a dict keyed by row tuples, in
+    lexicographic order; with `inverse`, the histogram of the rows'
+    inverses, each count moved to its row inverse and sorted again."""
     import numpy as np
 
-    return base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-
-def _encoded_counts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
-    """Distinct keys of the rows in row order, their counts, and the code base.
-
-    When the entries are non-negative and every row fits one int64 code
-    (the entries as digits in base max + 1, most significant first, so code
-    order is row order), the keys are the codes, counted with a flat
-    `np.unique`, much faster than a row-wise one.  Wider rows, such as
-    permutations of more than 15 cards, are merged as rows (`_merged`): the
-    keys are the rows themselves and the base is None.
-    """
-    import numpy as np
-
-    rows = np.asarray(rows)
-    n = rows.shape[1]
-    base = int(rows.max(initial=0)) + 1
-    if rows.min(initial=0) < 0 or base**n > np.iinfo(np.int64).max:
-        return _merged(rows, np.ones(len(rows), dtype=np.int64), None)
-    codes, counts = np.unique(rows @ _digit_weights(base, n), return_counts=True)
-    return codes, counts, base
-
-
-def row_histogram(batches: Iterable[np.ndarray]) -> dict[Perm, int]:
-    """`count_rows` of row batches as a dict keyed by row tuples."""
-    keys, counts = count_rows(batches)
-    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+    keys, counts = count_perms(blocks, n)
+    rows = perm_rows(keys, n)
+    if inverse:
+        # column k of a row inverse holds the 1-based column of k + 1
+        rows, counts = _distinct(np.argsort(rows, axis=1) + 1, counts)
+    return dict(zip(map(tuple, rows.tolist()), counts.tolist()))

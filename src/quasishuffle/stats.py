@@ -224,7 +224,7 @@ def ks_uniform(samples: Sequence[float], alpha: float = 0.01) -> TestReport:
     n = len(x)
     if n == 0:
         raise EmptyCounts("no samples")
-    if x[0] < 0.0 or x[-1] > 1.0:
+    if not (x[0] >= 0.0 and x[-1] <= 1.0):
         raise OutOfRange("samples must lie in [0,1]")
     stat = _ks_statistic(x, x, x)
     p = _kolmogorov_sf(stat * np.sqrt(n))
@@ -241,7 +241,7 @@ def ks_measure_marginal(samples: Sequence[float], measure, alpha: float = 0.01) 
     n = len(x)
     if n == 0:
         raise EmptyCounts("no samples")
-    if x[0] < 0.0 or x[-1] > 1.0:
+    if not (x[0] >= 0.0 and x[-1] <= 1.0):
         raise OutOfRange("samples must lie in [0,1]")
     points = sorted({Fraction(0), Fraction(1)} | {g.lo for g in measure.gaps} | {g.hi for g in measure.gaps})
     bp = np.array([float(p) for p in points])

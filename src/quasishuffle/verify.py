@@ -26,7 +26,7 @@ from .measure import (
     QuasiUniformMeasure,
     is_quasi_uniform,
 )
-from .permutations import Perm, row_histogram
+from .permutations import Perm, perm_histogram
 
 
 @dataclass
@@ -83,9 +83,8 @@ def _pair_step_counts(
     the coupling's pairs instead keeps this check independent of that route
     and tests the draw that mixture steps use.
     """
-    return row_histogram(
-        rows for _, _, rows in kernels._pair_step_blocks(n, sampler, samples, rng)
-    )
+    blocks = kernels._pair_step_blocks(n, sampler, samples, rng)
+    return perm_histogram((rows for _, _, rows in blocks), n)
 
 
 def run_property_suite(

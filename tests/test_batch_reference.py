@@ -282,6 +282,13 @@ def identical(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def row_counts(rows):
+    """Histogram of a 2-D array's rows, in lexicographic order, counted by
+    a row-wise `np.unique` rather than the library's counter."""
+    keys, counts = np.unique(rows, axis=0, return_counts=True)
+    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+
+
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("name", sorted(samplers()))
 def test_step_batch_equals_double_argsort(name, n):

@@ -198,6 +198,15 @@ def test_one_dealing_loop_chooses_the_row_route():
     assert not {n for n in names if n.startswith("_word_") or n == "_batch_tables"}
 
 
+def test_one_counter_counts_permutations():
+    """Every histogram on S_n is counted by `permutations.count_perms`: no
+    other module calls `np.bincount`, and `kernels` computes no S_n index
+    of its own."""
+    found = {p.name for p in LIBRARY if callers(p.read_text(), "bincount")}
+    assert found <= {"permutations.py"}
+    assert callers((ROOT / "src" / "quasishuffle" / "kernels.py").read_text(), "_lex_index") == set()
+
+
 def test_ordering_has_one_path_for_measures_and_mixtures():
     """`ordering` deals a mixture's rows as a measure's: it imports no
     per-component draw or cell table and branches on no `MeasureMixture`."""

@@ -47,10 +47,10 @@ from quasishuffle.oracle import (
     mixing_curve,
     tv_distance,
 )
-from quasishuffle.permutations import row_histogram
 from quasishuffle.stats import chi_square_goodness, chi_square_two_sample, ks_uniform
 
 from conftest import atomic_params, make_rng
+from test_batch_reference import row_counts
 
 IDENTITY = QuasiUniformMeasure((GapInterval(F(0), F(1), RIGHT),))
 REVERSAL = QuasiUniformMeasure((GapInterval(F(0), F(1), LEFT),))
@@ -330,8 +330,8 @@ def test_ordering_step_law_matches_oracle_and_pair_route(measure, kind):
     # law and agree with ranking the coupling's own (u, v) pairs
     sampler = (ConjugateCoupling if kind == "one" else InverseConjugateCoupling)(measure)
     rng = make_rng(47)
-    dealt = row_histogram([step_batch(4, sampler, 40000, rng)])
-    paired = row_histogram([_rank_pairs(*sampler.draw_batch((40000, 4), rng))])
+    dealt = row_counts(step_batch(4, sampler, 40000, rng))
+    paired = row_counts(_rank_pairs(*sampler.draw_batch((40000, 4), rng)))
     exact = exact_step_distribution(measure, 4, kind)
     assert chi_square_goodness(dealt, exact.probs).passed
     assert chi_square_two_sample(dealt, paired).passed

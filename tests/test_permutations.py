@@ -1,4 +1,4 @@
-"""The rank kernel, the shared row counter and the histograms built on it."""
+"""The rank kernel, the one permutation counter and the histograms built on it."""
 
 import tracemalloc
 from collections import Counter
@@ -25,7 +25,16 @@ from quasishuffle.ordering import (
     ordering_counts,
     sample_ordering_batch,
 )
-from quasishuffle.permutations import _COUNT_WIDTH, _row_ranks, count_rows, row_histogram
+from quasishuffle.permutations import (
+    _CODE_WIDTH,
+    _COUNT_WIDTH,
+    _FOLD_AT,
+    _lex_index,
+    _row_ranks,
+    count_perms,
+    perm_histogram,
+    perm_rows,
+)
 
 from conftest import make_rng
 
@@ -125,26 +134,41 @@ def test_row_ranks_refuse_an_output_without_a_flat_view():
             _rank_keys(keys, out)
 
 
-@pytest.mark.parametrize("n", [1, 4, 9, 15, 16, 20])
+WIDTHS = [1, 4, 9, 15, 16, 20, 21]
+
+
+@pytest.mark.parametrize("n", WIDTHS)
 def test_count_rows_matches_rowwise_unique(n):
     rows = _random_perm_rows(make_rng(n), 3000, n, 50)
-    keys, counts = count_rows([rows])
+    keys, counts = count_perms([rows], n)
+    # S_n indices where they fit int64, the rows themselves beyond
+    assert keys.shape == ((len(counts),) if n <= _CODE_WIDTH else (len(counts), n))
     want_keys, want_counts = np.unique(rows, axis=0, return_counts=True)
-    assert np.array_equal(keys, want_keys)
+    assert np.array_equal(perm_rows(keys, n), want_keys)
     assert np.array_equal(counts, want_counts)
-
-
-def test_count_rows_general_integers():
-    rng = make_rng()
-    for rows in (rng.integers(-3, 4, (2000, 5)), rng.integers(0, 3, (2000, 6)).astype(np.uint8)):
-        keys, counts = count_rows([rows])
-        want_keys, want_counts = np.unique(rows, axis=0, return_counts=True)
-        assert np.array_equal(keys, want_keys) and np.array_equal(counts, want_counts)
+    assert perm_histogram([rows], n) == Counter(map(tuple, rows.tolist()))
 
 
 def test_count_rows_empty():
-    keys, counts = count_rows([np.zeros((0, 5), dtype=np.int64)])
-    assert keys.shape == (0, 5) and counts.shape == (0,)
+    for n in WIDTHS:
+        for blocks in ([], [np.zeros((0, n), dtype=np.int64)]):
+            keys, counts = count_perms(blocks, n)
+            assert perm_rows(keys, n).shape == (0, n) and counts.shape == (0,)
+
+
+@pytest.mark.parametrize("n", [9, 21])
+def test_count_rows_folds_blocks(n):
+    # more distinct permutations than `_FOLD_AT` in many blocks, so the
+    # running part is merged with waiting blocks more than once; up to 20
+    # cards half the blocks come as S_n indices
+    rng = make_rng(n)
+    pool = _random_perm_rows(rng, 3 * _FOLD_AT, n, 3 * _FOLD_AT)
+    blocks = [pool[rng.integers(0, len(pool), 2000)] for _ in range(40)]
+    keys = [_lex_index(b) if i % 2 and n <= _CODE_WIDTH else b for i, b in enumerate(blocks)]
+    want_keys, want_counts = np.unique(np.concatenate(blocks), axis=0, return_counts=True)
+    got_keys, got_counts = count_perms(keys, n)
+    assert np.array_equal(perm_rows(got_keys, n), want_keys)
+    assert np.array_equal(got_counts, want_counts)
 
 
 def _check_histogram(counts, rows, n):
@@ -206,33 +230,16 @@ def test_step_counts_need_a_card():
         empirical_step_counts(0, ConjugateCoupling(gsr()), 5, make_rng(1))
 
 
-def test_count_rows_merges_batches_of_different_maxima():
-    # codes of batches with different maxima are in different bases; a batch
-    # with a negative entry, or one too wide for an int64 code, is counted
-    # as rows, and every fold must still merge equal rows.  The first
-    # batches hold enough distinct rows to fold before the last batch.
-    rng = make_rng(5)
-    batches = [rng.integers(0, high, (6000, 6)) for high in (2, 7, 3, 40, 2, 30, 5, 40)]
-    batches += [np.zeros((0, 6), dtype=np.int64), rng.integers(-2, 3, (300, 6))]
-    batches += [rng.integers(0, 2, (400, 6)) for _ in range(20)]
-    batches.append(np.full((2, 6), 2**62))
-    batches += [rng.integers(0, 3, (50, 6)) for _ in range(5)]
-    whole = np.concatenate(batches)
-    for parts in (batches, batches[:8], batches[10:30], [whole]):
-        keys, counts = count_rows(parts)
-        want_keys, want_counts = np.unique(np.concatenate(parts), axis=0, return_counts=True)
-        assert np.array_equal(keys, want_keys) and np.array_equal(counts, want_counts)
-    assert row_histogram(batches) == Counter(map(tuple, whole.tolist()))
-
-
 def test_count_rows_takes_batches_of_one_width():
-    keys, counts = count_rows([])
-    assert keys.shape == (0, 0) and counts.shape == (0,)
-    with pytest.raises(ValueError, match="one width"):
-        count_rows([np.zeros((2, 3), dtype=np.int64), np.zeros((2, 4), dtype=np.int64)])
-    # a bare 2-D array is an iterable of 1-D rows, not of batches
-    with pytest.raises(ValueError, match="2-D"):
-        count_rows(np.zeros((2, 3), dtype=np.int64))
+    for n in (3, _CODE_WIDTH, _CODE_WIDTH + 1):
+        rows = np.tile(np.arange(1, n + 1), (2, 1))
+        with pytest.raises(ValueError, match=f"rows of width {n}"):
+            count_perms([rows, rows[:, :-1]], n)
+        with pytest.raises(ValueError, match=f"rows of width {n}"):
+            count_perms([rows[None]], n)
+    # an S_n index of 21 cards would not fit int64
+    with pytest.raises(ValueError, match="rows of width 21"):
+        count_perms([np.zeros(2, dtype=np.int64)], 21)
 
 
 COUNTERS = {
@@ -291,7 +298,7 @@ def test_empirical_mixing_curve_counts_without_decoding(n):
     for h in range(steps + 1):
         if h:
             state = np.take_along_axis(step_batch(n, sampler, trials, rng), state - 1, axis=1)
-        _, counts = count_rows([state])
+        _, counts = np.unique(state, axis=0, return_counts=True)
         l1 = float(np.abs(counts / trials - u).sum()) + (factorial(n) - len(counts)) * u
         want.append(l1 / 2.0)
     assert curve == want

@@ -114,6 +114,15 @@ def test_ks_uniform_validation():
         ks_uniform([0.5, 1.5])
 
 
+@pytest.mark.parametrize("samples", [[0.2, 0.5, np.nan], [np.nan]])
+def test_ks_tests_reject_nan(samples):
+    # NaN sorts last, past the [0,1] checks; the p-value series never ends on it
+    with pytest.raises(OutOfRange):
+        ks_uniform(samples)
+    with pytest.raises(OutOfRange):
+        ks_measure_marginal(samples, gsr())
+
+
 def test_ks_uniform_pvalues_calibrated():
     small = 0
     for seed in range(300):
