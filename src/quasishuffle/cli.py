@@ -304,7 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", choices=("one", "two"), default="one")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "mc", "both"), default="exact")
+    p.add_argument(
+        "--mode",
+        choices=("exact", "mc", "both"),
+        default="exact",
+        help="exact TV, or the empirical TV of --samples walks (mc) over n! bins, which"
+        " reads a floor, not the TV, when there are few walks per bin: about 0.26 for"
+        " 10^5 walks of 8 cards whose exact TV is below 0.001",
+    )
     p.add_argument("--samples", type=int, default=100_000, help="mc trajectories")
     p.add_argument("--seed", type=int, help="needed by --mode mc and both")
 

@@ -9,9 +9,11 @@ walk steps are one step of ``measure.power(mu, h)``, so the product for h
 steps nests the product for h - 1 in each atom cell: linear in h, in Python
 integers over one common denominator.  Every exact route of a plain measure
 folds one loop of the kernel over descent classes: ``ranking_probability``
-reads one class, ``exact_ordering_distribution`` scatters each class to its
-rankings, and ``mixing_curve`` sums the classes against uniform, weighted by
-size, with no n!-entry law.  The map route reads a piecewise-affine map as a
+reads one class, ``_class_law`` sums a mixture's components class by class,
+``exact_ordering_distribution`` scatters each class to its rankings (and
+``ordering`` deals rows of up to 8 labels from the same class law), and
+``mixing_curve`` sums the classes against uniform, weighted by size, with
+no n!-entry law.  The map route reads a piecewise-affine map as a
 purely atomic measure on that engine.  Two brute-force references check it:
 
 * the cell route (private, ``_cell_enumeration``): enumerate assignments of
@@ -30,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Mapping
 
@@ -363,25 +365,54 @@ def ranking_probability(measure: QuasiUniformMeasure, ranking: Perm, steps: int 
     return Fraction(values[steps], factorial(n) * den ** (steps * n))
 
 
+def _class_law(source: OrderingSource, n: int) -> tuple[list[int], int, list[int]]:
+    """The ordering law of n labels by descent class: (nums, den, first).
+
+    Each ranking whose rank-order list has descent mask D has mass
+    nums[D] / den, an integer numerator over one common denominator for
+    every class: one step of `_class_values` per component, a mixture's
+    components weighted and summed in class space.  first[D] is the first
+    component that gives class D positive mass (the number of components
+    for a class of mass 0), which orders a mixture's support as the sum of
+    its components' laws lists it.
+    """
+    components = source.components if isinstance(source, MeasureMixture) else ((1, source),)
+    weights, weight_den = _over_common_denominator(w for w, _ in components)
+    classes = 1 << max(n - 1, 0)
+    laws = []
+    for _, measure in components:
+        parts, den = _transfer_parts(measure)
+        values = _class_values(parts, den, n, 1, ((desc, None) for desc in range(classes)))
+        laws.append((den**n, [g for _, _, (_, g) in values]))
+    scale = lcm(*(d for d, _ in laws))
+    nums = [0] * classes
+    first = [len(laws)] * classes
+    for k, (weight, (d, values)) in enumerate(zip(weights, laws)):
+        for desc, g in enumerate(values):
+            nums[desc] += weight * (scale // d) * g
+            if g and first[desc] == len(laws):
+                first[desc] = k
+    return nums, weight_den * factorial(n) * scale, first
+
+
 def exact_ordering_distribution(
     source: OrderingSource, n: int, max_n: int = DEFAULT_MAX_N
 ) -> PermutationDistribution:
     """Exact law of the ranking of n labels (the likelihood route).
 
     Evaluates the transfer kernel once per descent class (at most 2^(n-1)
-    of them) and assigns the value to every ranking in the class.  Each
+    of them) and component (`_class_law`), and assigns each class's value
+    to every ranking in the class: rankings in lexicographic order, a
+    mixture's in order of the first component that charges them.  Each
     evaluation costs O(cells * n^3), so only n is capped: the law itself
     has n! entries.
     """
-    if isinstance(source, MeasureMixture):
-        return combine_distributions(
-            (w, exact_ordering_distribution(m, n, max_n)) for w, m in source.components
-        )
-    parts, den = _transfer_parts(source)
     _check_n(n, max_n)
-    classes = _class_values(parts, den, n, 1, enumerate(_descent_class_sizes(n)))
-    by_class = {desc: Fraction(g, factorial(n) * den**n) for desc, _, (_, g) in classes}
-    return PermutationDistribution(n, {r: by_class[_descent_set(r)] for r in all_permutations(n)})
+    nums, den, first = _class_law(source, n)
+    perms = [(r, _descent_set(r)) for r in all_permutations(n)]
+    # a stable sort keeps lexicographic order within each first component
+    perms.sort(key=lambda rd: first[rd[1]])
+    return PermutationDistribution(n, {r: Fraction(nums[desc], den) for r, desc in perms})
 
 
 def _cell_enumeration(

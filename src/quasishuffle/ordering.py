@@ -12,36 +12,55 @@ Orderings are dealt in row blocks of about 2^14 draws
 (`measure._row_blocks`) by one loop, `_deal`, which chooses a source's
 route once and yields each block's rankings, row inverses or S_n indices:
 into one preallocated output for `sample_ordering_batch`, counted one by
-one for `ordering_counts`, and as every conjugate step of `kernels`.  On
-the key route each draw has one exact integer key (`_ordering_keys`): its
-cell's position (its rank without a diffuse cell, int32 where the key fits;
-else its uniform's 53 bits in a diffuse cell and its lower edge at an atom,
-int64) and the label below it, so the keys of a row are pairwise distinct.
-`_rank_keys` ranks them: rows of up to `_KEY_COUNT_WIDTH` labels count
-their pairwise key comparisons, wider ones sort the keys and read the
-labels off the low bits.  A purely atomic source's row is a function of its
-cell word, so up to `_WORD_LIMIT` words its rows, row inverses and S_n
-indices are ranked once (`_word_tables`), and each row is dealt by one
-uniform: a guide over the exact word law (`_word_edges`) finds its word,
-within 2^-53 of the word's mass, and one row gather deals the block, as the
-table's own int8 rows where no output is given.  A source with a word of
-positive mass that no uniform would find takes the key route, and so does
-one whose guide takes more than one step.  Histograms of up to
-`permutations._CODE_WIDTH` labels count each row by its index in S_n
-(`permutations.count_perms`), read off the word table or the keys' Lehmer
-code.  The blocks draw their uniforms in row order, so the rows of a
-measure, and of a word-table source, are those of one whole-batch draw.  A
-mixture with a diffuse cell takes the key route: `sample_conjugate_batch`
-draws one component per row and looks the row up in that component's
-cells.  It draws each block's components before its uniforms, so beyond
-one block the rows differ from those of a whole-batch component draw,
-with the same law.
+one for `ordering_counts`, and as every conjugate step of `kernels`.  There
+are three routes, tried in this order.
+
+* Word table.  A purely atomic source's row is a function of its cell
+  word, so up to `_WORD_LIMIT` words its rows, row inverses and S_n
+  indices are ranked once (`_word_tables`), and each row is dealt by one
+  uniform: a guide over the exact word law (`_word_edges`) finds its word,
+  within 2^-53 of the word's mass, and one row gather deals the block, as
+  the table's own int8 rows where no output is given.  A source with a
+  word of positive mass that no uniform would find has no word table, nor
+  one whose guide takes more than one step.
+* Class table.  Every other source of up to `permutations._INDEX_WIDTH`
+  = 8 labels (a diffuse cell, a mixture with one, a gated or too large
+  word law) deals each row from its exact law, which is constant on the
+  descent classes D of the rank-order list: two uniforms per row, one for
+  the class through a guide over the class masses (`_class_guide`, from
+  `oracle._class_law`), one for an offset among the class's beta_n(D)
+  equal-mass rankings in one table of all n! rankings grouped by class
+  (`_class_tables`; it depends on n alone, 0.95 MB at n = 8).  Each
+  class is dealt within 2^-53 of its mass and each ranking within 2^-52
+  of its own, so the dealt law is within total variation n! * 2^-53 of
+  the exact one, under 2^-37 at 8 labels.  The law costs
+  about 2^(n-1) * cells * n^3 big-integer operations once per source and
+  n, so a source whose work exceeds `_CLASS_WORK_CAP` keeps the key route.
+* Keys.  Every other source ranks one exact integer key per draw
+  (`_ordering_keys`): its cell's position (its rank without a diffuse
+  cell, int32 where the key fits; else its uniform's 53 bits in a diffuse
+  cell and its lower edge at an atom, int64) and the label below it, so
+  the keys of a row are pairwise distinct.  `_rank_keys` ranks them: rows
+  of up to `_KEY_COUNT_WIDTH` labels count their pairwise key comparisons,
+  wider ones sort the keys and read the labels off the low bits.  A
+  mixture draws one component per row and looks the row up in that
+  component's cells (`sample_conjugate_batch`).  It draws each block's
+  components before its uniforms, so beyond one block the rows differ
+  from those of a whole-batch component draw, with the same law.
+
+Histograms of up to `permutations._CODE_WIDTH` labels count each row by
+its index in S_n (`permutations.count_perms`), read off the word or class
+table or the keys' Lehmer code.  The blocks draw their uniforms in row
+order, so the rows of a measure, and of a word-table or class-table
+source, are those of one whole-batch draw: `rng.random((size, 2))` for the
+class route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import IncomparableSamples, WindowTooSmall
@@ -59,7 +78,15 @@ from .measure import (
     _row_blocks,
     sample_conjugate_batch,
 )
-from .permutations import _CODE_WIDTH, Perm, _counted_ranks, _lex_index, perm_histogram
+from .permutations import (
+    _CODE_WIDTH,
+    _INDEX_WIDTH,
+    Perm,
+    _counted_ranks,
+    _lex_index,
+    _lex_rows,
+    perm_histogram,
+)
 
 # the array functions import numpy when they run, so that `kernels`, which
 # imports this module, loads without it
@@ -73,10 +100,11 @@ _LABEL_BITS = 9
 # has at most this many: gsr up to 13 labels, a 3-shuffle up to 8.
 _WORD_LIMIT = 1 << 13
 # The `_key_table` cache holds this many tables, at most 16 x 256 KiB flat
-# key tables; the word table cache (`_built_words`) holds fewer, larger
-# ones: at most 8 x 464 KiB, 2^13 words of 13 labels, each with two int8
-# rows, one int64 S_n index, one float64 guide edge and two intp guide
-# buckets.
+# key tables, and the `_class_guide` cache this many guides over at most
+# 128 classes, a few KiB each; the word table cache (`_built_words`) holds
+# fewer, larger ones: at most 8 x 464 KiB, 2^13 words of 13 labels, each
+# with two int8 rows, one int64 S_n index, one float64 guide edge and two
+# intp guide buckets.
 _TABLE_CACHE = 16
 _WORD_CACHE = 8
 # `_rank_keys` counts comparisons in rows up to this width, and in row
@@ -88,6 +116,12 @@ _WORD_CACHE = 8
 # 10.9 and 11.7 at 5.
 _KEY_COUNT_WIDTH = 11
 _KEY_INVERSE_WIDTH = 4
+# A source without a word table deals rows of up to `_INDEX_WIDTH` labels
+# from its descent-class law while the law's one-off build, 2^(n-1) * cells
+# * n^3 units of work at 50-70 ns each (2-core shared host), stays within
+# this cap: 25 ms for 8 cells at n = 8, about what dealing 10^5 such rows
+# by keys takes.  An a-shuffle:48 law at n = 8 took 154 ms.
+_CLASS_WORK_CAP = 1 << 19
 
 __all__ = [
     "EmpiricalPosition",
@@ -146,9 +180,10 @@ def sample_ordering_batch(
     reversed at a left atom: the order `compare` defines, read exactly off
     one integer key per draw (`_ordering_keys`); diffuse draws that share a
     uniform keep label order.  A source with word tables draws one uniform
-    per row for its cell word instead (`_word_edges`).  For a mixture, one
-    component is drawn per ordering.  Rows are dealt in cache-sized blocks
-    straight into the output.
+    per row for its cell word instead (`_word_edges`), and one with class
+    tables two, for its descent class and a ranking in it (`_deal`).  For
+    a mixture, one component is drawn per ordering.  Rows are dealt in
+    cache-sized blocks straight into the output.
     """
     import numpy as np
 
@@ -309,14 +344,97 @@ def _word_edges(tables: _BatchTables, n: int) -> Optional[np.ndarray]:
             prods = np.multiply.outer(prods, nums).ravel()
         mass[codes] = prods
         first += count
-    below = np.concatenate([np.zeros(1, object), np.cumsum(mass)])
-    # F * 2^53 = F * q * total + F * r for 2^53 = q * total + r, and
-    # ceil(F * r / total) = -(-F * r // total)
-    q, r = divmod(1 << 53, total)
-    edges = (below * q - below * -r // total).astype(np.int64)
+    edges = _grid_edges(mass, total)
     if np.count_nonzero(np.diff(edges)) < np.count_nonzero(mass):
         return None
     return edges
+
+
+def _grid_edges(mass, total: int) -> np.ndarray:
+    """ceil(F_i * 2^53) for i = 0..len(mass), as int64, F_i the sum of the
+    integer numerators mass[:i] over `total`, in Python ints: the edges on
+    the 2^-53 grid of `Generator.random` of the law mass / total."""
+    import numpy as np
+
+    below = np.concatenate([np.zeros(1, object), np.cumsum(np.asarray(mass, object))])
+    # F * 2^53 = F * q * total + F * r for 2^53 = q * total + r, and
+    # ceil(F * r / total) = -(-F * r // total)
+    q, r = divmod(1 << 53, total)
+    return (below * q - below * -r // total).astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class _Classes:
+    """All n! rankings of n labels for the class route: grouped by the
+    descent class D of their rank-order list (their row inverse), classes
+    in mask order and rankings in lexicographic order within a class, with
+    the rows a `_Words` table holds."""
+
+    start: np.ndarray  # (2^(n-1),) int64: each class's first row
+    size: np.ndarray  # (2^(n-1),) uint64: beta_n(D), each class's rankings
+    ranks: np.ndarray  # (n!, n) int8: the rankings
+    inverse: np.ndarray  # (n!, n) int8: their row inverses
+    index: np.ndarray  # (n!,) int64: their indices in S_n
+
+    def row(self, desc: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The row of class desc at offset floor(k * beta_n(D) / 2^53) for
+        each u = k * 2^-53, as int64: exact in uint64, as beta_n(D) < 2^11
+        up to 8 labels, and below beta_n(D) for every k < 2^53."""
+        import numpy as np
+
+        k = (u * 2.0**53).astype(np.uint64)
+        k *= np.take(self.size, desc)
+        k >>= 53
+        at = k.view(np.int64)
+        at += np.take(self.start, desc)
+        return at
+
+
+@lru_cache(maxsize=_INDEX_WIDTH)
+def _class_tables(n: int) -> _Classes:
+    """The `_Classes` of n labels, which depend on n alone: 0.95 MB at
+    n = 8, built in about 11 ms.  The class sizes are
+    `oracle._descent_class_sizes`.  The rankings are decoded one row block
+    at a time, so the build's temporaries stay block-sized: n! x n int64
+    ones grew the heap of a sampling process by 15 MB, which it kept."""
+    import numpy as np
+
+    from .oracle import _descent_class_sizes
+
+    count = factorial(n)
+    ranks = np.empty((count, n), dtype=np.int8)
+    inverse = np.empty_like(ranks)
+    desc = np.empty(count, dtype=np.int64)
+    for start, stop in _row_blocks(count, n):
+        block = _lex_rows(np.arange(start, stop), n)
+        ranks[start:stop] = block
+        # the row inverse holds label k + 1 at column rank_k - 1
+        np.put_along_axis(inverse[start:stop], block - 1, np.arange(1, n + 1, dtype=np.int8), 1)
+        desc[start:stop] = (inverse[start:stop, :-1] > inverse[start:stop, 1:]) @ (1 << np.arange(n - 1))
+    # the keys are distinct, so every sort orders them alike
+    order = np.argsort(desc * count + np.arange(count))
+    sizes = _descent_class_sizes(n)
+    return _Classes(
+        np.cumsum([0, *sizes[:-1]]),
+        np.array(sizes, dtype=np.uint64),
+        ranks[order],
+        inverse[order],
+        order.astype(np.int64),
+    )
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _class_guide(source: OrderingSource, n: int) -> _Guide:
+    """The guide over a source's exact law of the descent classes of n
+    labels, in mask order: class D's mass beta_n(D) * nums[D] / den from
+    `oracle._class_law`, put on the 2^-53 grid by `_grid_edges`, so each
+    class is dealt within 2^-53 of its mass.  A class of mass below 2^-53
+    may own no grid point, and is then never dealt."""
+    from .oracle import _class_law, _descent_class_sizes
+
+    nums, den, _ = _class_law(source, n)
+    masses = [size * num for size, num in zip(_descent_class_sizes(n), nums)]
+    return _Guide.build([_grid_edges(masses, den) * 2.0**-53])
 
 
 def _deal(
@@ -333,28 +451,40 @@ def _deal(
     `_Words` field that holds them: "ranks", the rankings; "inverse", their
     row inverses; "index", their S_n indices, for n <= `_CODE_WIDTH`.
 
-    Only here is a source's route chosen.  A source with word tables
-    (`_word_tables`) deals each row from one uniform, as the table's own
-    int8 rows without `out`; its blocks draw in row order, so its rows are
-    those of one whole-batch `rng.random(size)`.  Every other source ranks
-    the keys of its conjugate draws.
+    Only here is a source's route chosen (see the module docstring): a
+    source with word tables (`_word_tables`) deals each row from one
+    uniform; else, up to `_INDEX_WIDTH` labels and while its class law
+    costs at most `_CLASS_WORK_CAP`, from two, a class by its guide
+    (`_class_guide`) and a ranking in the class (`_Classes.row`).  Both
+    deal the tables' own int8 rows without `out`, and their blocks draw in
+    row order, so their rows are those of one whole-batch `rng.random`.
+    Every other source ranks the keys of its conjugate draws.
     """
     import numpy as np
 
-    words = _word_tables(_batch_tables(source), n)
+    tables = _batch_tables(source)
+    words = _word_tables(tables, n)
+    classes = guide = None
+    work = (1 << (n - 1)) * len(tables.cells) * n**3
+    if words is None and n <= _INDEX_WIDTH and work <= _CLASS_WORK_CAP:
+        classes, guide = _class_tables(n), _class_guide(source, n)
     for start, stop in _row_blocks(size, n):
         rows = None if out is None else out[start:stop]
-        if words is not None:
-            code = words.guide.lookup(rng.random(stop - start))
+        if words is None and classes is None:
+            keys = _ordering_keys(sample_conjugate_batch(source, (stop - start, n), rng))
+            rows = _lex_index(keys) if form == "index" else _rank_keys(keys, rows, form == "inverse")
+        else:
+            if words is not None:
+                table, at = words, words.guide.lookup(rng.random(stop - start))
+            else:
+                u = rng.random((stop - start, 2))
+                table, at = classes, classes.row(guide.lookup(u[:, 0]), u[:, 1])
             # a row gather by `np.take` is several times faster than indexing
-            dealt = np.take(getattr(words, form), code, axis=0)
+            dealt = np.take(getattr(table, form), at, axis=0)
             if rows is None:
                 rows = dealt
             else:
                 rows[...] = dealt
-        else:
-            keys = _ordering_keys(sample_conjugate_batch(source, (stop - start, n), rng))
-            rows = _lex_index(keys) if form == "index" else _rank_keys(keys, rows, form == "inverse")
         yield start, stop, rows
 
 

@@ -5,16 +5,21 @@ argsorting each argsort, as the samplers once did.  The samplers must give
 the same arrays, bit for bit, from the same seed.  A purely atomic source
 with few enough words, and a word law not too skewed, draws one uniform
 per row for its cell word, found among the word law's exact edges,
-computed here from `itertools.product` and Fractions.  A conjugate
-coupling's step is dealt as the measure's ordering (type two as its row
-inverse), so its reference is the ordering one; the coupling's own (u, v)
-draws, which mixture steps and `verify` rank, keep the pair reference.
+computed here from `itertools.product` and Fractions.  Every other source
+of up to 8 labels whose class law is cheap enough draws two uniforms per
+row, for the descent class of its rank-order list and for a ranking in
+that class, found among the rankings grouped here by
+`itertools.permutations` and the class law's exact edges; its key route is
+called directly.  A conjugate coupling's step is dealt as the measure's
+ordering (type two as its row inverse), so its reference is the ordering
+one; the coupling's own (u, v) draws, which mixture steps and `verify`
+rank, keep the pair reference.
 """
 
 from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from math import ceil, prod
 
 import numpy as np
@@ -38,15 +43,19 @@ from quasishuffle.measure import (
     parse_measure,
     sample_conjugate_batch,
 )
+from quasishuffle.oracle import exact_ordering_distribution
 from quasishuffle.ordering import (
+    _CLASS_WORK_CAP,
     _KEY_COUNT_WIDTH,
     _KEY_INVERSE_WIDTH,
     _LABEL_BITS,
     _WORD_LIMIT,
+    _ordering_keys,
+    _rank_keys,
     empirical_positions,
     sample_ordering_batch,
 )
-from quasishuffle.permutations import _COUNT_WIDTH
+from quasishuffle.permutations import _COUNT_WIDTH, _INDEX_WIDTH
 
 from conftest import make_rng
 
@@ -172,17 +181,89 @@ def word_cells(source, n, size, rng):
     return word[:, None] // len(sign) ** np.arange(n - 1, -1, -1) % len(sign)
 
 
+def descent_mask(ranking):
+    """Descent set of the labels listed in rank order, as a bit mask: bit
+    i is set when the label of rank i + 1 is above the label of rank
+    i + 2."""
+    order = sorted(range(len(ranking)), key=lambda label: ranking[label])
+    return sum(1 << i for i, (a, b) in enumerate(zip(order, order[1:])) if a > b)
+
+
+def class_route(source, n):
+    """Whether a source deals rows of n labels from its descent-class law:
+    no word route, at most 8 labels, and a class-law work of 2^(n-1) *
+    cells * n^3 within `_CLASS_WORK_CAP`."""
+    comps = source.components if isinstance(source, MeasureMixture) else ((F(1), source),)
+    cells = sum(len(cell_decomposition(m).cells) for _, m in comps)
+    work = 2 ** (n - 1) * cells * n**3
+    return word_route(source, n) is None and n <= _INDEX_WIDTH and work <= _CLASS_WORK_CAP
+
+
+@lru_cache(maxsize=None)
+def ranking_classes(n):
+    """The rankings of n labels grouped by the descent mask of their
+    rank-order list, in mask order, each class listed lexicographically by
+    `itertools.permutations`."""
+    classes = [[] for _ in range(2 ** (n - 1))]
+    for ranking in permutations(range(1, n + 1)):
+        classes[descent_mask(ranking)].append(ranking)
+    return classes
+
+
+@lru_cache(maxsize=None)
+def exact_class_edges(source, n):
+    """(edges, classes) of n labels: `ranking_classes`, and ceil(F_D * 2^53)
+    for D = 0..2^(n-1), F_D the exact mass of the classes below D, summed
+    from the Fractions of the exact law."""
+    law = exact_ordering_distribution(source, n, max_n=n)
+    classes = ranking_classes(n)
+    edges, below = [0], F(0)
+    for rankings in classes:
+        below += sum((law.prob(r) for r in rankings), F(0))
+        edges.append(ceil(below * 2**53))
+    return edges, classes
+
+
+def class_rows(source, n, size, rng):
+    """`size` rows of a class-route source from one whole-batch
+    `rng.random((size, 2))`: k_0 = u_0 * 2^53 finds the class D among the
+    exact edges by `np.searchsorted`, and k_1 the ranking at offset
+    floor(k_1 * beta_n(D) / 2^53) in that class, in Python ints."""
+    edges, classes = exact_class_edges(source, n)
+    k = (rng.random((size, 2)) * 2.0**53).astype(np.int64)
+    desc = np.searchsorted(np.array(edges), k[:, 0], side="right") - 1
+    rows = [classes[d][j * len(classes[d]) >> 53] for d, j in zip(desc.tolist(), k[:, 1].tolist())]
+    return np.array(rows, dtype=np.int64).reshape(size, n)
+
+
+def key_rows(source, n, size, rng, inverse=False):
+    """The key route called directly, on one batch: the rankings (or row
+    inverses) of `_ordering_keys` of `size` rows of conjugate draws."""
+    keys = _ordering_keys(sample_conjugate_batch(source, (size, n), rng))
+    return _rank_keys(keys, inverse=inverse)
+
+
 def double_argsort_ordering(source, n, size, rng):
     """`sample_ordering_batch` rows.
 
-    A word source (`word_route`) draws one uniform per row for its word.  Else a mixture draws its rows' components one row block of
-    `_LOOKUP_BLOCK` draws at a time, as `sample_ordering_batch` does, and
-    a measure draws the whole batch at once.
+    A word source (`word_route`) draws one uniform per row for its word,
+    and a class source (`class_route`) two, for its class and a ranking in
+    it.  Else the rows are those of the key route (`key_ordering`).
     """
     words = word_route(source, n)
     if words is not None:
         cell = word_cells(source, n, size, rng)
         return ranked_cells(cell, words[1][cell], np.zeros(cell.shape))
+    if class_route(source, n):
+        return class_rows(source, n, size, rng)
+    return key_ordering(source, n, size, rng)
+
+
+def key_ordering(source, n, size, rng):
+    """Rows of the key route: a mixture draws its rows' components one row
+    block of `_LOOKUP_BLOCK` draws at a time, as `sample_ordering_batch`
+    does, and a measure draws the whole batch at once.
+    """
     if isinstance(source, MeasureMixture):
         rows = max(1, _LOOKUP_BLOCK // n)
         return np.concatenate(
@@ -311,6 +392,19 @@ def test_sample_ordering_batch_equals_double_argsort(name, n):
     source, size = sources()[name], 500
     got = sample_ordering_batch(source, range(1, n + 1), size, make_rng(n))
     assert identical(got, double_argsort_ordering(source, n, size, make_rng(n)))
+
+
+@pytest.mark.parametrize("n", [n for n in SIZES if n <= _INDEX_WIDTH])
+@pytest.mark.parametrize("name", sorted(sources()))
+def test_key_route_equals_double_argsort(name, n):
+    # the sources of the class route keep their key route's coverage at up
+    # to 8 labels, rankings and row inverses, called directly on one block
+    source, size = sources()[name], 500
+    assert size * n <= _LOOKUP_BLOCK
+    want = key_ordering(source, n, size, make_rng(n))
+    assert identical(key_rows(source, n, size, make_rng(n)), want)
+    inverse = key_rows(source, n, size, make_rng(n), inverse=True)
+    assert identical(inverse, np.argsort(want, axis=1, kind="stable") + 1)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -42,17 +42,18 @@ def test_traced_caches_exist():
 
 def test_step_batch_trace_keeps_the_sampling_layer():
     """One traced step_batch call counts its draws and nests the batch draw.
-    The measure has a diffuse cell, so its steps take the per-card key
-    route; a purely atomic one would draw one uniform per row instead."""
+    The measure has a diffuse cell and the rows 9 labels, so its steps take
+    the per-card key route; a purely atomic one would draw one uniform per
+    row instead, and at up to 8 labels this one two."""
     tracing = load_tracing()
     recorder = tracing.Recorder(quasishuffle)
     recorder.install()
     try:
         sampler = quasishuffle.kernels.ConjugateCoupling(quasishuffle.measure.mixed_fixture())
-        quasishuffle.kernels.step_batch(8, sampler, 100, np.random.default_rng(1))
+        quasishuffle.kernels.step_batch(9, sampler, 100, np.random.default_rng(1))
     finally:
         recorder.uninstall()
-    assert recorder.counts["measure.draws"] == 800
+    assert recorder.counts["measure.draws"] == 900
     names = [name for name, _, _, _ in recorder.spans]
     assert names == ["kernels.step_batch", "measure.sample_conjugate_batch"]
     assert recorder.spans[1][3] == 0  # its parent is the step_batch span

@@ -1,0 +1,189 @@
+"""The class route: rows of up to 8 labels dealt from the descent-class law.
+
+A source without a word table deals each row of up to 8 labels from two
+uniforms: the first finds the descent class of the row's rank-order list
+through a guide over the exact class law, the second one of the class's
+equal-mass rankings.  These tests check the class law against the
+brute-force cell enumeration, the class table against its definition, the
+guide's edges against the exact ones, the in-class offset at its extremes,
+the uniforms each row takes, and the dealt rows against the key route's by
+a two-sample chi-square at a pinned seed.
+"""
+
+from fractions import Fraction as F
+from itertools import permutations
+from math import factorial
+
+import numpy as np
+import pytest
+
+from quasishuffle import oracle
+from quasishuffle.kernels import ConjugateCoupling, InverseConjugateCoupling, step_batch
+from quasishuffle.measure import (
+    LEFT,
+    RIGHT,
+    GapInterval,
+    MeasureMixture,
+    QuasiUniformMeasure,
+    _row_blocks,
+    a_shuffle,
+    gsr,
+    mixed_fixture,
+)
+from quasishuffle.ordering import _class_guide, _class_tables, sample_ordering_batch
+from quasishuffle.permutations import _INDEX_WIDTH, _lex_index
+
+from conftest import make_rng
+from test_batch_reference import (
+    MEASURES,
+    class_route,
+    descent_mask,
+    exact_class_edges,
+    key_rows,
+    ranking_classes,
+)
+
+SKEWED = QuasiUniformMeasure((GapInterval(0, F(17, 18), RIGHT), GapInterval(F(17, 18), 1, LEFT)))
+# the benchmark's mixture: an atomic and a diffuse component
+MIXTURE = MeasureMixture(((F(1, 3), a_shuffle(3)), (F(2, 3), mixed_fixture())))
+LAWS = {**MEASURES, "masses-17/18-1/18": SKEWED, "mixture": MIXTURE}
+
+
+def cell_enumeration(source, n):
+    """The brute-force law of a measure, or the weighted sum of its
+    components' for a mixture."""
+    if isinstance(source, MeasureMixture):
+        return oracle.combine_distributions(
+            (w, oracle._cell_enumeration(m, n)) for w, m in source.components
+        )
+    return oracle._cell_enumeration(source, n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_class_law_equals_cell_enumeration(name, n):
+    nums, den, first = oracle._class_law(LAWS[name], n)
+    want = cell_enumeration(LAWS[name], n)
+    assert len(nums) == len(first) == 2 ** (n - 1)
+    for ranking in permutations(range(1, n + 1)):
+        desc = descent_mask(ranking)
+        assert F(nums[desc], den) == want.prob(ranking), ranking
+        assert (first[desc] < len(getattr(LAWS[name], "components", [0]))) == (nums[desc] > 0)
+
+
+@pytest.mark.parametrize("n", range(1, _INDEX_WIDTH + 1))
+def test_class_tables_group_every_ranking_by_its_class(n):
+    table = _class_tables(n)
+    sizes = oracle._descent_class_sizes(n)
+    assert table.size.tolist() == sizes
+    assert table.start.tolist() == [sum(sizes[:d]) for d in range(len(sizes))]
+    assert table.ranks.dtype == table.inverse.dtype == np.int8
+    assert table.index.dtype == np.int64
+    ranks = table.ranks.astype(np.int64)
+    # the n! rankings, each once, with their row inverses and S_n indices
+    assert sorted(_lex_index(ranks).tolist()) == list(range(factorial(n)))
+    assert np.array_equal(table.index, _lex_index(ranks))
+    assert np.array_equal(table.inverse, np.argsort(ranks, axis=1) + 1)
+    for desc, rankings in enumerate(ranking_classes(n)):
+        start, stop = sum(sizes[:desc]), sum(sizes[: desc + 1])
+        assert [tuple(r) for r in ranks[start:stop].tolist()] == rankings
+
+
+@pytest.mark.parametrize("n", range(1, _INDEX_WIDTH + 1))
+def test_offset_stays_in_its_class_at_the_extreme_uniforms(n):
+    table = _class_tables(n)
+    desc = np.arange(len(table.size))
+    top = np.full(len(desc), 1.0 - 2.0**-53)
+    assert np.array_equal(table.row(desc, np.zeros(len(desc))), table.start)
+    assert np.array_equal(table.row(desc, top), table.start + table.size.astype(np.int64) - 1)
+
+
+@pytest.mark.parametrize("n", range(1, _INDEX_WIDTH + 1))
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_class_guide_deals_each_class_on_its_exact_edges(name, n):
+    # class D is found exactly by the k in [E_D, E_{D+1}), E_D = ceil(F_D *
+    # 2^53), so it is dealt within 2^-53 of its mass
+    source = LAWS[name]
+    if not class_route(source, n):
+        return
+    edges, _ = exact_class_edges(source, n)
+    guide = _class_guide(source, n)
+    for desc, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        if lo < hi:
+            k = np.array([lo, hi - 1, (lo + hi) // 2], dtype=np.float64)
+            assert guide.lookup(k * 2.0**-53).tolist() == [desc] * 3
+
+
+def test_every_fixture_takes_the_class_route_up_to_8_labels():
+    # and only there: word-table sources keep their one uniform per row
+    for name in ("mixed", "lebesgue", "left-gap"):
+        assert all(class_route(LAWS[name], n) for n in range(1, 9))
+        assert not class_route(LAWS[name], 9)
+    assert class_route(MIXTURE, 8) and class_route(SKEWED, 8)
+    assert not any(class_route(gsr(), n) for n in range(1, 14))
+
+
+@pytest.mark.parametrize("n", (1, 4, 8))
+@pytest.mark.parametrize("name", ("mixed", "mixture"))
+def test_each_row_takes_two_uniforms(name, n):
+    rng, ref = make_rng(5), make_rng(5)
+    sample_ordering_batch(LAWS[name], range(1, n + 1), 3 * (2**14 // n) + 7, rng)
+    ref.random((3 * (2**14 // n) + 7, 2))
+    assert rng.random() == ref.random()
+
+
+def key_route(source, n, size, rng, inverse=False):
+    """Rows of the key route called directly, one row block at a time."""
+    return np.concatenate(
+        [key_rows(source, n, stop - start, rng, inverse) for start, stop in _row_blocks(size, n)]
+    )
+
+
+def two_sample_p(a, b):
+    """p of a Pearson two-sample chi-square of two equal-sized samples of
+    S_n indices, one bin per index, without pooling by observed counts:
+    bins holding at least 10 draws of both samples together (5 expected in
+    each) are tested, the rest lumped into one bin if it holds as many.
+    Given each bin's total, which both samples share under the null, this
+    choice of bins leaves the test exact in its chi-square limit."""
+    from scipy.stats import chi2
+
+    assert len(a) == len(b)
+    ca, cb = np.bincount(a), np.bincount(b)
+    ca, cb = np.pad(ca, (0, max(len(cb) - len(ca), 0))), np.pad(cb, (0, max(len(ca) - len(cb), 0)))
+    keep = ca + cb >= 10
+    rest = np.array([ca[~keep].sum(), cb[~keep].sum()])
+    bins = np.column_stack([ca[keep], cb[keep]])
+    if rest.sum() >= 10:
+        bins = np.vstack([bins, rest])
+    expected = bins.sum(axis=1, keepdims=True) / 2.0
+    stat = float(((bins - expected) ** 2 / expected).sum())
+    return float(chi2.sf(stat, len(bins) - 1))
+
+
+# (source, n, kind), seeds pinned, tested at alpha = 0.01.  p at this
+# commit: mixed 0.839 (n = 7) and 0.480 (n = 8), the mixture 0.551 and
+# 0.567, type two as type one: its rows are the inverses of the same draws
+AGREEMENT = [
+    (name, n, kind) for name in ("mixed", "mixture") for n in (7, 8) for kind in ("one", "two")
+]
+
+
+@pytest.mark.parametrize(("name", "n", "kind"), AGREEMENT)
+def test_class_rows_agree_with_key_rows(name, n, kind):
+    # type-two rows are the row inverses, dealt by the same two uniforms
+    source, size = LAWS[name], 100_000
+    assert class_route(source, n)
+    coupling = ConjugateCoupling if kind == "one" else InverseConjugateCoupling
+    dealt = step_batch(n, coupling(source), size, make_rng(70 + n))
+    keyed = key_route(source, n, size, make_rng(80 + n), inverse=kind == "two")
+    p = two_sample_p(_lex_index(dealt), _lex_index(keyed))
+    print(f"{name} n = {n} type {kind}: p = {p:.3f}")
+    assert p >= 0.01
+
+
+def test_the_two_sample_check_tells_two_laws_apart():
+    # mixed's class rows against the mixture's key rows, at 8 labels
+    dealt = sample_ordering_batch(LAWS["mixed"], range(1, 9), 100_000, make_rng(78))
+    keyed = key_route(MIXTURE, 8, 100_000, make_rng(88))
+    assert two_sample_p(_lex_index(dealt), _lex_index(keyed)) < 1e-6

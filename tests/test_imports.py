@@ -187,15 +187,32 @@ def test_one_class_loop_runs_the_transfer_kernel():
 
 def test_one_dealing_loop_chooses_the_row_route():
     """Every conjugate row is dealt by `ordering._deal`, the only caller of
-    `_word_tables`; `kernels` imports `_deal` alone from `ordering`, and no
-    word table or batch table of its own."""
-    found = set().union(*(callers(p.read_text(), "_word_tables") for p in LIBRARY))
-    assert found == {"_deal"}
+    `_word_tables` and the only reader of the class table and its guides;
+    `kernels` imports `_deal` alone from `ordering`, and no word table or
+    batch table of its own."""
+    for name in ("_word_tables", "_class_tables", "_class_guide"):
+        found = set().union(*(callers(p.read_text(), name) for p in LIBRARY))
+        assert found == {"_deal"}, name
     tree = ast.parse((ROOT / "src" / "quasishuffle" / "kernels.py").read_text())
     imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
     assert {a.name for n in imports if n.module == "ordering" for a in n.names} == {"_deal"}
     names = {a.name for n in imports for a in n.names}
     assert not {n for n in names if n.startswith("_word_") or n == "_batch_tables"}
+
+
+def test_ordering_loads_without_the_oracle():
+    """`ordering` reads the class law from `oracle` only when it builds a
+    class guide, so the sampling commands import no exact route."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, quasishuffle.ordering, quasishuffle.kernels; "
+        "assert 'quasishuffle.oracle' not in sys.modules, sorted(sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_one_counter_counts_permutations():

@@ -34,7 +34,7 @@ from quasishuffle.oracle import exact_ordering_distribution
 from quasishuffle.stats import chi_square_goodness, empirical_tv
 
 from conftest import cell_sides, eager_pairs, make_rng, measure_params, measure_strategy
-from test_batch_reference import word_cells, word_route
+from test_batch_reference import class_route, key_rows, word_cells, word_route
 
 IDENTITY = QuasiUniformMeasure((GapInterval(F(0), F(1), RIGHT),))
 REVERSAL = QuasiUniformMeasure((GapInterval(F(0), F(1), LEFT),))
@@ -94,8 +94,12 @@ def test_identity_and_reversal_are_deterministic(rng):
 
 def _assert_ranks_follow_comparator(measure, labels, rows, seed):
     """With equal seeds, the batch ranks order every pair of labels as
-    `compare` orders their conjugate pairs."""
+    `compare` orders their conjugate pairs.  A source that deals its rows
+    from its class law draws no pair per label, so its key route is
+    called directly."""
     ranks = sample_ordering_batch(measure, labels, rows, make_rng(seed))
+    if class_route(measure, len(labels)):
+        ranks = key_rows(measure, len(labels), rows, make_rng(seed))
     if word_route(measure, len(labels)) is None:
         batch = sample_conjugate_batch(measure, (rows, len(labels)), make_rng(seed))
     else:

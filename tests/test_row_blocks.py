@@ -49,10 +49,11 @@ SOURCES = {
 }
 MEASURES = {name: m for name, m in SOURCES.items() if name != "mixture"}
 KINDS = {"one": ConjugateCoupling, "two": InverseConjugateCoupling}
-# (n, rows): three whole blocks of 8-card rows and a partial fourth, and two
-# rows each wider than one block
-SHAPES = [(8, 3 * (_LOOKUP_BLOCK // 8) + 5), (20_000, 2)]
-SHAPE_IDS = ["n8-partial-block", "n20000-wide-rows"]
+# (n, rows): three whole blocks of 8-card rows and a partial fourth, the
+# same of 9-card rows, which every source but a word-table one deals by
+# keys, and two rows each wider than one block
+SHAPES = [(8, 3 * (_LOOKUP_BLOCK // 8) + 5), (9, 3 * (_LOOKUP_BLOCK // 9) + 5), (20_000, 2)]
+SHAPE_IDS = ["n8-partial-block", "n9-partial-block", "n20000-wide-rows"]
 
 
 @pytest.mark.parametrize(("n", "size"), SHAPES, ids=SHAPE_IDS)
@@ -84,8 +85,12 @@ def test_walk_spans_blocks(kind, n, steps):
 
 
 # the curve needs 1/n! as a float, so its rows stay narrow; gsr at 13 cards
-# composes the word table's own int8 rows
-CURVES = {**{name: (m, SHAPES[0][0]) for name, m in MEASURES.items()}, "gsr-n13": (gsr(), 13)}
+# composes the word table's own int8 rows, mixed at 9 its key rows
+CURVES = {
+    **{name: (m, SHAPES[0][0]) for name, m in MEASURES.items()},
+    "gsr-n13": (gsr(), 13),
+    "mixed-n9": (mixed_fixture(), 9),
+}
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
