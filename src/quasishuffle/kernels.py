@@ -11,14 +11,19 @@ drawn independently of u, and inside an atom cell v follows the u order
 (reversed at a left atom), ranked from one exact integer key per card
 (`ordering._ordering_keys`), so no two cards tie.  Every other coupling
 ranks its float pairs (`permutations._row_ranks`); ties there
-(probability ~2^-52 each) resolve by card order.  A grid-copula cell, a
-shuffle-map piece and a mixture's component are found by the guide-table
-lookup that finds a measure's cells (`measure._Guide`).
+(probability ~2^-52 each) resolve by card order.  A mixture's conjugate
+couplings of plain measures are one coupling of all their cells
+(`_ConjugateCells`): each card draws one cell, with its component's
+weight times its mass, from one uniform, and its u from a second.  A
+grid-copula cell, a shuffle-map piece, such a cell and a mixture's other
+components are found by the guide-table lookup that finds a measure's
+cells (`measure._Guide`).
 
 Steps are dealt in row blocks of about 2^14 draws (`measure._row_blocks`),
 each written straight into one preallocated output, so no temporary grows
 with the batch; a conjugate coupling's blocks are those of
-`ordering._deal`, which chooses between a word table and the keys.
+`ordering._deal`, which chooses among a word table, a class table and the
+keys, and sizes its blocks by the uniforms their rows draw.
 `empirical_step_counts` counts the blocks one by one, and
 `empirical_mixing_curve` composes its one state array (int8 below 128
 cards) in place with each block of steps; both count through
@@ -58,6 +63,7 @@ from .measure import (
     _row_blocks,
     _weight_guide,
     as_fraction,
+    cell_decomposition,
     sample_conjugate_batch,
 )
 from .permutations import (
@@ -322,26 +328,107 @@ class GridCopulaCoupling(CouplingSampler):
 
 
 class MixtureCoupling(CouplingSampler):
-    """Finite mixture of couplings; the component is drawn per pair."""
+    """Finite mixture of couplings; each pair draws its component.
+
+    The components that are conjugate couplings (either type) of a plain
+    measure are folded into one table of all their cells (`_ConjugateCells`)
+    when the mixture is built, which takes their summed weight and the first
+    one's place among the components.  Without other components the table
+    draws every pair."""
 
     def __init__(self, components: Sequence[tuple[RationalLike, CouplingSampler]]):
         self.components = _checked_weights(components)
-        self._guide = _weight_guide(self.components)
+        folds = [_ConjugateCells.folds(s) for _, s in self.components]
+        group = [c for c, f in zip(self.components, folds) if f]
+        parts = [c for c, f in zip(self.components, folds) if not f]
+        if group:
+            parts.insert(folds.index(True), (sum(w for w, _ in group), _ConjugateCells(group)))
+        self._parts = tuple(parts)
+        self._guide = None if len(parts) == 1 and group else _weight_guide(self._parts)
 
     def draw_batch(self, shape, rng: np.random.Generator):
-        """One uniform per pair draws its component, as `rng.choice` does;
-        then each component drawn, in component order, draws its pairs."""
+        """The table's draws when it is the only part; else one uniform per
+        pair draws its part, and then each part drawn, in order, draws its
+        pairs."""
         import numpy as np
 
+        if self._guide is None:
+            return self._parts[0][1].draw_batch(shape, rng)
         which = self._guide.lookup(rng.random(shape))
         u = np.empty(shape)
         v = np.empty(shape)
-        # flat views of the new arrays take each component's draws in place
-        for k, (_, sampler) in enumerate(self.components):
+        # flat views of the new arrays take each part's draws in place
+        for k, (_, sampler) in enumerate(self._parts):
             at = np.flatnonzero(which == k)
             if len(at):
                 u.reshape(-1)[at], v.reshape(-1)[at] = sampler.draw_batch(len(at), rng)
         return u, v
+
+
+class _ConjugateCells(CouplingSampler):
+    """A mixture's conjugate couplings of plain measures as one coupling.
+
+    Component k of weight w_k (rescaled to sum to one over the group) holds
+    its measure's cells, cell c on [W + w_k * lo_c, W + w_k * hi_c) for W
+    the weights of the components before it, and one guide over these
+    edges finds a pair's cell from one uniform U, so the cell is drawn with
+    its component's weight times its mass.  A second uniform u is the
+    pair's first coordinate and v = A + B * U + C * u its second: at an atom
+    A = y, B = 0 and C = x - y, as `ConjugateCoupling` interpolates; in a
+    diffuse cell A = -W / w_k, B = 1 / w_k and C = 0, so v is the position
+    of U within the component, uniform on the cell, within a few ulps.  A
+    type-two cell swaps u and v.  The tables are floats of exact Fractions.
+    """
+
+    def __init__(self, group):
+        import numpy as np
+
+        total = sum(w for w, _ in group)
+        rows, below = [], _ZERO
+        for weight, coupling in group:
+            w = weight / total
+            for cell in cell_decomposition(coupling.measure).cells:
+                if cell.kind == "atom":
+                    coef = (cell.y, _ZERO, cell.x - cell.y)
+                else:
+                    coef = (-below / w, 1 / w, _ZERO)
+                rows.append((below + w * cell.lo, *coef, isinstance(coupling, InverseConjugateCoupling)))
+            below += w
+        edges, a, b, c, two = zip(*rows)
+        self._cells = _Guide.build([[*map(float, edges), 1.0]])
+        self._a, self._b, self._c = (np.array([float(x) for x in t]) for t in (a, b, c))
+        # one flag for the whole table when the cells share it: a per-pair
+        # swap by `np.where` costs more than the rest of the draw
+        self._two = two[0] if len(set(two)) == 1 else np.array(two)
+
+    @staticmethod
+    def folds(sampler: CouplingSampler) -> bool:
+        """Whether a mixture component joins the table."""
+        return isinstance(sampler, (ConjugateCoupling, InverseConjugateCoupling)) and isinstance(
+            sampler.measure, QuasiUniformMeasure
+        )
+
+    def draw_batch(self, shape, rng: np.random.Generator):
+        """U and then u, one `rng.random(shape)` each."""
+        import numpy as np
+
+        seed = rng.random(shape)
+        cell = self._cells.lookup(seed)
+        u = rng.random(shape)
+        # (B * U + A) + C * u, gathered by `np.take` into temporaries
+        # updated in place
+        v = np.take(self._b, cell)
+        v *= seed
+        v += np.take(self._a, cell)
+        span = np.take(self._c, cell)
+        span *= u
+        v += span
+        if self._two is False:
+            return u, v
+        if self._two is True:
+            return v, u
+        two = np.take(self._two, cell)
+        return np.where(two, v, u), np.where(two, u, v)
 
 
 # -- walk steps ------------------------------------------------------------

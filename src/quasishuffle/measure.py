@@ -454,7 +454,10 @@ def _weight_guide(components) -> _Guide:
     """The guide over the cumulative weights of (weight, component) pairs,
     rescaled to end at 1: the arithmetic of `rng.choice(k, p=weights /
     weights.sum())` without its checks, so a uniform finds the component
-    `choice` draws from it."""
+    `choice` draws from it.  A `MeasureMixture` draws each row's component
+    through it; a `kernels.MixtureCoupling` draws each pair's part, where
+    its conjugate couplings of plain measures are one part of their summed
+    weight, and without other parts draws none."""
     import numpy as np
 
     p = np.array([float(w) for w, _ in components])

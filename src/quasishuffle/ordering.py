@@ -8,8 +8,9 @@ under order-preserving relabelling, and the rank of a label inside a large
 window recovers its pair: lower-window ranks converge to x, upper-window
 ranks to y.
 
-Orderings are dealt in row blocks of about 2^14 draws
-(`measure._row_blocks`) by one loop, `_deal`, which chooses a source's
+Orderings are dealt in row blocks of about 2^14 uniforms
+(`measure._row_blocks`: 2^14 / n rows of keys, 2^14 rows of words, 2^13
+of classes) by one loop, `_deal`, which chooses a source's
 route once and yields each block's rankings, row inverses or S_n indices:
 into one preallocated output for `sample_ordering_batch`, counted one by
 one for `ordering_counts`, and as every conjugate step of `kernels`.  There
@@ -446,7 +447,8 @@ def _deal(
     out: Optional[np.ndarray] = None,
 ):
     """The rows of `size` orderings of n labels, one row block at a time:
-    yields (start, stop, rows) for each block of `_row_blocks`, rows being
+    yields (start, stop, rows) for each block of `_row_blocks`, sized by
+    the uniforms a row draws (n, or one per word, two per class), rows being
     `out[start:stop]` when `out` is given.  `form` names the rows, as the
     `_Words` field that holds them: "ranks", the rankings; "inverse", their
     row inverses; "index", their S_n indices, for n <= `_CODE_WIDTH`.
@@ -468,7 +470,10 @@ def _deal(
     work = (1 << (n - 1)) * len(tables.cells) * n**3
     if words is None and n <= _INDEX_WIDTH and work <= _CLASS_WORK_CAP:
         classes, guide = _class_tables(n), _class_guide(source, n)
-    for start, stop in _row_blocks(size, n):
+    # a block holds about `_LOOKUP_BLOCK` uniforms: n per row for the keys,
+    # one for a word, two for a class and its ranking
+    draws = 1 if words is not None else 2 if classes is not None else n
+    for start, stop in _row_blocks(size, draws):
         rows = None if out is None else out[start:stop]
         if words is None and classes is None:
             keys = _ordering_keys(sample_conjugate_batch(source, (stop - start, n), rng))

@@ -13,6 +13,7 @@ agree with scipy's `chdtrc` and `kolmogorov` to about 1e-12 relative.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import erfc, exp, lgamma, log, pi, sqrt
@@ -141,12 +142,23 @@ class TestReport:
 
 def _pool(cells: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
     """Merge the two smallest-expected cells, summing their tuples
-    elementwise, until every expected (first entry) reaches MIN_EXPECTED."""
-    cells = sorted(cells)
-    while len(cells) > 1 and cells[0][0] < MIN_EXPECTED:
-        merged = tuple(a + b for a, b in zip(cells[0], cells[1]))
-        cells = sorted([merged] + cells[2:])
-    return cells
+    elementwise, until every expected (first entry) reaches MIN_EXPECTED.
+
+    Cells are ordered by expected count alone, ties by input order (a
+    merged cell after every input), so the observed counts never choose
+    which cells pool; a heap keeps each merge logarithmic.  The cells come
+    back sorted as tuples, the order their statistic is summed in.
+    """
+    heap = [(cell[0], k, cell) for k, cell in enumerate(cells)]
+    heapq.heapify(heap)
+    made = len(heap)
+    while len(heap) > 1 and heap[0][0] < MIN_EXPECTED:
+        _, _, a = heapq.heappop(heap)
+        _, _, b = heapq.heappop(heap)
+        merged = tuple(x + y for x, y in zip(a, b))
+        heapq.heappush(heap, (merged[0], made, merged))
+        made += 1
+    return sorted(cell for _, _, cell in heap)
 
 
 def chi_square_goodness(

@@ -12,8 +12,11 @@ that class, found among the rankings grouped here by
 `itertools.permutations` and the class law's exact edges; its key route is
 called directly.  A conjugate coupling's step is dealt as the measure's
 ordering (type two as its row inverse), so its reference is the ordering
-one; the coupling's own (u, v) draws, which mixture steps and `verify`
-rank, keep the pair reference.
+one; the coupling's own (u, v) draws, which `verify` ranks, keep the pair
+reference.  A mixture of conjugate couplings draws each pair's cell from
+one table of all its components' cells, built here from Fractions; a
+two-sample test checks that its rows keep the law of the per-component
+draw (`eager_draw`).
 """
 
 from collections import Counter
@@ -27,6 +30,7 @@ import pytest
 
 from quasishuffle.kernels import (
     ConjugateCoupling,
+    GridCopulaCoupling,
     InverseConjugateCoupling,
     MixtureCoupling,
     _rank_pairs,
@@ -56,6 +60,7 @@ from quasishuffle.ordering import (
     sample_ordering_batch,
 )
 from quasishuffle.permutations import _COUNT_WIDTH, _INDEX_WIDTH
+from quasishuffle.stats import chi_square_two_sample
 
 from conftest import make_rng
 
@@ -100,7 +105,9 @@ def eager_batch(measure, shape, rng):
 
 
 def eager_draw(sampler, shape, rng):
-    """(u, v) of a conjugate coupling or a mixture of them, from eager batches."""
+    """(u, v) of a conjugate coupling or a mixture, from eager batches: a
+    mixture draws each pair's component as `rng.choice` does, and then each
+    component in turn draws its pairs, a grid or map by its own draws."""
     if isinstance(sampler, InverseConjugateCoupling):
         u, v = eager_draw(ConjugateCoupling(sampler.measure), shape, rng)
         return v, u
@@ -108,6 +115,8 @@ def eager_draw(sampler, shape, rng):
         u = rng.random(shape)
         b = eager_batch(sampler.measure, shape, rng)
         return u, b["y"] + u * (b["x"] - b["y"])
+    if not isinstance(sampler, MixtureCoupling):
+        return sampler.draw_batch(shape, rng)
     weights = np.array([float(w) for w, _ in sampler.components])
     which = rng.choice(len(weights), size=shape, p=weights / weights.sum())
     u, v = np.empty(shape), np.empty(shape)
@@ -118,8 +127,44 @@ def eager_draw(sampler, shape, rng):
     return u, v
 
 
-def double_argsort_step(n, sampler, size, rng):
-    u, v = eager_draw(sampler, (size, n), rng)
+def joint_cells(sampler):
+    """Each cell of a mixture of conjugate couplings of plain measures, as
+    (lower edge, A, B, C, type two), in Fractions: component k of weight
+    w_k, after components of weight W, holds its measure's cells on
+    [W + w_k * lo, W + w_k * hi); an atom cell has v = y + (x - y) * u, a
+    diffuse one v = (U - W) / w_k, U being the uniform that found it."""
+    cells, below = [], F(0)
+    for w, coupling in sampler.components:
+        two = isinstance(coupling, InverseConjugateCoupling)
+        for c in cell_decomposition(coupling.measure).cells:
+            if c.kind == "atom":
+                cells.append((below + w * c.lo, c.y, F(0), c.x - c.y, two))
+            else:
+                cells.append((below + w * c.lo, -below / w, 1 / w, F(0), two))
+        below += w
+    return cells
+
+
+def joint_draw(sampler, shape, rng):
+    """(u, v) of a mixture of conjugate couplings from `joint_cells`: U
+    finds its cell by `np.searchsorted`, then u is drawn, v = A + B * U +
+    C * u, and a type-two cell swaps the two."""
+    cells = joint_cells(sampler)
+    edge, a, b, c = (np.array([float(cell[i]) for cell in cells]) for i in range(4))
+    two = np.array([cell[4] for cell in cells])
+    seed = rng.random(shape)
+    cell = np.searchsorted(edge, seed, side="right") - 1
+    u = rng.random(shape)
+    v = a[cell] + b[cell] * seed + c[cell] * u
+    return np.where(two[cell], v, u), np.where(two[cell], u, v)
+
+
+def double_argsort_step(n, sampler, size, rng, draw=None):
+    """Steps ranked from (u, v) pairs: a mixture's from `joint_draw`, other
+    couplings' from `eager_draw`, unless `draw` is given."""
+    if draw is None:
+        draw = joint_draw if isinstance(sampler, MixtureCoupling) else eager_draw
+    u, v = draw(sampler, (size, n), rng)
     ranks_u = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1, kind="stable")
     ranks_v = np.argsort(np.argsort(v, axis=1, kind="stable"), axis=1, kind="stable")
     sigma = np.empty((size, n), dtype=np.int64)
@@ -345,6 +390,70 @@ def samplers():
         [(F(1, 3), ConjugateCoupling(gsr())), (F(2, 3), InverseConjugateCoupling(mixed_fixture()))]
     )
     return out
+
+
+def law_mixtures():
+    """Mixtures of conjugate couplings whose pairs the joint table draws:
+    the benchmark's, of either type, the mixed-type one of `samplers`,
+    three components with a left gap and a-shuffle:48, and two beside a
+    grid, where the table takes half the weight."""
+    bench = ((F(1, 3), a_shuffle(3)), (F(2, 3), mixed_fixture()))
+    three = (
+        (F(1, 5), ConjugateCoupling(parse_measure("gap(1/4,1/2,left)"))),
+        (F(1, 2), InverseConjugateCoupling(mixed_fixture())),
+        (F(3, 10), ConjugateCoupling(a_shuffle(48))),
+    )
+    return {
+        "bench-one": MixtureCoupling([(w, ConjugateCoupling(m)) for w, m in bench]),
+        "bench-two": MixtureCoupling([(w, InverseConjugateCoupling(m)) for w, m in bench]),
+        "mixed-type": samplers()["mixture"],
+        "three": MixtureCoupling(three),
+        "with-grid": MixtureCoupling(
+            [
+                (F(1, 4), ConjugateCoupling(a_shuffle(3))),
+                (F(1, 2), GridCopulaCoupling([[F(1, 8), F(3, 8)], [F(3, 8), F(1, 8)]])),
+                (F(1, 4), InverseConjugateCoupling(mixed_fixture())),
+            ]
+        ),
+    }
+
+
+LAW_ROWS = 200_000
+
+
+def law_p(sampler, n, reference):
+    """p of a two-sample chi-square of `LAW_ROWS` `step_batch` rows of the
+    sampler against as many rows ranked from the per-component draws of
+    `reference`, seeds pinned."""
+
+    def counts(rows):
+        # one integer per row, its entries less one read as base-n digits
+        codes, counts = np.unique(rows @ n ** np.arange(n), return_counts=True)
+        return dict(zip(codes.tolist(), counts.tolist()))
+
+    dealt = step_batch(n, sampler, LAW_ROWS, make_rng(n))
+    drawn = double_argsort_step(n, reference, LAW_ROWS, make_rng(n + 100), draw=eager_draw)
+    return chi_square_two_sample(counts(dealt), counts(drawn), alpha=0.01).p_value
+
+
+# p at this commit, n = 4 and 5: bench-one 0.139 and 0.865, bench-two the
+# same (its rows and the reference's are the inverses of bench-one's
+# draws), mixed-type 0.698 and 0.753, three 0.734 and 0.125, with-grid
+# 0.142 and 0.487
+@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("name", sorted(law_mixtures()))
+def test_joint_mixture_steps_keep_the_per_component_law(name, n):
+    sampler = law_mixtures()[name]
+    assert law_p(sampler, n, sampler) >= 0.01
+
+
+def test_joint_mixture_law_test_rejects_swapped_weights():
+    # the benchmark's mixture with its weights swapped, 2/3 a-shuffle:3 and
+    # 1/3 mixed, against the per-component draws of 1/3 and 2/3
+    bench = law_mixtures()["bench-one"]
+    (w1, c1), (w2, c2) = bench.components
+    # p at this commit: 0.0 (below the smallest float)
+    assert law_p(MixtureCoupling([(w2, c1), (w1, c2)]), 4, bench) < 1e-6
 
 
 # three components whose guides differ in size and in steps

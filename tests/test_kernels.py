@@ -34,6 +34,7 @@ from quasishuffle.measure import (
     LEFT,
     RIGHT,
     GapInterval,
+    MeasureMixture,
     QuasiUniformMeasure,
     a_shuffle,
     gsr,
@@ -347,8 +348,31 @@ def test_conjugate_steps_never_draw_pairs(monkeypatch):
         assert sum(empirical_step_counts(3, sampler, 100, make_rng(2)).values()) == 100
         assert len(walk(4, sampler, 3, make_rng(3))) == 4
         assert len(empirical_mixing_curve(3, sampler, 2, 50, make_rng(4))) == 3
+    # a mixture keeps its per-part loop beside a grid, and a conjugate
+    # coupling of a measure mixture stays out of the joint cell table
+    mixture = MeasureMixture(((F(1, 2), gsr()), (F(1, 2), mixed_fixture())))
+    grid = GridCopulaCoupling([[F(1, 2), 0], [0, F(1, 2)]])
+    paired = MixtureCoupling([(F(1, 2), ConjugateCoupling(mixture)), (F(1, 2), grid)])
     with pytest.raises(AssertionError, match="drew"):
-        step_batch(3, MixtureCoupling([(1, ConjugateCoupling(gsr()))]), 2, make_rng(5))
+        step_batch(3, paired, 20, make_rng(5))
+
+
+def test_conjugate_mixtures_draw_from_their_joint_cell_table(monkeypatch):
+    def no_pairs(self, shape, rng):
+        raise AssertionError("a mixture drew its conjugate components' pairs")
+
+    monkeypatch.setattr(ConjugateCoupling, "draw_batch", no_pairs)
+    monkeypatch.setattr(InverseConjugateCoupling, "draw_batch", no_pairs)
+    grid = GridCopulaCoupling([[F(1, 2), 0], [0, F(1, 2)]])
+    for sampler in (
+        MixtureCoupling([(1, ConjugateCoupling(gsr()))]),
+        MixtureCoupling(
+            [(F(1, 3), ConjugateCoupling(gsr())), (F(2, 3), InverseConjugateCoupling(mixed_fixture()))]
+        ),
+        MixtureCoupling([(F(1, 2), InverseConjugateCoupling(a_shuffle(3))), (F(1, 2), grid)]),
+    ):
+        assert step_batch(5, sampler, 10, make_rng(1)).shape == (10, 5)
+        assert sum(empirical_step_counts(3, sampler, 100, make_rng(2)).values()) == 100
 
 
 def test_empirical_step_counts_same_law(rng):

@@ -49,10 +49,12 @@ SOURCES = {
 }
 MEASURES = {name: m for name, m in SOURCES.items() if name != "mixture"}
 KINDS = {"one": ConjugateCoupling, "two": InverseConjugateCoupling}
-# (n, rows): three whole blocks of 8-card rows and a partial fourth, the
-# same of 9-card rows, which every source but a word-table one deals by
-# keys, and two rows each wider than one block
-SHAPES = [(8, 3 * (_LOOKUP_BLOCK // 8) + 5), (9, 3 * (_LOOKUP_BLOCK // 9) + 5), (20_000, 2)]
+# (n, rows): 8-card rows, which the word and class tables deal, over three
+# whole blocks of a word table (one uniform per row) and a partial fourth,
+# six and a part of a class table (two per row); three whole blocks of
+# 9-card rows and a partial fourth, which every source but a word-table
+# one deals by keys; and two rows each wider than one block
+SHAPES = [(8, 3 * _LOOKUP_BLOCK + 5), (9, 3 * (_LOOKUP_BLOCK // 9) + 5), (20_000, 2)]
 SHAPE_IDS = ["n8-partial-block", "n9-partial-block", "n20000-wide-rows"]
 
 

@@ -10,6 +10,7 @@ from quasishuffle.errors import DimensionMismatch, EmptyCounts, OutOfRange
 from quasishuffle.measure import gsr, lebesgue, mixed_fixture
 from quasishuffle.oracle import PermutationDistribution, exact_ordering_distribution
 from quasishuffle.stats import (
+    _pool,
     chi_square_goodness,
     chi_square_two_sample,
     empirical_tv,
@@ -90,6 +91,45 @@ def test_two_sample_calibrated_under_null(rng):
         )
         rejections += not report.passed
     assert rejections <= 40
+
+
+def sparse_counts(rng, lo, hi, draws=3000):
+    """Counts of `draws` uniform draws from the integers lo..hi-1."""
+    values, counts = np.unique(rng.integers(lo, hi, draws), return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
+SPARSE = {k: F(1, 2000) for k in range(2000)}
+
+
+# two samples of one uniform law over 2,000 outcomes, 3,000 draws each:
+# 1.5 expected per outcome, so nearly every cell is pooled.  p at these
+# seeds, two-sample and goodness: 0.143 and 0.609, 0.980 and 0.916, 0.724
+# and 0.064.  Pooling cells that tie on expected count by their observed
+# counts read 3e-180 and 4e-190 at seed 0
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_same_law_tables_pass(seed):
+    rng = np.random.default_rng(seed)
+    a, b = sparse_counts(rng, 0, 2000), sparse_counts(rng, 0, 2000)
+    assert chi_square_two_sample(a, b, alpha=0.01).passed
+    assert chi_square_goodness(a, SPARSE, alpha=0.01).passed
+
+
+def test_sparse_shifted_law_rejects():
+    # one law shifted by 200 of its 2,000 outcomes; p at this seed 4e-37
+    # (two-sample) and 2.5e-14 (goodness)
+    rng = np.random.default_rng(0)
+    a, b = sparse_counts(rng, 0, 2000), sparse_counts(rng, 200, 2200)
+    assert chi_square_two_sample(a, b).p_value < 1e-6
+    wide = {k: F(1, 2200) for k in range(2200)}
+    assert chi_square_goodness(b, wide).p_value < 1e-6
+
+
+def test_pooling_orders_cells_by_expected_count_alone():
+    # four cells of equal expected count pool in input order, whatever
+    # they observed: the first two, then the next two, not the two zeros
+    cells = [(3.0, 0.0), (3.0, 9.0), (3.0, 0.0), (3.0, 9.0), (10.0, 5.0)]
+    assert _pool(cells) == [(6.0, 9.0), (6.0, 9.0), (10.0, 5.0)]
 
 
 def test_ks_uniform_stratified_grid():
