@@ -11,13 +11,13 @@ drawn independently of u, and inside an atom cell v follows the u order
 (reversed at a left atom), ranked from one exact integer key per card
 (`ordering._ordering_keys`), so no two cards tie.  Every other coupling
 ranks its float pairs (`permutations._row_ranks`); ties there
-(probability ~2^-52 each) resolve by card order.  A mixture's conjugate
-couplings of plain measures are one coupling of all their cells
-(`_ConjugateCells`): each card draws one cell, with its component's
-weight times its mass, from one uniform, and its u from a second.  A
-grid-copula cell, a shuffle-map piece, such a cell and a mixture's other
-components are found by the guide-table lookup that finds a measure's
-cells (`measure._Guide`).
+(probability ~2^-52 each) resolve by card order.  Every coupling draws its
+pairs one way (`CouplingSampler.draw_batch`), as a table of affine cells
+over two uniforms: a conjugate coupling's cells are its measure's, a
+map's its pieces, a grid's its squares, and a mixture's the weighted union
+of its components'.  One uniform finds a card's cell by the guide-table
+lookup that finds a measure's cells (`measure._Guide`), and the cell maps
+it and a second uniform affinely to (u, v).
 
 Steps are dealt in row blocks of about 2^14 draws (`measure._row_blocks`),
 each written straight into one preallocated output, so no temporary grows
@@ -48,10 +48,12 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .errors import (
     ExactUnavailable,
     InvalidGridMatrix,
+    InvalidMixture,
     InvalidShuffleMap,
     NotPurelyAtomic,
 )
 from .measure import (
+    MeasureMixture,
     QuasiUniformMeasure,
     RationalLike,
     _checked_weights,
@@ -61,10 +63,8 @@ from .measure import (
     _plain_measure,
     _resolve_spec,
     _row_blocks,
-    _weight_guide,
     as_fraction,
     cell_decomposition,
-    sample_conjugate_batch,
 )
 from .permutations import (
     _CODE_WIDTH,
@@ -169,28 +169,6 @@ class ShuffleMap:
     def __call__(self, x: RationalLike) -> Fraction:
         return self.piece_at(x).value(x)
 
-    @cached_property
-    def _piece_tables(self):
-        """The guide over the pieces, and each piece's slope and intercept."""
-        import numpy as np
-
-        guide = _Guide.build([[*(float(p.lo) for p in self.pieces), 1.0]])
-        slopes = np.array([float(p.slope) for p in self.pieces])
-        return guide, slopes, np.array([float(p.intercept) for p in self.pieces])
-
-    def eval_batch(self, u: np.ndarray) -> np.ndarray:
-        """The map at each u, in floats; a u outside [0,1] or NaN raises
-        ValueError, as in `piece_at`."""
-        import numpy as np
-
-        u = np.asarray(u, dtype=np.float64)
-        inside = (u >= 0.0) & (u <= 1.0)
-        if not inside.all():
-            raise ValueError(f"x = {u[~inside][0]} outside [0,1]")
-        guide, slopes, intercepts = self._piece_tables
-        at = guide.lookup(u)
-        return slopes[at] * u + intercepts[at]
-
     def to_json(self) -> dict:
         return {
             "pieces": [
@@ -238,26 +216,122 @@ def shuffle_map_from_measure(measure: QuasiUniformMeasure) -> ShuffleMap:
 
 
 class CouplingSampler:
-    """Draws pairs of uniforms; subclasses fix the joint law."""
+    """A coupling of two uniforms, drawn from its table of affine cells.
+
+    Every coupling here puts its pair (u, v) on finitely many affine pieces
+    of the unit square.  `_rows` lists them exactly, in Fractions, as (mass,
+    (D, E, F), (A, B, C)) with masses summing to one: the uniform U that
+    found a cell and a second uniform s give u = D + E * U + F * s and v =
+    A + B * U + C * s.  `draw_batch` is every coupling's one pair draw.
+    """
+
+    def _rows(self) -> list:
+        raise NotImplementedError(f"{type(self).__name__} lists no cells")
+
+    @cached_property
+    def _cells(self) -> _AffineCells:
+        return _AffineCells(self._rows())
 
     def draw_batch(self, shape, rng: np.random.Generator):
-        """Vectorized float draws (u, v); measure-zero ties unresolved."""
-        raise NotImplementedError
+        """Vectorized float draws (u, v); measure-zero ties unresolved.
+
+        s is drawn first, unless no cell reads it, then U, one
+        `rng.random(shape)` each, and U finds each pair's cell."""
+        cells = self._cells
+        s = rng.random(shape) if cells.reads_s else None
+        seed = rng.random(shape)
+        at = cells.guide.lookup(seed)
+        return _affine(cells.u, at, seed, s), _affine(cells.v, at, seed, s)
+
+
+class _AffineCells:
+    """A coupling's rows as float tables: `guide` finds a pair's cell from U
+    over the cells' exact cumulative masses, which end at 1, and `u` and
+    `v` hold each side's coefficients (D, E, F) and (A, B, C), each one
+    float where every cell shares it, so that it costs no gather, else an
+    array over the cells."""
+
+    def __init__(self, rows):
+        import numpy as np
+
+        def column(side, k):
+            values = [float(row[side][k]) for row in rows]
+            return values[0] if len(set(values)) == 1 else np.array(values)
+
+        edges, below = [0.0], _ZERO
+        for mass, _, _ in rows:
+            below += mass
+            edges.append(float(below))
+        self.guide = _Guide.build([edges])
+        self.u, self.v = (tuple(column(side, k) for k in range(3)) for side in (1, 2))
+        self.reads_s = any(not isinstance(c, float) or c for c in (self.u[2], self.v[2]))
+
+
+def _affine(coef, at, seed, s):
+    """One side of each pair, (B * U + A) + C * s for its cell's (A, B, C):
+    a shared 0 drops its term and a shared 1 its product, which moves no
+    bit.  Each term is added as it is made, so at most two arrays of the
+    side are alive at once."""
+    a, b, c = coef
+    out = _plus(_scaled(b, seed, at), _scaled(a, None, at), seed)
+    return _plus(out, _scaled(c, s, at), seed)
+
+
+def _plus(out, term, seed):
+    """out + term, None being 0: in place, unless out is U itself, which
+    the other side still reads."""
+    if out is None or term is None:
+        return term if out is None else out
+    if out is seed:
+        return out + term
+    out += term
+    return out
+
+
+def _scaled(coef, x, at):
+    """coef * x per pair (coef alone for x None), the coefficient gathered
+    by cell; None for a shared 0 and x itself for a shared 1."""
+    import numpy as np
+
+    if isinstance(coef, float):
+        if coef == 0.0 or x is None:
+            return coef or None
+        return x if coef == 1.0 else coef * x
+    out = np.take(coef, at)
+    if x is not None:
+        out *= x
+    return out
+
+
+def _conjugate_rows(measure: QuasiUniformMeasure) -> list:
+    """A conjugate coupling's cells, the measure's: u = s, and v = y + (x -
+    y) * s in an atom cell, v = U in a diffuse one.  x - y is the
+    difference of the floats of x and y, which `float` rounds as their
+    float difference does, so that v is y + (x - y) * s to the bit."""
+    rows = []
+    for c in cell_decomposition(measure).cells:
+        if c.kind == "atom":
+            v = (c.y, _ZERO, Fraction(float(c.x)) - Fraction(float(c.y)))
+        else:
+            v = (_ZERO, _ONE, _ZERO)
+        rows.append((c.mass, (_ZERO, _ZERO, _ONE), v))
+    return rows
 
 
 class ConjugateCoupling(CouplingSampler):
     """v = u * x + (1 - u) * y over the measure's conjugate pair (x, y).
 
     u is uniform and independent of the pair; v is then uniform too, and
-    the step law of n such cards is the measure's ordering law.
+    the step law of n such cards is the measure's ordering law.  A
+    `MeasureMixture`, which draws one component per ordering, has no cells:
+    its coupling steps, but `draw_batch` raises ValueError.
     """
 
     def __init__(self, measure: QuasiUniformMeasure):
         self.measure = measure
 
-    def draw_batch(self, shape, rng: np.random.Generator):
-        u = rng.random(shape)
-        return u, sample_conjugate_batch(self.measure, shape, rng).interpolate(u)
+    def _rows(self) -> list:
+        return _conjugate_rows(self.measure)
 
 
 class InverseConjugateCoupling(CouplingSampler):
@@ -265,22 +339,23 @@ class InverseConjugateCoupling(CouplingSampler):
 
     def __init__(self, measure: QuasiUniformMeasure):
         self.measure = measure
-        self._inner = ConjugateCoupling(measure)
 
-    def draw_batch(self, shape, rng: np.random.Generator):
-        u, v = self._inner.draw_batch(shape, rng)
-        return v, u
+    def _rows(self) -> list:
+        return [(mass, v, u) for mass, u, v in _conjugate_rows(self.measure)]
 
 
 class DeterministicCoupling(CouplingSampler):
-    """v = S(u) for a measure-preserving piecewise-affine map S."""
+    """v = S(u) for a measure-preserving piecewise-affine map S: one cell per
+    piece, u = U and v = slope * U + intercept."""
 
     def __init__(self, shuffle_map: ShuffleMap):
         self.map = shuffle_map
 
-    def draw_batch(self, shape, rng: np.random.Generator):
-        u = rng.random(shape)
-        return u, self.map.eval_batch(u)
+    def _rows(self) -> list:
+        return [
+            (p.hi - p.lo, (_ZERO, _ONE, _ZERO), (p.intercept, p.slope, _ZERO))
+            for p in self.map.pieces
+        ]
 
 
 class GridCopulaCoupling(CouplingSampler):
@@ -290,12 +365,12 @@ class GridCopulaCoupling(CouplingSampler):
     uniform marginals need every row and column to sum to 1/m.  Entries
     are read as exact Fractions (floats by their binary value), and every
     row and column sum, rational input included, need only lie within
-    1e-12 of 1/m.
+    1e-12 of 1/m.  Each square of positive mass is a cell, with its mass
+    over the matrix's sum: u = (i + s) / m, and v is j/m plus U's position
+    within the cell, over m.
     """
 
     def __init__(self, matrix: Sequence[Sequence[RationalLike]]):
-        import numpy as np
-
         rows = [tuple(as_fraction(v, "grid entry") for v in row) for row in matrix]
         m = len(rows)
         if m == 0 or any(len(r) != m for r in rows):
@@ -313,123 +388,56 @@ class GridCopulaCoupling(CouplingSampler):
                 raise InvalidGridMatrix(f"column {j} sums to {col}, expected {target}")
         self.matrix = tuple(rows)
         self.m = m
-        flat = np.array([float(v) for r in rows for v in r])
-        cum = np.cumsum(flat / flat.sum())
-        # the last cell runs to 1 wherever the float sum ends; no edge passes 1
-        self._cells = _Guide.build([np.concatenate([[0.0], np.minimum(cum[:-1], 1.0), [1.0]])])
 
-    def draw_batch(self, shape, rng: np.random.Generator):
-        import numpy as np
-
-        i, j = np.divmod(self._cells.lookup(rng.random(shape)), self.m)
-        u = (i + rng.random(shape)) / self.m
-        v = (j + rng.random(shape)) / self.m
-        return u, v
+    def _rows(self) -> list:
+        m, total = self.m, sum(v for r in self.matrix for v in r)
+        rows, below = [], _ZERO
+        for i, r in enumerate(self.matrix):
+            for j, entry in enumerate(r):
+                if entry:
+                    mass = entry / total
+                    slope = 1 / (m * mass)
+                    u = (Fraction(i, m), _ZERO, Fraction(1, m))
+                    rows.append((mass, u, (Fraction(j, m) - below * slope, slope, _ZERO)))
+                    below += mass
+        return rows
 
 
 class MixtureCoupling(CouplingSampler):
     """Finite mixture of couplings; each pair draws its component.
 
-    The components that are conjugate couplings (either type) of a plain
-    measure are folded into one table of all their cells (`_ConjugateCells`)
-    when the mixture is built, which takes their summed weight and the first
-    one's place among the components.  Without other components the table
-    draws every pair."""
+    Its cells are its components' (a nested mixture's flattened the same
+    way), built with the mixture.  Component k of weight w, after
+    components of weight W, holds each of its cells with w times its mass,
+    and the cells read U' = (U - W) / w, the position of U within the
+    component: E and B become E / w and B / w, and D and A take -E * W / w
+    and -B * W / w.  A component with no cell table raises InvalidMixture:
+    a conjugate coupling of a `MeasureMixture`, or a subclass with a draw
+    of its own."""
 
     def __init__(self, components: Sequence[tuple[RationalLike, CouplingSampler]]):
         self.components = _checked_weights(components)
-        folds = [_ConjugateCells.folds(s) for _, s in self.components]
-        group = [c for c, f in zip(self.components, folds) if f]
-        parts = [c for c, f in zip(self.components, folds) if not f]
-        if group:
-            parts.insert(folds.index(True), (sum(w for w, _ in group), _ConjugateCells(group)))
-        self._parts = tuple(parts)
-        self._guide = None if len(parts) == 1 and group else _weight_guide(self._parts)
+        for _, c in self.components:
+            if isinstance(getattr(c, "measure", None), MeasureMixture):
+                raise InvalidMixture(
+                    "a conjugate coupling of a MeasureMixture draws one component per "
+                    "ordering, not per card; for one per card, give the measure "
+                    "mixture's components, each in its own conjugate coupling, as this "
+                    "mixture's components"
+                )
+            draw = getattr(type(c), "draw_batch", None)
+            if draw is not CouplingSampler.draw_batch or type(c)._rows is CouplingSampler._rows:
+                raise InvalidMixture(f"a {type(c).__name__} component has no cell table")
+        self._cells = _AffineCells(self._rows())
 
-    def draw_batch(self, shape, rng: np.random.Generator):
-        """The table's draws when it is the only part; else one uniform per
-        pair draws its part, and then each part drawn, in order, draws its
-        pairs."""
-        import numpy as np
-
-        if self._guide is None:
-            return self._parts[0][1].draw_batch(shape, rng)
-        which = self._guide.lookup(rng.random(shape))
-        u = np.empty(shape)
-        v = np.empty(shape)
-        # flat views of the new arrays take each part's draws in place
-        for k, (_, sampler) in enumerate(self._parts):
-            at = np.flatnonzero(which == k)
-            if len(at):
-                u.reshape(-1)[at], v.reshape(-1)[at] = sampler.draw_batch(len(at), rng)
-        return u, v
-
-
-class _ConjugateCells(CouplingSampler):
-    """A mixture's conjugate couplings of plain measures as one coupling.
-
-    Component k of weight w_k (rescaled to sum to one over the group) holds
-    its measure's cells, cell c on [W + w_k * lo_c, W + w_k * hi_c) for W
-    the weights of the components before it, and one guide over these
-    edges finds a pair's cell from one uniform U, so the cell is drawn with
-    its component's weight times its mass.  A second uniform u is the
-    pair's first coordinate and v = A + B * U + C * u its second: at an atom
-    A = y, B = 0 and C = x - y, as `ConjugateCoupling` interpolates; in a
-    diffuse cell A = -W / w_k, B = 1 / w_k and C = 0, so v is the position
-    of U within the component, uniform on the cell, within a few ulps.  A
-    type-two cell swaps u and v.  The tables are floats of exact Fractions.
-    """
-
-    def __init__(self, group):
-        import numpy as np
-
-        total = sum(w for w, _ in group)
+    def _rows(self) -> list:
         rows, below = [], _ZERO
-        for weight, coupling in group:
-            w = weight / total
-            for cell in cell_decomposition(coupling.measure).cells:
-                if cell.kind == "atom":
-                    coef = (cell.y, _ZERO, cell.x - cell.y)
-                else:
-                    coef = (-below / w, 1 / w, _ZERO)
-                rows.append((below + w * cell.lo, *coef, isinstance(coupling, InverseConjugateCoupling)))
+        for w, coupling in self.components:
+            for mass, (d, e, f), (a, b, c) in coupling._rows():
+                u = (d - e * below / w, e / w, f)
+                rows.append((w * mass, u, (a - b * below / w, b / w, c)))
             below += w
-        edges, a, b, c, two = zip(*rows)
-        self._cells = _Guide.build([[*map(float, edges), 1.0]])
-        self._a, self._b, self._c = (np.array([float(x) for x in t]) for t in (a, b, c))
-        # one flag for the whole table when the cells share it: a per-pair
-        # swap by `np.where` costs more than the rest of the draw
-        self._two = two[0] if len(set(two)) == 1 else np.array(two)
-
-    @staticmethod
-    def folds(sampler: CouplingSampler) -> bool:
-        """Whether a mixture component joins the table."""
-        return isinstance(sampler, (ConjugateCoupling, InverseConjugateCoupling)) and isinstance(
-            sampler.measure, QuasiUniformMeasure
-        )
-
-    def draw_batch(self, shape, rng: np.random.Generator):
-        """U and then u, one `rng.random(shape)` each."""
-        import numpy as np
-
-        seed = rng.random(shape)
-        cell = self._cells.lookup(seed)
-        u = rng.random(shape)
-        # (B * U + A) + C * u, gathered by `np.take` into temporaries
-        # updated in place
-        v = np.take(self._b, cell)
-        v *= seed
-        v += np.take(self._a, cell)
-        span = np.take(self._c, cell)
-        span *= u
-        v += span
-        if self._two is False:
-            return u, v
-        if self._two is True:
-            return v, u
-        two = np.take(self._two, cell)
-        return np.where(two, v, u), np.where(two, u, v)
-
+        return rows
 
 # -- walk steps ------------------------------------------------------------
 

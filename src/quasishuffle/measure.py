@@ -436,7 +436,7 @@ class _Guide:
 @dataclass(frozen=True, eq=False)
 class _BatchTables:
     """A measure's cells, or a mixture's, for vectorized draws: `guide`
-    finds a draw's cell, and the per-cell tables serve `ConjugateBatch`.
+    finds a draw's cell, and the per-cell tables serve the ordering keys.
     A mixture's component k has the guide's list k, so its cells follow
     those of component k-1."""
 
@@ -444,8 +444,6 @@ class _BatchTables:
     cells: tuple[Cell, ...]
     lists: tuple[tuple[Fraction, int], ...]  # each component's weight and cell count
     cell_lo: np.ndarray  # lower edge
-    cell_y: np.ndarray  # conjugate position (atoms) / 0 (diffuse)
-    cell_span: np.ndarray  # x - y (atoms) / 0 (diffuse)
     cell_diffuse: np.ndarray  # 0.0 (atoms) / 1.0 (diffuse)
 
 
@@ -455,9 +453,7 @@ def _weight_guide(components) -> _Guide:
     rescaled to end at 1: the arithmetic of `rng.choice(k, p=weights /
     weights.sum())` without its checks, so a uniform finds the component
     `choice` draws from it.  A `MeasureMixture` draws each row's component
-    through it; a `kernels.MixtureCoupling` draws each pair's part, where
-    its conjugate couplings of plain measures are one part of their summed
-    weight, and without other parts draws none."""
+    through it."""
     import numpy as np
 
     p = np.array([float(w) for w, _ in components])
@@ -475,15 +471,10 @@ def _batch_tables(source: OrderingSource) -> _BatchTables:
     lists = [cell_decomposition(m).cells for _, m in components]
     cells = tuple(c for cl in lists for c in cl)
     cell_lo = np.array([float(c.lo) for c in cells])
-    cell_x = np.array([float(c.x) if c.kind == "atom" else 0.0 for c in cells])
-    cell_y = np.array([float(c.y) if c.kind == "atom" else 0.0 for c in cells])
-    # float x - y, as a draw's x - y rounds, so y + s * span is bit-identical
-    # to y + s * (x - y); a diffuse draw has x = y
-    span = cell_x - cell_y
     diffuse = np.array([c.kind == "diffuse" for c in cells], dtype=np.float64)
     guide = _Guide.build([[*(float(c.lo) for c in cl), 1.0] for cl in lists])
     counts = tuple((w, len(cl)) for (w, _), cl in zip(components, lists))
-    return _BatchTables(guide, cells, counts, cell_lo, cell_y, span, diffuse)
+    return _BatchTables(guide, cells, counts, cell_lo, diffuse)
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,8 +483,9 @@ class ConjugateBatch:
     cell's row `cell` in `tables`, found through their guide.
 
     A draw's pair is its cell's: (atom end, far end) in an atom cell, (u, u)
-    in a diffuse one.  `interpolate` gives y + s * (x - y) from per-cell
-    tables; `ordering._ordering_keys` orders draws on the 2^-53 grid exactly.
+    in a diffuse one; `ordering._ordering_keys` orders draws on the 2^-53
+    grid exactly.  The conjugate couplings draw their pairs from their own
+    cell tables (`kernels.CouplingSampler`), not from these batches.
 
     The cells' edges are floats, so a draw within one float step of a cell
     boundary may land in the neighbouring cell (probability ~2^-52 per
@@ -503,15 +495,6 @@ class ConjugateBatch:
     u: np.ndarray  # uniform seed per draw
     cell: np.ndarray  # row of the draw's cell in `tables`
     tables: _BatchTables = field(repr=False)
-
-    def interpolate(self, s: np.ndarray) -> np.ndarray:
-        """y + s * (x - y) per draw, through the per-cell x - y table."""
-        t = self.tables
-        # y = u * diffuse + cell_y: an atom's y plus +0.0, or 0 + u in a
-        # diffuse cell; neither sum rounds
-        y = self.u * t.cell_diffuse[self.cell]
-        y += t.cell_y[self.cell]
-        return y + s * t.cell_span[self.cell]
 
 
 def _row_blocks(size: int, n: int):

@@ -81,7 +81,8 @@ def _pair_step_counts(
 
     `step_batch` deals a conjugate step as the measure's ordering; ranking
     the coupling's pairs instead keeps this check independent of that route
-    and tests the draw that mixture steps use.
+    and tests the one pair draw, `CouplingSampler.draw_batch`, that grid,
+    map and mixture steps use.
     """
     blocks = kernels._pair_step_blocks(n, sampler, samples, rng)
     return perm_histogram((rows for _, _, rows in blocks), n)

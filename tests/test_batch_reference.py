@@ -13,16 +13,19 @@ that class, found among the rankings grouped here by
 called directly.  A conjugate coupling's step is dealt as the measure's
 ordering (type two as its row inverse), so its reference is the ordering
 one; the coupling's own (u, v) draws, which `verify` ranks, keep the pair
-reference.  A mixture of conjugate couplings draws each pair's cell from
-one table of all its components' cells, built here from Fractions; a
-two-sample test checks that its rows keep the law of the per-component
-draw (`eager_draw`).
+reference.  Every coupling draws its pairs from a table of affine cells:
+the conjugate couplings' and the maps' pairs equal their own eager draws,
+bit for bit, and a grid's and a mixture's, whose cells are its
+components', equal the table built here from Fractions (`cell_rows`).
+Two-sample tests check that their rows keep the law of each coupling's
+own draw (`eager_draw`): a grid's three uniforms, a mixture's
+per-component draw.
 """
 
 from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import ceil, prod
 
 import numpy as np
@@ -30,10 +33,12 @@ import pytest
 
 from quasishuffle.kernels import (
     ConjugateCoupling,
+    DeterministicCoupling,
     GridCopulaCoupling,
     InverseConjugateCoupling,
     MixtureCoupling,
     _rank_pairs,
+    shuffle_map_from_measure,
     step_batch,
 )
 from quasishuffle.measure import (
@@ -104,10 +109,34 @@ def eager_batch(measure, shape, rng):
     }
 
 
+def map_draw(smap, shape, rng):
+    """(u, v) of a shuffle map: v = slope * u + intercept on the piece that
+    a search over the pieces' lower ends finds."""
+    los, slopes, intercepts = (
+        np.array([float(getattr(p, k)) for p in smap.pieces]) for k in ("lo", "slope", "intercept")
+    )
+    u = rng.random(shape)
+    at = np.searchsorted(los, u, side="right") - 1
+    return u, slopes[at] * u + intercepts[at]
+
+
+def grid_draw(grid, shape, rng):
+    """(u, v) of a grid copula from three uniforms, as grids drew before
+    they joined the cell tables: the first finds the square by a search
+    over the float cumulative masses, clipped to the last square, and the
+    other two place u and then v in it."""
+    flat = np.array([float(v) for row in grid.matrix for v in row])
+    cum = np.cumsum(flat / flat.sum())
+    cell = np.minimum(np.searchsorted(cum, rng.random(shape), side="right"), grid.m**2 - 1)
+    i, j = np.divmod(cell, grid.m)
+    return (i + rng.random(shape)) / grid.m, (j + rng.random(shape)) / grid.m
+
+
 def eager_draw(sampler, shape, rng):
-    """(u, v) of a conjugate coupling or a mixture, from eager batches: a
-    mixture draws each pair's component as `rng.choice` does, and then each
-    component in turn draws its pairs, a grid or map by its own draws."""
+    """(u, v) of any coupling by its own draw: a conjugate coupling's from
+    an eager batch, u first, a map's and a grid's by `map_draw` and
+    `grid_draw`.  A mixture draws each pair's component as `rng.choice`
+    does, and then each component in turn draws its pairs."""
     if isinstance(sampler, InverseConjugateCoupling):
         u, v = eager_draw(ConjugateCoupling(sampler.measure), shape, rng)
         return v, u
@@ -115,8 +144,10 @@ def eager_draw(sampler, shape, rng):
         u = rng.random(shape)
         b = eager_batch(sampler.measure, shape, rng)
         return u, b["y"] + u * (b["x"] - b["y"])
-    if not isinstance(sampler, MixtureCoupling):
-        return sampler.draw_batch(shape, rng)
+    if isinstance(sampler, DeterministicCoupling):
+        return map_draw(sampler.map, shape, rng)
+    if isinstance(sampler, GridCopulaCoupling):
+        return grid_draw(sampler, shape, rng)
     weights = np.array([float(w) for w, _ in sampler.components])
     which = rng.choice(len(weights), size=shape, p=weights / weights.sum())
     u, v = np.empty(shape), np.empty(shape)
@@ -127,43 +158,71 @@ def eager_draw(sampler, shape, rng):
     return u, v
 
 
-def joint_cells(sampler):
-    """Each cell of a mixture of conjugate couplings of plain measures, as
-    (lower edge, A, B, C, type two), in Fractions: component k of weight
-    w_k, after components of weight W, holds its measure's cells on
-    [W + w_k * lo, W + w_k * hi); an atom cell has v = y + (x - y) * u, a
-    diffuse one v = (U - W) / w_k, U being the uniform that found it."""
-    cells, below = [], F(0)
-    for w, coupling in sampler.components:
-        two = isinstance(coupling, InverseConjugateCoupling)
-        for c in cell_decomposition(coupling.measure).cells:
+def cell_rows(sampler):
+    """Each cell of a coupling as (mass, (D, E, F), (A, B, C)) in
+    Fractions: the uniform U that found the cell and a second uniform s
+    give u = D + E * U + F * s and v = A + B * U + C * s.
+
+    A conjugate cell has u = s, and v = y + (x - y) * s at an atom, x - y
+    the difference of the floats of x and y, or v = U in a diffuse cell;
+    type two swaps the sides.  A map piece has u = U and v = slope * U +
+    intercept.  A grid square (i, j) of positive mass p over the matrix's
+    sum, after squares of mass P, has u = (i + s) / m and v = j / m + (U -
+    P) / (p * m).  A mixture's component of weight w, after components of
+    weight W, holds its cells with w times their mass, read at (U - W) / w.
+    """
+    zero, one = F(0), F(1)
+    if isinstance(sampler, (ConjugateCoupling, InverseConjugateCoupling)):
+        rows = []
+        for c in cell_decomposition(sampler.measure).cells:
             if c.kind == "atom":
-                cells.append((below + w * c.lo, c.y, F(0), c.x - c.y, two))
+                v = (c.y, zero, F(float(c.x)) - F(float(c.y)))
             else:
-                cells.append((below + w * c.lo, -below / w, 1 / w, F(0), two))
+                v = (zero, one, zero)
+            rows.append((c.mass, (zero, zero, one), v))
+        two = isinstance(sampler, InverseConjugateCoupling)
+        return [(p, v, u) for p, u, v in rows] if two else rows
+    if isinstance(sampler, DeterministicCoupling):
+        return [
+            (p.hi - p.lo, (zero, one, zero), (p.intercept, p.slope, zero)) for p in sampler.map.pieces
+        ]
+    if isinstance(sampler, GridCopulaCoupling):
+        m = sampler.m
+        squares = [(i, j, e) for i, r in enumerate(sampler.matrix) for j, e in enumerate(r) if e]
+        total = sum(e for *_, e in squares)
+        rows, below = [], zero
+        for i, j, e in squares:
+            p = e / total
+            rows.append((p, (F(i, m), zero, F(1, m)), (F(j, m) - below / (p * m), 1 / (p * m), zero)))
+            below += p
+        return rows
+    rows, below = [], zero
+    for w, component in sampler.components:
+        for p, (d, e, f), (a, b, c) in cell_rows(component):
+            rows.append((w * p, (d - e * below / w, e / w, f), (a - b * below / w, b / w, c)))
         below += w
-    return cells
+    return rows
 
 
 def joint_draw(sampler, shape, rng):
-    """(u, v) of a mixture of conjugate couplings from `joint_cells`: U
-    finds its cell by `np.searchsorted`, then u is drawn, v = A + B * U +
-    C * u, and a type-two cell swaps the two."""
-    cells = joint_cells(sampler)
-    edge, a, b, c = (np.array([float(cell[i]) for cell in cells]) for i in range(4))
-    two = np.array([cell[4] for cell in cells])
+    """(u, v) from `cell_rows`: s first, unless every cell's F and C are 0,
+    then U, which finds its cell by `np.searchsorted` over the cumulative
+    masses; u = (E * U + D) + F * s and v = (B * U + A) + C * s."""
+    rows = cell_rows(sampler)
+    edges = np.array([0.0, *(float(e) for e in accumulate(p for p, _, _ in rows))])
+    coef = np.array([[float(x) for x in (*u, *v)] for _, u, v in rows])
+    s = rng.random(shape) if coef[:, [2, 5]].any() else np.zeros(shape)
     seed = rng.random(shape)
-    cell = np.searchsorted(edge, seed, side="right") - 1
-    u = rng.random(shape)
-    v = a[cell] + b[cell] * seed + c[cell] * u
-    return np.where(two[cell], v, u), np.where(two[cell], u, v)
+    d, e, f, a, b, c = np.moveaxis(coef[np.searchsorted(edges, seed, side="right") - 1], -1, 0)
+    return (e * seed + d) + f * s, (b * seed + a) + c * s
 
 
 def double_argsort_step(n, sampler, size, rng, draw=None):
-    """Steps ranked from (u, v) pairs: a mixture's from `joint_draw`, other
-    couplings' from `eager_draw`, unless `draw` is given."""
+    """Steps ranked from (u, v) pairs: a mixture's and a grid's from
+    `joint_draw`, other couplings' from `eager_draw`, unless `draw` is
+    given."""
     if draw is None:
-        draw = joint_draw if isinstance(sampler, MixtureCoupling) else eager_draw
+        draw = joint_draw if isinstance(sampler, (MixtureCoupling, GridCopulaCoupling)) else eager_draw
     u, v = draw(sampler, (size, n), rng)
     ranks_u = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1, kind="stable")
     ranks_v = np.argsort(np.argsort(v, axis=1, kind="stable"), axis=1, kind="stable")
@@ -381,6 +440,15 @@ def step_reference(n, sampler, size, rng):
     )
 
 
+# a circulant grid, each row spread over two squares, and one with
+# zero-mass squares at both ends of its table
+E = F(1, 8)
+GRIDS = {
+    "circulant": GridCopulaCoupling([[F(1, 6), F(1, 6), 0], [0, F(1, 6), F(1, 6)], [F(1, 6), 0, F(1, 6)]]),
+    "zero-mass": GridCopulaCoupling([[0, E, E, 0], [E, 0, 0, E], [0, E, 0, E], [E, 0, E, 0]]),
+}
+
+
 def samplers():
     out = {}
     for name, m in MEASURES.items():
@@ -389,14 +457,19 @@ def samplers():
     out["mixture"] = MixtureCoupling(
         [(F(1, 3), ConjugateCoupling(gsr())), (F(2, 3), InverseConjugateCoupling(mixed_fixture()))]
     )
+    out["map"] = DeterministicCoupling(shuffle_map_from_measure(a_shuffle(3)))
+    out["grid"] = GRIDS["zero-mass"]
+    out["nested"] = MixtureCoupling(
+        [(F(1, 4), out["map"]), (F(1, 4), GRIDS["circulant"]), (F(1, 2), out["mixture"])]
+    )
     return out
 
 
 def law_mixtures():
-    """Mixtures of conjugate couplings whose pairs the joint table draws:
+    """Mixtures whose pairs one table of all their components' cells draws:
     the benchmark's, of either type, the mixed-type one of `samplers`,
-    three components with a left gap and a-shuffle:48, and two beside a
-    grid, where the table takes half the weight."""
+    three components with a left gap and a-shuffle:48, two beside a grid,
+    and a map, a grid and a nested mixture of conjugate couplings."""
     bench = ((F(1, 3), a_shuffle(3)), (F(2, 3), mixed_fixture()))
     three = (
         (F(1, 5), ConjugateCoupling(parse_measure("gap(1/4,1/2,left)"))),
@@ -415,6 +488,7 @@ def law_mixtures():
                 (F(1, 4), InverseConjugateCoupling(mixed_fixture())),
             ]
         ),
+        "nested": samplers()["nested"],
     }
 
 
@@ -423,8 +497,8 @@ LAW_ROWS = 200_000
 
 def law_p(sampler, n, reference):
     """p of a two-sample chi-square of `LAW_ROWS` `step_batch` rows of the
-    sampler against as many rows ranked from the per-component draws of
-    `reference`, seeds pinned."""
+    sampler against as many rows ranked from `reference`'s own draws
+    (`eager_draw`), seeds pinned."""
 
     def counts(rows):
         # one integer per row, its entries less one read as base-n digits
@@ -436,10 +510,10 @@ def law_p(sampler, n, reference):
     return chi_square_two_sample(counts(dealt), counts(drawn), alpha=0.01).p_value
 
 
-# p at this commit, n = 4 and 5: bench-one 0.139 and 0.865, bench-two the
+# p at this commit, n = 4 and 5: bench-one 0.890 and 0.801, bench-two the
 # same (its rows and the reference's are the inverses of bench-one's
-# draws), mixed-type 0.698 and 0.753, three 0.734 and 0.125, with-grid
-# 0.142 and 0.487
+# draws), mixed-type 0.623 and 0.242, nested 0.828 and 0.298, three 0.687
+# and 0.327, with-grid 0.568 and 0.185
 @pytest.mark.parametrize("n", (4, 5))
 @pytest.mark.parametrize("name", sorted(law_mixtures()))
 def test_joint_mixture_steps_keep_the_per_component_law(name, n):
@@ -454,6 +528,22 @@ def test_joint_mixture_law_test_rejects_swapped_weights():
     (w1, c1), (w2, c2) = bench.components
     # p at this commit: 0.0 (below the smallest float)
     assert law_p(MixtureCoupling([(w2, c1), (w1, c2)]), 4, bench) < 1e-6
+
+
+# p at this commit, n = 4 and 5: circulant 0.393 and 0.493, zero-mass
+# 0.719 and 0.607
+@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_grid_steps_keep_the_three_uniform_law(name, n):
+    grid = GRIDS[name]
+    assert law_p(grid, n, grid) >= 0.01
+
+
+def test_grid_law_test_rejects_a_transposed_grid():
+    grid = GRIDS["circulant"]
+    transposed = GridCopulaCoupling([list(column) for column in zip(*grid.matrix)])
+    # p at this commit: 0.0 (below the smallest float)
+    assert law_p(transposed, 4, grid) < 1e-6
 
 
 # three components whose guides differ in size and in steps
@@ -495,6 +585,19 @@ def test_rank_pairs_equals_double_argsort(name, n):
     assert identical(got, double_argsort_step(n, sampler, size, make_rng(n)))
 
 
+@pytest.mark.parametrize("shape", (1, 17, (300, 8), (3, 52)), ids=str)
+@pytest.mark.parametrize("name", sorted(samplers()))
+def test_pairs_equal_reference_draws(name, shape):
+    """A conjugate coupling's and a map's pairs are their own eager draws,
+    bit for bit; a grid's and a mixture's, those of the cell table built
+    from Fractions."""
+    sampler = samplers()[name]
+    pair_table = isinstance(sampler, (MixtureCoupling, GridCopulaCoupling))
+    want = (joint_draw if pair_table else eager_draw)(sampler, shape, make_rng(3))
+    got = sampler.draw_batch(shape, make_rng(3))
+    assert identical(got[0], want[0]) and identical(got[1], want[1])
+
+
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("name", sorted(sources()))
 def test_sample_ordering_batch_equals_double_argsort(name, n):
@@ -524,8 +627,6 @@ def test_lazy_batch_fields_equal_eager(name, n):
     want = eager_batch(measure, shape, make_rng(n))
     for field in FIELDS:
         assert identical(getattr(batch, field), want[field]), field
-    s = make_rng(n + 1).random(shape)
-    assert identical(batch.interpolate(s), want["y"] + s * (want["x"] - want["y"]))
 
 
 @pytest.mark.parametrize("n", (3, 8, 17, 52))

@@ -1,4 +1,4 @@
-"""The guide-table lookup, the gather-only `interpolate` and the key sort.
+"""The guide-table lookup, the conjugate pair draw and the key sort.
 
 Every piecewise draw finds its piece through one guide table and a few
 comparisons: the cells of a measure or of a mixture's components, a
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from quasishuffle.kernels import (
     ConjugateCoupling,
+    DeterministicCoupling,
     GridCopulaCoupling,
     InverseConjugateCoupling,
     _rank_pairs,
@@ -220,9 +221,12 @@ def permutation_grid(m):
 @pytest.mark.parametrize("m", [3, 10, 100])
 def test_zero_mass_cells_cost_no_steps(m):
     """A run of zero-mass cells shares one lower edge, which the guide
-    holds once: an m x m permutation grid has runs of up to 2m - 1 such
-    cells, yet its m evenly spread edges need at most one step."""
-    assert GridCopulaCoupling(permutation_grid(m))._cells.steps <= 1
+    holds once: the squares of an m x m permutation grid have runs of up
+    to 2m - 1 such cells, yet their m evenly spread edges need at most one
+    step.  The grid's own table leaves its zero-mass squares out."""
+    flat = [float(v) for row in permutation_grid(m) for v in row]
+    assert _Guide.build([np.append(0.0, np.cumsum(flat))]).steps <= 1
+    assert GridCopulaCoupling(permutation_grid(m))._cells.guide.steps <= 1
 
 
 # weights of 2, 3 and 5 components; the last two sum below 1 in floats
@@ -256,6 +260,18 @@ def test_weight_lookup_equals_binary_search(weights):
     np.testing.assert_array_equal(got, want)
 
 
+def square_edges(grid):
+    """Each square of positive mass as (i, j, lower edge, mass), in
+    Fractions, its mass over the matrix's sum, and the float edges."""
+    squares = [(i, j, e) for i, row in enumerate(grid.matrix) for j, e in enumerate(row) if e]
+    total = sum(e for *_, e in squares)
+    out, below = [], F(0)
+    for i, j, e in squares:
+        out.append((i, j, below, e / total))
+        below += e / total
+    return out, np.array([float(lo) for *_, lo, _ in out] + [1.0])
+
+
 @pytest.mark.parametrize(
     "grid",
     [
@@ -267,17 +283,16 @@ def test_weight_lookup_equals_binary_search(weights):
     ids=["zero-mass-cells", "zero-mass-last-cell", "float-entries", "permutation-100"],
 )
 def test_grid_lookup_equals_binary_search(grid):
-    """A grid cell is the one a search over the cumulative masses finds,
-    clipped to the last cell; each grid's float sum ends above 1."""
-    flat = np.array([float(v) for row in grid.matrix for v in row])
-    cum = np.cumsum(flat / flat.sum())
-    u = edge_draws(cum)
-    want = np.minimum(np.searchsorted(cum, u, side="right"), grid.m**2 - 1)
-    np.testing.assert_array_equal(grid._cells.lookup(u), want)
-    # the draws take their cells from the lookup
-    got_u, got_v = grid.draw_batch(u.shape, FixedDraws(np.append(u, np.full(2 * len(u), 0.5))))
-    assert np.array_equal(np.floor(got_u * grid.m), want // grid.m)
-    assert np.array_equal(np.floor(got_v * grid.m), want % grid.m)
+    """A grid pair's square is the one a search over the exact cumulative
+    masses of the squares of positive mass finds, and v is U's position in
+    it: u is mid-square at s = 1/2, v within 1e-12 of its exact value."""
+    squares, edges = square_edges(grid)
+    u = edge_draws(edges)
+    at = np.searchsorted(edges, u, side="right") - 1
+    got_u, got_v = grid.draw_batch(u.shape, FixedDraws(np.append(np.full(len(u), 0.5), u)))
+    i, j, lo, mass = (np.array([float(sq[k]) for sq in squares])[at] for k in range(4))
+    assert np.array_equal(np.floor(got_u * grid.m), i)
+    assert np.allclose(got_v, (j + (u - lo) / mass) / grid.m, rtol=0, atol=1e-12)
 
 
 def clustered_atoms():
@@ -302,7 +317,9 @@ def test_map_lookup_equals_binary_search(measure):
     at = np.clip(np.searchsorted(los, u, side="right") - 1, 0, len(los) - 1)
     slopes = np.array([float(p.slope) for p in smap.pieces])
     intercepts = np.array([float(p.intercept) for p in smap.pieces])
-    assert identical(smap.eval_batch(u), slopes[at] * u + intercepts[at])
+    # a map draws no second uniform: u is the draw that found the piece
+    got_u, got_v = DeterministicCoupling(smap).draw_batch(u.shape, FixedDraws(u))
+    assert identical(got_u, u) and identical(got_v, slopes[at] * u + intercepts[at])
 
 
 @pytest.mark.parametrize("measure", [a_shuffle(48), clustered_measure()], ids=["a48", "clustered"])
@@ -347,13 +364,18 @@ def test_deck_ordering_batch_equals_reference(name):
     ids=["gap-0-quarter-left", "lebesgue", "mixed"],
 )
 def test_interpolate_keeps_bits_at_corners(measure):
+    """The conjugate coupling's v is y + s * (x - y), sign bits included,
+    at every cell edge, one ulp either side and s at 0 and just below 1;
+    the coupling draws s first, then the u that finds the cell."""
     u = boundary_draws(measure)
     s = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)], make_rng(1).random(20)])
     shape = (len(u), len(s))
-    batch = sample_conjugate_batch(measure, shape, FixedDraws(u))
-    want = eager_batch(measure, shape, FixedDraws(u))
     s = np.broadcast_to(s, shape)
-    got, ref = batch.interpolate(s), want["y"] + s * (want["x"] - want["y"])
+    u_rows = np.broadcast_to(u[:, None], shape)
+    got_s, got = ConjugateCoupling(measure).draw_batch(shape, FixedDraws(np.concatenate([s, u_rows])))
+    want = eager_batch(measure, shape, FixedDraws(u))
+    ref = want["y"] + s * (want["x"] - want["y"])
+    assert np.array_equal(got_s, s)
     assert np.array_equal(got, ref)
     assert np.array_equal(np.signbit(got), np.signbit(ref))
 

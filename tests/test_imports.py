@@ -200,6 +200,37 @@ def test_one_dealing_loop_chooses_the_row_route():
     assert not {n for n in names if n.startswith("_word_") or n == "_batch_tables"}
 
 
+def defined(source: str, name: str) -> set[str]:
+    """Qualified names of the functions called `name` that the source
+    defines."""
+    out = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name == name:
+                out.add(".".join([*scope, name]))
+            scope = [*scope, node.name]
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return out
+
+
+def test_the_scan_finds_definitions():
+    source = "def draw():\n    pass\nclass A:\n    def draw(self):\n        pass\n"
+    assert defined(source, "draw") == {"draw", "A.draw"}
+
+
+def test_one_pair_draw_serves_every_coupling():
+    """Every coupling draws its pairs from its cell table through
+    `CouplingSampler.draw_batch`: `kernels` defines no other `draw_batch`,
+    and no other `kernels` function draws uniforms."""
+    source = (ROOT / "src" / "quasishuffle" / "kernels.py").read_text()
+    assert defined(source, "draw_batch") == {"CouplingSampler.draw_batch"}
+    assert callers(source, "random") == {"CouplingSampler.draw_batch"}
+
+
 def test_ordering_loads_without_the_oracle():
     """`ordering` reads the class law from `oracle` only when it builds a
     class guide, so the sampling commands import no exact route."""

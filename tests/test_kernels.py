@@ -15,11 +15,13 @@ from quasishuffle.errors import (
 from quasishuffle.kernels import (
     AffinePiece,
     ConjugateCoupling,
+    CouplingSampler,
     DeterministicCoupling,
     GridCopulaCoupling,
     InverseConjugateCoupling,
     MixtureCoupling,
     ShuffleMap,
+    _pair_step_blocks,
     _rank_pairs,
     empirical_mixing_curve,
     empirical_step_counts,
@@ -143,17 +145,14 @@ def test_map_validation_rejects_non_preserving():
 
 def test_map_batch_matches_scalar():
     smap = shuffle_map_from_measure(gsr())
-    xs = np.linspace(0.0, 1.0, 257)
-    vals = smap.eval_batch(xs)
-    for x, v in zip(xs, vals):
-        assert abs(float(smap(F(x).limit_denominator(10**9))) - v) < 1e-9
+    u, v = DeterministicCoupling(smap).draw_batch(257, make_rng(5))
+    for x, y in zip(u, v):
+        assert abs(float(smap(F(x).limit_denominator(10**9))) - y) < 1e-9
 
 
 @pytest.mark.parametrize("x", [-0.1, 1.1, np.nan])
 def test_map_batch_rejects_points_outside_unit_interval(x):
     smap = shuffle_map_from_measure(gsr())
-    with pytest.raises(ValueError, match="outside"):
-        smap.eval_batch(np.array([0.0, x, 1.0]))
     with pytest.raises(ValueError):
         smap.piece_at(x)
 
@@ -166,7 +165,7 @@ def test_map_json_round_trip():
 def test_map_preserves_uniform_distribution():
     rng = make_rng(3)
     smap = shuffle_map_from_measure(gsr())
-    assert ks_uniform(smap.eval_batch(rng.random(30000))).passed
+    assert ks_uniform(DeterministicCoupling(smap).draw_batch(30000, rng)[1]).passed
 
 
 # -- coupling samplers ----------------------------------------------------
@@ -199,7 +198,8 @@ def test_inverse_coupling_swaps_coordinates():
 def test_deterministic_coupling_applies_map(rng):
     smap = shuffle_map_from_measure(gsr())
     u, v = DeterministicCoupling(smap).draw_batch(100, rng)
-    assert np.array_equal(v, smap.eval_batch(u))
+    pieces = [smap.piece_at(F(x)) for x in u]
+    assert np.array_equal(v, [float(p.slope) * x + float(p.intercept) for p, x in zip(pieces, u)])
 
 
 def test_grid_copula_validation():
@@ -348,31 +348,81 @@ def test_conjugate_steps_never_draw_pairs(monkeypatch):
         assert sum(empirical_step_counts(3, sampler, 100, make_rng(2)).values()) == 100
         assert len(walk(4, sampler, 3, make_rng(3))) == 4
         assert len(empirical_mixing_curve(3, sampler, 2, 50, make_rng(4))) == 3
-    # a mixture keeps its per-part loop beside a grid, and a conjugate
-    # coupling of a measure mixture stays out of the joint cell table
-    mixture = MeasureMixture(((F(1, 2), gsr()), (F(1, 2), mixed_fixture())))
-    grid = GridCopulaCoupling([[F(1, 2), 0], [0, F(1, 2)]])
-    paired = MixtureCoupling([(F(1, 2), ConjugateCoupling(mixture)), (F(1, 2), grid)])
+    # the patch bites where pairs are ranked
     with pytest.raises(AssertionError, match="drew"):
-        step_batch(3, paired, 20, make_rng(5))
+        next(_pair_step_blocks(3, ConjugateCoupling(gsr()), 20, make_rng(5)))
 
 
-def test_conjugate_mixtures_draw_from_their_joint_cell_table(monkeypatch):
+def test_mixtures_never_call_a_components_draw(monkeypatch):
+    """A mixture draws from its one table of all its components' cells,
+    nested mixtures' included, never through a component's `draw_batch`."""
+
     def no_pairs(self, shape, rng):
-        raise AssertionError("a mixture drew its conjugate components' pairs")
+        raise AssertionError("a mixture called a component's draw")
 
-    monkeypatch.setattr(ConjugateCoupling, "draw_batch", no_pairs)
-    monkeypatch.setattr(InverseConjugateCoupling, "draw_batch", no_pairs)
     grid = GridCopulaCoupling([[F(1, 2), 0], [0, F(1, 2)]])
-    for sampler in (
+    smap = DeterministicCoupling(shuffle_map_from_measure(a_shuffle(3)))
+    inner = MixtureCoupling([(F(1, 2), ConjugateCoupling(gsr())), (F(1, 2), grid)])
+    mixtures = (
         MixtureCoupling([(1, ConjugateCoupling(gsr()))]),
         MixtureCoupling(
             [(F(1, 3), ConjugateCoupling(gsr())), (F(2, 3), InverseConjugateCoupling(mixed_fixture()))]
         ),
-        MixtureCoupling([(F(1, 2), InverseConjugateCoupling(a_shuffle(3))), (F(1, 2), grid)]),
-    ):
+        MixtureCoupling([(F(1, 4), smap), (F(1, 4), inner), (F(1, 2), InverseConjugateCoupling(a_shuffle(3)))]),
+    )
+    for cls in (ConjugateCoupling, InverseConjugateCoupling, DeterministicCoupling, GridCopulaCoupling):
+        monkeypatch.setattr(cls, "draw_batch", no_pairs)
+    monkeypatch.setattr(inner, "draw_batch", no_pairs.__get__(inner))
+    for sampler in mixtures:
         assert step_batch(5, sampler, 10, make_rng(1)).shape == (10, 5)
         assert sum(empirical_step_counts(3, sampler, 100, make_rng(2)).values()) == 100
+
+
+def test_conjugate_coupling_of_a_measure_mixture_draws_no_pairs():
+    """A measure mixture draws one component per ordering, so its
+    conjugate coupling has no cells: it steps, counts and walks, but draws
+    no pairs, and no coupling mixture takes it.  Listing the measure
+    mixture's components as the mixture's own draws one per card."""
+    from quasishuffle.errors import InvalidMixture
+
+    mixture = MeasureMixture(((F(1, 2), IDENTITY), (F(1, 2), REVERSAL)))
+    grid = GridCopulaCoupling([[F(1, 2), 0], [0, F(1, 2)]])
+    coupling = ConjugateCoupling(mixture)
+    with pytest.raises(ValueError, match="plain measure"):
+        coupling.draw_batch((10, 4), make_rng(1))
+    with pytest.raises(InvalidMixture, match="own conjugate coupling"):
+        MixtureCoupling([(F(1, 2), coupling), (F(1, 2), grid)])
+    with pytest.raises(InvalidMixture, match="own conjugate coupling"):
+        MixtureCoupling([(F(1, 2), InverseConjugateCoupling(mixture)), (F(1, 2), grid)])
+    assert step_batch(4, coupling, 10, make_rng(2)).shape == (10, 4)
+    assert sum(empirical_step_counts(3, coupling, 100, make_rng(3)).values()) == 100
+    assert len(walk(4, coupling, 3, make_rng(4))) == 4
+    per_card = MixtureCoupling(
+        [(F(1, 4), ConjugateCoupling(IDENTITY)), (F(1, 4), ConjugateCoupling(REVERSAL)), (F(1, 2), grid)]
+    )
+    u, v = per_card.draw_batch((1000, 4), make_rng(5))
+    identity = v == u
+    # each card draws its own component: a block shares none
+    assert 0.15 < identity.mean() < 0.35 and (v == 1 - u).any()
+    assert step_batch(4, per_card, 10, make_rng(6)).shape == (10, 4)
+
+
+def test_mixture_refuses_a_component_without_cells():
+    from quasishuffle.errors import InvalidMixture
+
+    class OwnDraw(CouplingSampler):
+        def draw_batch(self, shape, rng):
+            u = rng.random(shape)
+            return u, u
+
+    class NoCells(CouplingSampler):
+        pass
+
+    for component in (OwnDraw(), NoCells(), gsr()):
+        with pytest.raises(InvalidMixture, match="no cell table"):
+            MixtureCoupling([(F(1, 2), ConjugateCoupling(gsr())), (F(1, 2), component)])
+    # a subclass of its own draw still steps on its own
+    assert step_batch(3, OwnDraw(), 5, make_rng(1)).tolist() == [[1, 2, 3]] * 5
 
 
 def test_empirical_step_counts_same_law(rng):
