@@ -57,9 +57,11 @@ from .measure import (
     QuasiUniformMeasure,
     RationalLike,
     _checked_weights,
+    _grid_edges,
     _Guide,
     _json_list,
     _json_object,
+    _over_common_denominator,
     _plain_measure,
     _resolve_spec,
     _row_blocks,
@@ -246,10 +248,10 @@ class CouplingSampler:
 
 class _AffineCells:
     """A coupling's rows as float tables: `guide` finds a pair's cell from U
-    over the cells' exact cumulative masses, which end at 1, and `u` and
-    `v` hold each side's coefficients (D, E, F) and (A, B, C), each one
-    float where every cell shares it, so that it costs no gather, else an
-    array over the cells."""
+    over the `_grid_edges` of the cells' exact masses, and `u` and `v` hold
+    each side's coefficients (D, E, F) and (A, B, C), each one float where
+    every cell shares it, so that it costs no gather, else an array over
+    the cells."""
 
     def __init__(self, rows):
         import numpy as np
@@ -258,11 +260,8 @@ class _AffineCells:
             values = [float(row[side][k]) for row in rows]
             return values[0] if len(set(values)) == 1 else np.array(values)
 
-        edges, below = [0.0], _ZERO
-        for mass, _, _ in rows:
-            below += mass
-            edges.append(float(below))
-        self.guide = _Guide.build([edges])
+        masses = _over_common_denominator(mass for mass, _, _ in rows)
+        self.guide = _Guide.build([_grid_edges(*masses)])
         self.u, self.v = (tuple(column(side, k) for k in range(3)) for side in (1, 2))
         self.reads_s = any(not isinstance(c, float) or c for c in (self.u[2], self.v[2]))
 
@@ -449,9 +448,9 @@ def step_batch(
 
     Row r maps each card's u-rank to its v-rank (1-based).  A conjugate
     coupling's rows are orderings of the measure, drawn with one uniform and
-    one rank per card, or one uniform per row from a word table (type two
-    is the row inverse of type one); other couplings rank their (u, v)
-    draws.  Rows are dealt in cache-sized
+    one rank per card, one uniform per row from a word table or two from a
+    class table (type two is the row inverse of type one); other couplings
+    rank their (u, v) draws.  Rows are dealt in cache-sized
     blocks straight into the output; a pair-drawing coupling draws its
     pairs block by block, so beyond one block its rows differ at a fixed
     seed from one whole-batch draw, with the same law.

@@ -360,22 +360,37 @@ def cell_decomposition(measure: QuasiUniformMeasure) -> CellDecomposition:
 # -- vectorized sampling tables -------------------------------------------
 
 
+def _grid_edges(mass, total: int) -> np.ndarray:
+    """ceil(F_i * 2^53) for i = 0..len(mass), as int64, F_i the sum of the
+    integer numerators mass[:i] over `total`, in Python ints: the edges on
+    the 2^-53 grid of `Generator.random` of the law mass / total."""
+    import numpy as np
+
+    below = np.concatenate([np.zeros(1, object), np.cumsum(np.asarray(mass, object))])
+    # F * 2^53 = F * q * total + F * r for 2^53 = q * total + r, and
+    # ceil(F * r / total) = -(-F * r // total)
+    q, r = divmod(1 << 53, total)
+    return (below * q - below * -r // total).astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class _Guide:
     """Chen & Asau's indexed search: the one lookup of every piecewise draw.
 
-    Each list of edges, nondecreasing from 0 to 1, cuts [0,1] into cells,
-    and the lists are stacked: list k's cells follow list k-1's.  The guide
-    runs over each list's distinct lower edges, one piece per edge, which
-    stands for the last cell with that edge: `guide[k * (B + 1) + b]` is
-    list k's piece holding b/B, and at most `steps` comparisons u >=
-    hi[piece] step a draw forward from it.  They are the comparisons a
-    binary search over the edges makes, so u finds the cell
-    `searchsorted(edges, u, side="right") - 1`.  A list's last piece ends
-    at inf, so u = 1 finds its last cell.
+    Each list of integer edges E, nondecreasing from 0 to 2^53 (the
+    `_grid_edges` of exact masses), cuts [0,1] into cells, and the lists
+    are stacked: list k's cells follow list k-1's.  The guide runs over
+    each list's distinct lower edges, one piece per edge, which stands for
+    the last cell with that edge: `guide[k * (B + 1) + b]` is list k's
+    piece holding b/B, and at most `steps` comparisons u >= hi[piece] step
+    a draw forward from it.  They are the comparisons a binary search over
+    the edges makes, so u finds the cell `searchsorted(E * 2^-53, u,
+    side="right") - 1`, which for a `Generator.random` draw u = k * 2^-53
+    is the one with E_i <= k < E_{i+1}, whose exact masses hold u.  A
+    list's last piece ends at inf, so u = 1 finds its last cell.
     """
 
-    hi: np.ndarray  # each piece's upper edge; inf for a list's last piece
+    hi: np.ndarray  # each piece's upper edge, E * 2^-53; inf for a list's last piece
     guide: np.ndarray  # piece holding b/B, per list and bucket b = 0..B
     buckets: int  # B, a power of two
     steps: int  # most edges strictly inside one bucket
@@ -383,9 +398,16 @@ class _Guide:
 
     @classmethod
     def build(cls, edge_lists) -> _Guide:
+        """The guide over lists of integer edges; a ValueError for a list
+        that is not integer, not nondecreasing or not from 0 to 2^53."""
         import numpy as np
 
-        lists = [np.asarray(edges, dtype=np.float64) for edges in edge_lists]
+        lists = [np.asarray(edges) for edges in edge_lists]
+        for e in lists:
+            grid = e.dtype.kind in "iu" and len(e) > 1 and e[0] == 0 and e[-1] == 1 << 53
+            if not grid or (e[1:] < e[:-1]).any():
+                raise ValueError("guide edges must be integers nondecreasing from 0 to 2^53")
+        lists = [e * 2.0**-53 for e in lists]
         # the last of the cells sharing a lower edge: a run of zero-width
         # cells costs no step
         last = [np.flatnonzero(np.append(e[1:-1] != e[:-2], True)) for e in lists]
@@ -443,22 +465,15 @@ class _BatchTables:
     guide: _Guide
     cells: tuple[Cell, ...]
     lists: tuple[tuple[Fraction, int], ...]  # each component's weight and cell count
-    cell_lo: np.ndarray  # lower edge
+    cell_lo: np.ndarray  # int64 lower edge on the 2^-53 grid, ceil(lo * 2^53)
     cell_diffuse: np.ndarray  # 0.0 (atoms) / 1.0 (diffuse)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _weight_guide(components) -> _Guide:
-    """The guide over the cumulative weights of (weight, component) pairs,
-    rescaled to end at 1: the arithmetic of `rng.choice(k, p=weights /
-    weights.sum())` without its checks, so a uniform finds the component
-    `choice` draws from it.  A `MeasureMixture` draws each row's component
-    through it."""
-    import numpy as np
-
-    p = np.array([float(w) for w, _ in components])
-    cdf = np.cumsum(p / p.sum())
-    return _Guide.build([np.append(0.0, cdf / cdf[-1])])
+    """The guide over the exact cumulative weights of (weight, component)
+    pairs: a `MeasureMixture` draws each row's component through it."""
+    return _Guide.build([_grid_edges(*_over_common_denominator(w for w, _ in components))])
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -467,14 +482,14 @@ def _batch_tables(source: OrderingSource) -> _BatchTables:
 
     components = source.components if isinstance(source, MeasureMixture) else ((_ONE, source),)
     # The cells tile [0,1] in rank order, so a draw's cell is the boundary
-    # interval it falls in.
+    # interval it falls in, and their cumulative masses are their lower edges.
     lists = [cell_decomposition(m).cells for _, m in components]
+    edges = [_grid_edges(*_over_common_denominator(c.mass for c in cl)) for cl in lists]
     cells = tuple(c for cl in lists for c in cl)
-    cell_lo = np.array([float(c.lo) for c in cells])
     diffuse = np.array([c.kind == "diffuse" for c in cells], dtype=np.float64)
-    guide = _Guide.build([[*(float(c.lo) for c in cl), 1.0] for cl in lists])
     counts = tuple((w, len(cl)) for (w, _), cl in zip(components, lists))
-    return _BatchTables(guide, cells, counts, cell_lo, diffuse)
+    cell_lo = np.concatenate([e[:-1] for e in edges])
+    return _BatchTables(_Guide.build(edges), cells, counts, cell_lo, diffuse)
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,12 +499,10 @@ class ConjugateBatch:
 
     A draw's pair is its cell's: (atom end, far end) in an atom cell, (u, u)
     in a diffuse one; `ordering._ordering_keys` orders draws on the 2^-53
-    grid exactly.  The conjugate couplings draw their pairs from their own
-    cell tables (`kernels.CouplingSampler`), not from these batches.
-
-    The cells' edges are floats, so a draw within one float step of a cell
-    boundary may land in the neighbouring cell (probability ~2^-52 per
-    draw); `sample_conjugate_pair` draws one pair with exact gap endpoints.
+    grid exactly.  The guide's edges are the exact cells' on that grid, so
+    a `Generator.random` draw u finds the cell that holds it exactly.  The
+    conjugate couplings draw their pairs from their own cell tables
+    (`kernels.CouplingSampler`), not from these batches.
     """
 
     u: np.ndarray  # uniform seed per draw
@@ -520,10 +533,9 @@ def sample_conjugate_batch(
     Each draw takes one uniform u from `rng` and finds its cell through the
     guide, so a measure's draws are those of `rng.random(shape)`.  A
     mixture first draws one uniform per row for its component, then the
-    rows' uniforms, component by component in component order, and finds
-    each draw's cell among its component's.  The lookup runs on the whole
-    shape at once; the samplers call it one row block at a time
-    (`_row_blocks`).
+    rows' uniforms, `rng.random(shape)`, and finds each draw's cell among
+    its row's component's.  The lookup runs on the whole shape at once;
+    the samplers call it one row block at a time (`_row_blocks`).
 
     `rng` must hand out `Generator.random` draws, which lie on the grid of
     multiples of 2^-53: the ordering keys read u's 53 bits (`ordering`).
@@ -533,20 +545,11 @@ def sample_conjugate_batch(
     t = _batch_tables(source)
     if not isinstance(source, MeasureMixture):
         u = rng.random(shape)
-        cell = t.guide.lookup(u)
-        return ConjugateBatch(u, cell, t)
+        return ConjugateBatch(u, t.guide.lookup(u), t)
     *rows, n = np.broadcast_shapes(shape)
     which = _weight_guide(source.components).lookup(rng.random(rows))
-    # row r of component c takes draw row (rows of earlier components) +
-    # (earlier rows of component c): the running count of a (components,
-    # rows) table of hits, read in C order, at c * rows + r, less one
-    at = which.reshape(-1) * which.size + np.arange(which.size)
-    hit = np.zeros(len(source.components) * which.size, dtype=np.intp)
-    hit[at] = 1
-    drawn = np.cumsum(hit, out=hit)[at] - 1
-    u = np.take(rng.random((which.size, n)), drawn, axis=0).reshape(*rows, n)
-    cell = t.guide.lookup(u, which[..., None])
-    return ConjugateBatch(u, cell, t)
+    u = rng.random((*rows, n))
+    return ConjugateBatch(u, t.guide.lookup(u, which[..., None]), t)
 
 
 # -- candidate measures and the quasi-uniform predicate --------------------

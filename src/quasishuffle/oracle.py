@@ -51,8 +51,6 @@ from .measure import (
     MeasureMixture,
     OrderingSource,
     QuasiUniformMeasure,
-    Cell,
-    CellDecomposition,
     _over_common_denominator,
     _row_blocks,
     cell_decomposition,
@@ -82,9 +80,6 @@ _COUPLING_WORK_CAP = 20_000_000
 _TRANSFER_WORK_CAP = 20_000_000
 
 __all__ = [
-    "Cell",
-    "CellDecomposition",
-    "cell_decomposition",
     "PermutationDistribution",
     "ranking_probability",
     "exact_ordering_distribution",

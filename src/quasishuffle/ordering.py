@@ -40,7 +40,7 @@ are three routes, tried in this order.
 * Keys.  Every other source ranks one exact integer key per draw
   (`_ordering_keys`): its cell's position (its rank without a diffuse
   cell, int32 where the key fits; else its uniform's 53 bits in a diffuse
-  cell and its lower edge at an atom, int64) and the label below it, so
+  cell and its lower grid edge at an atom, int64) and the label below it, so
   the keys of a row are pairwise distinct.  `_rank_keys` ranks them: rows
   of up to `_KEY_COUNT_WIDTH` labels count their pairwise key comparisons,
   wider ones sort the keys and read the labels off the low bits.  A
@@ -48,6 +48,9 @@ are three routes, tried in this order.
   component's cells (`sample_conjugate_batch`).  It draws each block's
   components before its uniforms, so beyond one block the rows differ
   from those of a whole-batch component draw, with the same law.
+
+Every guide, of cells, words or classes, is built on the integer edges
+ceil(F * 2^53) of exact cumulative masses F (`measure._grid_edges`).
 
 Histograms of up to `permutations._CODE_WIDTH` labels count each row by
 its index in S_n (`permutations.count_perms`), read off the word or class
@@ -70,10 +73,10 @@ from .measure import (
     LEFT,
     ConjugateBatch,
     ConjugateSample,
-    MeasureMixture,
     OrderingSource,
     _batch_tables,
     _BatchTables,
+    _grid_edges,
     _Guide,
     _over_common_denominator,
     _row_blocks,
@@ -126,7 +129,6 @@ _CLASS_WORK_CAP = 1 << 19
 
 __all__ = [
     "EmpiricalPosition",
-    "MeasureMixture",
     "compare",
     "sample_ordering_batch",
     "ordering_counts",
@@ -207,9 +209,10 @@ def _ordering_keys(batch: ConjugateBatch) -> np.ndarray:
     or n - 1 - column at a left atom.  Without a diffuse cell the position
     is the cell's rank, and the key is int32 where it fits.  With one it is
     53 bits: a `Generator.random` draw u = k * 2^-53 lands in the cell [lo,
-    hi), whose edges are the guide's floats, exactly when ceil(lo * 2^53)
-    <= k < ceil(hi * 2^53), so the position is k in a diffuse cell and
-    ceil(lo * 2^53) in an atom cell.  A u off the grid is truncated.
+    hi) exactly when ceil(lo * 2^53) <= k < ceil(hi * 2^53), the guide's
+    integer edges, so the position is k in a diffuse cell and the cell's
+    `cell_lo`, ceil(lo * 2^53), in an atom cell.  A u off the grid is
+    truncated.
     """
     import numpy as np
 
@@ -238,18 +241,19 @@ def _ordering_keys(batch: ConjugateBatch) -> np.ndarray:
 @lru_cache(maxsize=_TABLE_CACHE)
 def _key_table(tables: _BatchTables, n: int) -> tuple:
     """The key of each cell but a diffuse draw's k and, where it fits, the
-    label; each cell's scale of u to k, None without a diffuse cell; the
-    label's bits; and whether the keys are laid out flat per (cell,
-    column), label included, which they are while the table holds no more
-    entries than one block of draws (`_LOOKUP_BLOCK`).  Otherwise they are
-    per cell, no larger than the source's own `_batch_tables`."""
+    label (an atom cell's position is its grid edge `cell_lo`); each cell's
+    scale of u to k, 2^53 in a diffuse cell and 0 at an atom, None without
+    a diffuse cell; the label's bits; and whether the keys are laid out
+    flat per (cell, column), label included, which they are while the
+    table holds no more entries than one block of draws (`_LOOKUP_BLOCK`).
+    Otherwise they are per cell, no larger than the source's own
+    `_batch_tables`."""
     import numpy as np
 
     bits = _LABEL_BITS if n <= 1 << _LABEL_BITS else 0
     left = np.array([c.atom_side == LEFT for c in tables.cells], dtype=np.int64)
     if tables.cell_diffuse.any():
-        # lo * 2^53 and its ceiling are exact
-        high = np.ceil(tables.cell_lo * 2.0**53).astype(np.int64) * (tables.cell_diffuse == 0)
+        high = tables.cell_lo * (tables.cell_diffuse == 0)
         scale = tables.cell_diffuse * 2.0**53
     else:
         # a row's cells are one component's, which are listed in rank order
@@ -298,7 +302,7 @@ def _built_words(tables: _BatchTables, n: int) -> Optional[_Words]:
     edges = _word_edges(tables, n)
     if edges is None:
         return None
-    guide = _Guide.build([edges * 2.0**-53])
+    guide = _Guide.build([edges])
     if guide.steps > 1:
         return None
     cells = len(tables.cells)
@@ -321,11 +325,11 @@ def _word_edges(tables: _BatchTables, n: int) -> Optional[np.ndarray]:
     A word's mass is the product of its cells' masses, times the weight of
     the mixture component that holds all of them, and 0 when no component
     does: an integer numerator over one common denominator, in Python ints,
-    so the edges are exact at any denominator.  A `Generator.random` draw u =
-    k * 2^-53 finds word w through a guide over the edges E_w * 2^-53
-    exactly when E_w <= k < E_{w+1}, so each word is dealt within 2^-53 of
-    its mass, and the dealt law is within total variation 2^-41 of the
-    exact one (at most 2^13 words).
+    so the edges (`measure._grid_edges`) are exact at any denominator.  A
+    `Generator.random` draw u = k * 2^-53 finds word w through the guide
+    over them exactly when E_w <= k < E_{w+1}, so each word is dealt
+    within 2^-53 of its mass, and the dealt law is within total variation
+    2^-41 of the exact one (at most 2^13 words).
     """
     import numpy as np
 
@@ -349,19 +353,6 @@ def _word_edges(tables: _BatchTables, n: int) -> Optional[np.ndarray]:
     if np.count_nonzero(np.diff(edges)) < np.count_nonzero(mass):
         return None
     return edges
-
-
-def _grid_edges(mass, total: int) -> np.ndarray:
-    """ceil(F_i * 2^53) for i = 0..len(mass), as int64, F_i the sum of the
-    integer numerators mass[:i] over `total`, in Python ints: the edges on
-    the 2^-53 grid of `Generator.random` of the law mass / total."""
-    import numpy as np
-
-    below = np.concatenate([np.zeros(1, object), np.cumsum(np.asarray(mass, object))])
-    # F * 2^53 = F * q * total + F * r for 2^53 = q * total + r, and
-    # ceil(F * r / total) = -(-F * r // total)
-    q, r = divmod(1 << 53, total)
-    return (below * q - below * -r // total).astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,14 +419,14 @@ def _class_tables(n: int) -> _Classes:
 def _class_guide(source: OrderingSource, n: int) -> _Guide:
     """The guide over a source's exact law of the descent classes of n
     labels, in mask order: class D's mass beta_n(D) * nums[D] / den from
-    `oracle._class_law`, put on the 2^-53 grid by `_grid_edges`, so each
-    class is dealt within 2^-53 of its mass.  A class of mass below 2^-53
-    may own no grid point, and is then never dealt."""
+    `oracle._class_law`, put on the 2^-53 grid by `measure._grid_edges`,
+    so each class is dealt within 2^-53 of its mass.  A class of mass
+    below 2^-53 may own no grid point, and is then never dealt."""
     from .oracle import _class_law, _descent_class_sizes
 
     nums, den, _ = _class_law(source, n)
     masses = [size * num for size, num in zip(_descent_class_sizes(n), nums)]
-    return _Guide.build([_grid_edges(masses, den) * 2.0**-53])
+    return _Guide.build([_grid_edges(masses, den)])
 
 
 def _deal(

@@ -84,8 +84,28 @@ SIZES = tuple(sorted({1, 2, 8, 16, 17, 52, 511, *WIDTHS, *(w + 1 for w in WIDTHS
 FIELDS = ("cell", "u")
 
 
+def grid_edges(masses):
+    """ceil(F * 2^53) * 2^-53 for the exact cumulative sums F of the
+    masses, 0 first: the cells' edges on the grid of `Generator.random`,
+    each an exact float, so a draw u = k * 2^-53 is above an edge F
+    exactly when k >= ceil(F * 2^53)."""
+    return np.array([ceil(f * 2**53) for f in accumulate(masses, initial=F(0))]) * 2.0**-53
+
+
+def component_draw(components, shape, rng):
+    """Each draw's component of a mixture: one uniform, found by
+    `np.searchsorted` among the grid edges of the exact weights."""
+    return np.searchsorted(grid_edges(w for w, _ in components), rng.random(shape), side="right") - 1
+
+
 def eager_batch(measure, shape, rng):
     """Every field of a conjugate-pair batch, built at draw time."""
+    return eager_fields(measure, rng.random(shape))
+
+
+def eager_fields(measure, u):
+    """Every field of a conjugate-pair batch of the uniforms u, whose cells
+    a search over the grid edges of the exact cell masses finds."""
     cells = cell_decomposition(measure).cells
     lo = np.array([float(c.lo) for c in cells])
     cx = np.array([float(c.x) if c.kind == "atom" else np.nan for c in cells])
@@ -95,8 +115,8 @@ def eager_batch(measure, shape, rng):
         [0 if c.kind == "diffuse" else 1 if c.atom_side == "right" else -1 for c in cells],
         dtype=np.int64,
     )
-    u = rng.random(shape)
-    cell = np.clip(np.searchsorted(np.append(lo, 1.0), u, side="right") - 1, 0, len(cells) - 1)
+    edges = grid_edges(c.mass for c in cells)
+    cell = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(cells) - 1)
     sign = side[cell]
     atom = sign != 0
     return {
@@ -111,12 +131,12 @@ def eager_batch(measure, shape, rng):
 
 def map_draw(smap, shape, rng):
     """(u, v) of a shuffle map: v = slope * u + intercept on the piece that
-    a search over the pieces' lower ends finds."""
-    los, slopes, intercepts = (
-        np.array([float(getattr(p, k)) for p in smap.pieces]) for k in ("lo", "slope", "intercept")
+    a search over the grid edges of the pieces' exact lengths finds."""
+    slopes, intercepts = (
+        np.array([float(getattr(p, k)) for p in smap.pieces]) for k in ("slope", "intercept")
     )
     u = rng.random(shape)
-    at = np.searchsorted(los, u, side="right") - 1
+    at = np.searchsorted(grid_edges(p.hi - p.lo for p in smap.pieces), u, side="right") - 1
     return u, slopes[at] * u + intercepts[at]
 
 
@@ -135,8 +155,8 @@ def grid_draw(grid, shape, rng):
 def eager_draw(sampler, shape, rng):
     """(u, v) of any coupling by its own draw: a conjugate coupling's from
     an eager batch, u first, a map's and a grid's by `map_draw` and
-    `grid_draw`.  A mixture draws each pair's component as `rng.choice`
-    does, and then each component in turn draws its pairs."""
+    `grid_draw`.  A mixture draws each pair's component (`component_draw`),
+    and then each component in turn draws its pairs."""
     if isinstance(sampler, InverseConjugateCoupling):
         u, v = eager_draw(ConjugateCoupling(sampler.measure), shape, rng)
         return v, u
@@ -148,8 +168,7 @@ def eager_draw(sampler, shape, rng):
         return map_draw(sampler.map, shape, rng)
     if isinstance(sampler, GridCopulaCoupling):
         return grid_draw(sampler, shape, rng)
-    weights = np.array([float(w) for w, _ in sampler.components])
-    which = rng.choice(len(weights), size=shape, p=weights / weights.sum())
+    which = component_draw(sampler.components, shape, rng)
     u, v = np.empty(shape), np.empty(shape)
     for ci, (_, component) in enumerate(sampler.components):
         mask = which == ci
@@ -206,10 +225,11 @@ def cell_rows(sampler):
 
 def joint_draw(sampler, shape, rng):
     """(u, v) from `cell_rows`: s first, unless every cell's F and C are 0,
-    then U, which finds its cell by `np.searchsorted` over the cumulative
-    masses; u = (E * U + D) + F * s and v = (B * U + A) + C * s."""
+    then U, which finds its cell by `np.searchsorted` over the grid edges
+    of the exact masses; u = (E * U + D) + F * s and v = (B * U + A) + C *
+    s."""
     rows = cell_rows(sampler)
-    edges = np.array([0.0, *(float(e) for e in accumulate(p for p, _, _ in rows))])
+    edges = grid_edges(p for p, _, _ in rows)
     coef = np.array([[float(x) for x in (*u, *v)] for _, u, v in rows])
     s = rng.random(shape) if coef[:, [2, 5]].any() else np.zeros(shape)
     seed = rng.random(shape)
@@ -392,24 +412,24 @@ def ranked_cells(cell, sign, rel):
 
 
 def mixture_ordering(source, n, size, rng):
-    """Rows of a mixture with one component drawn per row, all rows at once."""
-    weights = np.array([float(w) for w, _ in source.components])
-    which = rng.choice(len(weights), size=size, p=weights / weights.sum())
+    """Rows of a mixture, all at once: one component per row
+    (`component_draw`), then every row's uniforms, each row ranked by the
+    cells of its component."""
+    which = component_draw(source.components, size, rng)
+    u = rng.random((size, n))
     out = np.empty((size, n), dtype=np.int64)
     for ci, (_, m) in enumerate(source.components):
-        mask = which == ci
-        if mask.any():
-            out[mask] = eager_ordering(m, n, int(mask.sum()), rng)
+        b = eager_fields(m, u[which == ci])
+        out[which == ci] = ranked_cells(b["cell"], b["sign"], b["rel"])
     return out
 
 
 def positions_reference(source, target, window, rng):
     """`empirical_positions` from an eager batch: a mixture draws the
-    window's one component as `rng.choice` does, then its measure's batch."""
+    window's one component (`component_draw`), then its measure's batch."""
     measure = source
     if isinstance(source, MeasureMixture):
-        weights = np.array([float(w) for w, _ in source.components])
-        measure = source.components[rng.choice(len(weights), p=weights / weights.sum())][1]
+        measure = source.components[component_draw(source.components, None, rng)][1]
     labels = np.arange(-window, window + 1)
     b = eager_batch(measure, labels.shape, rng)
     asc = (np.arange(len(labels)) + 1.0) / (len(labels) + 2.0)

@@ -2,17 +2,22 @@
 
 Every piecewise draw finds its piece through one guide table and a few
 comparisons: the cells of a measure or of a mixture's components, a
-mixture's component, a grid-copula cell and a shuffle-map piece.  Each
-must give the piece a binary search over its edges gives, at every edge
-and one ulp either side of it, with the same dtype; the samplers built on
-it must stay byte-identical to the eager references in
-`test_batch_reference`.  The lookup takes any float, so its tests
-draw one ulp either side of each edge; a generator only returns multiples
-of 2^-53, which the exact ordering keys rely on, so the ordering tests
-draw the grid points either side of each edge instead.
+mixture's component, a grid-copula cell, a shuffle-map piece, a word and
+a descent class.  Every guide is built from the edges ceil(F * 2^53) of
+the exact cumulative masses F, so a draw u = k * 2^-53 of a generator
+finds the cell whose exact edges hold it: at the two grid points around
+each exact edge, and at the one between float(F) and F where a float
+edge would give the cell above (`grid_draws`).  Each lookup must give the
+piece a binary search over those grid edges gives, also one ulp either
+side of them, with the same dtype; the samplers built on it must stay
+byte-identical to the eager references in `test_batch_reference`.
 """
 
+from bisect import bisect_right
 from fractions import Fraction as F
+from functools import lru_cache
+from itertools import accumulate, product
+from math import ceil, prod
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from quasishuffle.kernels import (
     DeterministicCoupling,
     GridCopulaCoupling,
     InverseConjugateCoupling,
+    MixtureCoupling,
     _rank_pairs,
     shuffle_map_from_measure,
     step_batch,
@@ -47,14 +53,23 @@ from quasishuffle.measure import (
     sample_conjugate_batch,
 )
 from quasishuffle.errors import IncomparableSamples
-from quasishuffle.ordering import _ordering_keys, compare, sample_ordering_batch
+from quasishuffle.oracle import exact_ordering_distribution
+from quasishuffle.ordering import (
+    _class_guide,
+    _ordering_keys,
+    _word_tables,
+    compare,
+    sample_ordering_batch,
+)
 
 from conftest import builtin_measures, cell_sides, make_rng
 from test_batch_reference import (
+    cell_rows,
     double_argsort_ordering,
     double_argsort_step,
     eager_batch,
     identical,
+    ranking_classes,
     step_reference,
 )
 from test_permutations import GRID
@@ -107,21 +122,34 @@ def edge_draws(edges, seed=0):
 
 
 def grid_draws(edges, seed=0):
-    """u = 0, at each edge e below 1 the two draws a generator can return
-    around it, ceil(e * 2^53) * 2^-53 and the grid point below it, and
-    random u."""
-    above = np.ceil(np.asarray(edges, dtype=np.float64) * 2.0**53)
-    near = np.concatenate([above, above - 1.0]) / 2.0**53
+    """u = 0, at each exact edge F below 1 the two draws a generator can
+    return around it, ceil(F * 2^53) * 2^-53 and the grid point below it,
+    and random u.  The grid point below lies below F; where float(F)
+    rounds down, as float(2/3) does, it lies at or above float(F), and a
+    search over float edges would give it the cell above."""
+    above = np.array([ceil(F(e) * 2**53) for e in edges])
+    near = np.concatenate([above, above - 1]) * 2.0**-53
     u = np.concatenate([[0.0], near, make_rng(seed).random(200)])
     return u[(u >= 0.0) & (u < 1.0)]
 
 
+def on_grid(edges):
+    """ceil(F * 2^53) * 2^-53 of exact edges F: the edges a guide holds,
+    exact floats."""
+    return np.array([ceil(F(e) * 2**53) for e in edges]) * 2.0**-53
+
+
+def exact_edges(measure):
+    """The cells' exact lower edges, and 1."""
+    return [c.lo for c in cell_decomposition(measure).cells] + [F(1)]
+
+
 def cell_edges(measure):
-    return np.array([float(c.lo) for c in cell_decomposition(measure).cells] + [1.0])
+    return on_grid(exact_edges(measure))
 
 
 def boundary_draws(measure, seed=0):
-    return edge_draws(cell_edges(measure), seed)
+    return np.concatenate([edge_draws(cell_edges(measure), seed), grid_draws(exact_edges(measure))])
 
 
 @st.composite
@@ -164,21 +192,22 @@ def test_lookup_equals_binary_search(measure, seed):
 
 @st.composite
 def edge_lists(draw):
-    """1-3 lists of 1-40 cells with nondecreasing edges from 0 to 1: on a
-    grid, where repeated edges (0 and 1 included) leave empty cells, in a
-    run 2^-40 apart, or random floats."""
+    """1-3 lists of 1-40 cells with nondecreasing integer edges from 0 to
+    2^53: the ceilings of exact edges on a grid, where repeated edges (0
+    and 2^53 included) leave empty cells, or in a run 2^-40 apart, or
+    random integers."""
     lists = []
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(0, 39))
         kind = draw(st.sampled_from(("grid", "run", "random")))
         if kind == "grid":
             den = draw(st.sampled_from((2, 64, 3, 7, 1000)))
-            inner = [float(F(draw(st.integers(0, den)), den)) for _ in range(k)]
+            inner = [ceil(F(draw(st.integers(0, den)), den) * 2**53) for _ in range(k)]
         elif kind == "run":
-            inner = [float(F(1, 3) + j * TINY) for j in range(k)]
+            inner = [ceil((F(1, 3) + j * TINY) * 2**53) for j in range(k)]
         else:
-            inner = make_rng(draw(st.integers(0, 2**32 - 1))).random(k)
-        lists.append(np.array([0.0, *sorted(inner), 1.0]))
+            inner = make_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 2**53, k, endpoint=True)
+        lists.append(np.array([0, *sorted(inner), 2**53]))
     return lists
 
 
@@ -187,7 +216,8 @@ def edge_lists(draw):
 def test_stacked_lookup_equals_binary_search(lists, seed):
     guide = _Guide.build(lists)
     first = 0
-    for k, edges in enumerate(lists):
+    for k, ints in enumerate(lists):
+        edges = ints * 2.0**-53
         u = np.append(edge_draws(edges, seed), 1.0)
         want = np.searchsorted(edges, u, side="right") - 1
         # u = 1 falls in the last cell, however many edges sit at 1
@@ -224,12 +254,13 @@ def test_zero_mass_cells_cost_no_steps(m):
     holds once: the squares of an m x m permutation grid have runs of up
     to 2m - 1 such cells, yet their m evenly spread edges need at most one
     step.  The grid's own table leaves its zero-mass squares out."""
-    flat = [float(v) for row in permutation_grid(m) for v in row]
-    assert _Guide.build([np.append(0.0, np.cumsum(flat))]).steps <= 1
+    flat = [v for row in permutation_grid(m) for v in row]
+    edges = [ceil(f * 2**53) for f in accumulate(flat, initial=F(0))]
+    assert _Guide.build([edges]).steps <= 1
     assert GridCopulaCoupling(permutation_grid(m))._cells.guide.steps <= 1
 
 
-# weights of 2, 3 and 5 components; the last two sum below 1 in floats
+# weights of 2, 3 and 5 components, none of them dyadic
 WEIGHTS = [
     (F(1, 3), F(2, 3)),
     (F(1, 3), F(1, 3), F(1, 3)),
@@ -239,22 +270,13 @@ WEIGHTS = [
 ]
 
 
-def float_cdf(weights):
-    p = np.array([float(w) for w in weights])
-    return np.cumsum(p / p.sum())
-
-
-def test_some_weights_sum_below_one_in_floats():
-    assert [float_cdf(w)[-1] < 1.0 for w in WEIGHTS[-2:]] == [True, True]
-
-
 @pytest.mark.parametrize("weights", WEIGHTS)
 def test_weight_lookup_equals_binary_search(weights):
-    """A mixture's component is `rng.choice`'s: a search over the
-    cumulative weights, rescaled to end at 1."""
-    cdf = float_cdf(weights)
-    edges = np.append(0.0, cdf / cdf[-1])
-    u = np.concatenate([edge_draws(edges), edge_draws(cdf)])
+    """A mixture's component is the one a search over the grid edges of
+    the exact cumulative weights finds."""
+    exact = list(accumulate(weights, initial=F(0)))
+    edges = on_grid(exact)
+    u = np.concatenate([edge_draws(edges), grid_draws(exact)])
     want = np.searchsorted(edges, u, side="right") - 1
     got = _weight_guide(tuple((w, None) for w in weights)).lookup(u)
     np.testing.assert_array_equal(got, want)
@@ -262,14 +284,14 @@ def test_weight_lookup_equals_binary_search(weights):
 
 def square_edges(grid):
     """Each square of positive mass as (i, j, lower edge, mass), in
-    Fractions, its mass over the matrix's sum, and the float edges."""
+    Fractions, its mass over the matrix's sum, and the exact edges."""
     squares = [(i, j, e) for i, row in enumerate(grid.matrix) for j, e in enumerate(row) if e]
     total = sum(e for *_, e in squares)
     out, below = [], F(0)
     for i, j, e in squares:
         out.append((i, j, below, e / total))
         below += e / total
-    return out, np.array([float(lo) for *_, lo, _ in out] + [1.0])
+    return out, [lo for *_, lo, _ in out] + [F(1)]
 
 
 @pytest.mark.parametrize(
@@ -283,11 +305,13 @@ def square_edges(grid):
     ids=["zero-mass-cells", "zero-mass-last-cell", "float-entries", "permutation-100"],
 )
 def test_grid_lookup_equals_binary_search(grid):
-    """A grid pair's square is the one a search over the exact cumulative
-    masses of the squares of positive mass finds, and v is U's position in
-    it: u is mid-square at s = 1/2, v within 1e-12 of its exact value."""
-    squares, edges = square_edges(grid)
-    u = edge_draws(edges)
+    """A grid pair's square is the one a search over the grid edges of the
+    exact cumulative masses of the squares of positive mass finds, and v
+    is U's position in it: u is mid-square at s = 1/2, v within 1e-12 of
+    its exact value."""
+    squares, exact = square_edges(grid)
+    edges = on_grid(exact)
+    u = np.concatenate([edge_draws(edges), grid_draws(exact)])
     at = np.searchsorted(edges, u, side="right") - 1
     got_u, got_v = grid.draw_batch(u.shape, FixedDraws(np.append(np.full(len(u), 0.5), u)))
     i, j, lo, mass = (np.array([float(sq[k]) for sq in squares])[at] for k in range(4))
@@ -309,17 +333,124 @@ def clustered_atoms():
     ids=["gsr", "a3", "a48", "clustered"],
 )
 def test_map_lookup_equals_binary_search(measure):
-    """A map piece is the one a search over the pieces' lower ends finds,
-    u = 1 on the last piece."""
+    """A map piece is the one a search over the grid edges of the pieces'
+    exact lower ends finds, u = 1 on the last piece."""
     smap = shuffle_map_from_measure(measure)
-    los = np.array([float(p.lo) for p in smap.pieces])
-    u = np.append(edge_draws(los), 1.0)
+    exact = [p.lo for p in smap.pieces]
+    los = on_grid(exact)
+    u = np.concatenate([edge_draws(los), grid_draws(exact), [1.0]])
     at = np.clip(np.searchsorted(los, u, side="right") - 1, 0, len(los) - 1)
     slopes = np.array([float(p.slope) for p in smap.pieces])
     intercepts = np.array([float(p.intercept) for p in smap.pieces])
     # a map draws no second uniform: u is the draw that found the piece
     got_u, got_v = DeterministicCoupling(smap).draw_batch(u.shape, FixedDraws(u))
     assert identical(got_u, u) and identical(got_v, slopes[at] * u + intercepts[at])
+
+
+# -- every guide on the exact grid -----------------------------------------
+
+# atoms (1/3, 2/3) right and (2/3, 1) left after a diffuse [0, 1/3): its
+# cells start at 0, 1/3 and 2/3, and float(2/3) lies below 2/3
+THIRDS = QuasiUniformMeasure(
+    (GapInterval(F(1, 3), F(2, 3), RIGHT), GapInterval(F(2, 3), 1, LEFT))
+)
+# purely atomic, masses 1/3 and 2/3: words of three labels of masses 1/27
+# to 8/27
+SKEWED_THIRDS = QuasiUniformMeasure(
+    (GapInterval(0, F(1, 3), RIGHT), GapInterval(F(1, 3), 1, LEFT))
+)
+ONE_THIRD_EACH = ((F(1, 3), gsr()), (F(1, 3), a_shuffle(3)), (F(1, 3), lebesgue()))
+GUIDES = (
+    "measure-cells", "mixture-cells", "mixture-weights", "map-pieces", "grid-squares",
+    "mixture-coupling", "word-law", "class-law",
+)
+
+
+def cumulative(masses):
+    return list(accumulate(masses, initial=F(0)))
+
+
+@lru_cache(maxsize=None)
+def exact_guides():
+    """Every kind of guide, as (guide, the exact cumulative masses of each
+    of its lists), the masses summed in Fractions here."""
+    mixture = MeasureMixture(((F(1, 3), THIRDS), (F(2, 3), a_shuffle(3))))
+    pieces = DeterministicCoupling(shuffle_map_from_measure(a_shuffle(3)))
+    grid = GridCopulaCoupling([[F(1, 6), F(1, 6), 0], [0, F(1, 6), F(1, 6)], [F(1, 6), 0, F(1, 6)]])
+    coupling = MixtureCoupling([(F(1, 3), pieces), (F(2, 3), ConjugateCoupling(THIRDS))])
+    word_cells = cell_decomposition(SKEWED_THIRDS).cells
+    words = [prod(c.mass for c in word) for word in product(word_cells, repeat=3)]
+    law = exact_ordering_distribution(THIRDS, 4)
+    classes = [sum((law.prob(r) for r in rankings), F(0)) for rankings in ranking_classes(4)]
+    pairs = {"map-pieces": pieces, "grid-squares": grid, "mixture-coupling": coupling}
+    return {
+        "measure-cells": (_batch_tables(THIRDS).guide, [exact_edges(THIRDS)]),
+        "mixture-cells": (_batch_tables(mixture).guide, [exact_edges(m) for _, m in mixture.components]),
+        "mixture-weights": (_weight_guide(ONE_THIRD_EACH), [cumulative(w for w, _ in ONE_THIRD_EACH)]),
+        **{
+            name: (c._cells.guide, [cumulative(mass for mass, _, _ in cell_rows(c))])
+            for name, c in pairs.items()
+        },
+        "word-law": (_word_tables(_batch_tables(SKEWED_THIRDS), 3).guide, [cumulative(words)]),
+        "class-law": (_class_guide(THIRDS, 4), [cumulative(classes)]),
+    }
+
+
+@pytest.mark.parametrize("name", GUIDES)
+def test_grid_points_around_each_exact_edge_find_its_cells(name):
+    """At each exact edge F inside a list, k = ceil(F * 2^53) finds the
+    last cell that starts at F, and k - 1 the last cell that starts at or
+    below (k - 1) * 2^-53, which lies below F: the cells that the exact
+    masses give the draws k * 2^-53."""
+    guide, lists = exact_guides()[name]
+    first = 0
+    for at, edges in enumerate(lists):
+        k = [ceil(f * 2**53) + d for f in edges if 0 < f < 1 for d in (-1, 0)]
+        want = [bisect_right(edges, F(j, 2**53)) - 1 for j in k]
+        got = guide.lookup(np.array(k) * 2.0**-53, at) - first
+        assert got.tolist() == want
+        first += len(edges) - 1
+
+
+@pytest.mark.parametrize("name", GUIDES)
+def test_guide_edges_are_the_ceilings_of_the_exact_masses(name):
+    """A list's pieces end at ceil(F * 2^53) * 2^-53 of its distinct exact
+    lower edges F after the first, and its last piece at inf."""
+    guide, lists = exact_guides()[name]
+    want = []
+    for edges in lists:
+        lower = sorted({ceil(f * 2**53) for f in edges[:-1]})
+        want += [e * 2.0**-53 for e in lower[1:]] + [np.inf]
+    assert guide.hi.tolist() == want
+
+
+def test_the_grid_point_below_two_thirds_draws_below_it():
+    """u = (ceil(2/3 * 2^53) - 1) * 2^-53 lies below 2/3 and at float(2/3):
+    it finds the cell of THIRDS that ends at 2/3, the middle component of
+    a mixture of thirds, and the a-shuffle:3 map's middle piece, v = 3u -
+    1 near 1, not the last piece's v = 3u - 2 = 0."""
+    u = (ceil(F(2, 3) * 2**53) - 1) * 2.0**-53
+    assert float(F(2, 3)) <= u < F(2, 3)
+    assert sample_conjugate_batch(THIRDS, (1,), FixedDraws([u])).cell.tolist() == [1]
+    # the middle component, a-shuffle:3, after gsr's two cells: its cell 1
+    # holds 1/2
+    mixture = MeasureMixture(ONE_THIRD_EACH)
+    assert sample_conjugate_batch(mixture, (1, 1), FixedDraws([u, 0.5])).cell.tolist() == [[3]]
+    smap = DeterministicCoupling(shuffle_map_from_measure(a_shuffle(3)))
+    _, v = smap.draw_batch((1,), FixedDraws([u]))
+    assert v.tolist() == [3.0 * u - 1.0] and v[0] > 0.99
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[0.0, 0.5, 1.0], [0.0, 2.0**53], [1, 2**53], [0, 2**52], [0, 2**53 + 1], [0, 3, 2, 2**53], [0]],
+    ids=["floats", "float-grid", "from-1", "to-half", "past-one", "decreasing", "one-edge"],
+)
+def test_guide_refuses_edges_off_the_grid(edges):
+    """A guide takes integer edges, nondecreasing from 0 to 2^53: a float
+    list would be truncated, and any other list cuts no cells of [0, 1]."""
+    with pytest.raises(ValueError, match=r"integers nondecreasing from 0 to 2\^53"):
+        _Guide.build([[0, 2**53], edges])
 
 
 @pytest.mark.parametrize("measure", [a_shuffle(48), clustered_measure()], ids=["a48", "clustered"])
@@ -408,7 +539,7 @@ def test_equal_diffuse_keys_keep_label_order(measure):
     # 52 labels draw from a dozen grid points around the edges: diffuse
     # draws that share a u share their key's high part, and every such tie
     # must resolve by label order
-    u = make_rng(5).choice(grid_draws(cell_edges(measure))[:12], size=(200, 52))
+    u = make_rng(5).choice(grid_draws(exact_edges(measure))[:12], size=(200, 52))
     got = sample_ordering_batch(measure, range(1, 53), 200, FixedDraws(u))
     assert identical(got, double_argsort_ordering(measure, 52, 200, FixedDraws(u)))
     diffuse = cell_sides(measure, sample_conjugate_batch(measure, u.shape, FixedDraws(u)).cell) == 0
@@ -492,12 +623,12 @@ def below(sample_i, sample_j, i, j):
 def test_ordering_keys_are_distinct_and_order_as_compare(source, n, seed, at_edges):
     """In every row the keys are pairwise distinct, and key_i < key_j
     exactly when `compare` puts label i below label j on the batch's float
-    pairs, whose cells the guide found from float edges.  A measure may
+    pairs, whose cells the guide found on the 2^-53 grid.  A measure may
     draw its u from the grid points around its edges, so that rows share
     cells and u values."""
     rng = make_rng(seed)
     if at_edges and isinstance(source, QuasiUniformMeasure):
-        rng = FixedDraws(rng.choice(grid_draws(cell_edges(source), seed), (30, n)))
+        rng = FixedDraws(rng.choice(grid_draws(exact_edges(source), seed), (30, n)))
     batch = sample_conjugate_batch(source, (30, n), rng)
     key = _ordering_keys(batch)
     # a purely atomic source's key is its cell's rank, a flag and the label,

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction as F
+from math import ceil
 
 import numpy as np
 import pytest
@@ -57,15 +58,21 @@ from conftest import builtin_measures, eager_pairs, make_rng, measure_params, me
 @pytest.mark.parametrize("shape", [1, 5000, (700, 9)])
 def test_component_draws_are_those_of_rng_choice(weights, shape):
     """The components a mixture draws, one uniform each through its weight
-    guide, are `rng.choice`'s with p = weights / sum, and the draw uses the
-    generator as it does: the next draws agree too."""
+    guide, are those a search over ceil(F * 2^53) of the exact cumulative
+    weights F finds for k = u * 2^53, and the draw uses the generator as
+    `rng.choice` does: the next draws agree.  At this seed they are also
+    `rng.choice`'s with p = weights / sum, which differs only at the draws
+    between a float cumulative weight and the exact one."""
     comps = tuple((w, f"c{k}") for k, w in enumerate(weights))
-    rng, ref = make_rng(11), make_rng(11)
-    p = np.array([float(w) for w in weights])
-    want = ref.choice(len(weights), size=shape, p=p / p.sum())
+    rng, ref, choice = make_rng(11), make_rng(11), make_rng(11)
+    edges = [ceil(f * 2**53) for f in itertools.accumulate(weights, initial=F(0))]
+    k = (ref.random(shape) * 2.0**53).astype(np.int64)
+    want = np.searchsorted(edges, k, side="right") - 1
     got = _weight_guide(comps).lookup(rng.random(shape))
     assert got.shape == want.shape and np.array_equal(got, want)
-    assert rng.random() == ref.random()
+    p = np.array([float(w) for w in weights])
+    assert np.array_equal(got, choice.choice(len(weights), size=shape, p=p / p.sum()))
+    assert rng.random() == ref.random() == choice.random()
 
 
 def test_gap_interval_accessors():

@@ -143,8 +143,8 @@ def word_pairs(sources, sizes):
 @pytest.mark.parametrize(("name", "n"), word_pairs(EDGE_SOURCES, range(1, 9)))
 def test_word_guide_edges_are_the_exact_ceilings(name, n):
     """The word edges are ceil(F_w * 2^53) of the exact word law, F_w
-    summed in Fractions over `itertools.product`; in a guide over E_w *
-    2^-53, u = E_w * 2^-53 finds word w, and one grid step below it the
+    summed in Fractions over `itertools.product`; in a guide over the
+    integer edges E_w, u = E_w * 2^-53 finds word w, and one grid step below it the
     word of positive mass before w, which is w - 1 in a measure.  Where a
     word of positive mass owns no grid point there is no word table, nor
     where the guide takes more than one step, and else the table holds
@@ -157,7 +157,7 @@ def test_word_guide_edges_are_the_exact_ceilings(name, n):
         return
     edges = want[0]
     assert _word_edges(tables, n).tolist() == edges
-    guide = _Guide.build([np.array(edges) * 2.0**-53])
+    guide = _Guide.build([edges])
     words = _word_tables(tables, n)
     assert (words is not None) == one_step(edges) == (guide.steps <= 1)
     if words is not None:
@@ -217,7 +217,7 @@ def test_a_skewed_word_law_takes_the_key_route(n):
     if n == 13:
         assert edges is None and exact_word_edges(source, n) is None
     else:
-        assert _Guide.build([edges * 2.0**-53]).steps == 511
+        assert _Guide.build([edges]).steps == 511
         assert not one_step(exact_word_edges(source, n)[0])
     assert _word_tables(tables, n) is None
     got = sample_ordering_batch(source, range(1, n + 1), 2000, make_rng(4))
