@@ -304,13 +304,11 @@ def _scaled(coef, x, at):
 
 def _conjugate_rows(measure: QuasiUniformMeasure) -> list:
     """A conjugate coupling's cells, the measure's: u = s, and v = y + (x -
-    y) * s in an atom cell, v = U in a diffuse one.  x - y is the
-    difference of the floats of x and y, which `float` rounds as their
-    float difference does, so that v is y + (x - y) * s to the bit."""
+    y) * s in an atom cell, v = U in a diffuse one."""
     rows = []
     for c in cell_decomposition(measure).cells:
         if c.kind == "atom":
-            v = (c.y, _ZERO, Fraction(float(c.x)) - Fraction(float(c.y)))
+            v = (c.y, _ZERO, c.x - c.y)
         else:
             v = (_ZERO, _ONE, _ZERO)
         rows.append((c.mass, (_ZERO, _ZERO, _ONE), v))

@@ -360,16 +360,13 @@ def ranking_probability(measure: QuasiUniformMeasure, ranking: Perm, steps: int 
     return Fraction(values[steps], factorial(n) * den ** (steps * n))
 
 
-def _class_law(source: OrderingSource, n: int) -> tuple[list[int], int, list[int]]:
-    """The ordering law of n labels by descent class: (nums, den, first).
+def _class_law(source: OrderingSource, n: int) -> tuple[list[int], int]:
+    """The ordering law of n labels by descent class: (nums, den).
 
     Each ranking whose rank-order list has descent mask D has mass
     nums[D] / den, an integer numerator over one common denominator for
     every class: one step of `_class_values` per component, a mixture's
-    components weighted and summed in class space.  first[D] is the first
-    component that gives class D positive mass (the number of components
-    for a class of mass 0), which orders a mixture's support as the sum of
-    its components' laws lists it.
+    components weighted and summed in class space.
     """
     components = source.components if isinstance(source, MeasureMixture) else ((1, source),)
     weights, weight_den = _over_common_denominator(w for w, _ in components)
@@ -381,13 +378,10 @@ def _class_law(source: OrderingSource, n: int) -> tuple[list[int], int, list[int
         laws.append((den**n, [g for _, _, (_, g) in values]))
     scale = lcm(*(d for d, _ in laws))
     nums = [0] * classes
-    first = [len(laws)] * classes
-    for k, (weight, (d, values)) in enumerate(zip(weights, laws)):
+    for weight, (d, values) in zip(weights, laws):
         for desc, g in enumerate(values):
             nums[desc] += weight * (scale // d) * g
-            if g and first[desc] == len(laws):
-                first[desc] = k
-    return nums, weight_den * factorial(n) * scale, first
+    return nums, weight_den * factorial(n) * scale
 
 
 def exact_ordering_distribution(
@@ -397,17 +391,15 @@ def exact_ordering_distribution(
 
     Evaluates the transfer kernel once per descent class (at most 2^(n-1)
     of them) and component (`_class_law`), and assigns each class's value
-    to every ranking in the class: rankings in lexicographic order, a
-    mixture's in order of the first component that charges them.  Each
+    to every ranking in the class, rankings in lexicographic order.  Each
     evaluation costs O(cells * n^3), so only n is capped: the law itself
     has n! entries.
     """
     _check_n(n, max_n)
-    nums, den, first = _class_law(source, n)
-    perms = [(r, _descent_set(r)) for r in all_permutations(n)]
-    # a stable sort keeps lexicographic order within each first component
-    perms.sort(key=lambda rd: first[rd[1]])
-    return PermutationDistribution(n, {r: Fraction(nums[desc], den) for r, desc in perms})
+    nums, den = _class_law(source, n)
+    return PermutationDistribution(
+        n, {r: Fraction(nums[_descent_set(r)], den) for r in all_permutations(n)}
+    )
 
 
 def _cell_enumeration(

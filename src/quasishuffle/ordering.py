@@ -41,9 +41,8 @@ are three routes, tried in this order.
   (`_ordering_keys`): its cell's position (its rank without a diffuse
   cell, int32 where the key fits; else its uniform's 53 bits in a diffuse
   cell and its lower grid edge at an atom, int64) and the label below it, so
-  the keys of a row are pairwise distinct.  `_rank_keys` ranks them: rows
-  of up to `_KEY_COUNT_WIDTH` labels count their pairwise key comparisons,
-  wider ones sort the keys and read the labels off the low bits.  A
+  the keys of a row are pairwise distinct.  `_rank_keys` ranks them: it
+  sorts each row's keys and reads the labels off the low bits.  A
   mixture draws one component per row and looks the row up in that
   component's cells (`sample_conjugate_batch`).  It draws each block's
   components before its uniforms, so beyond one block the rows differ
@@ -86,7 +85,6 @@ from .permutations import (
     _CODE_WIDTH,
     _INDEX_WIDTH,
     Perm,
-    _counted_ranks,
     _lex_index,
     _lex_rows,
     perm_histogram,
@@ -111,15 +109,6 @@ _WORD_LIMIT = 1 << 13
 # intp guide buckets.
 _TABLE_CACHE = 16
 _WORD_CACHE = 8
-# `_rank_keys` counts comparisons in rows up to this width, and in row
-# inverses up to the next, and sorts wider ones.  Per card on one block of
-# 2^14 keys (2-core shared host, numpy 2.4), on int32 keys of a-shuffle:48
-# and int64 keys of mixed, counting took 11.5 and 13.2 ns against 11.9 and
-# 12.2 for the sort at width 11, 11.8 and 14.3 against 12.0 and 12.2 at 12;
-# inverses 10.8 and 11.5 against 12.6 and 13.7 at 4, 12.5 and 12.9 against
-# 10.9 and 11.7 at 5.
-_KEY_COUNT_WIDTH = 11
-_KEY_INVERSE_WIDTH = 4
 # A source without a word table deals rows of up to `_INDEX_WIDTH` labels
 # from its descent-class law while the law's one-off build, 2^(n-1) * cells
 # * n^3 units of work at 50-70 ns each (2-core shared host), stays within
@@ -424,7 +413,7 @@ def _class_guide(source: OrderingSource, n: int) -> _Guide:
     below 2^-53 may own no grid point, and is then never dealt."""
     from .oracle import _class_law, _descent_class_sizes
 
-    nums, den, _ = _class_law(source, n)
+    nums, den = _class_law(source, n)
     masses = [size * num for size, num in zip(_descent_class_sizes(n), nums)]
     return _Guide.build([_grid_edges(masses, den)])
 
@@ -491,10 +480,9 @@ def _rank_keys(
     `inverse` the row inverse (each row's 1-based columns from its lowest
     key up), as a C-contiguous int64 array: `out` when given.
 
-    Rows up to `_KEY_COUNT_WIDTH` wide, and inverses up to
-    `_KEY_INVERSE_WIDTH`, count their comparisons (`_counted_ranks`).  Wider
-    rows are sorted, and the sorted keys' low bits name the columns, whose
-    scatter gives the ranks; `np.lexsort` adds the label where it does not fit.
+    Each row's keys are sorted, and the sorted keys' low bits name the
+    columns, whose scatter gives the ranks; `np.lexsort` adds the label
+    where it does not fit.
     """
     import numpy as np
 
@@ -503,15 +491,6 @@ def _rank_keys(
         out = np.empty((rows, n), dtype=np.int64)
     elif out.dtype != np.int64 or not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous int64, so its flat view is a view")
-    if n <= (_KEY_INVERSE_WIDTH if inverse else _KEY_COUNT_WIDTH):
-        ranks = _counted_ranks(keys)
-        if inverse:
-            # the inverse holds k + 1 at column rank_k - 1 of each row: one
-            # scatter to the flat positions
-            out.reshape(-1)[ranks.T + np.arange(-1, rows * n - 1, n)[:, None]] = np.arange(1, n + 1)
-        else:
-            out[...] = ranks.T
-        return out
     if n <= 1 << _LABEL_BITS:
         low = np.sort(keys, axis=1)
         low &= (2 << _LABEL_BITS) - 1

@@ -237,7 +237,9 @@ def _distinct(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
     order = np.lexsort(keys.T[::-1]) if keys.ndim == 2 else np.argsort(keys)
     keys, counts = keys[order], counts[order]
     new = keys[1:] != keys[:-1]
-    first = np.flatnonzero(np.concatenate([[True], new.any(axis=1) if keys.ndim == 2 else new]))
+    new = new.any(axis=1) if keys.ndim == 2 else new
+    # the first key starts a run, when there is one
+    first = np.flatnonzero(np.concatenate([[True], new]))[: len(keys)]
     return keys[first], np.add.reduceat(counts, first)
 
 

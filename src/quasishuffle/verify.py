@@ -174,16 +174,13 @@ def _verify_measure(
     for m in range(2, n):
         lhs = oracle.restrict_distribution(exact, m)
         rhs = oracle.exact_ordering_distribution(measure, m)
-        consistent = consistent and oracle.tv_distance(lhs, rhs) == 0
+        consistent = consistent and lhs == rhs
     report.checks.append(CheckResult("restriction-consistent", consistent))
 
     if measure.is_purely_atomic:
         r2_one = oracle.exact_coupling_step_distribution(measure, n, "one")
         r2_two = oracle.exact_coupling_step_distribution(measure, n, "two")
-        agree = (
-            oracle.tv_distance(r2_one, exact) == 0
-            and oracle.tv_distance(r2_two, oracle.invert_distribution(exact)) == 0
-        )
+        agree = r2_one == exact and r2_two == oracle.invert_distribution(exact)
         report.checks.append(
             CheckResult("route-equivalence-exact", agree, "coupling route vs cell route")
         )

@@ -55,8 +55,6 @@ from quasishuffle.measure import (
 from quasishuffle.oracle import exact_ordering_distribution
 from quasishuffle.ordering import (
     _CLASS_WORK_CAP,
-    _KEY_COUNT_WIDTH,
-    _KEY_INVERSE_WIDTH,
     _LABEL_BITS,
     _WORD_LIMIT,
     _ordering_keys,
@@ -77,10 +75,13 @@ MEASURES = {
     "lebesgue": lebesgue(),
     "left-gap": parse_measure("gap(1/4,1/2,left)"),
 }
-# both sides of each width up to which rows are ranked by counting and of
-# the widest row whose keys hold the label, and a deck
-WIDTHS = (_COUNT_WIDTH, _KEY_COUNT_WIDTH, _KEY_INVERSE_WIDTH, 1 << _LABEL_BITS)
-SIZES = tuple(sorted({1, 2, 8, 16, 17, 52, 511, *WIDTHS, *(w + 1 for w in WIDTHS)}))
+# both sides of the width up to which pairs are ranked by counting and of
+# the widest row whose keys hold the label, the narrow rows that the key
+# route sorts, and a deck
+WIDTHS = (_COUNT_WIDTH, 1 << _LABEL_BITS)
+SIZES = tuple(
+    sorted({1, 2, 3, 4, 5, 8, 11, 12, 16, 17, 52, 511, *WIDTHS, *(w + 1 for w in WIDTHS)})
+)
 FIELDS = ("cell", "u")
 
 
@@ -163,7 +164,10 @@ def eager_draw(sampler, shape, rng):
     if isinstance(sampler, ConjugateCoupling):
         u = rng.random(shape)
         b = eager_batch(sampler.measure, shape, rng)
-        return u, b["y"] + u * (b["x"] - b["y"])
+        # the float of each atom's exact x - y, 0 in a diffuse cell
+        cells = cell_decomposition(sampler.measure).cells
+        slope = np.array([float(c.x - c.y) if c.kind == "atom" else 0.0 for c in cells])
+        return u, b["y"] + u * slope[b["cell"]]
     if isinstance(sampler, DeterministicCoupling):
         return map_draw(sampler.map, shape, rng)
     if isinstance(sampler, GridCopulaCoupling):
@@ -182,20 +186,20 @@ def cell_rows(sampler):
     Fractions: the uniform U that found the cell and a second uniform s
     give u = D + E * U + F * s and v = A + B * U + C * s.
 
-    A conjugate cell has u = s, and v = y + (x - y) * s at an atom, x - y
-    the difference of the floats of x and y, or v = U in a diffuse cell;
-    type two swaps the sides.  A map piece has u = U and v = slope * U +
-    intercept.  A grid square (i, j) of positive mass p over the matrix's
-    sum, after squares of mass P, has u = (i + s) / m and v = j / m + (U -
-    P) / (p * m).  A mixture's component of weight w, after components of
-    weight W, holds its cells with w times their mass, read at (U - W) / w.
+    A conjugate cell has u = s, and v = y + (x - y) * s at an atom, or v =
+    U in a diffuse cell; type two swaps the sides.  A map piece has u = U
+    and v = slope * U + intercept.  A grid square (i, j) of positive mass p
+    over the matrix's sum, after squares of mass P, has u = (i + s) / m and
+    v = j / m + (U - P) / (p * m).  A mixture's component of weight w,
+    after components of weight W, holds its cells with w times their mass,
+    read at (U - W) / w.
     """
     zero, one = F(0), F(1)
     if isinstance(sampler, (ConjugateCoupling, InverseConjugateCoupling)):
         rows = []
         for c in cell_decomposition(sampler.measure).cells:
             if c.kind == "atom":
-                v = (c.y, zero, F(float(c.x)) - F(float(c.y)))
+                v = (c.y, zero, c.x - c.y)
             else:
                 v = (zero, one, zero)
             rows.append((c.mass, (zero, zero, one), v))

@@ -200,6 +200,23 @@ def test_one_dealing_loop_chooses_the_row_route():
     assert not {n for n in names if n.startswith("_word_") or n == "_batch_tables"}
 
 
+def test_keys_have_one_rank_path():
+    """`ordering._rank_keys` sorts every row of keys: `ordering` neither
+    imports the comparison-counting kernel nor defines a width up to which
+    key rows would count comparisons."""
+    tree = ast.parse((ROOT / "src" / "quasishuffle" / "ordering.py").read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assigned = {
+        t.id
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Assign, ast.AnnAssign))
+        for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+        if isinstance(t, ast.Name)
+    }
+    assert "_counted_ranks" not in imported
+    assert not {name for name in assigned if name.startswith("_KEY_") and name.endswith("_WIDTH")}
+
+
 def defined(source: str, name: str) -> set[str]:
     """Qualified names of the functions called `name` that the source
     defines."""

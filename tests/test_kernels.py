@@ -39,6 +39,7 @@ from quasishuffle.measure import (
     MeasureMixture,
     QuasiUniformMeasure,
     a_shuffle,
+    cell_decomposition,
     gsr,
     lebesgue,
     mixed_fixture,
@@ -184,6 +185,29 @@ def test_forward_coupling_draw_structure(rng):
 def test_identity_coupling_gives_v_equal_u(rng):
     u, v = ConjugateCoupling(IDENTITY).draw_batch(50, rng)
     assert np.array_equal(v, u)
+
+
+@pytest.mark.parametrize("kind", (ConjugateCoupling, InverseConjugateCoupling))
+@pytest.mark.parametrize(
+    "measure",
+    [a_shuffle(3), mixed_fixture(), parse_measure("gap(1/3,2/3,left)")],
+    ids=["a-shuffle-3", "mixed", "gap-third-left"],
+)
+def test_conjugate_rows_are_the_exact_cells(measure, kind):
+    """Each cell's row holds its exact slope x - y at an atom, which only
+    the float table rounds: float(x - y), not float(x) - float(y)."""
+    rows = kind(measure)._rows()
+    cells = cell_decomposition(measure).cells
+    assert len(rows) == len(cells)
+    for c, (mass, u, v) in zip(cells, rows):
+        if kind is InverseConjugateCoupling:
+            u, v = v, u
+        assert mass == c.mass and u == (0, 0, 1)
+        assert v == ((c.y, 0, c.x - c.y) if c.kind == "atom" else (0, 1, 0))
+    slopes = [float(c.x - c.y) if c.kind == "atom" else 0.0 for c in cells]
+    table = kind(measure)._cells
+    side = table.u if kind is InverseConjugateCoupling else table.v
+    assert np.array_equal(np.broadcast_to(side[2], len(cells)), slopes)
 
 
 def test_inverse_coupling_swaps_coordinates():
@@ -547,6 +571,16 @@ def test_step_counts_reject_a_negative_size():
 def test_mc_kernel_of_no_samples_has_no_observations():
     with pytest.raises(EmptyCounts, match="^no observations$"):
         kernel_matrix(3, ConjugateCoupling(gsr()), mode="mc", samples=0, rng=make_rng(1))
+
+
+@pytest.mark.parametrize("n", (4, 9, 21))
+@pytest.mark.parametrize("kind", (ConjugateCoupling, InverseConjugateCoupling))
+def test_step_counts_of_no_samples_are_empty(kind, n):
+    # S_n indices in dense bins at 4 cards and by `np.unique` at 9, whose
+    # type-two histogram is inverted, and rows at 21
+    assert empirical_step_counts(n, kind(gsr()), 0, make_rng(1)) == {}
+    with pytest.raises(EmptyCounts, match="^no observations$"):
+        kernel_matrix(n, kind(gsr()), mode="mc", samples=0, rng=make_rng(1))
 
 
 # -- sampler resolution ---------------------------------------------------
