@@ -460,8 +460,11 @@ class _BatchTables:
     """A measure's cells, or a mixture's, for vectorized draws: `guide`
     finds a draw's cell, and the per-cell tables serve the ordering keys.
     A mixture's component k has the guide's list k, so its cells follow
-    those of component k-1."""
+    those of component k-1.  `source` is the object they were built for,
+    so that a sampler handed an equal copy looks its caches up by
+    identity."""
 
+    source: OrderingSource = field(repr=False)
     guide: _Guide
     cells: tuple[Cell, ...]
     lists: tuple[tuple[Fraction, int], ...]  # each component's weight and cell count
@@ -489,7 +492,7 @@ def _batch_tables(source: OrderingSource) -> _BatchTables:
     diffuse = np.array([c.kind == "diffuse" for c in cells], dtype=np.float64)
     counts = tuple((w, len(cl)) for (w, _), cl in zip(components, lists))
     cell_lo = np.concatenate([e[:-1] for e in edges])
-    return _BatchTables(_Guide.build(edges), cells, counts, cell_lo, diffuse)
+    return _BatchTables(source, _Guide.build(edges), cells, counts, cell_lo, diffuse)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,25 +10,25 @@ ranks to y.
 
 Orderings are dealt in row blocks of about 2^14 uniforms
 (`measure._row_blocks`: 2^14 / n rows of keys, 2^14 rows of words, 2^13
-of classes) by one loop, `_deal`, which chooses a source's
-route once and yields each block's rankings, row inverses or S_n indices:
-into one preallocated output for `sample_ordering_batch`, counted one by
-one for `ordering_counts`, and as every conjugate step of `kernels`.  There
-are three routes, tried in this order.
+of classes) by one loop, `_deal`, which chooses a source's route once and
+yields each block's rankings, row inverses or S_n indices: into one
+preallocated output for `sample_ordering_batch`, counted one by one for
+`ordering_counts`, and as every conjugate step of `kernels`.  A source
+deals its rows from a row table (`_RowTable`), of words or of classes, or
+ranks keys, tried in this order.
 
 * Word table.  A purely atomic source's row is a function of its cell
   word, so up to `_WORD_LIMIT` words its rows, row inverses and S_n
-  indices are ranked once (`_word_tables`), and each row is dealt by one
+  indices are ranked once (`_built_words`), and each row is dealt by one
   uniform: a guide over the exact word law (`_word_edges`) finds its word,
-  within 2^-53 of the word's mass, and one row gather deals the block, as
-  the table's own int8 rows where no output is given.  A source with a
-  word of positive mass that no uniform would find has no word table, nor
-  one whose guide takes more than one step.
+  within 2^-53 of the word's mass.  A source with a word of positive mass
+  that no uniform would find has no word table, nor one whose guide takes
+  more than one step.
 * Class table.  Every other source of up to `permutations._INDEX_WIDTH`
   = 8 labels (a diffuse cell, a mixture with one, a gated or too large
   word law) deals each row from its exact law, which is constant on the
   descent classes D of the rank-order list: two uniforms per row, one for
-  the class through a guide over the class masses (`_class_guide`, from
+  the class through a guide over the class masses (`_built_classes`, from
   `oracle._class_law`), one for an offset among the class's beta_n(D)
   equal-mass rankings in one table of all n! rankings grouped by class
   (`_class_tables`; it depends on n alone, 0.95 MB at n = 8).  Each
@@ -54,14 +54,13 @@ ceil(F * 2^53) of exact cumulative masses F (`measure._grid_edges`).
 Histograms of up to `permutations._CODE_WIDTH` labels count each row by
 its index in S_n (`permutations.count_perms`), read off the word or class
 table or the keys' Lehmer code.  The blocks draw their uniforms in row
-order, so the rows of a measure, and of a word-table or class-table
-source, are those of one whole-batch draw: `rng.random((size, 2))` for the
-class route.
+order, so the rows of a measure, and of a row-table source, are those of
+one whole-batch draw: `rng.random((size, 2))` for the class route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import factorial
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -102,8 +101,9 @@ _LABEL_BITS = 9
 # has at most this many: gsr up to 13 labels, a 3-shuffle up to 8.
 _WORD_LIMIT = 1 << 13
 # The `_key_table` cache holds this many tables, at most 16 x 256 KiB flat
-# key tables, and the `_class_guide` cache this many guides over at most
-# 128 classes, a few KiB each; the word table cache (`_built_words`) holds
+# key tables, and the `_built_classes` cache this many class tables, each a
+# guide over at most 128 classes, a few KiB, beside the arrays it shares
+# with `_class_tables`; the word table cache (`_built_words`) holds
 # fewer, larger ones: at most 8 x 464 KiB, 2^13 words of 13 labels, each
 # with two int8 rows, one int64 S_n index, one float64 guide edge and two
 # intp guide buckets.
@@ -258,34 +258,48 @@ def _key_table(tables: _BatchTables, n: int) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
-class _Words:
-    """A purely atomic source's rows of n labels per cell word, listed by
-    word code (a word's cells read as base-C digits for C cells), and the
-    guide that deals a word code from one uniform."""
+class _RowTable:
+    """The rows a source deals by table lookup, and the guide that finds a
+    row's entry from its first uniform.  A word table lists a purely
+    atomic source's row per cell word, by word code (a word's cells read
+    as base-C digits for C cells), its guide over the word law
+    (`_word_edges`).  A class table lists all n! rankings grouped by the
+    descent class D of their rank-order list (their row inverse), classes
+    in mask order and rankings in lexicographic order within a class, its
+    guide over the class law; only a class table has `start` and `size`."""
 
-    guide: _Guide  # over the word law, in code order (`_word_edges`)
-    ranks: np.ndarray  # (C^n, n) int8: each word's ranking
-    inverse: np.ndarray  # (C^n, n) int8: each ranking's row inverse
-    index: np.ndarray  # (C^n,) int64: each ranking's index in S_n
+    guide: Optional[_Guide]  # None in the source-free `_class_tables`
+    ranks: np.ndarray  # (rows, n) int8: the rankings
+    inverse: np.ndarray  # (rows, n) int8: their row inverses
+    index: np.ndarray  # (rows,) int64: their indices in S_n
+    start: Optional[np.ndarray] = None  # (2^(n-1),) int64: each class's first row
+    size: Optional[np.ndarray] = None  # (2^(n-1),) uint64: beta_n(D), each class's rankings
 
+    def find(self, u: np.ndarray) -> np.ndarray:
+        """The rows of a (rows, draws) block of uniforms: u[:, 0] finds the
+        word or class, and in a class u[:, 1] = k * 2^-53 the row at offset
+        floor(k * beta_n(D) / 2^53), exact in uint64 as beta_n(D) < 2^11
+        up to 8 labels, and below beta_n(D) for every k < 2^53."""
+        import numpy as np
 
-def _word_tables(tables: _BatchTables, n: int) -> Optional[_Words]:
-    """The word table of a source with no diffuse cell and at most
-    `_WORD_LIMIT` words of n labels, else None; a one-cell source counts
-    as two, so n stays below 14 and a rank fits int8.  A source with a
-    word that no draw would deal (`_word_edges`) has none either, nor one
-    whose word guide takes more than one step past a bucket's first piece:
-    a law that skewed keeps the per-label draw."""
-    if tables.cell_diffuse.any() or max(len(tables.cells), 2) ** n > _WORD_LIMIT:
-        return None
-    return _built_words(tables, n)
+        at = self.guide.lookup(u[:, 0])
+        if self.start is None:
+            return at
+        k = (u[:, 1] * 2.0**53).astype(np.uint64)
+        k *= np.take(self.size, at)
+        k >>= 53
+        row = k.view(np.int64)
+        row += np.take(self.start, at)
+        return row
 
 
 @lru_cache(maxsize=_WORD_CACHE)
-def _built_words(tables: _BatchTables, n: int) -> Optional[_Words]:
-    """`_word_tables` past its cheap checks, so that the sources without a
-    table take no cache entry.  Its rows are `_rank_keys` of the words'
-    keys, so they are the rows those keys deal."""
+def _built_words(tables: _BatchTables, n: int) -> Optional[_RowTable]:
+    """The word table of a source that `_deal` lets have one, or None when
+    a word that no draw would deal (`_word_edges`) or a word guide that
+    takes more than one step past a bucket's first piece leaves the law
+    too skewed for it.  Its rows are `_rank_keys` of the words' keys, so
+    they are the rows those keys deal."""
     import numpy as np
 
     edges = _word_edges(tables, n)
@@ -298,7 +312,7 @@ def _built_words(tables: _BatchTables, n: int) -> Optional[_Words]:
     # each code's base-C digits, most significant first, as C-contiguous rows
     words = np.indices((cells,) * n).reshape(n, -1).T.copy()
     keys = _ordering_keys(ConjugateBatch(np.zeros(words.shape), words, tables))
-    return _Words(
+    return _RowTable(
         guide,
         _rank_keys(keys).astype(np.int8),
         _rank_keys(keys, inverse=True).astype(np.int8),
@@ -344,37 +358,10 @@ def _word_edges(tables: _BatchTables, n: int) -> Optional[np.ndarray]:
     return edges
 
 
-@dataclass(frozen=True, eq=False)
-class _Classes:
-    """All n! rankings of n labels for the class route: grouped by the
-    descent class D of their rank-order list (their row inverse), classes
-    in mask order and rankings in lexicographic order within a class, with
-    the rows a `_Words` table holds."""
-
-    start: np.ndarray  # (2^(n-1),) int64: each class's first row
-    size: np.ndarray  # (2^(n-1),) uint64: beta_n(D), each class's rankings
-    ranks: np.ndarray  # (n!, n) int8: the rankings
-    inverse: np.ndarray  # (n!, n) int8: their row inverses
-    index: np.ndarray  # (n!,) int64: their indices in S_n
-
-    def row(self, desc: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The row of class desc at offset floor(k * beta_n(D) / 2^53) for
-        each u = k * 2^-53, as int64: exact in uint64, as beta_n(D) < 2^11
-        up to 8 labels, and below beta_n(D) for every k < 2^53."""
-        import numpy as np
-
-        k = (u * 2.0**53).astype(np.uint64)
-        k *= np.take(self.size, desc)
-        k >>= 53
-        at = k.view(np.int64)
-        at += np.take(self.start, desc)
-        return at
-
-
 @lru_cache(maxsize=_INDEX_WIDTH)
-def _class_tables(n: int) -> _Classes:
-    """The `_Classes` of n labels, which depend on n alone: 0.95 MB at
-    n = 8, built in about 11 ms.  The class sizes are
+def _class_tables(n: int) -> _RowTable:
+    """The class table of n labels without a guide, which depends on n
+    alone: 0.95 MB at n = 8, built in about 11 ms.  The class sizes are
     `oracle._descent_class_sizes`.  The rankings are decoded one row block
     at a time, so the build's temporaries stay block-sized: n! x n int64
     ones grew the heap of a sampling process by 15 MB, which it kept."""
@@ -395,27 +382,30 @@ def _class_tables(n: int) -> _Classes:
     # the keys are distinct, so every sort orders them alike
     order = np.argsort(desc * count + np.arange(count))
     sizes = _descent_class_sizes(n)
-    return _Classes(
-        np.cumsum([0, *sizes[:-1]]),
-        np.array(sizes, dtype=np.uint64),
+    return _RowTable(
+        None,
         ranks[order],
         inverse[order],
         order.astype(np.int64),
+        np.cumsum([0, *sizes[:-1]]),
+        np.array(sizes, dtype=np.uint64),
     )
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
-def _class_guide(source: OrderingSource, n: int) -> _Guide:
-    """The guide over a source's exact law of the descent classes of n
-    labels, in mask order: class D's mass beta_n(D) * nums[D] / den from
-    `oracle._class_law`, put on the 2^-53 grid by `measure._grid_edges`,
-    so each class is dealt within 2^-53 of its mass.  A class of mass
-    below 2^-53 may own no grid point, and is then never dealt."""
-    from .oracle import _class_law, _descent_class_sizes
+def _built_classes(source: OrderingSource, n: int) -> _RowTable:
+    """`_class_tables(n)`, its arrays shared, with the guide over a
+    source's exact law of the descent classes: class D's mass beta_n(D) *
+    nums[D] / den from `oracle._class_law`, put on the 2^-53 grid by
+    `measure._grid_edges`, so each class is dealt within 2^-53 of its
+    mass.  A class of mass below 2^-53 may own no grid point, and is then
+    never dealt."""
+    from .oracle import _class_law
 
+    table = _class_tables(n)
     nums, den = _class_law(source, n)
-    masses = [size * num for size, num in zip(_descent_class_sizes(n), nums)]
-    return _Guide.build([_grid_edges(masses, den)])
+    masses = [size * num for size, num in zip(table.size.tolist(), nums)]
+    return replace(table, guide=_Guide.build([_grid_edges(masses, den)]))
 
 
 def _deal(
@@ -428,44 +418,40 @@ def _deal(
 ):
     """The rows of `size` orderings of n labels, one row block at a time:
     yields (start, stop, rows) for each block of `_row_blocks`, sized by
-    the uniforms a row draws (n, or one per word, two per class), rows being
-    `out[start:stop]` when `out` is given.  `form` names the rows, as the
-    `_Words` field that holds them: "ranks", the rankings; "inverse", their
-    row inverses; "index", their S_n indices, for n <= `_CODE_WIDTH`.
+    the uniforms a row draws, rows being `out[start:stop]` when `out` is
+    given.  `form` names the rows, as the `_RowTable` field that holds
+    them: "ranks", the rankings; "inverse", their row inverses; "index",
+    their S_n indices, for n <= `_CODE_WIDTH`.
 
-    Only here is a source's route chosen (see the module docstring): a
-    source with word tables (`_word_tables`) deals each row from one
-    uniform; else, up to `_INDEX_WIDTH` labels and while its class law
-    costs at most `_CLASS_WORK_CAP`, from two, a class by its guide
-    (`_class_guide`) and a ranking in the class (`_Classes.row`).  Both
-    deal the tables' own int8 rows without `out`, and their blocks draw in
-    row order, so their rows are those of one whole-batch `rng.random`.
-    Every other source ranks the keys of its conjugate draws.
+    Only here is a source's route chosen (see the module docstring).  A
+    table deals the table's own int8 rows without `out`, and its blocks
+    draw in row order, so its rows are those of one whole-batch
+    `rng.random((size, draws))`.
     """
     import numpy as np
 
     tables = _batch_tables(source)
-    words = _word_tables(tables, n)
-    classes = guide = None
-    work = (1 << (n - 1)) * len(tables.cells) * n**3
-    if words is None and n <= _INDEX_WIDTH and work <= _CLASS_WORK_CAP:
-        classes, guide = _class_tables(n), _class_guide(source, n)
+    # the source the tables were built for, which every later cache lookup
+    # finds by identity, not by comparing an equal source gap by gap
+    source, cells = tables.source, len(tables.cells)
+    table = None
+    # a one-cell source counts as two words, so n stays below 14 and a rank
+    # fits int8
+    if not tables.cell_diffuse.any() and max(cells, 2) ** n <= _WORD_LIMIT:
+        table = _built_words(tables, n)
+    if table is None and n <= _INDEX_WIDTH and (1 << (n - 1)) * cells * n**3 <= _CLASS_WORK_CAP:
+        table = _built_classes(source, n)
     # a block holds about `_LOOKUP_BLOCK` uniforms: n per row for the keys,
     # one for a word, two for a class and its ranking
-    draws = 1 if words is not None else 2 if classes is not None else n
+    draws = n if table is None else 1 if table.start is None else 2
     for start, stop in _row_blocks(size, draws):
         rows = None if out is None else out[start:stop]
-        if words is None and classes is None:
+        if table is None:
             keys = _ordering_keys(sample_conjugate_batch(source, (stop - start, n), rng))
             rows = _lex_index(keys) if form == "index" else _rank_keys(keys, rows, form == "inverse")
         else:
-            if words is not None:
-                table, at = words, words.guide.lookup(rng.random(stop - start))
-            else:
-                u = rng.random((stop - start, 2))
-                table, at = classes, classes.row(guide.lookup(u[:, 0]), u[:, 1])
             # a row gather by `np.take` is several times faster than indexing
-            dealt = np.take(getattr(table, form), at, axis=0)
+            dealt = np.take(getattr(table, form), table.find(rng.random((stop - start, draws))), axis=0)
             if rows is None:
                 rows = dealt
             else:

@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyCounts, OutOfRange
+from .oracle import PermutationDistribution, tv_distance
 
 MIN_EXPECTED = 5.0
 
@@ -172,8 +173,8 @@ def chi_square_goodness(
     total = sum(int(c) for c in counts.values())
     if total <= 0:
         raise EmptyCounts("no observations")
-    for key in counts:
-        if key not in expected:
+    for key, c in counts.items():
+        if int(c) > 0 and not expected.get(key, 0):
             raise DimensionMismatch(f"observed outcome {key!r} has zero expected mass")
     cells = [
         (float(p) * total, float(counts.get(key, 0))) for key, p in expected.items()
@@ -277,19 +278,6 @@ def ks_measure_marginal(samples: Sequence[float], measure, alpha: float = 0.01) 
 
 
 def empirical_tv(counts: Mapping, reference) -> Fraction:
-    """Exact total-variation distance between empirical counts and a reference.
-
-    `reference` is a permutation distribution with fields n and probs.
-    """
-    total = sum(int(c) for c in counts.values())
-    if total <= 0:
-        raise EmptyCounts("no observations")
-    n = reference.n
-    for key in counts:
-        if len(key) != n or sorted(key) != list(range(1, n + 1)):
-            raise DimensionMismatch(f"count key {key!r} is not a permutation of 1..{n}")
-    keys = set(counts) | set(reference.probs)
-    acc = Fraction(0)
-    for k in keys:
-        acc += abs(Fraction(int(counts.get(k, 0)), total) - reference.probs.get(k, Fraction(0)))
-    return acc / 2
+    """Exact total-variation distance between empirical counts and a
+    reference `oracle.PermutationDistribution`."""
+    return tv_distance(PermutationDistribution.from_counts(reference.n, counts), reference)

@@ -55,9 +55,9 @@ from quasishuffle.measure import (
 from quasishuffle.errors import IncomparableSamples
 from quasishuffle.oracle import exact_ordering_distribution
 from quasishuffle.ordering import (
-    _class_guide,
+    _built_classes,
+    _built_words,
     _ordering_keys,
-    _word_tables,
     compare,
     sample_ordering_batch,
 )
@@ -391,8 +391,8 @@ def exact_guides():
             name: (c._cells.guide, [cumulative(mass for mass, _, _ in cell_rows(c))])
             for name, c in pairs.items()
         },
-        "word-law": (_word_tables(_batch_tables(SKEWED_THIRDS), 3).guide, [cumulative(words)]),
-        "class-law": (_class_guide(THIRDS, 4), [cumulative(classes)]),
+        "word-law": (_built_words(_batch_tables(SKEWED_THIRDS), 3).guide, [cumulative(words)]),
+        "class-law": (_built_classes(THIRDS, 4).guide, [cumulative(classes)]),
     }
 
 

@@ -10,6 +10,7 @@ the uniforms each row takes, and the dealt rows against the key route's by
 a two-sample chi-square at a pinned seed.
 """
 
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations
 from math import factorial
@@ -25,12 +26,14 @@ from quasishuffle.measure import (
     GapInterval,
     MeasureMixture,
     QuasiUniformMeasure,
+    _grid_edges,
+    _Guide,
     _row_blocks,
     a_shuffle,
     gsr,
     mixed_fixture,
 )
-from quasishuffle.ordering import _class_guide, _class_tables, sample_ordering_batch
+from quasishuffle.ordering import _built_classes, _class_tables, sample_ordering_batch
 from quasishuffle.permutations import _INDEX_WIDTH, _lex_index
 
 from conftest import make_rng
@@ -93,11 +96,15 @@ def test_class_tables_group_every_ranking_by_its_class(n):
 
 @pytest.mark.parametrize("n", range(1, _INDEX_WIDTH + 1))
 def test_offset_stays_in_its_class_at_the_extreme_uniforms(n):
-    table = _class_tables(n)
-    desc = np.arange(len(table.size))
-    top = np.full(len(desc), 1.0 - 2.0**-53)
-    assert np.array_equal(table.row(desc, np.zeros(len(desc))), table.start)
-    assert np.array_equal(table.row(desc, top), table.start + table.size.astype(np.int64) - 1)
+    # over equal class masses, u_0 = E_D * 2^-53 finds class D
+    classes = 2 ** (n - 1)
+    edges = _grid_edges([1] * classes, classes)
+    table = replace(_class_tables(n), guide=_Guide.build([edges]))
+    first = edges[:-1] * 2.0**-53
+    top = np.full(classes, 1.0 - 2.0**-53)
+    assert np.array_equal(table.find(np.column_stack([first, np.zeros(classes)])), table.start)
+    last = table.start + table.size.astype(np.int64) - 1
+    assert np.array_equal(table.find(np.column_stack([first, top])), last)
 
 
 @pytest.mark.parametrize("n", range(1, _INDEX_WIDTH + 1))
@@ -109,7 +116,10 @@ def test_class_guide_deals_each_class_on_its_exact_edges(name, n):
     if not class_route(source, n):
         return
     edges, _ = exact_class_edges(source, n)
-    guide = _class_guide(source, n)
+    table = _built_classes(source, n)
+    # the source's table shares the rows of `_class_tables`, uncopied
+    assert all(getattr(table, f) is getattr(_class_tables(n), f) for f in ("ranks", "inverse", "index"))
+    guide = table.guide
     for desc, (lo, hi) in enumerate(zip(edges, edges[1:])):
         if lo < hi:
             k = np.array([lo, hi - 1, (lo + hi) // 2], dtype=np.float64)

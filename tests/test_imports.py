@@ -187,17 +187,34 @@ def test_one_class_loop_runs_the_transfer_kernel():
 
 def test_one_dealing_loop_chooses_the_row_route():
     """Every conjugate row is dealt by `ordering._deal`, the only caller of
-    `_word_tables` and the only reader of the class table and its guides;
-    `kernels` imports `_deal` alone from `ordering`, and no word table or
-    batch table of its own."""
-    for name in ("_word_tables", "_class_tables", "_class_guide"):
+    the word-table and class-table builders, whose class tables alone read
+    the source-free `_class_tables`; `kernels` imports `_deal` alone from
+    `ordering`, and no word table or batch table of its own."""
+    for name, caller in (
+        ("_built_words", "_deal"),
+        ("_built_classes", "_deal"),
+        ("_class_tables", "_built_classes"),
+    ):
         found = set().union(*(callers(p.read_text(), name) for p in LIBRARY))
-        assert found == {"_deal"}, name
+        assert found == {caller}, name
     tree = ast.parse((ROOT / "src" / "quasishuffle" / "kernels.py").read_text())
     imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
     assert {a.name for n in imports if n.module == "ordering" for a in n.names} == {"_deal"}
     names = {a.name for n in imports for a in n.names}
     assert not {n for n in names if n.startswith("_word_") or n == "_batch_tables"}
+
+
+def test_words_and_classes_share_one_row_table():
+    """`ordering` holds a word table and a class table in one type, and has
+    no separate word or class type, nor the helpers that split the route
+    choice between them."""
+    tree = ast.parse((ROOT / "src" / "quasishuffle" / "ordering.py").read_text())
+    classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+    assert classes == {"_RowTable", "EmpiricalPosition"}
+    functions = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert functions.isdisjoint({"_word_tables", "_class_guide"})
+    # and `_deal` deals both through one lookup
+    assert callers(ast.unparse(tree), "find") == {"_deal"}
 
 
 def test_keys_have_one_rank_path():

@@ -13,6 +13,7 @@ by block; both keep their law.
 import tracemalloc
 from fractions import Fraction as F
 from math import factorial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from quasishuffle.kernels import (
 from quasishuffle.measure import (
     _LOOKUP_BLOCK,
     MeasureMixture,
+    QuasiUniformMeasure,
     a_shuffle,
     gsr,
     mixed_fixture,
@@ -175,3 +177,24 @@ def test_blocked_mixture_orderings_keep_the_exact_law():
     rows = sample_ordering_batch(mixture, range(1, n + 1), size, make_rng(84))
     exact = exact_ordering_distribution(mixture, n)
     assert chi_square_goodness(row_counts(rows), exact.probs, alpha=0.01).passed
+
+
+@pytest.mark.parametrize("name", ("measure", "mixture"))
+def test_an_equal_source_compares_once_per_call(name):
+    """A source equal to a cached one but not the same object is compared
+    with it once per call, not once per row block: the samplers deal from
+    the object their batch tables were built for, which every later cache
+    lookup finds by identity.  Key route, 12 blocks of 16 labels."""
+    make = {
+        "measure": gsr,
+        "mixture": lambda: MeasureMixture(((F(1, 2), gsr()), (F(1, 2), a_shuffle(3)))),
+    }[name]
+    cached, copy = make(), make()
+    assert cached == copy and cached is not copy
+    size, labels = 12 * (_LOOKUP_BLOCK // 16), range(1, 17)
+    want = sample_ordering_batch(cached, labels, size, make_rng(9))
+    compare = QuasiUniformMeasure.__eq__
+    with mock.patch.object(QuasiUniformMeasure, "__eq__", autospec=True, side_effect=compare) as eq:
+        got = sample_ordering_batch(copy, labels, size, make_rng(9))
+    assert identical(got, want)
+    assert eq.call_count <= 2

@@ -211,6 +211,17 @@ def test_ks_marginal_lebesgue_equals_ks_uniform():
     assert abs(a.statistic - b.statistic) < 1e-12
 
 
+def test_goodness_refuses_observations_at_zero_expected_mass():
+    # an outcome listed with mass 0 lies outside the support, as an unlisted one
+    expected = {(1, 2, 3): F(9, 10), (2, 1, 3): F(1, 10), (3, 2, 1): F(0)}
+    with pytest.raises(DimensionMismatch):
+        chi_square_goodness({(1, 2, 3): 900, (2, 1, 3): 50, (3, 2, 1): 50}, expected)
+    with pytest.raises(DimensionMismatch):
+        chi_square_goodness({(1, 2): 500, (2, 1): 500}, {(1, 2): 1, (2, 1): 0})
+    # a zero count there is no observation
+    assert chi_square_goodness({(1, 2, 3): 900, (2, 1, 3): 100, (3, 2, 1): 0}, expected).passed
+
+
 def test_empirical_tv_exact_values():
     exact2 = exact_ordering_distribution(gsr(), 2)
     assert empirical_tv({(1, 2): 3, (2, 1): 1}, exact2) == 0

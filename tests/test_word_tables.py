@@ -5,10 +5,12 @@ in S_n, and the byte bounds of the ordering caches."""
 from fractions import Fraction as F
 from functools import cmp_to_key
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from quasishuffle import ordering
 from quasishuffle.kernels import (
     ConjugateCoupling,
     InverseConjugateCoupling,
@@ -29,6 +31,7 @@ from quasishuffle.measure import (
     _Guide,
     a_shuffle,
     gsr,
+    lebesgue,
     mixed_fixture,
 )
 from quasishuffle.oracle import exact_ordering_distribution, exact_step_distribution
@@ -41,7 +44,6 @@ from quasishuffle.ordering import (
     _ordering_keys,
     _rank_keys,
     _word_edges,
-    _word_tables,
     compare,
     ordering_counts,
     sample_ordering_batch,
@@ -69,6 +71,22 @@ ATOMIC = {
 }
 
 
+def dealt_words(source, n):
+    """The word table that `ordering._deal` deals rows of n labels of a
+    source from, or None: `_built_words`, the word-table builder, is
+    watched while `_deal` deals one row."""
+    built = []
+
+    def watched(*args):
+        built.append(_built_words(*args))
+        return built[-1]
+
+    with mock.patch.object(ordering, "_built_words", watched):
+        for _ in ordering._deal(source, n, 1, make_rng(0)):
+            pass
+    return built[0] if built else None
+
+
 def compared_ranking(tables, cells):
     """The ranking `compare` gives labels 0..n-1 drawn in the atom cells."""
     pairs = [
@@ -93,7 +111,7 @@ def test_word_rows_are_the_rank_keys_of_their_words(name, n):
     A sample of a measure's words is ranked by `compare` too."""
     source = ATOMIC[name]
     tables = _batch_tables(source)
-    words = _word_tables(tables, n)
+    words = dealt_words(source, n)
     if len(tables.cells) ** n > _WORD_LIMIT:
         assert words is None
         return
@@ -153,12 +171,12 @@ def test_word_guide_edges_are_the_exact_ceilings(name, n):
     tables = _batch_tables(source)
     want = exact_word_edges(source, n)
     if want is None:
-        assert _word_edges(tables, n) is None and _word_tables(tables, n) is None
+        assert _word_edges(tables, n) is None and dealt_words(source, n) is None
         return
     edges = want[0]
     assert _word_edges(tables, n).tolist() == edges
     guide = _Guide.build([edges])
-    words = _word_tables(tables, n)
+    words = dealt_words(source, n)
     assert (words is not None) == one_step(edges) == (guide.steps <= 1)
     if words is not None:
         assert np.array_equal(words.guide.hi, guide.hi)
@@ -187,7 +205,7 @@ def test_word_draws_keep_the_exact_law(name, n):
     """Dealt rows, `ordering_counts` and type-two steps against the exact
     law, by chi-square at alpha = 0.01, on fixed seeds."""
     source, size, labels = EDGE_SOURCES[name], 40_000, range(1, n + 1)
-    if _word_tables(_batch_tables(source), n) is None:
+    if dealt_words(source, n) is None:
         assert word_route(source, n) is None
         return
     law = exact_ordering_distribution(source, n).probs
@@ -219,9 +237,23 @@ def test_a_skewed_word_law_takes_the_key_route(n):
     else:
         assert _Guide.build([edges]).steps == 511
         assert not one_step(exact_word_edges(source, n)[0])
-    assert _word_tables(tables, n) is None
+    assert dealt_words(source, n) is None
     got = sample_ordering_batch(source, range(1, n + 1), 2000, make_rng(4))
     assert identical(got, eager_ordering(source, n, 2000, make_rng(4)))
+
+
+@pytest.mark.parametrize("name", ("lebesgue", "mixed", "mixture"))
+def test_a_diffuse_cell_takes_no_word_table(name):
+    """Lebesgue measure's one cell counts as two, so up to 13 labels it is
+    within `_WORD_LIMIT` words: its diffuse cell alone keeps it from a
+    word table, as it keeps every source with one."""
+    source = {
+        "lebesgue": lebesgue(),
+        "mixed": mixed_fixture(),
+        "mixture": MeasureMixture(((F(1, 3), a_shuffle(3)), (F(2, 3), lebesgue()))),
+    }[name]
+    for n in (1, 4, 8, 9, 13):
+        assert dealt_words(source, n) is None, n
 
 
 def test_each_word_row_takes_one_uniform():
@@ -321,7 +353,7 @@ def test_caches_hold_at_most_4_mib():
             # about 0.47^13 > 2^-53, so every word owns grid points
             p = F(1, 2) - F(1, 40 + i)
             two = QuasiUniformMeasure((GapInterval(0, p, RIGHT), GapInterval(p, 1, LEFT)))
-            words = _word_tables(_batch_tables(two), 13)
+            words = _built_words(_batch_tables(two), 13)
             assert len(words.ranks) == len(words.guide.hi) == _WORD_LIMIT
             guide = words.guide
             parts = (words.ranks, words.inverse, guide.hi, guide.guide, guide.cell, words.index)
