@@ -37,7 +37,6 @@ spans more than one block.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -579,23 +578,17 @@ def empirical_mixing_curve(
         raise ValueError(f"steps = {steps} is negative")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    n_perms = factorial(n)
-    # n! beyond floats (n >= 171) is far above any number of trials
-    beyond_floats = n_perms > sys.float_info.max
-    uniform_mass = 0.0 if beyond_floats else 1.0 / n_perms
+    # 1/n! rounded from the exact fraction: beyond 170 cards n! overflows a
+    # float, and 1/n! is subnormal or 0.0
+    uniform_mass = float(Fraction(1, factorial(n)))
     # rows of fewer than 128 cards are held as int8 and composed through an
     # intp temporary per block
     state = np.tile(np.arange(1, n + 1, dtype=np.int8 if n < 128 else np.int64), (trials, 1))
 
     def tv_now() -> float:
         _, counts = count_perms([state], n)  # counts only: no decoding
-        if beyond_floats:
-            # every seen row is over-represented: TV = 1 - distinct / n!
-            return 1.0 - len(counts) / n_perms
-        emp = counts / trials
-        # permutations never seen each contribute uniform_mass to the L1 sum
-        l1 = float(np.abs(emp - uniform_mass).sum()) + (n_perms - len(counts)) * uniform_mass
-        return l1 / 2.0
+        # TV = 1 - sum of min(p, 1/n!) over S_n, and unseen permutations add 0
+        return 1.0 - float(np.minimum(counts / trials, uniform_mass).sum())
 
     curve = [tv_now()]
     for _ in range(steps):

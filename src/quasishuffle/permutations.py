@@ -25,10 +25,6 @@ if TYPE_CHECKING:
 
 Perm = Tuple[int, ...]
 
-# `count_perms` lets at least this many counted keys wait before a fold, so
-# that permutations of a small support are not merged block by block.
-_FOLD_AT = 1 << 14
-
 # `_row_ranks` counts comparisons in rows up to this width, below the int8
 # bound 128 of `_counted_ranks`, and argsorts wider ones stably: per card
 # on one block of 2^14 floats (2-core shared host, numpy 2.4), counting
@@ -190,9 +186,9 @@ def count_perms(blocks: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, np.nd
     A block is 2-D rows of width n or, up to `_CODE_WIDTH` cards, 1-D S_n
     indices.  Up to `_INDEX_WIDTH` cards the indices are counted in n!
     dense bins.  Beyond, each block's distinct keys wait until they
-    outnumber both the running ones and `_FOLD_AT`; then all are merged
-    into one running part (`_distinct`).  So memory stays bounded by the
-    number of distinct permutations, however many blocks come.
+    outnumber the running ones; then all are merged into one running part
+    (`_distinct`).  So memory stays within twice the number of distinct
+    permutations and one block, however many blocks come.
     """
     import numpy as np
 
@@ -218,7 +214,7 @@ def count_perms(blocks: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, np.nd
             ones = np.ones(len(keys), dtype=np.int64)
             parts.append(np.unique(keys, return_counts=True) if coded else _distinct(keys, ones))
             waiting += len(parts[-1][0])
-            if waiting > max(held, _FOLD_AT):
+            if waiting > held:
                 parts = [merged()]
                 held, waiting = len(parts[0][0]), 0
     if dense:

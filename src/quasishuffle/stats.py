@@ -180,15 +180,7 @@ def chi_square_goodness(
         (float(p) * total, float(counts.get(key, 0))) for key, p in expected.items()
     ]
     cells = _pool(cells)
-    if len(cells) < 2:
-        return TestReport("chi_square_goodness", 0.0, 1.0, total, alpha, True,
-                          {"df": 0, "note": "support too small after pooling"})
-    stat = sum((o - e) ** 2 / e for e, o in cells)
-    df = len(cells) - 1
-    p = _chi2_sf(stat, df)
-    return TestReport(
-        "chi_square_goodness", float(stat), p, total, alpha, p >= alpha, {"df": df}
-    )
+    return _pearson("chi_square_goodness", len(cells), cells, total, alpha)
 
 
 def chi_square_two_sample(
@@ -206,42 +198,31 @@ def chi_square_two_sample(
         (float(counts_a.get(k, 0)), float(counts_b.get(k, 0))) for k in keys
     ]
     merged = _pool([((a + b) * min(total_a, total_b) / grand, a, b) for a, b in cols])
-    if len(merged) < 2:
-        return TestReport("chi_square_two_sample", 0.0, 1.0, grand, alpha, True,
-                          {"df": 0, "note": "support too small after pooling"})
-    stat = 0.0
-    for _, a, b in merged:
-        col = a + b
-        for obs, row_total in ((a, total_a), (b, total_b)):
-            exp = row_total * col / grand
-            stat += (obs - exp) ** 2 / exp
-    df = len(merged) - 1
-    p = _chi2_sf(stat, df)
-    return TestReport(
-        "chi_square_two_sample", float(stat), p, grand, alpha, p >= alpha, {"df": df}
+    pairs = (
+        (row_total * (a + b) / grand, obs)
+        for _, a, b in merged
+        for obs, row_total in ((a, total_a), (b, total_b))
     )
+    return _pearson("chi_square_two_sample", len(merged), pairs, grand, alpha)
 
 
-def _ks_statistic(sorted_samples: np.ndarray, cdf_at, cdf_left_at) -> float:
-    n = len(sorted_samples)
-    grid_hi = np.arange(1, n + 1) / n
-    grid_lo = np.arange(0, n) / n
-    d_plus = float(np.max(grid_hi - cdf_at))
-    d_minus = float(np.max(cdf_left_at - grid_lo))
-    return max(d_plus, d_minus, 0.0)
+def _pearson(name: str, cells: int, pairs, samples: int, alpha: float) -> TestReport:
+    """Pearson's chi-square over a number of pooled cells: the sum of
+    (o - e)^2 / e over their (expected, observed) `pairs`, on one degree of
+    freedom fewer than the cells."""
+    df = cells - 1
+    if df < 1:
+        return TestReport(name, 0.0, 1.0, samples, alpha, True,
+                          {"df": 0, "note": "support too small after pooling"})
+    stat = float(sum((o - e) ** 2 / e for e, o in pairs))
+    p = _chi2_sf(stat, df)
+    return TestReport(name, stat, p, samples, alpha, p >= alpha, {"df": df})
 
 
 def ks_uniform(samples: Sequence[float], alpha: float = 0.01) -> TestReport:
     """Kolmogorov-Smirnov against the uniform law on [0,1] (asymptotic p)."""
-    x = np.sort(np.asarray(samples, dtype=np.float64))
-    n = len(x)
-    if n == 0:
-        raise EmptyCounts("no samples")
-    if not (x[0] >= 0.0 and x[-1] <= 1.0):
-        raise OutOfRange("samples must lie in [0,1]")
-    stat = _ks_statistic(x, x, x)
-    p = _kolmogorov_sf(stat * np.sqrt(n))
-    return TestReport("ks_uniform", stat, p, n, alpha, p >= alpha, {})
+    x = _sorted_unit_samples(samples)
+    return _ks("ks_uniform", x, x, x, alpha)
 
 
 def ks_measure_marginal(samples: Sequence[float], measure, alpha: float = 0.01) -> TestReport:
@@ -250,12 +231,7 @@ def ks_measure_marginal(samples: Sequence[float], measure, alpha: float = 0.01) 
     Uses the left-limit CDF below each sample so atoms are handled
     correctly; the asymptotic p-value is conservative at atoms.
     """
-    x = np.sort(np.asarray(samples, dtype=np.float64))
-    n = len(x)
-    if n == 0:
-        raise EmptyCounts("no samples")
-    if not (x[0] >= 0.0 and x[-1] <= 1.0):
-        raise OutOfRange("samples must lie in [0,1]")
+    x = _sorted_unit_samples(samples)
     points = sorted({Fraction(0), Fraction(1)} | {g.lo for g in measure.gaps} | {g.hi for g in measure.gaps})
     bp = np.array([float(p) for p in points])
     cdf_at_bp = np.array([float(measure.cdf(p)) for p in points])
@@ -272,9 +248,28 @@ def ks_measure_marginal(samples: Sequence[float], measure, alpha: float = 0.01) 
     # atoms sit only at breakpoints, so off them the CDF is continuous
     cdf_vals = np.where(at_bp, cdf_at_bp[idx], interp)
     left_vals = np.where(at_bp, left_at_bp[idx], interp)
-    stat = _ks_statistic(x, cdf_vals, left_vals)
+    return _ks("ks_measure_marginal", x, cdf_vals, left_vals, alpha)
+
+
+def _sorted_unit_samples(samples: Sequence[float]) -> np.ndarray:
+    x = np.sort(np.asarray(samples, dtype=np.float64))
+    if len(x) == 0:
+        raise EmptyCounts("no samples")
+    if not (x[0] >= 0.0 and x[-1] <= 1.0):
+        raise OutOfRange("samples must lie in [0,1]")
+    return x
+
+
+def _ks(name: str, x: np.ndarray, cdf_at, cdf_left_at, alpha: float) -> TestReport:
+    """The two-sided KS statistic of the sorted samples x against a law with
+    CDF `cdf_at` and left-limit CDF `cdf_left_at` at x, and its asymptotic
+    p-value."""
+    n = len(x)
+    d_plus = float(np.max(np.arange(1, n + 1) / n - cdf_at))
+    d_minus = float(np.max(cdf_left_at - np.arange(0, n) / n))
+    stat = max(d_plus, d_minus, 0.0)
     p = _kolmogorov_sf(stat * np.sqrt(n))
-    return TestReport("ks_measure_marginal", stat, p, n, alpha, p >= alpha, {})
+    return TestReport(name, stat, p, n, alpha, p >= alpha, {})
 
 
 def empirical_tv(counts: Mapping, reference) -> Fraction:

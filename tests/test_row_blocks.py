@@ -112,8 +112,7 @@ def test_mixing_curve_spans_blocks(name, kind):
             sigma = step_reference(n, sampler, trials, rng)
             state = np.take_along_axis(sigma, state - 1, axis=1)
         _, counts = np.unique(state, axis=0, return_counts=True)
-        l1 = float(np.abs(counts / trials - u).sum()) + (factorial(n) - len(counts)) * u
-        want.append(l1 / 2.0)
+        want.append(1.0 - float(np.minimum(counts / trials, u).sum()))
     assert curve == want
 
 
