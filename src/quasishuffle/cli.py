@@ -275,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sample-order", cmd_sample_order, "sample rankings of a label set")
     p.add_argument("--measure", required=True)
-    p.add_argument("--labels", help="comma-separated strictly increasing labels; excludes --n")
+    p.add_argument("--labels", help="comma-separated strictly increasing labels, of which only "
+                   "the number enters the draw; excludes --n")
     p.add_argument("--n", type=int, help="rank labels 1..n, default 3")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

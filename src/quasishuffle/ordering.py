@@ -165,7 +165,8 @@ def sample_ordering_batch(
     size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Ordering draws; returns a (size, n) array of rankings.
+    """Ordering draws; returns a (size, n) array of rankings.  Label values
+    do not enter the draw, only their number.
 
     Each label sorts by its conjugate pair's cell, then inside the cell by
     its uniform (diffuse cell) or by label order, kept at a right atom and
@@ -504,7 +505,8 @@ def ordering_counts(
 ) -> dict[Perm, int]:
     """Histogram of `size` sampled rankings, counted block by block from the
     rows `sample_ordering_batch` deals, with no whole-batch array: by their
-    index in S_n up to `_CODE_WIDTH` labels, as rows beyond."""
+    index in S_n up to `_CODE_WIDTH` labels, as rows beyond.  Label values
+    do not enter the draw, only their number."""
     labels = check_labels(labels)
     n = len(labels)
     if size < 0:
@@ -567,7 +569,9 @@ def exchangeability_test(
     rng: np.random.Generator,
     alpha: float = 0.001,
 ):
-    """Two-sample test that order-isomorphic label sets order identically."""
+    """Two-sample test that order-isomorphic label sets order identically.
+    Label values do not enter a draw, so it compares two independent draws
+    of one law and fails only at rate alpha: a demonstration, not a check."""
     from .stats import chi_square_two_sample
 
     labels_a = check_labels(labels_a)

@@ -1,11 +1,11 @@
 """Self-checking property suite over a measure, mixture, or candidate.
 
-Runs the exact invariants (conjugation involution, likelihood-versus-
-enumeration agreement, restriction consistency, route agreement) and the
-statistical ones (uniform coupling marginals, sampler-versus-oracle total
-variation) and collects one pass/fail record per check.  The cell
-enumeration, whose work is cells^n, is recorded as not run above its cell
-cap, with the reason.
+Every source runs one law battery, `_verify_law`: the ordering sampler and
+the cell enumeration against the exact law, and restriction consistency.
+Label values never enter a draw, only their number, so labels 1..n stand
+for any label set.  A measure adds its structural invariants, the uniform
+marginals of its coupled sides, its step sampler and its route agreement.
+The cell enumeration (cells^n work) is recorded as not run above its cap.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from .measure import (
     CandidateMeasure,
     MeasureMixture,
     MeasureSource,
+    OrderingSource,
     QuasiUniformMeasure,
     is_quasi_uniform,
 )
-from .permutations import Perm, perm_histogram
+from .permutations import perm_histogram
 
 
 @dataclass
@@ -71,21 +72,19 @@ def _tv_check(name: str, counts, law, samples: int, unit: str) -> CheckResult:
     )
 
 
-def _pair_step_counts(
-    n: int,
-    sampler: kernels.CouplingSampler,
-    samples: int,
-    rng: np.random.Generator,
-) -> dict[Perm, int]:
-    """Step histogram ranked from the coupling's own (u, v) draws.
+def _step_check(
+    name: str, sampler: kernels.CouplingSampler, law, samples: int, rng: np.random.Generator
+) -> CheckResult:
+    """TV of `samples` steps ranked from the coupling's own (u, v) draws.
 
     `step_batch` deals a conjugate step as the measure's ordering; ranking
     the coupling's pairs instead keeps this check independent of that route
     and tests the one pair draw, `CouplingSampler.draw_batch`, that grid,
     map and mixture steps use.
     """
-    blocks = kernels._pair_step_blocks(n, sampler, samples, rng)
-    return perm_histogram((rows for _, _, rows in blocks), n)
+    blocks = kernels._pair_step_blocks(law.n, sampler, samples, rng)
+    counts = perm_histogram((rows for _, _, rows in blocks), law.n)
+    return _tv_check(name, counts, law, samples, "steps")
 
 
 def run_property_suite(
@@ -113,8 +112,46 @@ def run_property_suite(
         source = source.to_measure()
 
     if isinstance(source, MeasureMixture):
-        return _verify_mixture(source, rng, n, samples, report)
+        for i, (_, comp) in enumerate(source.components):
+            report.checks.append(
+                CheckResult(f"component-{i}-quasi-uniform", is_quasi_uniform(comp))
+            )
+        _verify_law(source, rng, n, samples, report)
+        return report
     return _verify_measure(source, rng, n, samples, report)
+
+
+def _verify_law(
+    source: OrderingSource,
+    rng: np.random.Generator,
+    n: int,
+    samples: int,
+    report: VerifyReport,
+) -> oracle.PermutationDistribution:
+    """The checks every source runs; returns its exact law of n labels.  A
+    mixture's cell enumeration is its components' enumerations, weighted."""
+    exact = oracle.exact_ordering_distribution(source, n)
+    counts = ordering.ordering_counts(source, tuple(range(1, n + 1)), samples, rng)
+    report.checks.append(
+        _tv_check("ordering-sampler-vs-oracle", counts, exact, samples, "draws")
+    )
+
+    components = source.components if isinstance(source, MeasureMixture) else ((1, source),)
+    try:
+        enumerated = oracle.combine_distributions(
+            (w, oracle._cell_enumeration(comp, n)) for w, comp in components
+        )
+        agree, detail = enumerated == exact, "block-cut likelihood vs cell enumeration"
+    except CapExceeded as exc:  # n passed its cap above: too many cells
+        agree, detail = None, f"not run: {exc}"
+    report.checks.append(CheckResult("likelihood-dp-vs-enumeration", agree, detail))
+
+    consistent = all(
+        oracle.restrict_distribution(exact, m) == oracle.exact_ordering_distribution(source, m)
+        for m in range(2, n)
+    )
+    report.checks.append(CheckResult("restriction-consistent", consistent))
+    return exact
 
 
 def _verify_measure(
@@ -138,44 +175,23 @@ def _verify_measure(
     )
     report.checks.append(CheckResult("cdf-monotone-normalized", cdf_ok))
 
-    for name, sampler in (
-        ("forward", kernels.ConjugateCoupling(measure)),
-        ("inverse", kernels.InverseConjugateCoupling(measure)),
-    ):
-        u, v = sampler.draw_batch(samples, rng)
-        for coord, arr in (("u", u), ("v", v)):
-            rep = stats.ks_uniform(arr, alpha=0.01)
-            report.checks.append(
-                CheckResult(
-                    f"marginal-uniform-{name}-{coord}",
-                    rep.passed,
-                    f"KS D = {rep.statistic:.5f}, p = {rep.p_value:.4f}",
-                )
+    forward = kernels.ConjugateCoupling(measure)
+    inverse = kernels.InverseConjugateCoupling(measure)
+    # the forward u and the inverse v are the generator's own s: test the coupled sides
+    _, forward_v = forward.draw_batch(samples, rng)
+    inverse_u, _ = inverse.draw_batch(samples, rng)
+    for name, arr in (("forward-v", forward_v), ("inverse-u", inverse_u)):
+        rep = stats.ks_uniform(arr, alpha=0.01)
+        report.checks.append(
+            CheckResult(
+                f"marginal-uniform-{name}",
+                rep.passed,
+                f"KS D = {rep.statistic:.5f}, p = {rep.p_value:.4f}",
             )
+        )
 
-    exact = oracle.exact_ordering_distribution(measure, n)
-    counts = ordering.ordering_counts(measure, tuple(range(1, n + 1)), samples, rng)
-    report.checks.append(
-        _tv_check("ordering-sampler-vs-oracle", counts, exact, samples, "draws")
-    )
-    step_counts = _pair_step_counts(n, kernels.ConjugateCoupling(measure), samples, rng)
-    report.checks.append(
-        _tv_check("step-sampler-vs-oracle", step_counts, exact, samples, "steps")
-    )
-
-    try:
-        agree = oracle._cell_enumeration(measure, n) == exact
-        detail = "block-cut likelihood vs cell enumeration"
-    except CapExceeded as exc:  # n passed its cap above: too many cells
-        agree, detail = None, f"not run: {exc}"
-    report.checks.append(CheckResult("likelihood-dp-vs-enumeration", agree, detail))
-
-    consistent = True
-    for m in range(2, n):
-        lhs = oracle.restrict_distribution(exact, m)
-        rhs = oracle.exact_ordering_distribution(measure, m)
-        consistent = consistent and lhs == rhs
-    report.checks.append(CheckResult("restriction-consistent", consistent))
+    exact = _verify_law(measure, rng, n, samples, report)
+    report.checks.append(_step_check("step-sampler-vs-oracle", forward, exact, samples, rng))
 
     if measure.is_purely_atomic:
         r2_one = oracle.exact_coupling_step_distribution(measure, n, "one")
@@ -185,49 +201,6 @@ def _verify_measure(
             CheckResult("route-equivalence-exact", agree, "coupling route vs cell route")
         )
     else:
-        inv_counts = _pair_step_counts(
-            n, kernels.InverseConjugateCoupling(measure), samples, rng
-        )
-        report.checks.append(
-            _tv_check(
-                "time-reversal-mc",
-                inv_counts,
-                oracle.invert_distribution(exact),
-                samples,
-                "steps",
-            )
-        )
-    return report
-
-
-def _verify_mixture(
-    mixture: MeasureMixture,
-    rng: np.random.Generator,
-    n: int,
-    samples: int,
-    report: VerifyReport,
-) -> VerifyReport:
-    for i, (_, comp) in enumerate(mixture.components):
-        report.checks.append(
-            CheckResult(f"component-{i}-quasi-uniform", is_quasi_uniform(comp))
-        )
-    exact = oracle.exact_ordering_distribution(mixture, n)
-    counts = ordering.ordering_counts(mixture, tuple(range(1, n + 1)), samples, rng)
-    report.checks.append(
-        _tv_check("ordering-sampler-vs-oracle", counts, exact, samples, "draws")
-    )
-    rep = ordering.exchangeability_test(
-        mixture,
-        tuple(range(1, n + 1)),
-        tuple(10 ** (i + 1) for i in range(n)),
-        max(samples // 2, 1000),
-        rng,
-    )
-    report.checks.append(
-        CheckResult(
-            "exchangeability",
-            rep.passed,
-            f"chi2 = {rep.statistic:.3f}, p = {rep.p_value:.4f}",
-        )
-    )
+        inverse_law = oracle.invert_distribution(exact)
+        report.checks.append(_step_check("time-reversal-mc", inverse, inverse_law, samples, rng))
     return report

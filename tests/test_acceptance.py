@@ -44,7 +44,6 @@ from quasishuffle.oracle import (
 )
 from quasishuffle.ordering import (
     empirical_positions,
-    exchangeability_test,
     ordering_counts,
     sample_ordering_batch,
 )
@@ -289,14 +288,17 @@ def test_criterion_11_membership_predicate():
 
 
 def test_criterion_12_label_exchangeability():
-    rng = make_rng(1212)
-    report = exchangeability_test(
-        gsr(), [1, 2, 3], [5, 40, 1000], 100_000, rng, alpha=0.001
+    # label values never enter a draw, only their number
+    same = all(
+        np.array_equal(
+            sample_ordering_batch(source, [1, 2, 3], 100_000, make_rng(1212)),
+            sample_ordering_batch(source, [5, 40, 1000], 100_000, make_rng(1212)),
+        )
+        for source in (gsr(), mixed_fixture())
     )
     record(
         12,
-        "orderings of {1,2,3} and {5,40,1000} are indistinguishable "
-        "(two-sample chi-square at 10^5 draws, alpha 0.001)",
-        report.passed,
-        f"p={report.p_value:.4f}",
+        "orderings of {1,2,3} and {5,40,1000} are the same rows at one seed "
+        "(10^5 draws, gsr and the mixed fixture)",
+        same,
     )

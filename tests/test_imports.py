@@ -185,6 +185,18 @@ def test_one_class_loop_runs_the_transfer_kernel():
     assert found == {"_class_values"}
 
 
+def test_one_law_battery_verifies_every_source():
+    """`verify._verify_law`, which measures and mixtures both run, is the
+    only caller in `verify` of the ordering sampler, the cell enumeration
+    and the restriction, and `verify` runs no exchangeability test."""
+    source = (ROOT / "src" / "quasishuffle" / "verify.py").read_text()
+    for name in (
+        "ordering_counts", "_cell_enumeration", "combine_distributions", "restrict_distribution",
+    ):
+        assert callers(source, name) == {"_verify_law"}, name
+    assert callers(source, "exchangeability_test") == set()
+
+
 def test_one_dealing_loop_chooses_the_row_route():
     """Every conjugate row is dealt by `ordering._deal`, the only caller of
     the word-table and class-table builders, whose class tables alone read

@@ -16,6 +16,7 @@ from quasishuffle.measure import (
     GapInterval,
     MeasureMixture,
     QuasiUniformMeasure,
+    a_shuffle,
     gsr,
     lebesgue,
     mixed_fixture,
@@ -172,11 +173,22 @@ def test_batch_and_scalar_same_law(measure):
     assert float(empirical_tv(batch, exact)) < 0.04
 
 
-def test_relabelling_invariance(rng):
-    """Only the relative order of labels matters, not their values."""
-    exact = exact_ordering_distribution(gsr(), 3)
-    counts = ordering_counts(gsr(), [-10, 4, 1000], 20000, rng)
-    assert float(empirical_tv(counts, exact)) < 0.02
+RELABELLED = {
+    "gsr": gsr(),
+    "mixed": mixed_fixture(),
+    "mixture": MeasureMixture(((F(1, 3), a_shuffle(3)), (F(2, 3), mixed_fixture()))),
+}
+
+
+@pytest.mark.parametrize("n", [4, 10])  # word and class routes at 4, word and key at 10
+@pytest.mark.parametrize("name", list(RELABELLED))
+def test_relabelling_invariance(name, n):
+    """Label values never enter a draw, only their number: at one seed an
+    order-isomorphic label set gets the same rows and the same histogram."""
+    source, spread = RELABELLED[name], [3**k - 50 for k in range(n)]
+    for draw in (sample_ordering_batch, ordering_counts):
+        plain = draw(source, range(1, n + 1), 3000, make_rng(12))
+        np.testing.assert_equal(draw(source, spread, 3000, make_rng(12)), plain)
 
 
 def test_mixture_components_stay_whole(rng):
